@@ -44,7 +44,11 @@ def _spin(text):
 
 
 def _default_trunc():
-    return int(os.environ.get("GVH_TRUNC", "64"))
+    text = os.environ.get("GVH_TRUNC", "64")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("GVH_TRUNC must be an integer, got %r" % text) from None
 
 
 def _parse_elem(args, text):
@@ -333,10 +337,10 @@ _HANDLERS = {
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "trunc", None) is None and args.verb == "verify":
-        args.trunc = _default_trunc()
     from .hermite import QuadratureError
     try:
+        if getattr(args, "trunc", None) is None and args.verb == "verify":
+            args.trunc = _default_trunc()
         report, code = _HANDLERS[args.verb](args)
     except (ParseError, DomainError, QuadratureError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)

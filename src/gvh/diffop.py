@@ -1,18 +1,20 @@
-"""Differential operators with exact symbolic coefficients.
+"""Differential operators on the torus line bundle.
 
-A DiffOp is a finite sum Σ c_α(vars) ∂^α; composition uses the generalized
-Leibniz rule ∂^α(b·u) = Σ_{γ≤α} C(α,γ) (∂^γ b)(∂^{α−γ}u).  Coefficients can
-be MultiPoly (flat phase space, position representation) or TorusXCoef
-(trigonometric polynomials times powers of x, for the torus line bundle).
+A DiffOp is a finite sum Σ c_α ∂_x^{α₁} ∂_y^{α₂} whose coefficients are
+TorusXCoef (trigonometric polynomials times powers of x); composition uses
+the generalized Leibniz rule ∂^α(b·u) = Σ_{γ≤α} C(α,γ) (∂^γ b)(∂^{α−γ}u).
+Flat-space operators are Weyl elements instead (weyl.py): X ↦ q and
+P ↦ −iħ∂ carry the Weyl algebra onto the polynomial-coefficient operators.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+import math
 
-from .poly import MultiPoly, multi_binom
-from .scalars import PI, S_I, S_ONE, S_ZERO, Scalar, TWO_PI
+from .scalars import S_I, S_ONE, Scalar, TWO_PI
+from .sparse import accumulate, add_terms, neg_terms, nonzero_terms, scale_terms
 
 
 def _coerce_scalar(c):
@@ -31,11 +33,7 @@ class TorusXCoef:
     VARS = ("x", "y")
 
     def __init__(self, terms=None):
-        clean = {}
-        for k, c in (terms or {}).items():
-            if not c.is_zero():
-                clean[k] = c
-        self.terms = clean
+        self.terms = nonzero_terms(terms or {})
 
     @classmethod
     def zero(cls):
@@ -61,17 +59,10 @@ class TorusXCoef:
         return not self.terms
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            w = terms.get(k, S_ZERO) + c
-            if w.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = w
-        return TorusXCoef(terms)
+        return TorusXCoef(add_terms(self.terms, other.terms))
 
     def __neg__(self):
-        return TorusXCoef({k: -c for k, c in self.terms.items()})
+        return TorusXCoef(neg_terms(self.terms))
 
     def __sub__(self, other):
         return self + (-other)
@@ -80,37 +71,23 @@ class TorusXCoef:
         terms = {}
         for (m1, n1, j1), c1 in self.terms.items():
             for (m2, n2, j2), c2 in other.terms.items():
-                k = (m1 + m2, n1 + n2, j1 + j2)
-                w = terms.get(k, S_ZERO) + c1 * c2
-                if w.is_zero():
-                    terms.pop(k, None)
-                else:
-                    terms[k] = w
+                accumulate(terms, (m1 + m2, n1 + n2, j1 + j2), c1 * c2)
         return TorusXCoef(terms)
 
     def scale(self, c):
-        c = _coerce_scalar(c)
-        return TorusXCoef({k: c * v for k, v in self.terms.items()})
+        return TorusXCoef(scale_terms(self.terms, _coerce_scalar(c)))
 
     def partial(self, name):
         terms = {}
-
-        def acc(k, c):
-            w = terms.get(k, S_ZERO) + c
-            if w.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = w
-
         for (m, n, j), c in self.terms.items():
             if name == "x":
                 if j > 0:
-                    acc((m, n, j - 1), c * j)
+                    accumulate(terms, (m, n, j - 1), c * j)
                 if m != 0:
-                    acc((m, n, j), c * (TWO_PI * S_I * m))
+                    accumulate(terms, (m, n, j), c * (TWO_PI * S_I * m))
             elif name == "y":
                 if n != 0:
-                    acc((m, n, j), c * (TWO_PI * S_I * n))
+                    accumulate(terms, (m, n, j), c * (TWO_PI * S_I * n))
             else:
                 raise KeyError(name)
         return TorusXCoef(terms)
@@ -148,49 +125,13 @@ class TorusXCoef:
 
 
 class DiffOp:
-    """Σ c_α ∂^α over a fixed variable tuple; coefficients share one ring."""
+    """Σ c_α ∂^α over (x, y), α = (order in x, order in y), c_α a TorusXCoef."""
 
-    __slots__ = ("vars", "terms", "_zero_coef")
+    __slots__ = ("terms",)
+    VARS = TorusXCoef.VARS
 
-    def __init__(self, vars, terms=None, zero_coef=None):
-        self.vars = tuple(vars)
-        clean = {}
-        for a, c in (terms or {}).items():
-            if not c.is_zero():
-                clean[tuple(a)] = c
-        self.terms = clean
-        if zero_coef is None:
-            zero_coef = MultiPoly.zero(self.vars)
-        self._zero_coef = zero_coef
-
-    # -- constructors ------------------------------------------------------
-    @classmethod
-    def zero(cls, vars):
-        return cls(vars, {})
-
-    @classmethod
-    def multiplication(cls, coef, vars=None):
-        if isinstance(coef, MultiPoly):
-            return cls(coef.vars, {(0,) * len(coef.vars): coef})
-        if isinstance(coef, TorusXCoef):
-            return cls(TorusXCoef.VARS, {(0, 0): coef}, TorusXCoef.zero())
-        raise TypeError("unsupported coefficient %r" % (coef,))
-
-    @classmethod
-    def partial_op(cls, vars, name, coef=None):
-        vars = tuple(vars)
-        a = [0] * len(vars)
-        a[vars.index(name)] = 1
-        if coef is None:
-            coef = MultiPoly.const(vars, S_ONE)
-        zero = coef + (-coef)
-        return cls(vars, {tuple(a): coef}, zero)
-
-    def _wrap(self, terms):
-        return DiffOp(self.vars, terms, self._zero_coef)
-
-    def _zero(self):
-        return self._zero_coef
+    def __init__(self, terms=None):
+        self.terms = nonzero_terms(terms or {})
 
     # -- linear structure ----------------------------------------------------
     def is_zero(self):
@@ -202,33 +143,20 @@ class DiffOp:
         return max(sum(a) for a in self.terms)
 
     def coeff(self, alpha):
-        return self.terms.get(tuple(alpha), self._zero())
-
-    def _check(self, other):
-        if self.vars != other.vars:
-            raise ValueError("operator variables differ: %r vs %r"
-                             % (self.vars, other.vars))
+        return self.terms.get(tuple(alpha), TorusXCoef.zero())
 
     def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            w = terms.get(a, self._zero()) + c
-            if w.is_zero():
-                terms.pop(a, None)
-            else:
-                terms[a] = w
-        return self._wrap(terms)
+        return DiffOp(add_terms(self.terms, other.terms))
 
     def __neg__(self):
-        return self._wrap({a: -c for a, c in self.terms.items()})
+        return DiffOp(neg_terms(self.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         c = _coerce_scalar(c)
-        return self._wrap({a: coef.scale(c) for a, coef in self.terms.items()})
+        return DiffOp({a: coef.scale(c) for a, coef in self.terms.items()})
 
     def __rmul__(self, c):
         if isinstance(c, (int, Scalar)):
@@ -241,18 +169,17 @@ class DiffOp:
         return diffop_compose(self, other)
 
     def __eq__(self, other):
-        return isinstance(other, DiffOp) and self.vars == other.vars \
-            and self.terms == other.terms
+        return isinstance(other, DiffOp) and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def apply_to_coef(self, f):
-        """Apply the operator to a coefficient-ring element f."""
-        out = self._zero()
+        """Apply the operator to a coefficient f."""
+        out = TorusXCoef.zero()
         for alpha, c in self.terms.items():
             g = f
-            for name, k in zip(self.vars, alpha):
+            for name, k in zip(self.VARS, alpha):
                 for _ in range(k):
                     g = g.partial(name)
             out = out + c * g
@@ -265,7 +192,7 @@ class DiffOp:
         for a in sorted(self.terms, key=lambda t: (sum(t), t)):
             c = self.terms[a]
             ds = []
-            for name, k in zip(self.vars, a):
+            for name, k in zip(self.VARS, a):
                 if k:
                     ds.append("d/d%s" % name if k == 1 else "d^%d/d%s^%d" % (k, name, k))
             body = " ".join(ds) if ds else "1"
@@ -277,18 +204,14 @@ class DiffOp:
 
 def diffop_compose(A, B):
     """Operator composition A∘B via the generalized Leibniz rule."""
-    A._check(B)
-    nv = len(A.vars)
     out = {}
-    zero = A._zero()
     for alpha, a in A.terms.items():
-        gamma_ranges = [range(k + 1) for k in alpha]
-        for gamma in itertools.product(*gamma_ranges):
-            binom = multi_binom(alpha, gamma)
-            rest = tuple(alpha[i] - gamma[i] for i in range(nv))
+        for gamma in itertools.product(*(range(k + 1) for k in alpha)):
+            binom = math.prod(math.comb(k, g) for k, g in zip(alpha, gamma))
+            rest = tuple(k - g for k, g in zip(alpha, gamma))
             for beta, b in B.terms.items():
                 db = b
-                for name, k in zip(A.vars, gamma):
+                for name, k in zip(DiffOp.VARS, gamma):
                     for _ in range(k):
                         db = db.partial(name)
                 if db.is_zero():
@@ -296,13 +219,8 @@ def diffop_compose(A, B):
                 c = a * db
                 if binom != 1:
                     c = c.scale(Scalar.from_rational(binom))
-                idx = tuple(rest[i] + beta[i] for i in range(nv))
-                w = out.get(idx, zero) + c
-                if w.is_zero():
-                    out.pop(idx, None)
-                else:
-                    out[idx] = w
-    return DiffOp(A.vars, out, zero)
+                accumulate(out, tuple(r + k for r, k in zip(rest, beta)), c)
+    return DiffOp(out)
 
 
 def diffop_commutator(A, B):

@@ -20,6 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .sparse import accumulate, add_terms, neg_terms, scale_terms
+
 
 class QuadratureError(RuntimeError):
     """Raised when a quadrature rule fails its orthonormality self-test."""
@@ -107,17 +109,10 @@ class FExp:
         return not self.terms
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            w = terms.get(k, 0j) + c
-            if w == 0:
-                terms.pop(k, None)
-            else:
-                terms[k] = w
-        return FExp(terms)
+        return FExp(add_terms(self.terms, other.terms))
 
     def __neg__(self):
-        return FExp({k: -c for k, c in self.terms.items()})
+        return FExp(neg_terms(self.terms))
 
     def __sub__(self, other):
         return self + (-other)
@@ -126,16 +121,11 @@ class FExp:
         terms = {}
         for (j1, w1), c1 in self.terms.items():
             for (j2, w2), c2 in other.terms.items():
-                k = (j1 + j2, w1 + w2)
-                w = terms.get(k, 0j) + c1 * c2
-                if w == 0:
-                    terms.pop(k, None)
-                else:
-                    terms[k] = w
+                accumulate(terms, (j1 + j2, w1 + w2), c1 * c2)
         return FExp(terms)
 
     def scale(self, c):
-        return FExp({k: c * v for k, v in self.terms.items()})
+        return FExp(scale_terms(self.terms, c))
 
     def shift(self, a):
         """f(t + a)."""
@@ -143,19 +133,16 @@ class FExp:
         for (j, w), c in self.terms.items():
             base = c * complex(np.exp(1j * w * a))
             for k in range(j + 1):
-                key = (k, w)
-                out[key] = out.get(key, 0j) + base * math.comb(j, k) * a ** (j - k)
+                accumulate(out, (k, w), base * math.comb(j, k) * a ** (j - k))
         return FExp(out)
 
     def deriv(self):
         out = {}
         for (j, w), c in self.terms.items():
             if j > 0:
-                key = (j - 1, w)
-                out[key] = out.get(key, 0j) + c * j
+                accumulate(out, (j - 1, w), c * j)
             if w != 0:
-                key = (j, w)
-                out[key] = out.get(key, 0j) + c * 1j * w
+                accumulate(out, (j, w), c * 1j * w)
         return FExp(out)
 
     def conj(self):
@@ -317,9 +304,6 @@ class NumericMatrix:
 
     def entry(self, i, j):
         return complex(self.entries[i, j])
-
-    def max_abs(self):
-        return float(np.max(np.abs(self.entries))) if self.dim else 0.0
 
     def __str__(self):
         return "NumericMatrix(dim=%d, provenance=%r)" % (self.dim, self.provenance)

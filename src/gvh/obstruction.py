@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import fractions
 
-from .diffop import DiffOp, diffop_commutator
 from .flat import FlatElement, bracket_flat
-from .linalg import nullspace, solve_affine
-from .matrices import ExactMatrix, spin_matrices
+from .linalg import solve_affine
+from .matrices import ExactMatrix, _half_integer, spin_matrices
 from .poly import MultiPoly, monomials_upto
-from .qmaps import sphere_map
+from .qmaps import sphere_map, weyl_map
 from .radicals import Radical
 from .scalars import A_SYM, HBAR, S_I, S_ONE, S_ZERO, S_SPIN, Scalar
 from .sphere import SVARS, SphereElement, bracket_raw, sphere_canonicalize
-from .weyl import WeylElement, symmetrized, weyl_commutator, weyl_product
+from .weyl import (WeylElement, symmetrized, weyl_commutant, weyl_commutator,
+                   weyl_product)
 
 I_OVER_HBAR = S_I / HBAR
 
@@ -709,7 +709,7 @@ def _entrywise_ratio(m, base):
 def sphere_certificate(j):
     """Spin-j no-go: the bracket identities on quadratics force two
     incompatible values of s²; j = 0 is the consistent trivial case."""
-    twoj = _twoj(j)
+    twoj = _half_integer(j)
     if twoj == 0:
         third = Scalar.from_rational(1, 3) * S_SPIN * S_SPIN
         steps = [{
@@ -835,93 +835,36 @@ def sphere_certificate(j):
         steps, verdict, gap, assumptions)
 
 
-def _twoj(j):
-    if isinstance(j, fractions.Fraction):
-        t = 2 * j
-        if t.denominator != 1 or t < 0:
-            raise ValueError("invalid spin label %s" % j)
-        return t.numerator
-    if isinstance(j, int):
-        if j < 0:
-            raise ValueError("invalid spin label %s" % j)
-        return 2 * j
-    if isinstance(j, float):
-        t = round(2 * j)
-        if abs(2 * j - t) > 1e-12 or t < 0:
-            raise ValueError("invalid spin label %r" % j)
-        return t
-    raise TypeError("invalid spin label %r" % (j,))
-
-
-def diffop_commutant_1d(gens, order_cap, coeff_degree_cap, varname="q1"):
-    """Basis of operators Σ c_{k,m} q^m ∂^k (k ≤ order cap, m ≤ degree cap)
-    commuting with every generator; exact nullspace computation."""
-    vars1 = (varname,)
-    atoms = [(k, m) for k in range(order_cap + 1)
-             for m in range(coeff_degree_cap + 1)]
-
-    def atom_op(k, m):
-        coef = MultiPoly.monomial(vars1, (m,), S_ONE)
-        return DiffOp(vars1, {(k,): coef})
-
-    rows_by_key = {}
-    for gi, g in enumerate(gens):
-        for ai, (k, m) in enumerate(atoms):
-            comm = diffop_commutator(atom_op(k, m), g)
-            for alpha, coef in comm.terms.items():
-                for e, c in coef.terms.items():
-                    key = (gi, alpha, e)
-                    if key not in rows_by_key:
-                        rows_by_key[key] = [S_ZERO] * len(atoms)
-                    rows_by_key[key][ai] = rows_by_key[key][ai] + c
-    rows = [rows_by_key[k] for k in sorted(rows_by_key, key=repr)]
-    vecs = nullspace(rows, len(atoms), S_ONE, S_ZERO)
-    basis = []
-    for v in vecs:
-        op = DiffOp.zero(vars1)
-        for ai, (k, m) in enumerate(atoms):
-            if not v[ai].is_zero():
-                op = op + atom_op(k, m).scale(v[ai])
-        basis.append(op)
-    return basis
-
-
 def position_nonextension_certificate():
-    """The position representation cannot reach p²: T in Q(p²) = (−iħ∂)² + T
+    """The position representation cannot reach p²: T in Q(p²) = P² + T
     must be scalar (trivial commutant), the identity 2p² = {p², qp} pins
     T = 0, and the resulting quadratic rules collide with the cubic
     contradiction."""
-    vars1 = ("q1",)
-    q_op = DiffOp.multiplication(MultiPoly.var(vars1, "q1"))
-    p_op = DiffOp.partial_op(vars1, "q1").scale(-(S_I * HBAR))
-    comm_basis = diffop_commutant_1d([q_op, p_op], 3, 3)
-    commutant_scalar = len(comm_basis) == 1 and \
-        comm_basis[0].order() == 0 and \
-        all(sum(e) == 0 for c in comm_basis[0].terms.values() for e in c.terms)
+    X, P = weyl_generators()
+    box = [(m, k) for m in range(4) for k in range(4)]   # X^m P^k, m, k <= 3
+    comm_basis = weyl_commutant([X, P], box)
+    commutant_scalar = comm_basis.dim() == 1 and \
+        comm_basis.elements()[0].is_scalar()
     steps = [{
         "classical": "commutant of {q, -i hbar d/dq} within order <= 3, "
                      "coefficient degree <= 3",
-        "quantum_lhs": "dimension %d" % len(comm_basis),
+        "quantum_lhs": "dimension %d" % comm_basis.dim(),
         "quantum_rhs": "scalars only",
         "difference": "trivial: %s" % commutant_scalar,
     }]
-    # T scalar: Q(p²) = −ħ²∂² + τ; the identity 2p² = {p², qp} forces τ = 0
-    from .qmaps import position_map
-    qp = FlatElement.monomial(1, (1,), (1,))
-    w_qp = position_map(qp)
-    p2_main = DiffOp(vars1, {(2,): MultiPoly.const(vars1, -(HBAR * HBAR))})
-    # residual of  2(−ħ²∂² + τ) − (i/ħ)[−ħ²∂² + τ, Q(qp)]  must vanish
+    # T scalar: Q(p²) = P² + τ with P² = −ħ²d²/dq²; 2p² = {p², qp} forces τ = 0
+    p2_main = weyl_product(P, P)
+    # residual of  2(P² + τ) − (i/ħ)[P² + τ, Q(qp)]  must vanish
     lhs_op = p2_main.scale(Scalar.from_rational(2))
-    rhs_op = diffop_commutator(p2_main, w_qp).scale(I_OVER_HBAR)
+    rhs_op = weyl_commutator(p2_main, weyl_map(_flat_mono(1, 1))).scale(I_OVER_HBAR)
     resid_noT = lhs_op - rhs_op
     # τ enters as 2τ − (i/ħ)[τI, Q(qp)] = 2τ ⇒ τ = −(residual without T)/2
     tau_coeff = Scalar.from_rational(2)
-    ident_coef = resid_noT.coeff((0,))
     tau = None
     if resid_noT.is_zero():
         tau = S_ZERO
-    elif resid_noT.order() == 0 and all(sum(e) == 0 for e in ident_coef.terms):
-        tau = -(ident_coef.constant_term()) / tau_coeff
+    elif resid_noT.is_scalar():
+        tau = -(resid_noT.scalar_part()) / tau_coeff
     steps.append({
         "classical": "2 p^2 = {p^2, qp}",
         "quantum_lhs": "2(-hbar^2 d^2/dq^2 + T) vs (i/hbar)[-hbar^2 d^2/dq^2 + T, Q(qp)]",

@@ -8,9 +8,9 @@ per-algebra variable order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .scalars import Scalar, S_ZERO, S_ONE
+from .sparse import accumulate, add_terms, neg_terms, scale_terms
 
 
 class MultiPoly:
@@ -74,18 +74,10 @@ class MultiPoly:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e)
-            c2 = c if v is None else v + c
-            if c2.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = c2
-        return MultiPoly(self.vars, out)
+        return MultiPoly(self.vars, add_terms(self.terms, other.terms))
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly(self.vars, neg_terms(self.terms))
 
     def __sub__(self, other):
         return self + (-other)
@@ -95,21 +87,11 @@ class MultiPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                v = out.get(e)
-                c = c if v is None else v + c
-                if c.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = c
+                accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return MultiPoly(self.vars, out)
 
     def scale(self, c):
-        c = _to_scalar(c)
-        if c.is_zero():
-            return MultiPoly(self.vars, {})
-        return MultiPoly(self.vars, {e: x * c for e, x in self.terms.items()})
+        return MultiPoly(self.vars, scale_terms(self.terms, _to_scalar(c)))
 
     def __pow__(self, n):
         out = MultiPoly.const(self.vars, S_ONE)
@@ -215,14 +197,6 @@ def _to_scalar(c):
     if isinstance(c, Fraction):
         return Scalar.from_fraction(c)
     raise TypeError("cannot use %r as coefficient" % (c,))
-
-
-def multi_binom(alpha, gamma):
-    """Product of componentwise binomial coefficients C(alpha_i, gamma_i)."""
-    out = 1
-    for a, g in zip(alpha, gamma):
-        out *= comb(a, g)
-    return out
 
 
 def monomials_upto(nvars, bound):

@@ -1,11 +1,13 @@
 """The concrete quantization maps, as evaluable objects with declared
 domains, plus the (Q1)/(Q2) residual checkers.
 
-Carriers: differential operators in the position representation
-(schrodinger, metaplectic, position), prequantization operators on phase
-space (vanhove) and on the torus line bundle (torus_prequant), exact spin
-matrices (sphere), and truncated Hermite matrices (the transformed torus
-operators A±, B±).
+Carriers: the Weyl algebra for every flat map — on n generators for the
+Weyl-ordered maps (schrodinger, metaplectic, position, which differ only in
+their domains), on 2n generators for prequantization on phase space
+(vanhove); differential operators on the torus line bundle
+(torus_prequant); exact spin matrices (sphere); and truncated Hermite
+matrices (the transformed torus operators A±, B±).  A Weyl element reads as
+a differential operator through X ↦ q·, P ↦ −iħ∂/∂q.
 """
 
 from __future__ import annotations
@@ -13,17 +15,19 @@ from __future__ import annotations
 import math
 
 from .diffop import DiffOp, TorusXCoef, diffop_commutator
-from .flat import FlatElement, bracket_flat, flat_vars
+from .flat import bracket_flat, flat_vars
 from .hermite import FExp, NumericOp, hermite_matrix
 from .matrices import ExactMatrix, spin_matrices
 from .poly import MultiPoly
 from .radicals import Radical
-from .scalars import A_SYM, C_SYM, HBAR, S_I, S_ONE, S_ZERO, Scalar
+from .scalars import A_SYM, C_SYM, HBAR, S_I, Scalar
+from .sparse import accumulate
 from .sphere import SVARS, SphereElement, bracket_sphere, sphere_canonicalize
 from .torus import TorusElement, bracket_torus
-from .weyl import WeylElement, weyl_commutator
+from .weyl import WeylElement, contractions, weyl_commutator
 
 DEFAULT_TORUS_HBAR = 1.0 / (2.0 * math.pi)
+_MINUS_IH_HALF = -(S_I * HBAR) * Scalar.from_rational(1, 2)
 
 
 class DomainError(ValueError):
@@ -59,136 +63,54 @@ class QuantizationMap:
         return "QuantizationMap(%s on %s)" % (self.name, self.domain)
 
 
-def _q_vars(n):
-    return tuple("q%d" % (k + 1) for k in range(n))
-
-
-def _qpoly(f, n):
-    """Momentum-free part of a flat polynomial as a MultiPoly in q only."""
-    qv = _q_vars(n)
-    terms = {}
-    for e, c in f.poly.terms.items():
-        if any(e[n:]):
-            raise DomainError("unexpected momentum dependence in %s" % f)
-        terms[tuple(e[:n])] = c
-    return MultiPoly(qv, terms)
-
-
 # ---------------------------------------------------------------------------
-# Flat maps in the position representation
+# Flat maps in the Weyl algebra
 # ---------------------------------------------------------------------------
 
-def schrodinger_map(f):
-    """P¹ → operators: q^i ↦ multiplication, p_i ↦ −iħ ∂/∂q^i, 1 ↦ I."""
-    if f.degree() > 1:
-        raise DomainError("schrodinger domain is degree <= 1, got %s" % f)
+def weyl_map(f):
+    """Weyl (symmetrized) ordering: each q^α p^β maps to the average of all
+    orderings of its X and P factors, which in normal order is
+
+        Σ_{t ≤ min(α,β)} Π_k C(α_k,t_k) C(β_k,t_k) t_k! (−iħ/2)^{|t|} X^{α−t} P^{β−t}.
+
+    On degree ≤ 1 this is the Schrödinger rule, on degree ≤ 2 the
+    metaplectic one, and on Σ f^i(q) p_i + g(q) the position representation
+    −iħ Σ (f^i ∂_i + ½ ∂_i f^i) + g."""
     n = f.n
-    qv = _q_vars(n)
-    out = DiffOp.zero(qv)
-    mult_part = {}
+    out = {}
     for e, c in f.poly.terms.items():
-        if sum(e) == 0:
-            mult_part[(0,) * n] = mult_part.get((0,) * n, S_ZERO) + c
-        elif any(e[:n]):
-            mult_part[tuple(e[:n])] = mult_part.get(tuple(e[:n]), S_ZERO) + c
-        else:
-            k = e[n:].index(1)
-            out = out + DiffOp.partial_op(qv, qv[k]).scale(-(S_I * HBAR) * c)
-    mp = MultiPoly(qv, mult_part)
-    if not mp.is_zero():
-        out = out + DiffOp.multiplication(mp)
-    return out
-
-
-def metaplectic_map(f):
-    """P² → operators, the quadratic (metaplectic plus Heisenberg) rules."""
-    if f.degree() > 2:
-        raise DomainError("metaplectic domain is degree <= 2, got %s" % f)
-    n = f.n
-    qv = _q_vars(n)
-    out = DiffOp.zero(qv)
-    lin = {e: c for e, c in f.poly.terms.items() if sum(e) <= 1}
-    if lin:
-        out = out + schrodinger_map(FlatElement(n, MultiPoly(f.poly.vars, lin)))
-    mih = -(S_I * HBAR)
-    for e, c in f.poly.terms.items():
-        if sum(e) != 2:
-            continue
-        qe, pe = e[:n], e[n:]
-        if sum(pe) == 0:
-            out = out + DiffOp.multiplication(MultiPoly(qv, {tuple(qe): c}))
-        elif sum(pe) == 2:
-            # p_k p_l ↦ −ħ² ∂_k ∂_l
-            a = [0] * n
-            for k, v in enumerate(pe):
-                a[k] += v
-            out = out + DiffOp(qv, {tuple(a): MultiPoly.const(qv, c * (-(HBAR * HBAR)))})
-        else:
-            k = pe.index(1)
-            i = qe.index(1)
-            # q_i p_k ↦ −iħ(q_i ∂_k + ½ δ_ik)
-            a = [0] * n
-            a[k] = 1
-            qi = MultiPoly.var(qv, qv[i]).scale(c * mih)
-            out = out + DiffOp(qv, {tuple(a): qi})
-            if i == k:
-                half = MultiPoly.const(qv, c * mih * Scalar.from_rational(1, 2))
-                out = out + DiffOp.multiplication(half)
-    return out
-
-
-def position_map(f):
-    """S = {Σ f^i(q) p_i + g(q)} → −iħ Σ (f^i ∂_i + ½ f^i_{,i}) + g."""
-    n = f.n
-    if f.momentum_degree() > 1:
-        raise DomainError(
-            "position-representation domain needs momentum degree <= 1, got %s" % f)
-    qv = _q_vars(n)
-    pv = flat_vars(n)[n:]
-    g_terms = {e: c for e, c in f.poly.terms.items() if not any(e[n:])}
-    out = DiffOp.zero(qv)
-    mih = -(S_I * HBAR)
-    for k in range(n):
-        fk = f.poly.partial(pv[k])
-        if fk.is_zero():
-            continue
-        fkq = _qpoly(FlatElement(n, fk), n)
-        a = [0] * n
-        a[k] = 1
-        out = out + DiffOp(qv, {tuple(a): fkq.scale(mih)})
-        half_div = fkq.partial(qv[k]).scale(mih * Scalar.from_rational(1, 2))
-        if not half_div.is_zero():
-            out = out + DiffOp.multiplication(half_div)
-    gq = MultiPoly(qv, {tuple(e[:n]): c for e, c in g_terms.items()})
-    if not gq.is_zero():
-        out = out + DiffOp.multiplication(gq)
-    return out
+        alpha, beta = e[:n], e[n:]
+        for t, num in contractions(beta, alpha):
+            exps = tuple(a - s for a, s in zip(alpha, t)) + \
+                tuple(b - s for b, s in zip(beta, t))
+            accumulate(out, exps, c * (_MINUS_IH_HALF ** sum(t)) * num)
+    return WeylElement(n, out)
 
 
 def vanhove_map(f):
-    """Full prequantization on phase space:
-    Q(f) = −iħ Σ_k [f_{p_k}(∂_{q^k} − (i/ħ)p_k) − f_{q^k} ∂_{p_k}] + f."""
+    """Full prequantization on phase space, a Weyl element on 2n generators
+    (X_k, X_{n+k} multiply by q^k, p_k; P_k, P_{n+k} are −iħ∂ in them):
+
+        Q(f) = Σ_k [f_{p_k}(X) P_k − f_{q^k}(X) P_{n+k}] + (f − Σ_k p_k f_{p_k})(X).
+
+    Every term has at most one P, to the right, so it is already in normal
+    order."""
     n = f.n
     av = flat_vars(n)
-    out = DiffOp.zero(av)
+
+    def unit(i):
+        return tuple(int(i == k) for k in range(2 * n))
+
     zeroth = f.poly
-    mih = -(S_I * HBAR)
+    terms = {}
     for k in range(n):
-        fq = f.poly.partial(av[k])
         fp = f.poly.partial(av[n + k])
-        if not fp.is_zero():
-            a = [0] * (2 * n)
-            a[k] = 1
-            out = out + DiffOp(av, {tuple(a): fp.scale(mih)})
-            pk = MultiPoly.var(av, av[n + k])
-            zeroth = zeroth - pk * fp
-        if not fq.is_zero():
-            a = [0] * (2 * n)
-            a[n + k] = 1
-            out = out + DiffOp(av, {tuple(a): fq.scale(S_I * HBAR)})
-    if not zeroth.is_zero():
-        out = out + DiffOp.multiplication(zeroth)
-    return out
+        zeroth = zeroth - MultiPoly.var(av, av[n + k]) * fp
+        terms.update({e + unit(k): c for e, c in fp.terms.items()})
+        terms.update({e + unit(n + k): -c
+                      for e, c in f.poly.partial(av[k]).terms.items()})
+    terms.update({e + (0,) * (2 * n): c for e, c in zeroth.terms.items()})
+    return WeylElement(2 * n, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -205,20 +127,13 @@ def torus_prequant_map(f):
     B = f.B
     fx = f.partial_x()
     fy = f.partial_y()
-    vars_xy = TorusXCoef.VARS
-    zero = TorusXCoef.zero()
-    terms = {}
-    cx = TorusXCoef.from_torus_element(fy.scale((S_I * HBAR) / B))
-    cy = TorusXCoef.from_torus_element(fx.scale(-(S_I * HBAR) / B))
-    if not cx.is_zero():
-        terms[(1, 0)] = cx
-    if not cy.is_zero():
-        terms[(0, 1)] = cy
     m0 = TorusXCoef.from_torus_element(f) - \
         TorusXCoef.xpow(1) * TorusXCoef.from_torus_element(fx)
-    if not m0.is_zero():
-        terms[(0, 0)] = m0
-    return DiffOp(vars_xy, terms, zero)
+    return DiffOp({
+        (1, 0): TorusXCoef.from_torus_element(fy.scale((S_I * HBAR) / B)),
+        (0, 1): TorusXCoef.from_torus_element(fx.scale(-(S_I * HBAR) / B)),
+        (0, 0): m0,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +243,17 @@ def sphere_map(j, a=A_SYM, const_c=C_SYM):
 # ---------------------------------------------------------------------------
 
 SCHRODINGER = QuantizationMap(
-    "schrodinger", "flat polynomials of degree <= 1", schrodinger_map,
+    "schrodinger", "flat polynomials of degree <= 1", weyl_map,
     bracket_flat,
     membership=lambda f: None if f.degree() <= 1 else "degree %d exceeds 1" % f.degree())
 
 METAPLECTIC = QuantizationMap(
-    "metaplectic", "flat polynomials of degree <= 2", metaplectic_map,
+    "metaplectic", "flat polynomials of degree <= 2", weyl_map,
     bracket_flat,
     membership=lambda f: None if f.degree() <= 2 else "degree %d exceeds 2" % f.degree())
 
 POSITION = QuantizationMap(
-    "position", "flat polynomials affine in momentum", position_map,
+    "position", "flat polynomials affine in momentum", weyl_map,
     bracket_flat,
     membership=lambda f: None if f.momentum_degree() <= 1
     else "momentum degree %d exceeds 1" % f.momentum_degree())

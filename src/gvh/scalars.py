@@ -1,8 +1,8 @@
 """Exact scalar arithmetic: Gaussian rationals and rational functions in the
-formal parameters (hbar, s, a, c, b, e, pi).
+formal parameters (hbar, s, a, c, b, pi).
 
 Every coefficient in the engine is a Scalar: a gcd-reduced ratio of
-polynomials in the seven formal parameters over Q(i).  Arithmetic is exact;
+polynomials in the six formal parameters over Q(i).  Arithmetic is exact;
 a numeric evaluation hook (`Scalar.evalf`) exists for the torus numerics.
 """
 
@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-PARAMS = ("hbar", "s", "a", "c", "b", "e", "pi")
+from .sparse import add_terms
+
+PARAMS = ("hbar", "s", "a", "c", "b", "pi")
 NPARAMS = len(PARAMS)
 _PINDEX = {name: k for k, name in enumerate(PARAMS)}
 _ZEXP = (0,) * NPARAMS
@@ -88,7 +90,7 @@ def _grevkey(exp):
 
 
 class ParamPoly:
-    """Polynomial in the seven formal parameters over GaussRational.
+    """Polynomial in the six formal parameters over GaussRational.
 
     terms maps dense exponent tuples (length NPARAMS) to nonzero coefficients.
     """
@@ -145,15 +147,7 @@ class ParamPoly:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e)
-            c2 = c if v is None else v + c
-            if c2.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = c2
-        return ParamPoly(out)
+        return ParamPoly(add_terms(self.terms, other.terms))
 
     def __neg__(self):
         return ParamPoly({e: -c for e, c in self.terms.items()})
@@ -274,16 +268,6 @@ def _as_univariate(f, idx):
             for k, d in out.items() if any(not c.is_zero() for c in d.values())}
 
 
-def _from_univariate(coeffs, idx):
-    out = {}
-    for k, poly in coeffs.items():
-        for e, c in poly.terms.items():
-            e2 = list(e)
-            e2[idx] = k
-            out[tuple(e2)] = c
-    return ParamPoly(out)
-
-
 def _shift_pow(poly, idx, k):
     out = {}
     for e, c in poly.terms.items():
@@ -393,7 +377,7 @@ def poly_gcd(f, g):
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """Canonical element of the rational-function field Q(i)(hbar, s, a, c, b, e, pi).
+    """Canonical element of the rational-function field Q(i)(hbar, s, a, c, b, pi).
 
     Invariants: gcd(num, den) = 1, den monic in the graded-lex leading
     coefficient, zero stored as 0/1.  Equality and hashing use the canonical
@@ -588,19 +572,6 @@ S_SPIN = Scalar.param("s")
 A_SYM = Scalar.param("a")
 C_SYM = Scalar.param("c")
 B_SYM = Scalar.param("b")
-E_SYM = Scalar.param("e")
 PI = Scalar.param("pi")
 TWO_PI = Scalar.from_int(2) * PI
 
-
-def scalar_arith(a, b, op):
-    """Dispatch helper: op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError("unknown op %r" % op)

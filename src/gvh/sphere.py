@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .poly import MultiPoly
 from .scalars import Scalar, S_ZERO, S_ONE, S_SPIN
+from .sparse import accumulate, add_terms, neg_terms, nonzero_terms
 
 SVARS = ("S1", "S2", "S3")
 
@@ -86,7 +87,7 @@ class SphereElement:
     __slots__ = ("buckets",)
 
     def __init__(self, buckets):
-        self.buckets = {l: h for l, h in buckets.items() if not h.is_zero()}
+        self.buckets = nonzero_terms(buckets)
 
     @classmethod
     def zero(cls):
@@ -110,8 +111,7 @@ class SphereElement:
                 continue
             for l, h in harmonic_decompose(part).items():
                 j = (d - l) // 2
-                h = h.scale(S_SPIN ** (2 * j))
-                buckets[l] = buckets.get(l, MultiPoly.zero(SVARS)) + h
+                accumulate(buckets, l, h.scale(S_SPIN ** (2 * j)))
         return cls(buckets)
 
     def representative(self):
@@ -132,13 +132,10 @@ class SphereElement:
         return not self.buckets
 
     def __add__(self, other):
-        out = dict(self.buckets)
-        for l, h in other.buckets.items():
-            out[l] = out.get(l, MultiPoly.zero(SVARS)) + h
-        return SphereElement(out)
+        return SphereElement(add_terms(self.buckets, other.buckets))
 
     def __neg__(self):
-        return SphereElement({l: -h for l, h in self.buckets.items()})
+        return SphereElement(neg_terms(self.buckets))
 
     def __sub__(self, other):
         return self + (-other)

@@ -16,6 +16,7 @@ import random
 from .flat import FlatElement, bracket_flat, flat_vars
 from .poly import MultiPoly, monomials_upto
 from .scalars import Scalar, S_ZERO, S_ONE
+from .sparse import accumulate
 from .sphere import SVARS, SphereElement, bracket_sphere
 from .torus import TorusElement, bracket_torus
 
@@ -172,11 +173,7 @@ class SubspaceBasis:
             if c is None or c.is_zero():
                 continue
             for k, v in row.items():
-                w = coords.get(k, S_ZERO) - c * v
-                if w.is_zero():
-                    coords.pop(k, None)
-                else:
-                    coords[k] = w
+                accumulate(coords, k, -(c * v))
         return coords
 
     def add_element(self, elem):
@@ -194,11 +191,7 @@ class SubspaceBasis:
             if c is not None and not c.is_zero():
                 row = {k: v for k, v in row.items()}
                 for k, v in res.items():
-                    w = row.get(k, S_ZERO) - c * v
-                    if w.is_zero():
-                        row.pop(k, None)
-                    else:
-                        row[k] = w
+                    accumulate(row, k, -(c * v))
             new_rows.append((pv, row))
         new_rows.append((pivot, res))
         new_rows.sort(key=lambda t: self._key_order(t[0]))

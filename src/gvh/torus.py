@@ -10,14 +10,14 @@ from __future__ import annotations
 import cmath
 
 from .scalars import Scalar, S_ZERO, S_ONE, S_I, HBAR, TWO_PI
+from .sparse import accumulate, add_terms, neg_terms, nonzero_terms, scale_terms
 
 
 class TorusElement:
     __slots__ = ("coeffs", "B")
 
     def __init__(self, coeffs=None, B=None):
-        self.coeffs = {} if coeffs is None else {
-            f: c for f, c in coeffs.items() if not c.is_zero()}
+        self.coeffs = {} if coeffs is None else nonzero_terms(coeffs)
         self.B = HBAR if B is None else B
 
     # -- constructors ------------------------------------------------------
@@ -71,18 +71,10 @@ class TorusElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for f, c in other.coeffs.items():
-            v = out.get(f)
-            c2 = c if v is None else v + c
-            if c2.is_zero():
-                out.pop(f, None)
-            else:
-                out[f] = c2
-        return TorusElement(out, self.B)
+        return TorusElement(add_terms(self.coeffs, other.coeffs), self.B)
 
     def __neg__(self):
-        return TorusElement({f: -c for f, c in self.coeffs.items()}, self.B)
+        return TorusElement(neg_terms(self.coeffs), self.B)
 
     def __sub__(self, other):
         return self + (-other)
@@ -92,18 +84,11 @@ class TorusElement:
         out = {}
         for (m1, n1), c1 in self.coeffs.items():
             for (m2, n2), c2 in other.coeffs.items():
-                f = (m1 + m2, n1 + n2)
-                c = c1 * c2
-                v = out.get(f)
-                c = c if v is None else v + c
-                if c.is_zero():
-                    out.pop(f, None)
-                else:
-                    out[f] = c
+                accumulate(out, (m1 + m2, n1 + n2), c1 * c2)
         return TorusElement(out, self.B)
 
     def scale(self, c):
-        return TorusElement({f: x * c for f, x in self.coeffs.items()}, self.B)
+        return TorusElement(scale_terms(self.coeffs, c), self.B)
 
     def __eq__(self, other):
         return (isinstance(other, TorusElement) and self.B == other.B
@@ -154,14 +139,7 @@ def bracket_torus(f, g):
             det = m1 * n2 - n1 * m2
             if det == 0:
                 continue
-            key = (m1 + m2, n1 + n2)
-            c = c1 * c2 * four_pi2 * (-det) / f.B
-            v = out.get(key)
-            c = c if v is None else v + c
-            if c.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = c
+            accumulate(out, (m1 + m2, n1 + n2), c1 * c2 * four_pi2 * (-det) / f.B)
     return TorusElement(out, f.B)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 from .scalars import HBAR, S_I, S_ONE, S_ZERO, Scalar
+from .sparse import accumulate, add_terms, neg_terms, nonzero_terms, scale_terms
 
 _MINUS_IH = -(S_I * HBAR)
 
@@ -30,11 +31,7 @@ class WeylElement:
 
     def __init__(self, n, terms=None):
         self.n = n
-        clean = {}
-        for e, c in (terms or {}).items():
-            if not c.is_zero():
-                clean[tuple(e)] = c
-        self.terms = clean
+        self.terms = nonzero_terms(terms or {})
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -96,19 +93,12 @@ class WeylElement:
         if isinstance(other, (int, Scalar)):
             other = WeylElement.const(other, self.n)
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            w = terms.get(e, S_ZERO) + c
-            if w.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = w
-        return WeylElement(self.n, terms)
+        return WeylElement(self.n, add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeylElement(self.n, {e: -c for e, c in self.terms.items()})
+        return WeylElement(self.n, neg_terms(self.terms))
 
     def __sub__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -119,8 +109,7 @@ class WeylElement:
         return (-self) + other
 
     def scale(self, c):
-        c = _coerce(c)
-        return WeylElement(self.n, {e: c * v for e, v in self.terms.items()})
+        return WeylElement(self.n, scale_terms(self.terms, _coerce(c)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -167,6 +156,17 @@ def _reorder_coeff(m, g, t):
     return math.comb(m, t) * math.comb(g, t) * math.factorial(t)
 
 
+def contractions(beta, gamma):
+    """Pairs (t, Π_k C(β_k,t_k) C(γ_k,t_k) t_k!) for every t ≤ min(β, γ).
+
+    These are the terms of reordering P^β X^γ, and of Weyl-ordering q^γ p^β."""
+    out = [((), 1)]
+    for b, g in zip(beta, gamma):
+        out = [(t + (s,), num * _reorder_coeff(b, g, s))
+               for t, num in out for s in range(min(b, g) + 1)]
+    return out
+
+
 def weyl_product(A, B):
     """Product in the Weyl algebra, returned in normal-ordered form."""
     A._check(B)
@@ -177,23 +177,11 @@ def weyl_product(A, B):
             base = ca * cb
             beta = ea[n:]
             gamma = eb[:n]
-            # iterate over contraction tuples t <= min(beta, gamma)
-            ranges = [range(min(beta[k], gamma[k]) + 1) for k in range(n)]
-            stack = [()]
-            for r in ranges:
-                stack = [s + (t,) for s in stack for t in r]
-            for t in stack:
-                num = 1
-                for k in range(n):
-                    num *= _reorder_coeff(beta[k], gamma[k], t[k])
+            for t, num in contractions(beta, gamma):
                 c = base * (_MINUS_IH ** sum(t)) * num
                 exps = tuple(ea[k] + gamma[k] - t[k] for k in range(n)) + \
                     tuple(beta[k] + eb[n + k] - t[k] for k in range(n))
-                w = out.get(exps, S_ZERO) + c
-                if w.is_zero():
-                    out.pop(exps, None)
-                else:
-                    out[exps] = w
+                accumulate(out, exps, c)
     return WeylElement(n, out)
 
 
@@ -250,15 +238,14 @@ def weyl_words_upto(n, bound):
     return [WeylElement.word(e, 1, n) for e in monomials_upto(2 * n, bound)]
 
 
-def weyl_commutant(gens, bound, n=None):
-    """Basis of {T : deg T ≤ bound, [T, g] = 0 for all g}, by exact solve."""
+def weyl_commutant(gens, words, n=None):
+    """Basis of {T ∈ span(words) : [T, g] = 0 for all g}, by exact solve;
+    words are exponent tuples of normal-ordered words X^α P^β."""
     from .linalg import nullspace
-    from .poly import monomials_upto
     from .subspace import SubspaceBasis
 
     if n is None:
         n = gens[0].n if gens else 1
-    words = monomials_upto(2 * n, bound)
     windex = {w: i for i, w in enumerate(words)}
     rows_by_key = {}
 
@@ -276,7 +263,7 @@ def weyl_commutant(gens, bound, n=None):
                 row_for((gi, e))[col] = c
     rows = [rows_by_key[k] for k in sorted(rows_by_key, key=repr)]
     vecs = nullspace(rows, len(words), S_ONE, S_ZERO)
-    ambient = WeylAmbient(n, bound)
+    ambient = WeylAmbient(n, max((sum(w) for w in words), default=0))
     basis = SubspaceBasis(ambient)
     for v in vecs:
         basis.add_element(WeylElement(n, {w: c for w, c in zip(words, v)}))

@@ -7,23 +7,27 @@ import numpy as np
 import pytest
 
 from gvh.diffop import DiffOp
-from gvh.flat import FlatElement, bracket_flat, flat_vars
+from gvh.flat import FlatElement, bracket_flat
 from gvh.matrices import spin_matrices
-from gvh.poly import MultiPoly, monomials_upto
+from gvh.poly import monomials_upto
 from gvh.qmaps import (METAPLECTIC, POSITION, SCHRODINGER, TORUS_PREQUANT,
                        VANHOVE, DomainError, QuantizationMap, check_q1,
-                       check_q2, metaplectic_map, position_map,
-                       schrodinger_map, sphere_map, torus_prequant_map,
+                       check_q2, sphere_map, torus_prequant_map,
                        torus_transformed_ops, transformed_harmonic_op,
-                       vanhove_map)
+                       vanhove_map, weyl_map)
 from gvh.radicals import Radical
 from gvh.scalars import HBAR, S_I, S_ONE, S_SPIN, S_ZERO, Scalar
 from gvh.sphere import SphereElement, svar
 from gvh.torus import TorusElement, basic_set
+from gvh.weyl import WeylElement
 
 RNG = random.Random(9)
-QV = ("q1",)
 MIH = -(S_I * HBAR)
+
+
+def _w(x, p, c=1, n=1):
+    """c X^x P^p in the Weyl algebra on n generators (x, p exponent tuples)."""
+    return WeylElement.word(tuple(x) + tuple(p), c, n)
 
 
 def _m(qe, pe, c=1, n=1):
@@ -32,26 +36,22 @@ def _m(qe, pe, c=1, n=1):
 
 
 def test_schrodinger_rule():
-    # q -> multiplication, p -> -i hbar d/dq, 1 -> identity
-    assert schrodinger_map(_m((1,), (0,))) == DiffOp.multiplication(
-        MultiPoly.monomial(QV, (1,)))
-    assert schrodinger_map(_m((0,), (1,))) == DiffOp.partial_op(QV, "q1").scale(MIH)
-    assert schrodinger_map(FlatElement.const(1, S_ONE)) == DiffOp.multiplication(
-        MultiPoly.const(QV, S_ONE))
+    # q -> X (multiplication), p -> P (-i hbar d/dq), 1 -> identity
+    assert SCHRODINGER(_m((1,), (0,))) == WeylElement.x()
+    assert SCHRODINGER(_m((0,), (1,))) == WeylElement.p()
+    assert SCHRODINGER(FlatElement.const(1, S_ONE)) == WeylElement.identity()
     with pytest.raises(DomainError):
         SCHRODINGER(_m((0,), (2,)))
 
 
 def test_metaplectic_quadratic_rules():
-    # p^2 -> -hbar^2 d^2/dq^2
-    got = metaplectic_map(_m((0,), (2,)))
-    want = DiffOp(QV, {(2,): MultiPoly.const(QV, -(HBAR * HBAR))})
-    assert got == want
-    # qp -> -i hbar (q d/dq + 1/2)
-    got = metaplectic_map(_m((1,), (1,)))
-    want = (DiffOp(QV, {(1,): MultiPoly.monomial(QV, (1,), MIH)})
-            + DiffOp.multiplication(MultiPoly.const(QV, MIH * Scalar.from_rational(1, 2))))
-    assert got == want
+    # p^2 -> P^2 (= -hbar^2 d^2/dq^2)
+    assert METAPLECTIC(_m((0,), (2,))) == _w((0,), (2,))
+    # qp -> XP - i hbar/2 (= -i hbar (q d/dq + 1/2))
+    want = _w((1,), (1,)) + WeylElement.const(MIH * Scalar.from_rational(1, 2))
+    assert METAPLECTIC(_m((1,), (1,))) == want
+    # two degrees of freedom: q1 p2 has nothing to reorder
+    assert METAPLECTIC(_m((1, 0), (0, 1), n=2)) == _w((1, 0), (0, 1), n=2)
     with pytest.raises(DomainError):
         METAPLECTIC(_m((3,), (0,)))
 
@@ -66,13 +66,10 @@ def test_metaplectic_q1_exact_on_quadratics():
 
 
 def test_position_map_general_section():
-    # f(q)p + g(q) -> -i hbar (f d/dq + f'/2) + g
+    # f(q)p + g(q) -> -i hbar (f d/dq + f'/2) + g, i.e. X^2 P - i hbar X + X^3
     f = _m((2,), (1,)) + _m((3,), (0,))
-    got = position_map(f)
-    want = (DiffOp(QV, {(1,): MultiPoly.monomial(QV, (2,), MIH)})
-            + DiffOp.multiplication(MultiPoly.monomial(QV, (1,), MIH))
-            + DiffOp.multiplication(MultiPoly.monomial(QV, (3,))))
-    assert got == want
+    want = _w((2,), (1,)) + _w((1,), (0,), MIH) + _w((3,), (0,))
+    assert POSITION(f) == want
     with pytest.raises(DomainError):
         POSITION(_m((0,), (2,)))
 
@@ -85,6 +82,70 @@ def test_position_q1_on_momentum_affine_pairs():
             assert check_q1(POSITION, f, g).is_zero()
 
 
+def _sympy_scalar(sympy, c, hb):
+    """Exact sympy value of a Scalar that is a polynomial in hbar over Q(i)."""
+    # a constant denominator is monic, hence 1
+    assert c.den.is_const() and c.used_params() <= {"hbar"}
+    out = 0
+    for e, g in c.num.terms.items():
+        out += (sympy.Rational(g.re.numerator, g.re.denominator)
+                + sympy.I * sympy.Rational(g.im.numerator, g.im.denominator)) * hb ** e[0]
+    return out
+
+
+def _act(sympy, weyl, xs, psi, hb):
+    """Weyl element as an operator on psi: X_k -> xs[k] *, P_k -> -i hbar d/dxs[k]."""
+    n = len(xs)
+    total = 0
+    for e, c in weyl.terms.items():
+        term = psi
+        for var, k in zip(xs, e[n:]):
+            term = sympy.diff(term, var, k) if k else term
+        for var, k in zip(xs, e[:n]):
+            term = var ** k * term
+        total += _sympy_scalar(sympy, c, hb) * (-sympy.I * hb) ** sum(e[n:]) * term
+    return total
+
+
+def test_weyl_rule_is_the_symmetrized_ordering_sympy():
+    # independent oracle: the average over all distinct orderings of a q's
+    # and b p's, acting on psi(q) with q -> q*, p -> -i hbar d/dq
+    sympy = pytest.importorskip("sympy")
+    from sympy.utilities.iterables import multiset_permutations
+    hb = sympy.Symbol("hbar", positive=True)
+    q = sympy.Symbol("q")
+    psi = sympy.Function("psi")(q)
+    letters = {"q": lambda u: q * u, "p": lambda u: -sympy.I * hb * sympy.diff(u, q)}
+    for a in range(5):
+        for b in range(5 - a):
+            words = list(multiset_permutations("q" * a + "p" * b))
+            average = 0
+            for word in words:
+                u = psi
+                for letter in reversed(word):
+                    u = letters[letter](u)
+                average += u
+            average /= len(words)
+            got = _act(sympy, weyl_map(_m((a,), (b,))), (q,), psi, hb)
+            assert sympy.expand(got - average) == 0, "q^%d p^%d" % (a, b)
+
+
+def test_vanhove_image_is_prequantization_sympy():
+    # Q(f) psi = -i hbar (f_p psi_q - f_q psi_p) + (f - p f_p) psi on psi(q, p)
+    sympy = pytest.importorskip("sympy")
+    hb = sympy.Symbol("hbar", positive=True)
+    q, p = sympy.symbols("q p")
+    psi = sympy.Function("psi")(q, p)
+    for a in range(4):
+        for b in range(4 - a):
+            f = q ** a * p ** b
+            fq, fp = sympy.diff(f, q), sympy.diff(f, p)
+            want = -sympy.I * hb * (fp * sympy.diff(psi, q) - fq * sympy.diff(psi, p)) \
+                + (f - p * fp) * psi
+            got = _act(sympy, vanhove_map(_m((a,), (b,))), (q, p), psi, hb)
+            assert sympy.expand(got - want) == 0, "q^%d p^%d" % (a, b)
+
+
 def test_vanhove_q1_all_pairs_degree2():
     cands = monomials_upto(2, 2)
     elems = [_m(e[:1], e[1:]) for e in cands]
@@ -94,19 +155,16 @@ def test_vanhove_q1_all_pairs_degree2():
 
 
 def test_vanhove_matches_prequantization_formula():
-    # Q(p^2) = -i hbar [2p(d/dq - (i/hbar)p)] + p^2 = -2 i hbar p d/dq + ... on
-    # full phase space; spot-check through the general formula
-    av = flat_vars(1)
-    f = _m((0,), (2,))
-    got = vanhove_map(f)
-    p = MultiPoly.var(av, "p1")
-    want = (DiffOp(av, {(1, 0): p.scale(MIH * Scalar.from_int(2))})
-            + DiffOp.multiplication(p * p.scale(Scalar.from_int(-1))))
-    assert got == want
+    # Q(p^2) = -i hbar [2p(d/dq - (i/hbar)p)] + p^2 = -2 i hbar p d/dq - p^2
+    # on full phase space; with X2 = p and P1 = -i hbar d/dq that is
+    # 2 X2 P1 - X2^2 in the Weyl algebra on two generators
+    got = vanhove_map(_m((0,), (2,)))
+    assert got == _w((0, 1), (1, 0), 2, n=2) + _w((0, 2), (0, 0), -1, n=2)
+    # Q(q) = X1 + i hbar d/dp = X1 - P2
+    assert vanhove_map(_m((1,), (0,))) == _w((1, 0), (0, 0), n=2) - _w((0, 0), (0, 1), n=2)
     # and Q2: Q(1) = I
     unit = FlatElement.const(1, S_ONE)
-    ident = DiffOp.multiplication(MultiPoly.const(av, S_ONE))
-    assert check_q2(VANHOVE, unit, ident)
+    assert check_q2(VANHOVE, unit, WeylElement.identity(2)).is_zero()
 
 
 def test_q1_fails_where_expected():
@@ -189,9 +247,8 @@ def test_torus_prequant_printed_formula():
     assert op.coeff((1, 0)).is_zero()  # cos(2 pi x) has f_y = 0
     # Q2 on the torus carrier
     unit = TorusElement.const(S_ONE, B=S_ONE)
-    ident = DiffOp(TorusXCoef.VARS, {(0, 0): TorusXCoef.const(S_ONE)},
-                   TorusXCoef.zero())
-    assert check_q2(TORUS_PREQUANT, unit, ident)
+    ident = DiffOp({(0, 0): TorusXCoef.const(S_ONE)})
+    assert check_q2(TORUS_PREQUANT, unit, ident).is_zero()
 
 
 def test_transformed_ops_shapes_and_provenance():
@@ -222,7 +279,7 @@ def test_transformed_pure_x_harmonic_symbol():
 def test_check_q1_with_custom_map():
     """A deliberately broken rule must produce a nonzero residual."""
     broken = QuantizationMap(
-        "broken", "degree <= 1", lambda f: schrodinger_map(f).scale(Scalar.from_int(2)),
+        "broken", "degree <= 1", lambda f: weyl_map(f).scale(Scalar.from_int(2)),
         bracket_flat,
         membership=lambda f: None if f.degree() <= 1 else "degree too high")
     q = _m((1,), (0,))

@@ -199,6 +199,13 @@ def test_cli_verify_sphere(capsys):
     assert doc["certificates"][0]["discrepancy"] == "s^2 = 0 vs s > 0"
 
 
+def test_cli_rejects_bad_trunc_env(capsys, monkeypatch):
+    monkeypatch.setenv("GVH_TRUNC", "abc")
+    code, out, err = run_cli(capsys, ["verify", "torus"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "GVH_TRUNC" in err
+
+
 def test_cli_verify_torus_respects_trunc_env(capsys, monkeypatch):
     monkeypatch.setenv("GVH_TRUNC", "48")
     code, out, _ = run_cli(capsys, ["verify", "torus"])

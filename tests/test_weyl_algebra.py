@@ -3,6 +3,7 @@
 import random
 
 from algebra_props import check_weyl_associativity, random_weyl
+from gvh.poly import monomials_upto
 from gvh.scalars import HBAR, S_I, S_ONE, Scalar
 from gvh.weyl import (WeylAmbient, WeylElement, anticommutator, symmetrized,
                       weyl_commutant, weyl_commutator, weyl_product,
@@ -82,14 +83,14 @@ def test_product_degree_bound():
 
 def test_commutant_of_generators_is_scalar():
     # anything commuting with both X and P (degree <= 4) is a multiple of I
-    basis = weyl_commutant([X, P], 4)
+    basis = weyl_commutant([X, P], monomials_upto(2, 4))
     assert basis.dim() == 1
     assert basis.elements()[0].is_scalar()
 
 
 def test_commutant_of_x_alone():
     # polynomials in X commute with X: dimension = 5 at degree <= 4
-    basis = weyl_commutant([X], 4)
+    basis = weyl_commutant([X], monomials_upto(2, 4))
     assert basis.dim() == 5
     for e in basis.elements():
         assert weyl_commutator(e, X).is_zero()
