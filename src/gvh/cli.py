@@ -60,11 +60,22 @@ def _parse_elem(args, text):
 
 
 def _ambient(args):
+    cap = args.degree_cap
     if args.target == "r2n":
-        return FlatAmbient(args.n, args.degree_cap or 4)
+        return FlatAmbient(args.n, 4 if cap is None else cap)
     if args.target == "sphere":
-        return SphereAmbient(args.degree_cap or 3)
+        return SphereAmbient(3 if cap is None else cap)
     return TorusAmbient(args.freq_cap, args.B)
+
+
+def _generators(args, ambient):
+    """The parsed generators, each required to lie within the ambient cap."""
+    gens = [_parse_elem(args, t) for t in args.exprs]
+    for text, g in zip(args.exprs, gens):
+        if not ambient.within_bound(g):
+            raise ValueError("generator %s lies outside the ambient %s"
+                             % (text, ambient.tag))
+    return gens
 
 
 def _base_report(args, extra_provenance=None):
@@ -100,7 +111,7 @@ def cmd_bracket(args):
 
 def cmd_generate(args):
     ambient = _ambient(args)
-    gens = [_parse_elem(args, t) for t in args.exprs]
+    gens = _generators(args, ambient)
     basis = generate_poisson_subalgebra(gens, ambient)
     rep = _base_report(args)
     rep.add_result({"name": "generate",
@@ -112,7 +123,7 @@ def cmd_generate(args):
 
 def cmd_normalizer(args):
     ambient = _ambient(args)
-    gens = [_parse_elem(args, t) for t in args.exprs]
+    gens = _generators(args, ambient)
     sub = generate_poisson_subalgebra(gens, ambient)
     norm = normalizer(sub, ambient)
     rep = _base_report(args)
@@ -134,7 +145,7 @@ def cmd_transitivity(args):
     rep = _base_report(args, {"seed": args.seed, "npoints": args.npoints})
     rep.add_result({"name": "transitivity",
                     "generators": [print_expression(g) for g in gens],
-                    "dim_manifold": reports[0]["dim"] if reports else 0,
+                    "dim_manifold": reports[0]["dim"],
                     "ranks": [r["rank"] for r in reports],
                     "transitive": transitive})
     return rep, 0 if transitive else 1

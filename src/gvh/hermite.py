@@ -279,28 +279,25 @@ class NumericMatrix:
         self.dim = self.entries.shape[0]
         self.provenance = dict(provenance or {})
 
-    def _merge(self, other, note):
+    def _merge(self, note):
         prov = dict(self.provenance)
         prov["derived"] = note
         return prov
 
     def __add__(self, other):
-        return NumericMatrix(self.entries + other.entries, self._merge(other, "sum"))
+        return NumericMatrix(self.entries + other.entries, self._merge("sum"))
 
     def __sub__(self, other):
-        return NumericMatrix(self.entries - other.entries, self._merge(other, "difference"))
+        return NumericMatrix(self.entries - other.entries, self._merge("difference"))
 
     def __matmul__(self, other):
-        return NumericMatrix(self.entries @ other.entries, self._merge(other, "product"))
+        return NumericMatrix(self.entries @ other.entries, self._merge("product"))
 
     def scale(self, c):
         return NumericMatrix(c * self.entries, dict(self.provenance))
 
     def adjoint(self):
         return NumericMatrix(self.entries.conj().T, dict(self.provenance))
-
-    def interior(self, m):
-        return self.entries[:m, :m]
 
     def entry(self, i, j):
         return complex(self.entries[i, j])

@@ -1,10 +1,13 @@
 """Extension solving and obstruction certificates.
 
-The solver treats a quantization-extension question as exact linear algebra:
-unknown operators are coefficient vectors over carrier atoms (normal-ordered
-Weyl words, or matrix units), equivariance constraints are linear, bracket
-relations between two unknowns are bilinear and handled in a second stage
-that only ever solves linear systems — anything genuinely quadratic comes
+The solver treats a quantization-extension question as exact linear algebra.
+One affine stage runs twice.  It writes every operand as an affine form
+F₀ + Σ x_col F_col, linearizes each bracket constraint into rows keyed by
+(constraint, carrier key), and makes one exact affine solve.  The first run
+takes the constraints that are linear in the unknowns (equivariance), each
+target a combination of carrier atoms (normal-ordered Weyl words, or matrix
+units).  The second takes the bracket relations between two unknowns over
+the family the first run left — anything genuinely quadratic there comes
 back "undecided" rather than risking a wrong verdict.
 
 Certificates replay the classical-identity schedules that force each no-go:
@@ -23,6 +26,7 @@ from .poly import MultiPoly, monomials_upto
 from .qmaps import sphere_map, weyl_map
 from .radicals import Radical
 from .scalars import A_SYM, HBAR, S_I, S_ONE, S_ZERO, S_SPIN, Scalar
+from .sparse import accumulate
 from .sphere import SVARS, SphereElement, bracket_raw, sphere_canonicalize
 from .weyl import (WeylElement, symmetrized, weyl_commutant, weyl_commutator,
                    weyl_product)
@@ -41,7 +45,6 @@ class WeylCarrier:
 
     def __init__(self, n, degree_cap):
         self.n = n
-        self.degree_cap = degree_cap
         self.atom_keys = monomials_upto(2 * n, degree_cap)
         self.one = S_ONE
         self.zero = S_ZERO
@@ -58,19 +61,9 @@ class WeylCarrier:
     def commutator(self, a, b):
         return weyl_commutator(a, b)
 
-    def scale_ih(self, op):
-        return op.scale(I_OVER_HBAR)
-
     def from_scalar(self, c):
         """Lift a classical Scalar coefficient into the carrier field."""
         return c
-
-    def assemble(self, coeffs):
-        op = self.zero_op()
-        for key, c in coeffs.items():
-            if not c.is_zero():
-                op = op + self.atom_op(key).scale(c)
-        return op
 
 
 class MatrixCarrier:
@@ -102,23 +95,17 @@ class MatrixCarrier:
     def commutator(self, a, b):
         return a.commutator(b)
 
-    def scale_ih(self, op):
-        return op.scale(Radical.from_scalar(I_OVER_HBAR))
-
     def from_scalar(self, c):
         return Radical.from_scalar(c)
-
-    def assemble(self, coeffs):
-        op = self.zero_op()
-        for (i, j), c in coeffs.items():
-            if not c.is_zero():
-                op.rows[i][j] = op.rows[i][j] + c
-        return op
 
 
 # ---------------------------------------------------------------------------
 # Extension problems
 # ---------------------------------------------------------------------------
+
+# Largest parameter family the bilinear stage linearizes around.
+BILINEAR_CAP = 6
+
 
 class BracketConstraint:
     """One classical identity Σ c_i {f_i, g_i} = (its span expansion),
@@ -142,15 +129,13 @@ class ExtensionProblem:
     """known: list of (classical element, carrier operator); targets: the
     classical elements needing assignments; schedule: BracketConstraints."""
 
-    def __init__(self, knowns, targets, carrier, schedule, bracket, coords,
-                 bilinear_cap=6):
+    def __init__(self, knowns, targets, carrier, schedule, bracket, coords):
         self.knowns = list(knowns)
         self.targets = list(targets)
         self.carrier = carrier
         self.schedule = list(schedule)
         self.bracket = bracket
         self.coords = coords
-        self.bilinear_cap = bilinear_cap
 
     def _classify(self, elem):
         """('known', idx) | ('target', idx); matches by classical equality."""
@@ -204,223 +189,144 @@ class SolutionSpace:
         return "SolutionSpace(%s, parameters=%d)" % (self.verdict, self.parameters)
 
 
+def _linearize(prob, con, expansion, form):
+    """Residual Σ c(i/ħ)[F, G] − Σ λ_k K_k − Σ μ_t U_t of one constraint,
+    every operand an affine form F₀ + Σ_col x_col F_col given by `form` as
+    the map {None: F₀, col: F_col} (a missing None means F₀ = 0).
+
+    Returns the residual as {carrier key: {col: coefficient}}, col None for
+    the constant term, or None when some [F_col, G_col'] is nonzero: then
+    the residual is genuinely quadratic in x."""
+    carrier = prob.carrier
+    terms = {}
+
+    def add(op, col, c):
+        for key, v in carrier.decompose(op).items():
+            accumulate(terms.setdefault(key, {}), col, c * v)
+
+    for c, f, g in con.terms:
+        c_ih = carrier.from_scalar(c * I_OVER_HBAR)
+        for cf, F in form(f).items():
+            for cg, G in form(g).items():
+                comm = carrier.commutator(F, G)
+                if cf is None or cg is None:
+                    add(comm, cg if cf is None else cf, c_ih)
+                elif not comm.is_zero():
+                    return None
+    lam, mu = expansion
+    for (_, K), l in zip(prob.knowns, lam):
+        if not l.is_zero():
+            add(K, None, -carrier.from_scalar(l))
+    for t, m in zip(prob.targets, mu):
+        if not m.is_zero():
+            for col, U in form(t).items():
+                add(U, col, -carrier.from_scalar(m))
+    return terms
+
+
+def _affine_stage(prob, cons, expansions, target_forms, ncols):
+    """Solve the constraints `cons` (schedule indices) for x, with each
+    target t the affine form target_forms[t] (see `_linearize`).
+
+    One solve_affine call over rows keyed (constraint, carrier key).
+    Returns ("quadratic", ci), ("inconsistent", witness) with witness a
+    violated (label, residual) or None, or ("solved", (ops, directions))
+    with ops the particular assignment F₀ + Σ x·F_col per target and one
+    list Σ x·F_col per null vector."""
+    carrier = prob.carrier
+
+    def form(elem):
+        kind, i = prob._classify(elem)
+        return {None: prob.knowns[i][1]} if kind == "known" else target_forms[i]
+
+    rows, rhs = {}, {}
+    for ci in cons:
+        terms = _linearize(prob, prob.schedule[ci], expansions[ci], form)
+        if terms is None:
+            return "quadratic", ci
+        for key, coeffs in terms.items():
+            rhs[(ci, key)] = -coeffs.pop(None, carrier.zero)
+            rows[(ci, key)] = coeffs
+    keys = sorted(rows, key=repr)
+    sol = solve_affine([[rows[k].get(col, carrier.zero) for col in range(ncols)]
+                        for k in keys],
+                       [rhs[k] for k in keys], ncols, carrier.one, carrier.zero)
+    if sol is None:
+        witness = next(((prob.schedule[k[0]].label or str(prob.schedule[k[0]]),
+                         rhs[k])
+                        for k in keys if not rows[k] and not rhs[k].is_zero()),
+                       None)
+        return "inconsistent", witness
+
+    def ops(vec, with_const):
+        out = []
+        for form_t in target_forms:
+            op = form_t[None] if with_const and None in form_t \
+                else carrier.zero_op()
+            for col, F in form_t.items():
+                if col is not None and not vec[col].is_zero():
+                    op = op + F.scale(vec[col])
+            out.append(op)
+        return out
+
+    part, null = sol
+    return "solved", (ops(part, True), [ops(v, False) for v in null])
+
+
 def extension_solve(prob):
-    """Two-stage exact solve of an ExtensionProblem."""
+    """Two-stage exact solve of an ExtensionProblem.
+
+    Stage 1 takes the constraints without a target-target bracket, with
+    each target an unknown combination of carrier atoms.  Stage 2 takes the
+    rest over the stage-1 family, each target affine in its parameters."""
     carrier = prob.carrier
     atoms = carrier.atom_keys
-    T = len(prob.targets)
-    ncols = T * len(atoms)
-    col_of = {(t, a): t * len(atoms) + ai
-              for t in range(T) for ai, a in enumerate(atoms)}
-
-    # precompute expansions and classify constraints
-    linear_cons, bilinear_cons = [], []
-    expansions = {}
+    expansions, linear_cons, bilinear_cons = [], [], []
     for ci, con in enumerate(prob.schedule):
         combo = None
-        bilinear = False
         for c, f, g in con.terms:
-            kf, kg = prob._classify(f), prob._classify(g)
-            if kf[0] == "target" and kg[0] == "target":
-                bilinear = True
-            br = prob.bracket(f, g)
-            scaled = br.scale(c)
+            scaled = prob.bracket(f, g).scale(c)
             combo = scaled if combo is None else combo + scaled
-        expansions[ci] = prob.expand_in_span(combo)
+        expansions.append(prob.expand_in_span(combo))
+        bilinear = any(prob._classify(f)[0] == prob._classify(g)[0] == "target"
+                       for _, f, g in con.terms)
         (bilinear_cons if bilinear else linear_cons).append(ci)
 
-    def known_op(i):
-        return prob.knowns[i][1]
-
-    # ---------------- stage 1: linear (equivariance) constraints -----------
-    rows_by_key = {}
-    rhs_by_key = {}
-
-    def row(ci, key):
-        rk = (ci, key)
-        if rk not in rows_by_key:
-            rows_by_key[rk] = [carrier.zero] * ncols
-            rhs_by_key[rk] = carrier.zero
-        return rk
-
-    for ci in linear_cons:
-        con = prob.schedule[ci]
-        lam, mu = expansions[ci]
-        # quantum left side Σ c (i/ħ)[Q(f), Q(g)]
-        for c, f, g in con.terms:
-            kf, kg = prob._classify(f), prob._classify(g)
-            cc = carrier.from_scalar(c)
-            if kf[0] == "known" and kg[0] == "known":
-                op = carrier.scale_ih(carrier.commutator(known_op(kf[1]),
-                                                         known_op(kg[1])))
-                for key, v in carrier.decompose(op).items():
-                    rk = row(ci, key)
-                    rhs_by_key[rk] = rhs_by_key[rk] - cc * v
-            elif kf[0] == "known":
-                kop = known_op(kf[1])
-                for ai, a in enumerate(atoms):
-                    op = carrier.scale_ih(carrier.commutator(kop, carrier.atom_op(a)))
-                    for key, v in carrier.decompose(op).items():
-                        rk = row(ci, key)
-                        rows_by_key[rk][col_of[(kg[1], a)]] = \
-                            rows_by_key[rk][col_of[(kg[1], a)]] + cc * v
-            elif kg[0] == "known":
-                kop = known_op(kg[1])
-                for ai, a in enumerate(atoms):
-                    op = carrier.scale_ih(carrier.commutator(carrier.atom_op(a), kop))
-                    for key, v in carrier.decompose(op).items():
-                        rk = row(ci, key)
-                        rows_by_key[rk][col_of[(kf[1], a)]] = \
-                            rows_by_key[rk][col_of[(kf[1], a)]] + cc * v
-            else:  # both targets in a linear constraint cannot happen
-                raise AssertionError("bilinear term in linear constraint")
-        # quantum right side Σ λ K + Σ μ U
-        for ki, l in enumerate(lam):
-            if l.is_zero():
-                continue
-            lc = carrier.from_scalar(l)
-            for key, v in carrier.decompose(known_op(ki)).items():
-                rk = row(ci, key)
-                rhs_by_key[rk] = rhs_by_key[rk] + lc * v
-        for ti, m in enumerate(mu):
-            if m.is_zero():
-                continue
-            mc = carrier.from_scalar(m)
-            for a in atoms:
-                rk = row(ci, a)
-                rows_by_key[rk][col_of[(ti, a)]] = \
-                    rows_by_key[rk][col_of[(ti, a)]] - mc
-
-    keys_sorted = sorted(rows_by_key, key=repr)
-    rows = [rows_by_key[k] for k in keys_sorted]
-    rhs = [rhs_by_key[k] for k in keys_sorted]
-    sol = solve_affine(rows, rhs, ncols, carrier.one, carrier.zero)
-    if sol is None:
+    # stage 1: target t is Σ_a x_{t,a} atom_a
+    stage1 = [{t * len(atoms) + ai: carrier.atom_op(a)
+               for ai, a in enumerate(atoms)}
+              for t in range(len(prob.targets))]
+    status, out = _affine_stage(prob, linear_cons, expansions, stage1,
+                                len(prob.targets) * len(atoms))
+    if status == "inconsistent":
         return SolutionSpace("inconsistent",
                              contradiction=("equivariance stage", None),
                              detail="linear constraints are already unsatisfiable")
-    part, null = sol
-
-    def vec_to_ops(vec):
-        ops = []
-        for t in range(T):
-            coeffs = {a: vec[col_of[(t, a)]] for a in atoms}
-            ops.append(carrier.assemble(coeffs))
-        return ops
-
-    part_ops = vec_to_ops(part)
-    dir_ops = [vec_to_ops(v) for v in null]
-
+    part_ops, dir_ops = out
     if not bilinear_cons:
-        verdict = "unique" if not dir_ops else "family"
-        return SolutionSpace(verdict, part_ops, dir_ops)
+        return SolutionSpace("unique" if not dir_ops else "family",
+                             part_ops, dir_ops)
 
-    # ---------------- stage 2: bilinear constraints ------------------------
+    # stage 2: target t is part_ops[t] + Σ_a y_a dir_ops[a][t]
     P = len(dir_ops)
-    if P > prob.bilinear_cap:
+    if P > BILINEAR_CAP:
         return SolutionSpace("undecided",
                              detail="bilinear stage dimension %d exceeds cap %d"
-                                    % (P, prob.bilinear_cap))
-
-    def affine_for(kind, idx):
-        if kind == "known":
-            return known_op(idx), [None] * P
-        return part_ops[idx], [d[idx] for d in dir_ops]
-
-    # residual polynomial in parameters: monomial () constant, (a,), (a,b)
-    sys_rows = {}   # (ci, key) -> [coeff per param]
-    sys_rhs = {}    # (ci, key) -> field value (negated constant part)
-    undecided = False
-
-    for ci in bilinear_cons:
-        con = prob.schedule[ci]
-        lam, mu = expansions[ci]
-        const_acc = {}
-        lin_acc = [dict() for _ in range(P)]
-
-        def add_to(acc, op, scale):
-            for key, v in prob.carrier.decompose(op).items():
-                acc[key] = acc.get(key, carrier.zero) + scale * v
-
-        for c, f, g in con.terms:
-            kf, kg = prob._classify(f), prob._classify(g)
-            cc = carrier.from_scalar(c)
-            F0, Fd = affine_for(*kf)
-            G0, Gd = affine_for(*kg)
-            add_to(const_acc, carrier.scale_ih(carrier.commutator(F0, G0)), cc)
-            for a in range(P):
-                if Fd[a] is not None:
-                    add_to(lin_acc[a],
-                           carrier.scale_ih(carrier.commutator(Fd[a], G0)), cc)
-                if Gd[a] is not None:
-                    add_to(lin_acc[a],
-                           carrier.scale_ih(carrier.commutator(F0, Gd[a])), cc)
-            for a in range(P):
-                for b in range(P):
-                    if Fd[a] is not None and Gd[b] is not None:
-                        quad = carrier.scale_ih(carrier.commutator(Fd[a], Gd[b]))
-                        if not quad.is_zero():
-                            undecided = True
-        # subtract the right side
-        for ki, l in enumerate(lam):
-            if not l.is_zero():
-                add_to(const_acc, known_op(ki), -carrier.from_scalar(l))
-        for ti, m in enumerate(mu):
-            if m.is_zero():
-                continue
-            mc = carrier.from_scalar(m)
-            add_to(const_acc, part_ops[ti], -mc)
-            for a in range(P):
-                add_to(lin_acc[a], dir_ops[a][ti], -mc)
-
-        if undecided:
-            return SolutionSpace(
-                "undecided",
-                detail="constraint %s is genuinely quadratic in the %d parameters"
-                       % (con.label or ci, P))
-
-        keys = set(const_acc)
-        for a in range(P):
-            keys.update(lin_acc[a])
-        for key in keys:
-            rk = (ci, key)
-            sys_rows[rk] = [lin_acc[a].get(key, carrier.zero) for a in range(P)]
-            sys_rhs[rk] = -const_acc.get(key, carrier.zero)
-
-    keys_sorted = sorted(sys_rows, key=repr)
-    rows2 = [sys_rows[k] for k in keys_sorted]
-    rhs2 = [sys_rhs[k] for k in keys_sorted]
-    sol2 = solve_affine(rows2, rhs2, P, carrier.one, carrier.zero)
-    if sol2 is None:
-        # find one violated constraint for the witness
-        witness = None
-        for rk in keys_sorted:
-            if all(v.is_zero() for v in sys_rows[rk]) and not sys_rhs[rk].is_zero():
-                ci = rk[0]
-                witness = (prob.schedule[ci].label or str(prob.schedule[ci]),
-                           sys_rhs[rk])
-                break
-        return SolutionSpace("inconsistent", contradiction=witness,
+                                    % (P, BILINEAR_CAP))
+    stage2 = [{None: part_ops[t], **{a: d[t] for a, d in enumerate(dir_ops)}}
+              for t in range(len(prob.targets))]
+    status, out = _affine_stage(prob, bilinear_cons, expansions, stage2, P)
+    if status == "quadratic":
+        con = prob.schedule[out]
+        return SolutionSpace(
+            "undecided",
+            detail="constraint %s is genuinely quadratic in the %d parameters"
+                   % (con.label or out, P))
+    if status == "inconsistent":
+        return SolutionSpace("inconsistent", contradiction=out,
                              detail="bracket relations contradict the linear stage")
-    tpart, tnull = sol2
-
-    final = list(part_ops)
-    for a in range(P):
-        if tpart[a].is_zero():
-            continue
-        for ti in range(T):
-            final[ti] = final[ti] + dir_ops[a][ti].scale(tpart[a])
-    fam = []
-    for tv in tnull:
-        dirs = [carrier.zero_op() for _ in range(T)]
-        for a in range(P):
-            if tv[a].is_zero():
-                continue
-            for ti in range(T):
-                dirs[ti] = dirs[ti] + dir_ops[a][ti].scale(tv[a])
-        fam.append(dirs)
-    verdict = "unique" if not fam else "family"
-    return SolutionSpace(verdict, final, fam)
+    final, fam = out
+    return SolutionSpace("unique" if not fam else "family", final, fam)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +346,7 @@ def weyl_generators():
     return X, P
 
 
-def quadratic_extension_problem(bilinear_cap=6):
+def quadratic_extension_problem():
     """Extend 1, q, p (Schrödinger generators in the Weyl carrier) to the
     quadratics; bracket relations among the quadratics are the bilinear
     stage that pins the central shifts."""
@@ -459,10 +365,10 @@ def quadratic_extension_problem(bilinear_cap=6):
     for f, g in ((q2, qp), (p2, qp), (q2, p2)):
         schedule.append(BracketConstraint([(1, f, g)], "{%s, %s}" % (f, g)))
     return ExtensionProblem(knowns, targets, WeylCarrier(1, 2), schedule,
-                            bracket_flat, _flat_coords, bilinear_cap)
+                            bracket_flat, _flat_coords)
 
 
-def cubic_extension_problem(bilinear_cap=6):
+def cubic_extension_problem():
     """Attempt to extend the degree ≤ 2 rules to the cubics; the bilinear
     stage carries the classical identity (1/9){q³,p³} = (1/3){q²p, qp²}."""
     X, P = weyl_generators()
@@ -485,7 +391,7 @@ def cubic_extension_problem(bilinear_cap=6):
         [(fractions.Fraction(1, 9), q3, p3), (fractions.Fraction(-1, 3), q2p, qp2)],
         "(1/9){q^3,p^3} - (1/3){q^2 p, q p^2}"))
     return ExtensionProblem(knowns, targets, WeylCarrier(1, 3), schedule,
-                            bracket_flat, _flat_coords, bilinear_cap)
+                            bracket_flat, _flat_coords)
 
 
 def sphere_equivariance_problem(j):

@@ -12,6 +12,7 @@ a differential operator through X ↦ q·, P ↦ −iħ∂/∂q.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .diffop import DiffOp, TorusXCoef, diffop_commutator
@@ -155,8 +156,12 @@ def transformed_harmonic_op(m, l, hbar=DEFAULT_TORUS_HBAR):
     return NumericOp(terms)
 
 
+@functools.lru_cache(maxsize=1)
 def torus_transformed_ops(k, trunc, hbar=DEFAULT_TORUS_HBAR, quad_order=None):
-    """Truncated Hermite matrices (A₊, A₋, B₊, B₋) for frequency k ≥ 1."""
+    """Truncated Hermite matrices (A₊, A₋, B₊, B₋) for frequency k ≥ 1.
+
+    Cached: `verify torus` asks for the same four matrices twice, and no
+    caller mutates them."""
     if k < 1:
         raise ValueError("frequency k must be a positive integer, got %r" % (k,))
     mats = []

@@ -324,35 +324,22 @@ def transitivity_check(basis, npoints=8, seed=0, params=None):
     drawn from a deterministic seeded sampler; sphere points are scaled onto
     the radius-s sphere (s taken from params, default 1.0).
     """
-    import numpy as np
-
+    if npoints < 1:
+        raise ValueError("npoints must be at least 1, got %d" % npoints)
     ambient = basis.ambient
-    params = dict(params or {})
-    params.setdefault("pi", math.pi)
-    params.setdefault("hbar", 1.0)
+    radius = (params or {}).get("s", 1.0)
     rng = random.Random(seed)
-    elems = basis.elements()
-    dim_m = ambient.dim_m()
     reports = []
     for _ in range(npoints):
         if isinstance(ambient, FlatAmbient):
             point = [rng.gauss(0.0, 1.0) for _ in range(2 * ambient.n)]
         elif isinstance(ambient, SphereAmbient):
-            params.setdefault("s", 1.0)
             v = [rng.gauss(0.0, 1.0) for _ in range(3)]
             nv = math.sqrt(sum(x * x for x in v)) or 1.0
-            point = [x / nv * params["s"] for x in v]
+            point = [x / nv * radius for x in v]
         else:
             point = (rng.random(), rng.random())
-        rows = _hamiltonian_rows(ambient, elems, point, params)
-        m = np.array(rows, dtype=complex)
-        if m.size == 0:
-            rk = 0
-        else:
-            sv = np.linalg.svd(m, compute_uv=False)
-            rk = int((sv > 1e-9 * max(1.0, float(sv[0]))).sum())
-        reports.append({"point": tuple(point), "rank": rk, "dim": dim_m,
-                        "transitive": rk == dim_m})
+        reports.append(transitivity_at_point(basis, point, params))
     return reports
 
 

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from gvh.flat import FlatElement, bracket_flat
-from gvh.obstruction import (CONVENTION, anticommutator_certificate,
+from gvh.obstruction import (CONVENTION, BracketConstraint, ExtensionProblem,
+                             WeylCarrier, anticommutator_certificate,
                              cubic_extension_problem, extension_solve,
                              groenewold_certificate,
                              position_nonextension_certificate,
@@ -15,7 +16,7 @@ from gvh.obstruction import (CONVENTION, anticommutator_certificate,
                              sphere_equivariance_problem, strong_nogo_record,
                              torus_irreducibility, torus_transform_identities,
                              vonneumann_rules_flat)
-from gvh.scalars import HBAR, S_I, Scalar
+from gvh.scalars import HBAR, S_I, S_ONE, Scalar
 from gvh.weyl import WeylElement, symmetrized, weyl_commutator
 
 X = WeylElement.x()
@@ -29,7 +30,6 @@ def _frac(num, den=1):
 
 
 def _mono(qe, pe):
-    from gvh.scalars import S_ONE
     return FlatElement.monomial(1, (qe,), (pe,), S_ONE)
 
 
@@ -110,6 +110,40 @@ def test_cubic_extension_inconsistent():
     assert label == "(1/9){q^3,p^3} - (1/3){q^2 p, q p^2}"
     assert (residual + _frac(1, 3) * H2).is_zero()
     assert "contradict" in sol.detail
+
+
+def _quadratic_cap_problem(qp_known):
+    """Knowns 1, q, p (and qp when qp_known); constraints {p, q^2},
+    {q, p^2} and the target-target bracket {q^2, p^2}."""
+    one = FlatElement.const(1, S_ONE)
+    q = FlatElement.coordinate(1, "q1")
+    p = FlatElement.coordinate(1, "p1")
+    q2, qp, p2 = _mono(2, 0), _mono(1, 1), _mono(0, 2)
+    knowns = [(one, WeylElement.identity()), (q, X), (p, P)]
+    targets = [q2, p2]
+    if qp_known:
+        knowns.append((qp, symmetrized(X, P)))
+    else:
+        targets.append(qp)
+    schedule = [BracketConstraint([(1, f, g)], "{%s, %s}" % (f, g))
+                for f, g in ((p, q2), (q, p2), (q2, p2))]
+    return ExtensionProblem(knowns, targets, WeylCarrier(1, 2), schedule,
+                            bracket_flat, lambda f: dict(f.poly.terms))
+
+
+def test_extension_bilinear_stage_over_cap_is_undecided():
+    # qp is left free by the linear stage, so the family has 12 parameters
+    sol = extension_solve(_quadratic_cap_problem(qp_known=False))
+    assert sol.verdict == "undecided"
+    assert sol.detail == "bilinear stage dimension 12 exceeds cap 6"
+
+
+def test_extension_genuinely_quadratic_is_undecided():
+    # [Q(q^2), Q(p^2)] is quadratic in the 6 parameters the linear stage leaves
+    sol = extension_solve(_quadratic_cap_problem(qp_known=True))
+    assert sol.verdict == "undecided"
+    assert sol.detail == ("constraint {q1^2, p1^2} is genuinely quadratic "
+                          "in the 6 parameters")
 
 
 def test_strong_nogo_record():

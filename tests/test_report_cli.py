@@ -123,6 +123,26 @@ def test_cli_normalizer(capsys):
     assert res["normalizer_dimension"] == 6
 
 
+def test_cli_degree_cap_zero_is_kept(capsys):
+    code, out, _ = run_cli(capsys, ["normalizer", "r2n", "1",
+                                    "--degree-cap", "0"])
+    assert code == 0
+    res = json.loads(out)["results"][0]
+    assert res["normalizer_basis"] == ["1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["normalizer", "r2n", "q1", "--degree-cap", "-1"],
+     "error: generator q1 lies outside the ambient flat(n=1, deg<=-1)"),
+    (["generate", "torus", "sin(2*pi*2*x)", "--freq-cap", "1"],
+     "error: generator sin(2*pi*2*x) lies outside the ambient torus(|freq|<=1)"),
+], ids=["negative-degree-cap", "torus-freq-cap"])
+def test_cli_rejects_generator_outside_cap(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.strip() == message
+
+
 def test_cli_transitivity(capsys):
     code, out, _ = run_cli(capsys, ["transitivity", "sphere",
                                     "S1", "S2", "S3"])
@@ -134,6 +154,13 @@ def test_cli_transitivity(capsys):
     code, out, _ = run_cli(capsys, ["transitivity", "r2n", "q1"])
     assert code == 1
     assert json.loads(out)["results"][0]["transitive"] is False
+
+
+def test_cli_transitivity_rejects_no_points(capsys):
+    code, out, err = run_cli(capsys, ["transitivity", "r2n", "q1",
+                                      "--npoints", "0"])
+    assert code == 1 and out == ""
+    assert err.strip() == "error: npoints must be at least 1, got 0"
 
 
 def test_cli_checkq1(capsys):
