@@ -14,9 +14,9 @@ import os
 import sys
 
 from .flat import bracket_flat
-from .parse import ParseError, parse_expression, print_expression
+from .parse import parse_expression, print_expression
 from .qmaps import (METAPLECTIC, POSITION, SCHRODINGER, TORUS_PREQUANT,
-                    VANHOVE, DEFAULT_TORUS_HBAR, DomainError, check_q1,
+                    VANHOVE, DEFAULT_TORUS_HBAR, check_q1,
                     sphere_map)
 from .report import Report, emit_report
 from .scalars import Scalar
@@ -348,13 +348,14 @@ _HANDLERS = {
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    from .hermite import QuadratureError
     try:
         if getattr(args, "trunc", None) is None and args.verb == "verify":
             args.trunc = _default_trunc()
         report, code = _HANDLERS[args.verb](args)
-    except (ParseError, DomainError, QuadratureError, ValueError) as err:
-        print("error: %s" % err, file=sys.stderr)
+    except (ValueError, RuntimeError, MemoryError) as err:
+        # bad input (ParseError, DomainError), a failed internal invariant
+        # (QuadratureError) or an allocation the heap could not serve
+        print("error: %s" % (str(err) or type(err).__name__), file=sys.stderr)
         return 1
     sys.stdout.write(emit_report(report, args.format))
     return code

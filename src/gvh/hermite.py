@@ -16,6 +16,7 @@ overlaps are centered so the Gaussian factors recombine exactly.
 from __future__ import annotations
 
 import math
+import os
 from functools import lru_cache
 
 import numpy as np
@@ -25,6 +26,22 @@ from .sparse import accumulate, add_terms, neg_terms, scale_terms
 
 class QuadratureError(RuntimeError):
     """Raised when a quadrature rule fails its orthonormality self-test."""
+
+
+def check_memory(nbytes, what):
+    """ValueError, before allocating, when `what` needs more bytes than the
+    machine has physical memory."""
+    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > phys:
+        raise ValueError("%s needs about %.3g GiB, more than the %.3g GiB of "
+                         "physical memory" % (what, nbytes / 2 ** 30, phys / 2 ** 30))
+
+
+def check_quadrature_size(trunc, quad_order=None):
+    """Bound the Gauss–Hermite rule of order Q (4N by default): its Q×Q
+    companion matrix takes 8·Q² bytes."""
+    order = 4 * trunc if quad_order is None else quad_order
+    check_memory(8 * order * order, "the order-%d Gauss-Hermite rule" % order)
 
 
 def hermite_values(xs, nmax):

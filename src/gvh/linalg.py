@@ -1,66 +1,63 @@
 """Exact linear algebra over any field-like coefficient type.
 
 Works for Scalar and for the radical extension ring: elements only need
-+, -, *, /, is_zero().  Matrices are lists of row lists.
++, -, *, /, is_zero().  A row is a sparse map {column: value}, a zero entry
+being an absent column; solution vectors are sparse maps of the same kind.
+The reduced row echelon form is unique for the fixed column order, so no
+result depends on the order of the rows.
 """
 
 from __future__ import annotations
 
+from .sparse import nonzero_terms, sub_scaled
+
 
 def rref(rows, ncols):
-    """Reduced row echelon form.  Returns (new_rows, pivot_column_list)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
+    """Reduced row echelon form of columns 0..ncols-1.
+
+    Returns (reduced rows in pivot order, pivot column list)."""
+    rows = [nonzero_terms(r) for r in rows]
+    red, pivots = [], []
     for c in range(ncols):
-        pivot = None
-        for k in range(r, len(rows)):
-            if not rows[k][c].is_zero():
-                pivot = k
-                break
-        if pivot is None:
+        k = next((k for k, row in enumerate(rows) if c in row), None)
+        if k is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and not rows[k][c].is_zero():
-                f = rows[k][c]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+        row = rows.pop(k)
+        pv = row[c]
+        row = {j: v / pv for j, v in row.items()}
+        for other in red + rows:
+            f = other.get(c)
+            if f is not None:
+                sub_scaled(other, f, row)
+        red.append(row)
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    return red, pivots
 
 
-def nullspace(rows, ncols, one, zero):
+def nullspace(rows, ncols, one):
     """Basis of the solution space of rows * x = 0 (columns = unknowns)."""
     red, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        vec = {fc: one}
+        for row, pc in zip(red, pivots):
+            if fc in row:
+                vec[pc] = -row[fc]
         basis.append(vec)
     return basis
 
 
-def solve_affine(rows, rhs, ncols, one, zero):
+def solve_affine(rows, rhs, ncols, one):
     """Solve rows * x = rhs exactly.
 
     Returns (particular, nullspace_basis) or None when inconsistent.
     """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, ncols + 1)
+    red, pivots = rref([{**r, ncols: b} for r, b in zip(rows, rhs)], ncols + 1)
     if ncols in pivots:
         return None
-    part = [zero] * ncols
-    for r, pc in enumerate(pivots):
-        part[pc] = red[r][ncols]
-    basis = nullspace([row[:ncols] for row in red], ncols, one, zero)
+    part = {pc: row[ncols] for row, pc in zip(red, pivots) if ncols in row}
+    basis = nullspace([{j: v for j, v in row.items() if j != ncols}
+                       for row in red], ncols, one)
     return part, basis
 
 

@@ -148,23 +148,25 @@ class ExtensionProblem:
         raise ValueError("constraint element %s is neither known nor target" % (elem,))
 
     def expand_in_span(self, elem):
-        """Coefficients (λ over knowns, μ over targets) with
+        """Sparse coefficients (λ over knowns, μ over targets) with
         elem = Σ λ_k known_k + Σ μ_t target_t, required unique."""
         cols = [self.coords(k) for k, _ in self.knowns] + \
                [self.coords(t) for t in self.targets]
-        target_coords = self.coords(elem)
-        keys = sorted({k for col in cols for k in col} | set(target_coords),
-                      key=repr)
-        rows = [[col.get(k, S_ZERO) for col in cols] for k in keys]
-        rhs = [target_coords.get(k, S_ZERO) for k in keys]
-        sol = solve_affine(rows, rhs, len(cols), S_ONE, S_ZERO)
+        rhs = self.coords(elem)
+        rows = {key: {} for key in rhs}
+        for j, col in enumerate(cols):
+            for key, c in col.items():
+                rows.setdefault(key, {})[j] = c
+        sol = solve_affine(list(rows.values()),
+                           [rhs.get(key, S_ZERO) for key in rows], len(cols), S_ONE)
         if sol is None:
             raise ValueError("bracket result %s not in the known+target span" % (elem,))
         part, null = sol
         if null:
             raise ValueError("ambiguous span expansion for %s" % (elem,))
         nk = len(self.knowns)
-        return part[:nk], part[nk:]
+        return ({j: v for j, v in part.items() if j < nk},
+                {j - nk: v for j, v in part.items() if j >= nk})
 
 
 class SolutionSpace:
@@ -214,13 +216,11 @@ def _linearize(prob, con, expansion, form):
                 elif not comm.is_zero():
                     return None
     lam, mu = expansion
-    for (_, K), l in zip(prob.knowns, lam):
-        if not l.is_zero():
-            add(K, None, -carrier.from_scalar(l))
-    for t, m in zip(prob.targets, mu):
-        if not m.is_zero():
-            for col, U in form(t).items():
-                add(U, col, -carrier.from_scalar(m))
+    for k, l in lam.items():
+        add(prob.knowns[k][1], None, -carrier.from_scalar(l))
+    for t, m in mu.items():
+        for col, U in form(prob.targets[t]).items():
+            add(U, col, -carrier.from_scalar(m))
     return terms
 
 
@@ -247,15 +247,13 @@ def _affine_stage(prob, cons, expansions, target_forms, ncols):
         for key, coeffs in terms.items():
             rhs[(ci, key)] = -coeffs.pop(None, carrier.zero)
             rows[(ci, key)] = coeffs
-    keys = sorted(rows, key=repr)
-    sol = solve_affine([[rows[k].get(col, carrier.zero) for col in range(ncols)]
-                        for k in keys],
-                       [rhs[k] for k in keys], ncols, carrier.one, carrier.zero)
+    sol = solve_affine(list(rows.values()), [rhs[k] for k in rows], ncols,
+                       carrier.one)
     if sol is None:
-        witness = next(((prob.schedule[k[0]].label or str(prob.schedule[k[0]]),
-                         rhs[k])
-                        for k in keys if not rows[k] and not rhs[k].is_zero()),
-                       None)
+        k = min((k for k in rows if not rows[k] and not rhs[k].is_zero()),
+                key=repr, default=None)
+        witness = None if k is None else \
+            (prob.schedule[k[0]].label or str(prob.schedule[k[0]]), rhs[k])
         return "inconsistent", witness
 
     def ops(vec, with_const):
@@ -264,7 +262,7 @@ def _affine_stage(prob, cons, expansions, target_forms, ncols):
             op = form_t[None] if with_const and None in form_t \
                 else carrier.zero_op()
             for col, F in form_t.items():
-                if col is not None and not vec[col].is_zero():
+                if col in vec:
                     op = op + F.scale(vec[col])
             out.append(op)
         return out
@@ -833,13 +831,15 @@ def torus_transform_identities(k, trunc=64, hbar=None, quad_order=None):
 
     import numpy as np
 
-    from .hermite import derivative_band, hermite_matrix, position_tridiagonal
+    from .hermite import (check_quadrature_size, derivative_band, hermite_matrix,
+                          position_tridiagonal)
     from .qmaps import (DEFAULT_TORUS_HBAR, torus_transformed_ops,
                         transformed_harmonic_op)
     if k < 1:
         raise ValueError("k must be a positive integer")
     if trunc < 4:
         raise ValueError("truncation too small")
+    check_quadrature_size(trunc, quad_order)
     if hbar is None:
         hbar = DEFAULT_TORUS_HBAR
     N = trunc
@@ -869,12 +869,15 @@ def torus_transform_identities(k, trunc=64, hbar=None, quad_order=None):
 
 def torus_irreducibility(k, trunc=64, tol=1e-6, hbar=None, quad_order=None):
     """Numeric commutant-kernel estimate for the transformed torus operators."""
-    from .hermite import commutant_kernel_dim
+    from .hermite import check_memory, check_quadrature_size, commutant_kernel_dim
     from .qmaps import DEFAULT_TORUS_HBAR, torus_transformed_ops
     if k < 1:
         raise ValueError("k must be a positive integer")
     if trunc < 32:
         raise ValueError("truncation must be at least 32")
+    check_quadrature_size(trunc, quad_order)
+    # four stacked complex blocks of M²×M², M = N/2
+    check_memory(64 * (trunc // 2) ** 4, "the commutant stack at truncation %d" % trunc)
     if hbar is None:
         hbar = DEFAULT_TORUS_HBAR
     mats = torus_transformed_ops(k, trunc, hbar, quad_order)

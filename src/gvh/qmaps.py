@@ -23,8 +23,8 @@ from .poly import MultiPoly
 from .radicals import Radical
 from .scalars import A_SYM, C_SYM, HBAR, S_I, Scalar
 from .sparse import accumulate
-from .sphere import SVARS, SphereElement, bracket_sphere, sphere_canonicalize
-from .torus import TorusElement, bracket_torus
+from .sphere import SphereElement, bracket_sphere, sphere_canonicalize
+from .torus import bracket_torus
 from .weyl import WeylElement, contractions, weyl_commutator
 
 DEFAULT_TORUS_HBAR = 1.0 / (2.0 * math.pi)

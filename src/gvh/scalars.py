@@ -299,7 +299,6 @@ def poly_divexact(f, d):
 
 def _pseudo_rem(f, g, idx):
     """Pseudo-remainder of f by g treated as univariates in param idx."""
-    fu = _as_univariate(f, idx)
     gu = _as_univariate(g, idx)
     dg = max(gu)
     lc = gu[dg]

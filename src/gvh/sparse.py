@@ -1,10 +1,11 @@
 """Sparse term maps {key: coefficient}, the storage of every finite sum.
 
-Polynomials, Weyl elements, Fourier series, differential operators and
-Hermite symbols each keep their terms in one dict and do their linear
-algebra through these helpers.  A map never holds a zero coefficient, so two
-maps are equal exactly when the sums they stand for are equal.  Coefficients
-are exact (they answer ``is_zero()``) or plain Python numbers.
+Polynomials, Weyl elements, Fourier series, differential operators, Hermite
+symbols and the rows of `linalg` each keep their terms in one dict and do
+their linear algebra through these helpers.  A map never holds a zero
+coefficient, so two maps are equal exactly when the sums they stand for are
+equal.  Coefficients are exact (they answer ``is_zero()``) or plain Python
+numbers.
 """
 
 from __future__ import annotations
@@ -31,6 +32,12 @@ def accumulate(out, key, c):
         out.pop(key, None)
     else:
         out[key] = c
+
+
+def sub_scaled(out, c, terms):
+    """out -= c·terms in place: one elimination step of sparse rows."""
+    for k, v in terms.items():
+        accumulate(out, k, -(c * v))
 
 
 def add_terms(a, b):

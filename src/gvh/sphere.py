@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import MultiPoly
-from .scalars import Scalar, S_ZERO, S_ONE, S_SPIN
+from .scalars import Scalar, S_ZERO, S_SPIN
 from .sparse import accumulate, add_terms, neg_terms, nonzero_terms
 
 SVARS = ("S1", "S2", "S3")

@@ -15,8 +15,8 @@ import random
 
 from .flat import FlatElement, bracket_flat, flat_vars
 from .poly import MultiPoly, monomials_upto
-from .scalars import Scalar, S_ZERO, S_ONE
-from .sparse import accumulate
+from .scalars import S_ONE
+from .sparse import nonzero_terms, sub_scaled
 from .sphere import SVARS, SphereElement, bracket_sphere
 from .torus import TorusElement, bracket_torus
 
@@ -159,27 +159,19 @@ class SubspaceBasis:
         # out-of-cap keys sort after every in-cap key, deterministically
         return (0, r) if r is not None else (1, repr(k))
 
-    def _pivot(self, coords):
-        live = [k for k, c in coords.items() if not c.is_zero()]
-        if not live:
-            return None
-        return min(live, key=self._key_order)
-
     def reduce_coords(self, coords):
         """Residual of coords after elimination against the basis."""
-        coords = {k: c for k, c in coords.items() if not c.is_zero()}
+        coords = nonzero_terms(coords)
         for pivot, row in self.rows:
             c = coords.get(pivot)
-            if c is None or c.is_zero():
-                continue
-            for k, v in row.items():
-                accumulate(coords, k, -(c * v))
+            if c is not None:
+                sub_scaled(coords, c, row)
         return coords
 
     def add_element(self, elem):
         """Insert an element; returns True when it enlarges the span."""
         res = self.reduce_coords(self.ambient.coords(elem))
-        pivot = self._pivot(res)
+        pivot = min(res, key=self._key_order, default=None)
         if pivot is None:
             return False
         pc = res[pivot]
@@ -188,10 +180,9 @@ class SubspaceBasis:
         new_rows = []
         for pv, row in self.rows:
             c = row.get(pivot)
-            if c is not None and not c.is_zero():
-                row = {k: v for k, v in row.items()}
-                for k, v in res.items():
-                    accumulate(row, k, -(c * v))
+            if c is not None:
+                row = dict(row)
+                sub_scaled(row, c, res)
             new_rows.append((pv, row))
         new_rows.append((pivot, res))
         new_rows.sort(key=lambda t: self._key_order(t[0]))
@@ -240,42 +231,22 @@ def normalizer(sub, ambient):
     """All g within the ambient cap with {g, sub} contained in span(sub)."""
     base = ambient.basis_elements()
     sub_elems = sub.elements()
-    # unknown g = Σ_x g_x·base_x; constraints: residual of {base_x, s} is 0
-    residuals = []  # per base element: list over sub_elems of residual dicts
-    for ex in base:
-        per = []
-        for s_el in sub_elems:
-            br = ambient.bracket(ex, s_el)
-            per.append(sub.reduce_coords(ambient.coords(br)))
-        residuals.append(per)
-    # collect the residual coordinate keys that actually occur
-    row_keys = set()
-    for per in residuals:
-        for res in per:
-            row_keys.update(res.keys())
-    row_index = {}
-    for si in range(len(sub_elems)):
-        for rk in sorted(row_keys, key=lambda k: repr(k)):
-            row_index[(si, rk)] = len(row_index)
-    rows = [[S_ZERO] * len(base) for _ in range(len(row_index))]
-    for x, per in enumerate(residuals):
-        for si, res in enumerate(per):
+    # unknown g = Σ_x g_x·base_x; constraints: residual of {base_x, s} is 0,
+    # one row per (sub element, residual key)
+    rows = {}
+    for x, ex in enumerate(base):
+        for si, s_el in enumerate(sub_elems):
+            res = sub.reduce_coords(ambient.coords(ambient.bracket(ex, s_el)))
             for rk, c in res.items():
-                rows[row_index[(si, rk)]][x] = c
+                rows.setdefault((si, rk), {})[x] = c
     from .linalg import nullspace
-    basis_vecs = nullspace(rows, len(base), S_ONE, S_ZERO)
     out = SubspaceBasis(ambient)
-    for vec in basis_vecs:
+    for vec in nullspace(list(rows.values()), len(base), S_ONE):
         g = ambient.zero()
-        for ex, v in zip(base, vec):
-            if not v.is_zero():
-                g = g + _scaled(ex, v)
+        for x, c in vec.items():
+            g = g + base[x].scale(c)
         out.add_element(g)
     return out
-
-
-def _scaled(elem, c):
-    return elem.scale(c)
 
 
 class OffManifoldError(ValueError):

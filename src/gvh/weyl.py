@@ -246,25 +246,15 @@ def weyl_commutant(gens, words, n=None):
 
     if n is None:
         n = gens[0].n if gens else 1
-    windex = {w: i for i, w in enumerate(words)}
-    rows_by_key = {}
-
-    def row_for(key):
-        r = rows_by_key.get(key)
-        if r is None:
-            r = [S_ZERO] * len(words)
-            rows_by_key[key] = r
-        return r
-
+    rows = {}
     for gi, g in enumerate(gens):
-        for w, col in windex.items():
+        for col, w in enumerate(words):
             comm = weyl_commutator(WeylElement.word(w, 1, n), g)
             for e, c in comm.terms.items():
-                row_for((gi, e))[col] = c
-    rows = [rows_by_key[k] for k in sorted(rows_by_key, key=repr)]
-    vecs = nullspace(rows, len(words), S_ONE, S_ZERO)
+                rows.setdefault((gi, e), {})[col] = c
+    vecs = nullspace(list(rows.values()), len(words), S_ONE)
     ambient = WeylAmbient(n, max((sum(w) for w in words), default=0))
     basis = SubspaceBasis(ambient)
     for v in vecs:
-        basis.add_element(WeylElement(n, {w: c for w, c in zip(words, v)}))
+        basis.add_element(WeylElement(n, {words[col]: c for col, c in v.items()}))
     return basis

@@ -1,7 +1,9 @@
 """Exact linear algebra over a field, cross-checked against sympy on rationals.
 
 The routines are generic over any field element exposing arithmetic plus
-is_zero(); they are exercised here over Scalar.
+is_zero(); they are exercised here over Scalar.  Rows and solution vectors
+are sparse {column: value} maps; the random matrices are drawn dense and
+converted with `_sparse`.
 """
 
 import random
@@ -24,6 +26,14 @@ def _rand_matrix(rng, nrows, ncols, density=0.7):
     return rows
 
 
+def _sparse(rows):
+    return [{c: x for c, x in enumerate(r) if not x.is_zero()} for r in rows]
+
+
+def _dense(vec, ncols):
+    return [vec.get(c, S_ZERO) for c in range(ncols)]
+
+
 def _mat_vec(rows, vec):
     out = []
     for r in rows:
@@ -43,17 +53,17 @@ def test_rank_matches_sympy():
     for _ in range(30):
         nr, nc = RNG.randint(1, 5), RNG.randint(1, 5)
         rows = _rand_matrix(RNG, nr, nc)
-        assert rank([list(r) for r in rows], nc) == _to_sympy(rows, nc).rank()
+        assert rank(_sparse(rows), nc) == _to_sympy(rows, nc).rank()
 
 
 def test_nullspace_dimension_and_membership():
     for _ in range(30):
         nr, nc = RNG.randint(1, 5), RNG.randint(1, 6)
         rows = _rand_matrix(RNG, nr, nc)
-        basis = nullspace([list(r) for r in rows], nc, S_ONE, S_ZERO)
-        assert len(basis) == nc - rank([list(r) for r in rows], nc)
+        basis = nullspace(_sparse(rows), nc, S_ONE)
+        assert len(basis) == nc - rank(_sparse(rows), nc)
         for vec in basis:
-            assert all(v.is_zero() for v in _mat_vec(rows, vec))
+            assert all(v.is_zero() for v in _mat_vec(rows, _dense(vec, nc)))
         assert len(basis) == len(_to_sympy(rows, nc).nullspace())
 
 
@@ -63,24 +73,24 @@ def test_solve_affine_consistent_systems():
         rows = _rand_matrix(RNG, nr, nc)
         x0 = [Scalar.from_int(RNG.randint(-3, 3)) for _ in range(nc)]
         rhs = _mat_vec(rows, x0)
-        got = solve_affine([list(r) for r in rows], list(rhs), nc, S_ONE, S_ZERO)
+        got = solve_affine(_sparse(rows), list(rhs), nc, S_ONE)
         assert got is not None
         part, basis = got
-        assert _mat_vec(rows, part) == rhs
+        assert _mat_vec(rows, _dense(part, nc)) == rhs
         for vec in basis:
-            assert all(v.is_zero() for v in _mat_vec(rows, vec))
+            assert all(v.is_zero() for v in _mat_vec(rows, _dense(vec, nc)))
 
 
 def test_solve_affine_detects_inconsistency():
     # x = 0 and x = 1 simultaneously
-    assert solve_affine([[S_ONE], [S_ONE]], [S_ZERO, S_ONE], 1, S_ONE, S_ZERO) is None
+    assert solve_affine([{0: S_ONE}, {0: S_ONE}], [S_ZERO, S_ONE], 1, S_ONE) is None
     # the verdict must match sympy's rank test on random systems
     hits = 0
     for _ in range(60):
         nr, nc = RNG.randint(2, 5), RNG.randint(1, 4)
         rows = _rand_matrix(RNG, nr, nc)
         rhs = [Scalar.from_int(RNG.randint(-3, 3)) for _ in range(nr)]
-        got = solve_affine([list(r) for r in rows], list(rhs), nc, S_ONE, S_ZERO)
+        got = solve_affine(_sparse(rows), list(rhs), nc, S_ONE)
         a = _to_sympy(rows, nc)
         aug = a.row_join(sympy.Matrix([sympy.Rational(x.rational_value().re) for x in rhs]))
         consistent = a.rank() == aug.rank()
@@ -94,15 +104,46 @@ def test_rref_idempotent():
     for _ in range(20):
         nr, nc = RNG.randint(1, 4), RNG.randint(1, 4)
         rows = _rand_matrix(RNG, nr, nc)
-        red, piv = rref([list(r) for r in rows], nc)
-        red2, piv2 = rref([list(r) for r in red], nc)
+        red, piv = rref(_sparse(rows), nc)
+        red2, piv2 = rref([dict(r) for r in red], nc)
         assert piv == piv2
         assert red == red2
 
 
+def test_row_order_does_not_change_results():
+    # the reduced row echelon form is unique for a fixed column order, so
+    # callers may hand rows over in any order
+    rng = random.Random(7)
+    for _ in range(30):
+        nr, nc = rng.randint(2, 6), rng.randint(1, 5)
+        rows = _rand_matrix(rng, nr, nc, density=0.5)
+        x0 = [Scalar.from_int(rng.randint(-3, 3)) for _ in range(nc)]
+        rhs = _mat_vec(rows, x0)
+        if rng.random() < 0.3:
+            rhs[0] = rhs[0] + S_ONE  # sometimes inconsistent
+        order = list(range(nr))
+        rng.shuffle(order)
+        shuffled = [rows[i] for i in order]
+        assert rref(_sparse(rows), nc) == rref(_sparse(shuffled), nc)
+        assert solve_affine(_sparse(rows), rhs, nc, S_ONE) == \
+            solve_affine(_sparse(shuffled), [rhs[i] for i in order], nc, S_ONE)
+
+
+def test_explicit_zero_entries_are_ignored():
+    two, three = Scalar.from_int(2), Scalar.from_int(3)
+    clean = [{0: two, 2: S_ONE}, {1: three}]
+    padded = [{0: two, 1: S_ZERO, 2: S_ONE}, {0: S_ZERO, 1: three, 2: S_ZERO}]
+    assert rref(padded, 3) == rref(clean, 3)
+    red, _ = rref(padded, 3)
+    assert all(not v.is_zero() for row in red for v in row.values())
+    assert nullspace(padded, 3, S_ONE) == nullspace(clean, 3, S_ONE)
+    rhs = [S_ONE, S_ZERO]
+    assert solve_affine(padded, rhs, 3, S_ONE) == solve_affine(clean, rhs, 3, S_ONE)
+
+
 def test_over_rational_functions():
-    rows = [[HBAR, S_ONE], [S_ZERO, HBAR]]
-    got = solve_affine([list(r) for r in rows], [S_ONE, HBAR * HBAR], 2, S_ONE, S_ZERO)
+    rows = [{0: HBAR, 1: S_ONE}, {1: HBAR}]
+    got = solve_affine(rows, [S_ONE, HBAR * HBAR], 2, S_ONE)
     assert got is not None
     part, basis = got
     assert basis == []
@@ -110,11 +151,11 @@ def test_over_rational_functions():
     assert part[1] == HBAR
     assert part[0] == (S_ONE - HBAR) / HBAR
     # and over the Gaussian part: i is invertible
-    red, piv = rref([[S_I]], 1)
+    red, piv = rref([{0: S_I}], 1)
     assert red[0][0].is_one() and piv == [0]
 
 
 def test_zero_columns():
     # no unknowns: solvable iff rhs is zero
-    assert solve_affine([[], []], [S_ZERO, S_ZERO], 0, S_ONE, S_ZERO) == ([], [])
-    assert solve_affine([[], []], [S_ZERO, S_ONE], 0, S_ONE, S_ZERO) is None
+    assert solve_affine([{}, {}], [S_ZERO, S_ZERO], 0, S_ONE) == ({}, [])
+    assert solve_affine([{}, {}], [S_ZERO, S_ONE], 0, S_ONE) is None

@@ -283,3 +283,30 @@ def test_torus_rejects_bad_inputs():
         torus_transform_identities(1, trunc=2)
     with pytest.raises(ValueError):
         torus_irreducibility(0)
+
+
+def _forbid_matrices(monkeypatch):
+    """Make any Hermite-matrix build fail, so a missing bound check shows up
+    as a test failure instead of a huge allocation."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("Hermite matrices built before the memory check")
+    monkeypatch.setattr("gvh.qmaps.torus_transformed_ops", refuse)
+
+
+def test_torus_quadrature_bound_checked_on_entry(monkeypatch):
+    _forbid_matrices(monkeypatch)
+    # order 4N = 400000: a companion matrix of about 1.2 TB
+    with pytest.raises(ValueError, match="Gauss-Hermite rule.*physical memory"):
+        torus_transform_identities(1, trunc=100000)
+    with pytest.raises(ValueError, match="Gauss-Hermite rule.*physical memory"):
+        torus_transform_identities(1, trunc=64, quad_order=10 ** 7)
+    with pytest.raises(ValueError, match="Gauss-Hermite rule.*physical memory"):
+        torus_irreducibility(1, trunc=100000)
+
+
+def test_torus_commutant_stack_bound_checked_on_entry(monkeypatch):
+    _forbid_matrices(monkeypatch)
+    # quadrature order 12000 (about 1.2 GB) passes; the stack 64·1500⁴ bytes
+    # (about 300 TiB) does not
+    with pytest.raises(ValueError, match="commutant stack.*physical memory"):
+        torus_irreducibility(1, trunc=3000)

@@ -248,3 +248,26 @@ def test_cli_verify_torus_respects_trunc_env(capsys, monkeypatch):
     sym = doc["certificates"][0]
     assert [s["difference"] for s in sym["steps"]] == \
         ["exactly zero on 10/10 pairs"] * 3
+
+
+def test_cli_rejects_torus_truncation_beyond_memory(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Hermite matrices built before the memory check")
+    monkeypatch.setattr("gvh.qmaps.torus_transformed_ops", refuse)
+    code, out, err = run_cli(capsys, ["verify", "torus", "--trunc", "100000"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "physical memory" in err
+
+
+@pytest.mark.parametrize("target, func, exc", [
+    ("sphere", "sphere_certificate", RuntimeError("sphere invariant broken")),
+    ("r2n", "vonneumann_rules_flat", RuntimeError("rule invariant broken")),
+    ("sphere", "sphere_certificate", MemoryError()),
+], ids=["sphere-runtime", "r2n-runtime", "sphere-memory"])
+def test_cli_reports_internal_failures(capsys, monkeypatch, target, func, exc):
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr("gvh.obstruction." + func, fail)
+    code, out, err = run_cli(capsys, ["verify", target])
+    assert code == 1 and out == ""
+    assert err == "error: %s\n" % (str(exc) or type(exc).__name__)
