@@ -51,6 +51,16 @@ def _default_trunc():
         raise ValueError("GVH_TRUNC must be an integer, got %r" % text) from None
 
 
+def _check_flags(args):
+    """Reject flag values the target cannot work with, before any arithmetic."""
+    if args.target == "r2n" and args.n < 1:
+        raise ValueError("--n must be at least 1, got %d" % args.n)
+    if args.target == "torus" and args.B.is_zero():
+        raise ValueError("--B must be nonzero on the torus")
+    if args.target == "torus" and args.verb == "verify" and not 0 < args.tol < 1:
+        raise ValueError("--tol must lie strictly between 0 and 1, got %r" % args.tol)
+
+
 def _parse_elem(args, text):
     if args.target == "r2n":
         return parse_expression(text, "flat", n=args.n)
@@ -349,6 +359,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         if getattr(args, "trunc", None) is None and args.verb == "verify":
             args.trunc = _default_trunc()
         report, code = _HANDLERS[args.verb](args)

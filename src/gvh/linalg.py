@@ -1,14 +1,14 @@
-"""Exact linear algebra over any field-like coefficient type.
+"""Exact linear algebra over Scalar.
 
-Works for Scalar and for the radical extension ring: elements only need
-+, -, *, /, is_zero().  A row is a sparse map {column: value}, a zero entry
-being an absent column; solution vectors are sparse maps of the same kind.
-The reduced row echelon form is unique for the fixed column order, so no
-result depends on the order of the rows.
+A row is a sparse map {column: value}, a zero entry being an absent column;
+solution vectors are sparse maps of the same kind.  The reduced row
+echelon form is unique for the fixed column order, so no result depends on
+the order of the rows.
 """
 
 from __future__ import annotations
 
+from .scalars import S_ONE
 from .sparse import nonzero_terms, sub_scaled
 
 
@@ -34,12 +34,12 @@ def rref(rows, ncols):
     return red, pivots
 
 
-def nullspace(rows, ncols, one):
+def nullspace(rows, ncols):
     """Basis of the solution space of rows * x = 0 (columns = unknowns)."""
     red, pivots = rref(rows, ncols)
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
-        vec = {fc: one}
+        vec = {fc: S_ONE}
         for row, pc in zip(red, pivots):
             if fc in row:
                 vec[pc] = -row[fc]
@@ -47,7 +47,7 @@ def nullspace(rows, ncols, one):
     return basis
 
 
-def solve_affine(rows, rhs, ncols, one):
+def solve_affine(rows, rhs, ncols):
     """Solve rows * x = rhs exactly.
 
     Returns (particular, nullspace_basis) or None when inconsistent.
@@ -57,7 +57,7 @@ def solve_affine(rows, rhs, ncols, one):
         return None
     part = {pc: row[ncols] for row, pc in zip(red, pivots) if ncols in row}
     basis = nullspace([{j: v for j, v in row.items() if j != ncols}
-                       for row in red], ncols, one)
+                       for row in red], ncols)
     return part, basis
 
 

@@ -1,62 +1,48 @@
-"""Exact matrices over Scalar or Radical entries, plus the exact spin
-representations Q(S_i) of dimension 2j+1.
+"""Exact square matrices over Scalar, plus the exact spin representations
+Q(S_i) of dimension 2j+1.
 
-Entries only need ring operators (+, −, *, is_zero, conj); `one`/`zero`
-samples are carried so identity construction stays generic.
+A matrix keeps its nonzero entries in one sparse map {(row, column): Scalar},
+so two matrices are equal exactly when their maps are.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .radicals import Radical
 from .scalars import HBAR, S_I, S_ONE, S_ZERO, Scalar
+from .sparse import accumulate, add_terms, neg_terms, nonzero_terms, scale_terms
 
 
 class ExactMatrix:
-    __slots__ = ("dim", "rows", "one", "zero")
+    __slots__ = ("dim", "terms")
 
-    def __init__(self, rows, one=S_ONE, zero=S_ZERO):
-        self.rows = [list(r) for r in rows]
-        self.dim = len(self.rows)
-        for r in self.rows:
-            if len(r) != self.dim:
-                raise ValueError("matrix must be square")
-        self.one = one
-        self.zero = zero
+    def __init__(self, dim, terms=None):
+        self.dim = dim
+        self.terms = nonzero_terms(terms or {})
 
     @classmethod
-    def zeros(cls, dim, one=S_ONE, zero=S_ZERO):
-        return cls([[zero for _ in range(dim)] for _ in range(dim)], one, zero)
-
-    @classmethod
-    def identity(cls, dim, one=S_ONE, zero=S_ZERO):
-        m = cls.zeros(dim, one, zero)
-        for i in range(dim):
-            m.rows[i][i] = one
-        return m
+    def identity(cls, dim):
+        return cls(dim, {(i, i): S_ONE for i in range(dim)})
 
     def _check(self, other):
         if self.dim != other.dim:
             raise ValueError("dimension mismatch %d vs %d" % (self.dim, other.dim))
 
     def entry(self, i, j):
-        return self.rows[i][j]
+        return self.terms.get((i, j), S_ZERO)
 
     def __add__(self, other):
         self._check(other)
-        return ExactMatrix([[a + b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.rows, other.rows)],
-                           self.one, self.zero)
+        return ExactMatrix(self.dim, add_terms(self.terms, other.terms))
 
     def __neg__(self):
-        return ExactMatrix([[-a for a in r] for r in self.rows], self.one, self.zero)
+        return ExactMatrix(self.dim, neg_terms(self.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        return ExactMatrix([[c * a for a in r] for r in self.rows], self.one, self.zero)
+        return ExactMatrix(self.dim, scale_terms(self.terms, c))
 
     def __rmul__(self, c):
         if isinstance(c, ExactMatrix):
@@ -67,50 +53,42 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return self.scale(other)
         self._check(other)
-        n = self.dim
-        out = ExactMatrix.zeros(n, self.one, self.zero)
-        for i in range(n):
-            for k in range(n):
-                a = self.rows[i][k]
-                if a.is_zero():
-                    continue
-                for j in range(n):
-                    b = other.rows[k][j]
-                    if b.is_zero():
-                        continue
-                    out.rows[i][j] = out.rows[i][j] + a * b
-        return out
+        rows = {}
+        for (k, j), b in other.terms.items():
+            rows.setdefault(k, []).append((j, b))
+        out = {}
+        for (i, k), a in self.terms.items():
+            for j, b in rows.get(k, ()):
+                accumulate(out, (i, j), a * b)
+        return ExactMatrix(self.dim, out)
 
     def commutator(self, other):
         return self * other - other * self
 
     def adjoint(self):
-        n = self.dim
-        return ExactMatrix([[self.rows[j][i].conj() for j in range(n)]
-                            for i in range(n)], self.one, self.zero)
+        return ExactMatrix(self.dim, {(j, i): c.conj()
+                                      for (i, j), c in self.terms.items()})
 
     def trace(self):
-        t = self.zero
+        t = S_ZERO
         for i in range(self.dim):
-            t = t + self.rows[i][i]
+            t = t + self.entry(i, i)
         return t
 
     def is_zero(self):
-        return all(a.is_zero() for r in self.rows for a in r)
+        return not self.terms
 
     def __eq__(self, other):
         return isinstance(other, ExactMatrix) and self.dim == other.dim \
-            and all(ra == rb for ra, rb in zip(self.rows, other.rows))
+            and self.terms == other.terms
 
     def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.rows))
-
-    def evalf(self, params=None):
-        import numpy as np
-        return np.array([[complex(a.evalf(params)) for a in r] for r in self.rows])
+        return hash((self.dim, frozenset(self.terms.items())))
 
     def __str__(self):
-        return "[" + "; ".join(", ".join(str(a) for a in r) for r in self.rows) + "]"
+        n = self.dim
+        return "[" + "; ".join(", ".join(str(self.entry(i, j)) for j in range(n))
+                               for i in range(n)) + "]"
 
     __repr__ = __str__
 
@@ -136,29 +114,31 @@ def _half_integer(j):
 
 
 def spin_matrices(j):
-    """(Q(S₁), Q(S₂), Q(S₃)) in dimension 2j+1, exact entries.
+    """(Q(S₁), Q(S₂), Q(S₃)) in dimension 2j+1, entries in Q(i)[ħ].
 
-    Basis is ordered by descending magnetic label m = j, j−1, …, −j; the
-    triple satisfies [Q(S_a), Q(S_b)] = iħ ε_abc Q(S_c) and
-    Σ Q(S_i)² = ħ²j(j+1)·I exactly.
+    Basis is ordered by descending magnetic label m = j, j−1, …, −j.  The
+    triple is D·Qᵢ·D⁻¹, with Qᵢ the standard Hermitian triple and
+    D = diag(w_r^(−1/2)), where w₀ = 1 and w_r = w_{r−1}·r(2j−r+1).  The
+    ladder entries become J₊[r−1][r] = ħ·r(2j−r+1) and J₋[r][r−1] = ħ, and
+    J₃ = Q(S₃) is the diagonal ħm, so every entry is rational.
+
+    The triple is self-adjoint for the weight W = diag(w_r), every w_r > 0:
+    W·Q(S_i) = Q(S_i)†·W.  So each Q(S_i) is Hermitian for the inner product
+    ⟨u, v⟩ = u†Wv, which is the exact unitarizability the no-go needs.
+    Conjugation keeps products, commutators and the identity, so
+    [Q(S_a), Q(S_b)] = iħ ε_abc Q(S_c) and Σ Q(S_i)² = ħ²j(j+1)·I hold
+    exactly.
     """
     twoj = _half_integer(j)
     dim = twoj + 1
-    one, zero = Radical.one(), Radical.zero()
-    jplus = ExactMatrix.zeros(dim, one, zero)
-    jminus = ExactMatrix.zeros(dim, one, zero)
-    j3 = ExactMatrix.zeros(dim, one, zero)
-    hbar_r = Radical.from_scalar(HBAR)
+    jplus, jminus, j3 = {}, {}, {}
     for r in range(dim):
         # m = j − r, stored exactly as the Scalar (twoj − 2r)/2
-        m_val = Scalar.from_rational(twoj - 2 * r, 2)
-        j3.rows[r][r] = Radical.from_scalar(HBAR * m_val)
+        j3[(r, r)] = HBAR * Scalar.from_rational(twoj - 2 * r, 2)
         if r >= 1:
-            jplus.rows[r - 1][r] = hbar_r * Radical.sqrt_int(r * (twoj - r + 1))
-        if r + 1 < dim:
-            jminus.rows[r + 1][r] = hbar_r * Radical.sqrt_int((twoj - r) * (r + 1))
-    half = Radical.from_scalar(Scalar.from_rational(1, 2))
-    minus_i_half = Radical.from_scalar(Scalar.from_rational(-1, 2) * S_I)
-    q1 = (jplus + jminus).scale(half)
-    q2 = (jplus - jminus).scale(minus_i_half)
-    return q1, q2, j3
+            jplus[(r - 1, r)] = HBAR * Scalar.from_int(r * (twoj - r + 1))
+            jminus[(r, r - 1)] = HBAR
+    jplus, jminus = ExactMatrix(dim, jplus), ExactMatrix(dim, jminus)
+    q1 = (jplus + jminus).scale(Scalar.from_rational(1, 2))
+    q2 = (jplus - jminus).scale(Scalar.from_rational(-1, 2) * S_I)
+    return q1, q2, ExactMatrix(dim, j3)

@@ -24,7 +24,6 @@ from .linalg import solve_affine
 from .matrices import ExactMatrix, _half_integer, spin_matrices
 from .poly import MultiPoly, monomials_upto
 from .qmaps import sphere_map, weyl_map
-from .radicals import Radical
 from .scalars import A_SYM, HBAR, S_I, S_ONE, S_ZERO, S_SPIN, Scalar
 from .sparse import accumulate
 from .sphere import SVARS, SphereElement, bracket_raw, sphere_canonicalize
@@ -46,8 +45,6 @@ class WeylCarrier:
     def __init__(self, n, degree_cap):
         self.n = n
         self.atom_keys = monomials_upto(2 * n, degree_cap)
-        self.one = S_ONE
-        self.zero = S_ZERO
 
     def atom_op(self, key):
         return WeylElement.word(key, 1, self.n)
@@ -55,48 +52,26 @@ class WeylCarrier:
     def zero_op(self):
         return WeylElement.zero(self.n)
 
-    def decompose(self, op):
-        return dict(op.terms)
-
     def commutator(self, a, b):
         return weyl_commutator(a, b)
 
-    def from_scalar(self, c):
-        """Lift a classical Scalar coefficient into the carrier field."""
-        return c
-
 
 class MatrixCarrier:
-    """Unknowns are square matrices over the radical-extension field."""
+    """Unknowns are square matrices over Scalar; the atoms are the matrix
+    units (i, j), in row-major order."""
 
     def __init__(self, dim):
         self.dim = dim
         self.atom_keys = [(i, j) for i in range(dim) for j in range(dim)]
-        self.one = Radical.one()
-        self.zero = Radical.zero()
 
     def atom_op(self, key):
-        m = ExactMatrix.zeros(self.dim, self.one, self.zero)
-        m.rows[key[0]][key[1]] = self.one
-        return m
+        return ExactMatrix(self.dim, {key: S_ONE})
 
     def zero_op(self):
-        return ExactMatrix.zeros(self.dim, self.one, self.zero)
-
-    def decompose(self, op):
-        out = {}
-        for i in range(op.dim):
-            for j in range(op.dim):
-                v = op.rows[i][j]
-                if not v.is_zero():
-                    out[(i, j)] = v
-        return out
+        return ExactMatrix(self.dim)
 
     def commutator(self, a, b):
         return a.commutator(b)
-
-    def from_scalar(self, c):
-        return Radical.from_scalar(c)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +133,7 @@ class ExtensionProblem:
             for key, c in col.items():
                 rows.setdefault(key, {})[j] = c
         sol = solve_affine(list(rows.values()),
-                           [rhs.get(key, S_ZERO) for key in rows], len(cols), S_ONE)
+                           [rhs.get(key, S_ZERO) for key in rows], len(cols))
         if sol is None:
             raise ValueError("bracket result %s not in the known+target span" % (elem,))
         part, null = sol
@@ -203,11 +178,11 @@ def _linearize(prob, con, expansion, form):
     terms = {}
 
     def add(op, col, c):
-        for key, v in carrier.decompose(op).items():
+        for key, v in op.terms.items():
             accumulate(terms.setdefault(key, {}), col, c * v)
 
     for c, f, g in con.terms:
-        c_ih = carrier.from_scalar(c * I_OVER_HBAR)
+        c_ih = c * I_OVER_HBAR
         for cf, F in form(f).items():
             for cg, G in form(g).items():
                 comm = carrier.commutator(F, G)
@@ -217,10 +192,10 @@ def _linearize(prob, con, expansion, form):
                     return None
     lam, mu = expansion
     for k, l in lam.items():
-        add(prob.knowns[k][1], None, -carrier.from_scalar(l))
+        add(prob.knowns[k][1], None, -l)
     for t, m in mu.items():
         for col, U in form(prob.targets[t]).items():
-            add(U, col, -carrier.from_scalar(m))
+            add(U, col, -m)
     return terms
 
 
@@ -245,10 +220,9 @@ def _affine_stage(prob, cons, expansions, target_forms, ncols):
         if terms is None:
             return "quadratic", ci
         for key, coeffs in terms.items():
-            rhs[(ci, key)] = -coeffs.pop(None, carrier.zero)
+            rhs[(ci, key)] = -coeffs.pop(None, S_ZERO)
             rows[(ci, key)] = coeffs
-    sol = solve_affine(list(rows.values()), [rhs[k] for k in rows], ncols,
-                       carrier.one)
+    sol = solve_affine(list(rows.values()), [rhs[k] for k in rows], ncols)
     if sol is None:
         k = min((k for k in rows if not rows[k] and not rhs[k].is_zero()),
                 key=repr, default=None)
@@ -397,10 +371,9 @@ def sphere_equivariance_problem(j):
     rotational equivariance only; the solution is the two-parameter family."""
     q1, q2, q3 = spin_matrices(j)
     dim = q1.dim
-    carrier = MatrixCarrier(dim)
     sone = MultiPoly.const(SVARS, S_ONE)
     s = [MultiPoly.var(SVARS, v) for v in SVARS]
-    knowns = [(sone, ExactMatrix.identity(dim, carrier.one, carrier.zero)),
+    knowns = [(sone, ExactMatrix.identity(dim)),
               (s[0], q1), (s[1], q2), (s[2], q3)]
     targets = []
     for i in range(3):
@@ -410,7 +383,7 @@ def sphere_equivariance_problem(j):
     for si in s:
         for t in targets:
             schedule.append(BracketConstraint([(1, si, t)], "{%s, %s}" % (si, t)))
-    return ExtensionProblem(knowns, targets, carrier, schedule,
+    return ExtensionProblem(knowns, targets, MatrixCarrier(dim), schedule,
                             bracket_raw, lambda m: dict(m.terms))
 
 
@@ -594,17 +567,10 @@ def groenewold_certificate():
 
 def _entrywise_ratio(m, base):
     """λ with m = λ·base, if it exists (exact); None otherwise."""
-    lam = None
-    for i in range(base.dim):
-        for j in range(base.dim):
-            b = base.rows[i][j]
-            if not b.is_zero():
-                lam = m.rows[i][j] / b
-                break
-        if lam is not None:
-            break
-    if lam is None:
+    if base.is_zero():
         return None
+    key = min(base.terms)
+    lam = m.entry(*key) / base.terms[key]
     if (m - base.scale(lam)).is_zero():
         return lam
     return None
@@ -646,7 +612,7 @@ def sphere_certificate(j):
         return qmap(poly)
 
     def ih(mat):
-        return mat.scale(Radical.from_scalar(I_OVER_HBAR))
+        return mat.scale(I_OVER_HBAR)
 
     # identity 1:  {S1²−S2², S1S2} − {S2S3, S3S1} = −(S.S)·S3 ≡ −s² S3
     lhs_cl = bracket_raw(s[0] * s[0] - s[1] * s[1], s[0] * s[1]) - \
@@ -660,9 +626,8 @@ def sphere_certificate(j):
         ih(Q(s[1] * s[2]).commutator(Q(s[2] * s[0])))
     q3mat = Q(s[2])
     lam1 = _entrywise_ratio(m1, q3mat)
-    if lam1 is None or not lam1.is_rational_part_only():
+    if lam1 is None:
         raise RuntimeError("quantized identity 1 is not a multiple of Q(S3)")
-    lam1 = lam1.scalar_part()
     # (Q1) demands λ₁·Q(S3) = Q(−s² S3), i.e. s² = −λ₁
     s2_value_1 = -lam1
     target1 = a * a * HBAR * HBAR * (jj1 - Scalar.from_rational(3, 4))
@@ -704,13 +669,11 @@ def sphere_certificate(j):
     q_inner1 = ih(Q(s[0] * s[1]).commutator(Q(s[0] * s[2])))
     q_inner2 = ih(Q(s[0] * s[0]).commutator(Q(s[1] * s[2])))
     m2 = ih(Q(s[1] * s[1]).commutator(q_inner1)) - \
-        ih(Q(s[0] * s[0]).commutator(q_inner2)).scale(
-            Radical.from_scalar(Scalar.from_rational(3, 4)))
+        ih(Q(s[0] * s[0]).commutator(q_inner2)).scale(Scalar.from_rational(3, 4))
     base2 = Q(s[1] * s[2])          # equals (a/2)(Q2Q3 + Q3Q2)
     lam2 = _entrywise_ratio(m2, base2)
-    if lam2 is None or not lam2.is_rational_part_only():
+    if lam2 is None:
         raise RuntimeError("quantized identity 2 is not a multiple of Q(S2 S3)")
-    lam2 = lam2.scalar_part()
     # (Q1) twice demands λ₂·Q(S2S3) = Q(2 s² S2S3), i.e. s² = λ₂/2
     s2_value_2 = lam2 * Scalar.from_rational(1, 2)
     target2 = a * a * HBAR * HBAR * (jj1 - Scalar.from_rational(9, 4))

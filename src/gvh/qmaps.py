@@ -5,7 +5,7 @@ Carriers: the Weyl algebra for every flat map — on n generators for the
 Weyl-ordered maps (schrodinger, metaplectic, position, which differ only in
 their domains), on 2n generators for prequantization on phase space
 (vanhove); differential operators on the torus line bundle
-(torus_prequant); exact spin matrices (sphere); and truncated Hermite
+(torus_prequant); spin matrices over Scalar (sphere); and truncated Hermite
 matrices (the transformed torus operators A±, B±).  A Weyl element reads as
 a differential operator through X ↦ q·, P ↦ −iħ∂/∂q.
 """
@@ -20,7 +20,6 @@ from .flat import bracket_flat, flat_vars
 from .hermite import FExp, NumericOp, hermite_matrix
 from .matrices import ExactMatrix, spin_matrices
 from .poly import MultiPoly
-from .radicals import Radical
 from .scalars import A_SYM, C_SYM, HBAR, S_I, Scalar
 from .sparse import accumulate
 from .sphere import SphereElement, bracket_sphere, sphere_canonicalize
@@ -190,10 +189,8 @@ def sphere_map(j, a=A_SYM, const_c=C_SYM):
     1 ↦ I, S_i ↦ Q_i, S_i² ↦ aQ_i² + cI, S_iS_k ↦ (a/2)(Q_iQ_k + Q_kQ_i)."""
     q = spin_matrices(j)
     dim = q[0].dim
-    ident = ExactMatrix.identity(dim, Radical.one(), Radical.zero())
-    half_a = Radical.from_scalar(a * Scalar.from_rational(1, 2))
-    rad_a = Radical.from_scalar(a)
-    rad_c = Radical.from_scalar(const_c)
+    ident = ExactMatrix.identity(dim)
+    half_a = a * Scalar.from_rational(1, 2)
 
     def membership(f):
         try:
@@ -206,24 +203,23 @@ def sphere_map(j, a=A_SYM, const_c=C_SYM):
 
     def rule(f):
         poly = _sphere_rep_poly(f)
-        out = ExactMatrix.zeros(dim, Radical.one(), Radical.zero())
+        out = ExactMatrix(dim)
         for e, coeff in poly.terms.items():
             deg = sum(e)
-            rc = Radical.from_scalar(coeff)
             if deg == 0:
-                out = out + ident.scale(rc)
+                out = out + ident.scale(coeff)
             elif deg == 1:
                 i = e.index(1)
-                out = out + q[i].scale(rc)
+                out = out + q[i].scale(coeff)
             elif deg == 2:
                 if 2 in e:
                     i = e.index(2)
-                    out = out + (q[i] * q[i]).scale(rad_a * rc) + ident.scale(rad_c * rc)
+                    out = out + (q[i] * q[i]).scale(a * coeff) + ident.scale(const_c * coeff)
                 else:
                     i = e.index(1)
                     k = i + 1 + e[i + 1:].index(1)
                     sym = q[i] * q[k] + q[k] * q[i]
-                    out = out + sym.scale(half_a * rc)
+                    out = out + sym.scale(half_a * coeff)
             else:
                 raise DomainError("sphere map limited to degree <= 2, got %s" % poly)
         return out
@@ -281,13 +277,6 @@ def _carrier_commutator(A, B):
     raise TypeError("no commutator for carrier %r" % (A,))
 
 
-def _scale_i_over_hbar(op):
-    c = S_I / HBAR
-    if isinstance(op, ExactMatrix):
-        return op.scale(Radical.from_scalar(c))
-    return op.scale(c)
-
-
 def check_q1(qmap, f, g):
     """Residual Q({f,g}) − (i/ħ)[Q(f), Q(g)] in the map's carrier."""
     qmap.ensure_domain(f, "f")
@@ -298,7 +287,7 @@ def check_q1(qmap, f, g):
     qg = qmap(g)
     qbr = qmap(br)
     comm = _carrier_commutator(qf, qg)
-    return qbr - _scale_i_over_hbar(comm)
+    return qbr - comm.scale(S_I / HBAR)
 
 
 def check_q2(qmap, unit, identity_op):

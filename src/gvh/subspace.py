@@ -241,7 +241,7 @@ def normalizer(sub, ambient):
                 rows.setdefault((si, rk), {})[x] = c
     from .linalg import nullspace
     out = SubspaceBasis(ambient)
-    for vec in nullspace(list(rows.values()), len(base), S_ONE):
+    for vec in nullspace(list(rows.values()), len(base)):
         g = ambient.zero()
         for x, c in vec.items():
             g = g + base[x].scale(c)

@@ -252,7 +252,7 @@ def weyl_commutant(gens, words, n=None):
             comm = weyl_commutator(WeylElement.word(w, 1, n), g)
             for e, c in comm.terms.items():
                 rows.setdefault((gi, e), {})[col] = c
-    vecs = nullspace(list(rows.values()), len(words), S_ONE)
+    vecs = nullspace(list(rows.values()), len(words))
     ambient = WeylAmbient(n, max((sum(w) for w in words), default=0))
     basis = SubspaceBasis(ambient)
     for v in vecs:

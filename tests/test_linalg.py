@@ -1,9 +1,7 @@
-"""Exact linear algebra over a field, cross-checked against sympy on rationals.
+"""Exact linear algebra over Scalar, cross-checked against sympy on rationals.
 
-The routines are generic over any field element exposing arithmetic plus
-is_zero(); they are exercised here over Scalar.  Rows and solution vectors
-are sparse {column: value} maps; the random matrices are drawn dense and
-converted with `_sparse`.
+Rows and solution vectors are sparse {column: value} maps; the random
+matrices are drawn dense and converted with `_sparse`.
 """
 
 import random
@@ -60,7 +58,7 @@ def test_nullspace_dimension_and_membership():
     for _ in range(30):
         nr, nc = RNG.randint(1, 5), RNG.randint(1, 6)
         rows = _rand_matrix(RNG, nr, nc)
-        basis = nullspace(_sparse(rows), nc, S_ONE)
+        basis = nullspace(_sparse(rows), nc)
         assert len(basis) == nc - rank(_sparse(rows), nc)
         for vec in basis:
             assert all(v.is_zero() for v in _mat_vec(rows, _dense(vec, nc)))
@@ -73,7 +71,7 @@ def test_solve_affine_consistent_systems():
         rows = _rand_matrix(RNG, nr, nc)
         x0 = [Scalar.from_int(RNG.randint(-3, 3)) for _ in range(nc)]
         rhs = _mat_vec(rows, x0)
-        got = solve_affine(_sparse(rows), list(rhs), nc, S_ONE)
+        got = solve_affine(_sparse(rows), list(rhs), nc)
         assert got is not None
         part, basis = got
         assert _mat_vec(rows, _dense(part, nc)) == rhs
@@ -83,14 +81,14 @@ def test_solve_affine_consistent_systems():
 
 def test_solve_affine_detects_inconsistency():
     # x = 0 and x = 1 simultaneously
-    assert solve_affine([{0: S_ONE}, {0: S_ONE}], [S_ZERO, S_ONE], 1, S_ONE) is None
+    assert solve_affine([{0: S_ONE}, {0: S_ONE}], [S_ZERO, S_ONE], 1) is None
     # the verdict must match sympy's rank test on random systems
     hits = 0
     for _ in range(60):
         nr, nc = RNG.randint(2, 5), RNG.randint(1, 4)
         rows = _rand_matrix(RNG, nr, nc)
         rhs = [Scalar.from_int(RNG.randint(-3, 3)) for _ in range(nr)]
-        got = solve_affine(_sparse(rows), list(rhs), nc, S_ONE)
+        got = solve_affine(_sparse(rows), list(rhs), nc)
         a = _to_sympy(rows, nc)
         aug = a.row_join(sympy.Matrix([sympy.Rational(x.rational_value().re) for x in rhs]))
         consistent = a.rank() == aug.rank()
@@ -125,8 +123,8 @@ def test_row_order_does_not_change_results():
         rng.shuffle(order)
         shuffled = [rows[i] for i in order]
         assert rref(_sparse(rows), nc) == rref(_sparse(shuffled), nc)
-        assert solve_affine(_sparse(rows), rhs, nc, S_ONE) == \
-            solve_affine(_sparse(shuffled), [rhs[i] for i in order], nc, S_ONE)
+        assert solve_affine(_sparse(rows), rhs, nc) == \
+            solve_affine(_sparse(shuffled), [rhs[i] for i in order], nc)
 
 
 def test_explicit_zero_entries_are_ignored():
@@ -136,14 +134,14 @@ def test_explicit_zero_entries_are_ignored():
     assert rref(padded, 3) == rref(clean, 3)
     red, _ = rref(padded, 3)
     assert all(not v.is_zero() for row in red for v in row.values())
-    assert nullspace(padded, 3, S_ONE) == nullspace(clean, 3, S_ONE)
+    assert nullspace(padded, 3) == nullspace(clean, 3)
     rhs = [S_ONE, S_ZERO]
-    assert solve_affine(padded, rhs, 3, S_ONE) == solve_affine(clean, rhs, 3, S_ONE)
+    assert solve_affine(padded, rhs, 3) == solve_affine(clean, rhs, 3)
 
 
 def test_over_rational_functions():
     rows = [{0: HBAR, 1: S_ONE}, {1: HBAR}]
-    got = solve_affine(rows, [S_ONE, HBAR * HBAR], 2, S_ONE)
+    got = solve_affine(rows, [S_ONE, HBAR * HBAR], 2)
     assert got is not None
     part, basis = got
     assert basis == []
@@ -157,5 +155,5 @@ def test_over_rational_functions():
 
 def test_zero_columns():
     # no unknowns: solvable iff rhs is zero
-    assert solve_affine([{}, {}], [S_ZERO, S_ZERO], 0, S_ONE) == ({}, [])
-    assert solve_affine([{}, {}], [S_ZERO, S_ONE], 0, S_ONE) is None
+    assert solve_affine([{}, {}], [S_ZERO, S_ZERO], 0) == ({}, [])
+    assert solve_affine([{}, {}], [S_ZERO, S_ONE], 0) is None

@@ -5,8 +5,10 @@ import json
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from gvh.flat import FlatElement, bracket_flat
+from gvh.matrices import spin_matrices
 from gvh.obstruction import (CONVENTION, BracketConstraint, ExtensionProblem,
                              WeylCarrier, anticommutator_certificate,
                              cubic_extension_problem, extension_solve,
@@ -217,6 +219,7 @@ SPHERE_TABLE = [
     (2, "21/4*hbar^2*a^2", "15/4*hbar^2*a^2"),
     (Fraction(5, 2), "8*hbar^2*a^2", "13/2*hbar^2*a^2"),
     (3, "45/4*hbar^2*a^2", "39/4*hbar^2*a^2"),
+    (10, "437/4*hbar^2*a^2", "431/4*hbar^2*a^2"),
 ]
 
 
@@ -229,6 +232,71 @@ def test_sphere_certificate_table(j, s2_one, s2_two):
     assert cert.steps[2]["difference"].startswith("s^2 = %s (target" % s2_two)
     # ... whose gap is (3/2) hbar^2 a^2 independently of j
     assert (cert.discrepancy - _frac(3, 2) * A2H2).is_zero()
+
+
+def _sympy_spin_triple(j, hbar):
+    """The standard Hermitian triple in the basis m = j, j-1, ..., -j, from
+    <m+1|J+|m> = hbar sqrt(j(j+1) - m(m+1))."""
+    dim = int(2 * j) + 1
+    jp = sympy.zeros(dim, dim)
+    for r in range(1, dim):
+        m = j - r
+        jp[r - 1, r] = hbar * sympy.sqrt(j * (j + 1) - m * (m + 1))
+    jz = sympy.diag(*[hbar * (j - r) for r in range(dim)])
+    return (jp + jp.T) / 2, (jp - jp.T) / (2 * sympy.I), jz
+
+
+def _sympy_ratio(m, base):
+    """lam with m = lam * base, checked entry by entry."""
+    k = next(k for k in range(len(base)) if sympy.expand(base[k]) != 0)
+    lam = sympy.simplify(m[k] / base[k])
+    assert (m - lam * base).applyfunc(sympy.expand).is_zero_matrix
+    return lam
+
+
+@pytest.mark.parametrize("j", [1, Fraction(3, 2), 2])
+def test_sphere_gap_rederived_by_sympy(j):
+    """Independent oracle: no gvh arithmetic, only sympy on the Hermitian
+    spin matrices, whose entries carry square roots."""
+    a, c, h = sympy.symbols("a c hbar")
+    jr = sympy.Rational(j.numerator, j.denominator)
+    herm = _sympy_spin_triple(jr, h)
+    dim = herm[0].shape[0]
+    # gvh's rational triple is D Q D^-1 with D = diag(w_r^(-1/2))
+    w = [sympy.Integer(1)]
+    for r in range(1, dim):
+        w.append(w[-1] * r * (dim - r))
+    d = sympy.diag(*[1 / sympy.sqrt(x) for x in w])
+    names = {"i": sympy.I, "hbar": h, "a": a}
+    for q_gvh, q in zip(spin_matrices(j), herm):
+        got = sympy.Matrix(dim, dim, lambda r, k: sympy.sympify(
+            str(q_gvh.entry(r, k)).replace("^", "**"), locals=names))
+        assert (got - d * q * d.inv()).applyfunc(sympy.simplify).is_zero_matrix
+
+    # replay the certificate's two identities with Q(S_i^2) = a Q_i^2 + c I
+    # and Q(S_i S_k) = (a/2)(Q_i Q_k + Q_k Q_i)
+    def sq(i):
+        return a * herm[i] * herm[i] + c * sympy.eye(dim)
+
+    def sym(i, k):
+        return a / 2 * (herm[i] * herm[k] + herm[k] * herm[i])
+
+    def ih(x, y):
+        return sympy.I / h * (x * y - y * x)
+
+    m1 = ih(sq(0), sym(0, 1)) - ih(sq(1), sym(0, 1)) - ih(sym(1, 2), sym(2, 0))
+    s2_one = -_sympy_ratio(m1, herm[2])
+    m2 = ih(sq(1), ih(sym(0, 1), sym(0, 2))) - \
+        sympy.Rational(3, 4) * ih(sq(0), ih(sq(0), sym(1, 2)))
+    s2_two = _sympy_ratio(m2, sym(1, 2)) / 2
+    jj = jr * (jr + 1)
+    assert sympy.simplify(s2_one - a**2 * h**2 * (jj - sympy.Rational(3, 4))) == 0
+    assert sympy.simplify(s2_two - a**2 * h**2 * (jj - sympy.Rational(9, 4))) == 0
+    gap = sympy.simplify(s2_one - s2_two)
+    assert sympy.simplify(gap - sympy.Rational(3, 2) * a**2 * h**2) == 0
+    reported = sympy.sympify(str(sphere_certificate(j).discrepancy).replace("^", "**"),
+                             locals=names)
+    assert sympy.simplify(reported - gap) == 0
 
 
 def test_sphere_equivariance_family():

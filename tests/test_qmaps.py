@@ -15,7 +15,6 @@ from gvh.qmaps import (METAPLECTIC, POSITION, SCHRODINGER, TORUS_PREQUANT,
                        check_q2, sphere_map, torus_prequant_map,
                        torus_transformed_ops, transformed_harmonic_op,
                        vanhove_map, weyl_map)
-from gvh.radicals import Radical
 from gvh.scalars import HBAR, S_I, S_ONE, S_SPIN, S_ZERO, Scalar
 from gvh.sphere import SphereElement, svar
 from gvh.torus import TorusElement, basic_set
@@ -186,7 +185,7 @@ def test_sphere_map_rules():
     got3 = qmap(SphereElement.canonicalize(svar("S3")))
     assert got3 == q3
     sym = qmap(SphereElement.canonicalize(svar("S1") * svar("S2")))
-    half_a = Radical.from_scalar(Scalar.param("a") * Scalar.from_rational(1, 2))
+    half_a = Scalar.param("a") * Scalar.from_rational(1, 2)
     assert sym == (q1 * q2 + q2 * q1).scale(half_a)
 
 
@@ -201,9 +200,7 @@ def test_sphere_map_casimir_with_trace_condition():
     for v in ("S1", "S2", "S3"):
         m = qmap(SphereElement.canonicalize(svar(v) * svar(v)))
         total = m if total is None else total + m
-    want = ExactMatrix.identity(3, Radical.one(), Radical.zero()).scale(
-        Radical.from_scalar(S_SPIN ** 2))
-    assert total == want
+    assert total == ExactMatrix.identity(3).scale(S_SPIN ** 2)
 
 
 def test_sphere_map_q1_linear_pairs():

@@ -1,4 +1,5 @@
-"""Radical-extension scalars and exact matrices, including spin triples."""
+"""Radical-extension scalars, and exact matrices over Scalar including the
+spin triples."""
 
 import math
 import random
@@ -8,7 +9,7 @@ import sympy
 
 from gvh.matrices import ExactMatrix, spin_matrices
 from gvh.radicals import Radical
-from gvh.scalars import HBAR, S_I, S_ONE, S_ZERO, Scalar
+from gvh.scalars import HBAR, S_I, S_ZERO, Scalar
 
 RNG = random.Random(7)
 SPINS = [Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(5, 2), 3]
@@ -79,20 +80,32 @@ def test_spin_commutation_relations():
         q1, q2, q3 = spin_matrices(j)
         dim = q1.dim
         assert dim == int(2 * Fraction(j)) + 1
-        ih = Radical.from_scalar(S_I * HBAR)
         for a, b, c in ((q1, q2, q3), (q2, q3, q1), (q3, q1, q2)):
-            assert a.commutator(b) == c.scale(ih)
+            assert a.commutator(b) == c.scale(S_I * HBAR)
         casimir = q1 * q1 + q2 * q2 + q3 * q3
         jj = Scalar.from_fraction(Fraction(j) * (Fraction(j) + 1))
-        want = ExactMatrix.identity(dim, Radical.one(), Radical.zero()).scale(
-            Radical.from_scalar(HBAR * HBAR * jj))
-        assert casimir == want
+        assert casimir == ExactMatrix.identity(dim).scale(HBAR * HBAR * jj)
+
+
+def _spin_weights(j):
+    """w_0 = 1, w_r = w_{r-1} r(2j - r + 1): the weight making the triple
+    self-adjoint."""
+    twoj = int(2 * Fraction(j))
+    w = [1]
+    for r in range(1, twoj + 1):
+        w.append(w[-1] * r * (twoj - r + 1))
+    return w
 
 
 def test_spin_matrices_selfadjoint_traceless():
-    for j in (Fraction(1, 2), 1, Fraction(3, 2)):
+    # exact unitarizability: W Q_i = Q_i^dagger W for W = diag(w_r), w_r > 0
+    for j in SPINS:
+        w = _spin_weights(j)
+        assert all(x > 0 for x in w)
+        weight = ExactMatrix(len(w), {(r, r): Scalar.from_int(x)
+                                      for r, x in enumerate(w)})
         for q in spin_matrices(j):
-            assert q.adjoint() == q
+            assert weight * q == q.adjoint() * weight
             assert q.trace().is_zero()
 
 
@@ -126,11 +139,40 @@ def test_spin_half_integer_validation():
 
 
 def test_exact_matrix_algebra():
-    one, zero = Radical.one(), Radical.zero()
-    a = ExactMatrix.zeros(2, one, zero)
-    a.rows[0][1] = Radical.sqrt_int(2)
-    b = ExactMatrix.identity(2, one, zero).scale(Radical.sqrt_int(2))
+    two = Scalar.from_int(2)
+    a = ExactMatrix(2, {(0, 1): HBAR})
+    b = ExactMatrix.identity(2).scale(two)
     prod = a * b
-    assert prod.entry(0, 1) == Radical.from_scalar(Scalar.from_int(2))
-    assert (a + a).entry(0, 1) == Radical.sqrt_int(8)
+    assert prod.entry(0, 1) == two * HBAR
+    assert (a + a).entry(0, 1) == two * HBAR
     assert a.commutator(a).is_zero()
+
+
+def test_sparse_matrix_drops_zero_entries():
+    two = Scalar.from_int(2)
+    padded = ExactMatrix(2, {(0, 0): S_ZERO, (0, 1): two, (1, 1): S_ZERO})
+    clean = ExactMatrix(2, {(0, 1): two})
+    assert padded.terms == {(0, 1): two}
+    assert padded == clean and hash(padded) == hash(clean)
+    assert (padded - clean).terms == {} and padded - clean == ExactMatrix(2)
+
+
+def test_sparse_matrix_product_matches_dense():
+    rng = random.Random(11)
+    for _ in range(20):
+        da, db = ([[rng.choice([0, 0, rng.randint(-3, 3)]) for _ in range(4)]
+                   for _ in range(4)] for _ in range(2))
+        want = [[sum(da[i][k] * db[k][j] for k in range(4)) for j in range(4)]
+                for i in range(4)]
+        a, b = (ExactMatrix(4, {(i, j): Scalar.from_int(d[i][j])
+                                for i in range(4) for j in range(4)})
+                for d in (da, db))
+        prod = a * b
+        assert all(prod.entry(i, j) == Scalar.from_int(want[i][j])
+                   for i in range(4) for j in range(4))
+
+
+def test_sparse_matrix_str_is_dense():
+    m = ExactMatrix(3, {(1, 2): Scalar.from_int(5)})
+    assert str(m) == "[0, 0, 0; 0, 0, 5; 0, 0, 0]"
+    assert str(ExactMatrix(2)) == "[0, 0; 0, 0]"

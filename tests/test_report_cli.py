@@ -143,6 +143,38 @@ def test_cli_rejects_generator_outside_cap(capsys, argv, message):
     assert err.strip() == message
 
 
+@pytest.mark.parametrize("argv", [
+    ["bracket", "torus", "sin(2*pi*1*x)", "cos(2*pi*1*y)", "--B", "0"],
+    ["verify", "torus", "--k", "1", "--trunc", "32", "--B", "0"],
+], ids=["bracket", "verify"])
+def test_cli_torus_rejects_zero_B(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.strip() == "error: --B must be nonzero on the torus"
+
+
+def test_cli_zero_B_is_ignored_off_the_torus(capsys):
+    for target, f, g in (("r2n", "q1", "p1"), ("sphere", "S1", "S2")):
+        code, _, _ = run_cli(capsys, ["bracket", target, f, g, "--B", "0"])
+        assert code == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["transitivity", "r2n", "1", "--n", "0"],
+     "error: --n must be at least 1, got 0"),
+    (["transitivity", "r2n", "1", "--n", "-2"],
+     "error: --n must be at least 1, got -2"),
+    (["verify", "torus", "--tol", "-1"],
+     "error: --tol must lie strictly between 0 and 1, got -1.0"),
+    (["verify", "torus", "--tol", "1"],
+     "error: --tol must lie strictly between 0 and 1, got 1.0"),
+], ids=["n-zero", "n-negative", "tol-negative", "tol-one"])
+def test_cli_rejects_bad_n_and_tol(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.strip() == message
+
+
 def test_cli_transitivity(capsys):
     code, out, _ = run_cli(capsys, ["transitivity", "sphere",
                                     "S1", "S2", "S3"])
