@@ -57,8 +57,14 @@ def _check_flags(args):
         raise ValueError("--n must be at least 1, got %d" % args.n)
     if args.target == "torus" and args.B.is_zero():
         raise ValueError("--B must be nonzero on the torus")
-    if args.target == "torus" and args.verb == "verify" and not 0 < args.tol < 1:
-        raise ValueError("--tol must lie strictly between 0 and 1, got %r" % args.tol)
+    if args.target == "torus" and args.verb == "verify":
+        # the sizes torus_irreducibility accepts, checked before the symbolic batch
+        if args.k < 1:
+            raise ValueError("--k must be at least 1, got %d" % args.k)
+        if args.trunc < 32:
+            raise ValueError("--trunc must be at least 32, got %d" % args.trunc)
+        if not 0 < args.tol < 1:
+            raise ValueError("--tol must lie strictly between 0 and 1, got %r" % args.tol)
 
 
 def _parse_elem(args, text):
@@ -148,7 +154,7 @@ def cmd_normalizer(args):
 
 def cmd_transitivity(args):
     ambient = _ambient(args)
-    gens = [_parse_elem(args, t) for t in args.exprs]
+    gens = _generators(args, ambient)
     basis = SubspaceBasis.from_elements(ambient, gens)
     reports = transitivity_check(basis, npoints=args.npoints, seed=args.seed)
     transitive = all(r["transitive"] for r in reports)
@@ -359,9 +365,9 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_flags(args)
         if getattr(args, "trunc", None) is None and args.verb == "verify":
             args.trunc = _default_trunc()
+        _check_flags(args)
         report, code = _HANDLERS[args.verb](args)
     except (ValueError, RuntimeError, MemoryError) as err:
         # bad input (ParseError, DomainError), a failed internal invariant

@@ -10,7 +10,9 @@ closed under composition and adjoints, so composite operators are reduced
 symbolically before any quadrature happens.  Matrix entries come from
 Gauss–Hermite quadrature with stabilized weights (w_i e^{x_i²} computed via
 the order-(Q−1) Hermite function, never by exponentiating x_i²); shifted
-overlaps are centered so the Gaussian factors recombine exactly.
+overlaps are centered so the Gaussian factors recombine exactly.  The
+commutant SVD runs on a real stack: conjugate generator pairs fold into their
+real and imaginary parts, which keeps the singular values.
 """
 
 from __future__ import annotations
@@ -387,7 +389,18 @@ def commutant_kernel_dim(mats, tol, interior=None):
     T ranges over M×M matrices (M = N/2 unless given); embedding T in the
     upper-left corner makes the interior block of [T_emb, G] equal exactly
     to [T, G[:M,:M]], so the constraint matrix is the stacked
-    kron(G₁₁ᵀ, I) − kron(I, G₁₁).  Returns (kernel_dim, normalized tail).
+    K(G) = kron(G₁₁ᵀ, I) − kron(I, G₁₁).  Returns (kernel_dim, normalized tail).
+
+    The generator set must be closed under entrywise conjugation of the
+    interior blocks: every complex G₁₁ has a partner among the others that
+    equals its conjugate exactly, and a ValueError names a complex generator
+    without one.  Since K(Ḡ) = conj K(G), the unitary row transform
+    (1/√2)[[I, I], [−iI, iI]] maps the pair [K(G); K(Ḡ)] to
+    √2·[Re K(G); Im K(G)] = [K(√2 Re G); K(√2 Im G)].  A unitary factor on
+    the left leaves the singular values alone, so the real stack of those
+    blocks (and K(G) for each real G) has exactly the singular values of the
+    complex stack, with a quarter of the floating-point work and half the
+    memory.
     """
     arrs = [m.entries if isinstance(m, NumericMatrix) else np.asarray(m, dtype=complex)
             for m in mats]
@@ -395,12 +408,24 @@ def commutant_kernel_dim(mats, tol, interior=None):
         raise ValueError("need at least one generator")
     N = arrs[0].shape[0]
     M = interior if interior is not None else N // 2
+    blocks = [g[:M, :M] for g in arrs]
+    real_blocks = []
+    paired = set()
+    for i, g in enumerate(blocks):
+        if i in paired:
+            continue
+        if not g.imag.any():
+            real_blocks.append(g.real)
+            continue
+        partner = next((j for j in range(i + 1, len(blocks)) if j not in paired
+                        and np.array_equal(blocks[j], g.conj())), None)
+        if partner is None:
+            raise ValueError("generator %d is complex and no other generator "
+                             "equals its conjugate" % i)
+        paired.add(partner)
+        real_blocks += [math.sqrt(2.0) * g.real, math.sqrt(2.0) * g.imag]
     eye = np.eye(M)
-    rows = []
-    for g in arrs:
-        g11 = g[:M, :M]
-        rows.append(np.kron(g11.T, eye) - np.kron(eye, g11))
-    stacked = np.vstack(rows)
+    stacked = np.vstack([np.kron(h.T, eye) - np.kron(eye, h) for h in real_blocks])
     sv = np.linalg.svd(stacked, compute_uv=False)
     smax = float(sv[0]) if sv.size else 0.0
     if smax <= 1e-300:

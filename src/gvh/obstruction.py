@@ -839,8 +839,8 @@ def torus_irreducibility(k, trunc=64, tol=1e-6, hbar=None, quad_order=None):
     if trunc < 32:
         raise ValueError("truncation must be at least 32")
     check_quadrature_size(trunc, quad_order)
-    # four stacked complex blocks of M²×M², M = N/2
-    check_memory(64 * (trunc // 2) ** 4, "the commutant stack at truncation %d" % trunc)
+    # four stacked real float64 blocks of M²×M², M = N/2
+    check_memory(32 * (trunc // 2) ** 4, "the commutant stack at truncation %d" % trunc)
     if hbar is None:
         hbar = DEFAULT_TORUS_HBAR
     mats = torus_transformed_ops(k, trunc, hbar, quad_order)

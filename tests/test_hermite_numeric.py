@@ -125,6 +125,46 @@ def test_commutant_of_position_alone_is_larger():
     assert kdim > 1
 
 
+def _conjugation_closed_set(rng, M, sizes=None):
+    """[G, R, Ḡ] with G complex and R real; with sizes, both are block
+    diagonal with random blocks of those sizes, so the commutant holds one
+    scalar per block."""
+    labels = np.repeat(np.arange(len(sizes or [M])), sizes or [M])
+    mask = labels[:, None] == labels[None, :]
+    g = mask * (rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M)))
+    r = mask * rng.standard_normal((M, M))
+    return [g, r, g.conj()]
+
+
+def _complex_reference(mats, tol, M):
+    """Kernel dimension and normalized singular values of the complex stack
+    kron(G₁₁ᵀ, I) − kron(I, G₁₁) that the real stack stands in for."""
+    eye = np.eye(M)
+    stacked = np.vstack([np.kron(g[:M, :M].T, eye) - np.kron(eye, g[:M, :M])
+                         for g in mats])
+    sv = np.linalg.svd(stacked, compute_uv=False)
+    return int(np.sum(sv < tol * sv[0])), sv / sv[0]
+
+
+@pytest.mark.parametrize("M, sizes, want", [
+    (3, None, 1), (5, None, 1), (8, None, 1), (8, [3, 5], 2),
+], ids=["M3", "M5", "M8", "M8-blocks"])
+def test_real_commutant_stack_matches_complex_reference(M, sizes, want):
+    mats = _conjugation_closed_set(np.random.default_rng(M), M, sizes)
+    kdim, tail = commutant_kernel_dim(mats, tol=1e-6, interior=M)
+    ref_kdim, ref_sv = _complex_reference(mats, 1e-6, M)
+    assert kdim == ref_kdim == want
+    ref_tail = ref_sv[-6:]
+    above = ref_tail > 1e-12
+    assert np.allclose(np.array(tail)[above], ref_tail[above], rtol=1e-10, atol=0)
+
+
+def test_commutant_rejects_unpaired_complex_generator():
+    g, r, _ = _conjugation_closed_set(np.random.default_rng(1), 4)
+    with pytest.raises(ValueError, match="generator 1 is complex"):
+        commutant_kernel_dim([r, g], tol=1e-6, interior=4)
+
+
 def test_numeric_matrix_validation():
     with pytest.raises(ValueError):
         from gvh.hermite import NumericMatrix

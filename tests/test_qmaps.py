@@ -259,6 +259,16 @@ def test_transformed_ops_shapes_and_provenance():
         torus_transformed_ops(0, trunc=32)
 
 
+@pytest.mark.parametrize("k, quad_order", [(1, None), (2, None), (3, None),
+                                          (2, 160)])
+def test_transformed_ops_are_closed_under_conjugation(k, quad_order):
+    # the real commutant stack pairs A+ with A- and takes B+- as real
+    a_plus, a_minus, b_plus, b_minus = torus_transformed_ops(k, 32,
+                                                             quad_order=quad_order)
+    assert np.array_equal(a_minus.entries, a_plus.entries.conj())
+    assert not b_plus.entries.imag.any() and not b_minus.entries.imag.any()
+
+
 def test_transformed_pure_x_harmonic_symbol():
     # the k-th x-harmonic transforms to multiplication by
     # e^{2 pi i k x} (1 - 2 pi i k x); no shift, no derivative

@@ -136,7 +136,12 @@ def test_cli_degree_cap_zero_is_kept(capsys):
      "error: generator q1 lies outside the ambient flat(n=1, deg<=-1)"),
     (["generate", "torus", "sin(2*pi*2*x)", "--freq-cap", "1"],
      "error: generator sin(2*pi*2*x) lies outside the ambient torus(|freq|<=1)"),
-], ids=["negative-degree-cap", "torus-freq-cap"])
+    (["transitivity", "r2n", "q1", "p1", "--degree-cap", "0"],
+     "error: generator q1 lies outside the ambient flat(n=1, deg<=0)"),
+    (["transitivity", "torus", "sin(2*pi*1*x)", "cos(2*pi*1*y)", "--freq-cap", "0"],
+     "error: generator sin(2*pi*1*x) lies outside the ambient torus(|freq|<=0)"),
+], ids=["negative-degree-cap", "torus-freq-cap", "transitivity-degree-cap",
+        "transitivity-freq-cap"])
 def test_cli_rejects_generator_outside_cap(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)
     assert code == 1 and out == ""
@@ -170,6 +175,26 @@ def test_cli_zero_B_is_ignored_off_the_torus(capsys):
      "error: --tol must lie strictly between 0 and 1, got 1.0"),
 ], ids=["n-zero", "n-negative", "tol-negative", "tol-one"])
 def test_cli_rejects_bad_n_and_tol(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.strip() == message
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["verify", "torus", "--k", "0"], None, "error: --k must be at least 1, got 0"),
+    (["verify", "torus", "--trunc", "16"], None,
+     "error: --trunc must be at least 32, got 16"),
+    (["verify", "torus"], "16", "error: --trunc must be at least 32, got 16"),
+], ids=["k-zero", "trunc-16", "trunc-env-16"])
+def test_cli_rejects_torus_sizes_before_arithmetic(capsys, monkeypatch, argv,
+                                                   env, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("symbolic Q1 batch ran before the size check")
+    monkeypatch.setattr("gvh.cli.check_q1", refuse)
+    if env is None:
+        monkeypatch.delenv("GVH_TRUNC", raising=False)
+    else:
+        monkeypatch.setenv("GVH_TRUNC", env)
     code, out, err = run_cli(capsys, argv)
     assert code == 1 and out == ""
     assert err.strip() == message
