@@ -365,7 +365,8 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "trunc", None) is None and args.verb == "verify":
+        if args.verb == "verify" and args.target == "torus" and args.trunc is None:
+            # only the torus has a truncation; GVH_TRUNC is not read elsewhere
             args.trunc = _default_trunc()
         _check_flags(args)
         report, code = _HANDLERS[args.verb](args)

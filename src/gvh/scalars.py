@@ -4,11 +4,23 @@ formal parameters (hbar, s, a, c, b, pi).
 Every coefficient in the engine is a Scalar: a gcd-reduced ratio of
 polynomials in the six formal parameters over Q(i).  Arithmetic is exact;
 a numeric evaluation hook (`Scalar.evalf`) exists for the torus numerics.
+
+Two representations keep the common cases cheap:
+
+* a GaussRational is (a + b*i)/d over Python ints in lowest terms, so each
+  product or sum is int arithmetic and one gcd;
+* when either polynomial in a gcd has one term, the monic gcd is the monomial
+  with the componentwise minimum exponents of all terms of both (constants
+  give 1), and exact division by one term c*x^e shifts exponents by -e and
+  scales by 1/c.  `verify` on all three targets reduces only by such gcds;
+  the primitive PRS remains for two multi-term polynomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, sub
 
 from .sparse import add_terms
 
@@ -19,44 +31,73 @@ _ZEXP = (0,) * NPARAMS
 
 
 class GaussRational:
-    """Element of Q(i): re + im*i with Fraction parts."""
+    """Element of Q(i), stored as (a + b*i)/d over Python ints.
 
-    __slots__ = ("re", "im")
+    The form is canonical: d > 0 and gcd(a, b, d) = 1, so zero is 0/1 and
+    equality compares the three ints.  Each operation works on ints and
+    reduces once; `.re` and `.im` give the parts as Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re = Fraction(re)
+        im = Fraction(im)
+        # with re and im in lowest terms, no prime divides d, a and b at once
+        d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        return GaussRational(self.re + other.re, self.im + other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _gr(self.a + other.a, self.b + other.b, d1)
+        return _gr(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
     def __sub__(self, other):
-        return GaussRational(self.re - other.re, self.im - other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _gr(self.a - other.a, self.b - other.b, d1)
+        return _gr(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        return _gr_new(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        return GaussRational(self.re * other.re - self.im * other.im,
-                             self.re * other.im + self.im * other.re)
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return _gr(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     def inverse(self):
-        n = self.re * self.re + self.im * self.im
+        a, b = self.a, self.b
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussRational(self.re / n, -self.im / n)
+        return _gr(self.d * a, -self.d * b, n)
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def conj(self):
-        return GaussRational(self.re, -self.im)
+        return _gr_new(self.a, -self.b, self.d)
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return self.a == 0 and self.b == 0
 
     def __eq__(self, other):
-        return isinstance(other, GaussRational) and self.re == other.re and self.im == other.im
+        return (isinstance(other, GaussRational) and self.a == other.a
+                and self.b == other.b and self.d == other.d)
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -65,18 +106,38 @@ class GaussRational:
         return "GaussRational(%r, %r)" % (self.re, self.im)
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return "%s*i" % self.im
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+            return "%s*i" % im
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         istr = "i" if mag == 1 else "%s*i" % mag
-        return "%s%s%s" % (self.re, sign, istr)
+        return "%s%s%s" % (re, sign, istr)
+
+
+def _gr_new(a, b, d):
+    """GaussRational from a triple already in canonical form."""
+    z = object.__new__(GaussRational)
+    z.a = a
+    z.b = b
+    z.d = d
+    return z
+
+
+def _gr(a, b, d):
+    """GaussRational (a + b*i)/d for d > 0, reduced by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _gr_new(a, b, d)
 
 
 GR_ZERO = GaussRational(0)
@@ -156,10 +217,16 @@ class ParamPoly:
         return self + (-other)
 
     def __mul__(self, other):
+        # a constant factor only scales; the other side keeps its term order,
+        # which evalf's float sums depend on
+        if len(other.terms) == 1 and _ZEXP in other.terms:
+            return self.scale(other.terms[_ZEXP])
+        if len(self.terms) == 1 and _ZEXP in self.terms:
+            return other.scale(self.terms[_ZEXP])
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 v = out.get(e)
                 c = c if v is None else v + c
@@ -172,6 +239,8 @@ class ParamPoly:
     def scale(self, g):
         if g.is_zero():
             return ParamPoly({})
+        if g == GR_ONE:
+            return self
         return ParamPoly({e: c * g for e, c in self.terms.items()})
 
     def __pow__(self, n):
@@ -198,7 +267,7 @@ class ParamPoly:
         """Evaluate numerically; `values` maps parameter name -> number."""
         total = 0j
         for e, c in self.terms.items():
-            v = complex(c.re) + 1j * complex(c.im)
+            v = complex(c.a / c.d, c.b / c.d)
             for k, p in enumerate(e):
                 if p:
                     if PARAMS[k] not in values:
@@ -283,6 +352,17 @@ def poly_divexact(f, d):
         raise ZeroDivisionError("division by zero polynomial")
     if f.is_zero():
         return PP_ZERO
+    if len(d.terms) == 1:
+        # one-term divisor c*x^e: shift every exponent by -e, scale by 1/c
+        (de, dc), = d.terms.items()
+        inv = None if dc == GR_ONE else dc.inverse()
+        q = {}
+        for e, c in f.terms.items():
+            qe = tuple(map(sub, e, de))
+            if min(qe) < 0:
+                return None
+            q[qe] = c if inv is None else c * inv
+        return ParamPoly(q)
     q = {}
     r = f
     de, dc = d.leading()
@@ -333,20 +413,43 @@ def _monic(f):
     return f.scale(lc.inverse())
 
 
+def _monomial_gcd(f, g):
+    """gcd when f has one term: x^m with m the componentwise minimum of the
+    exponents of all terms of f and g."""
+    (m,) = f.terms
+    for e in g.terms:
+        if m == _ZEXP:
+            return PP_ONE
+        m = tuple(map(min, m, e))
+    return PP_ONE if m == _ZEXP else ParamPoly({m: GR_ONE})
+
+
 def poly_gcd(f, g):
-    """gcd over Q(i)[params], normalized monic in the graded-lex leading term."""
+    """gcd over Q(i)[params], normalized monic in the graded-lex leading term.
+
+    A one-term argument takes the closed form `_monomial_gcd`; two multi-term
+    arguments go through the primitive PRS.
+    """
     if f.is_zero():
         return _monic(g)
     if g.is_zero():
         return _monic(f)
+    if len(f.terms) == 1:
+        return _monomial_gcd(f, g)
+    if len(g.terms) == 1:
+        return _monomial_gcd(g, f)
+    return _prs_gcd(f, g)
+
+
+def _prs_gcd(f, g):
+    """Primitive-PRS gcd of two nonzero polynomials, not both constant,
+    monic like poly_gcd."""
     used = set()
     for p in (f, g):
         for e in p.terms:
             for k, d in enumerate(e):
                 if d:
                     used.add(k)
-    if not used:
-        return PP_ONE
     idx = max(used)
     if f.degree_in(idx) == 0 or g.degree_in(idx) == 0:
         # one argument is free of the main variable: gcd divides contents

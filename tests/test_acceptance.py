@@ -168,7 +168,8 @@ def test_criterion_5_position_map_and_nonextension():
 
 def test_criterion_6_sphere_certificate_family():
     t0 = time.monotonic()
-    for j in (Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(5, 2), 3):
+    # every spin j = 1/2, 1, ..., 10: the no-go result holds for all j
+    for j in (Fraction(k, 2) for k in range(1, 21)):
         cert = sphere_certificate(j)
         assert cert.verdict == "inconsistent", "j = %s" % j
         if j == Fraction(1, 2):
@@ -188,7 +189,7 @@ def test_criterion_6_sphere_certificate_family():
     assert trivial.verdict == "consistent"
     assert str(trivial.steps[0]["quantum_rhs"]) == "1/3*s^2"
     _stamp(6, t0, 30.0,
-           "j in {1/2..3} inconsistent with s^2 = a^2*hbar^2*(j(j+1)-3/4) vs "
+           "j in {1/2..10} inconsistent with s^2 = a^2*hbar^2*(j(j+1)-3/4) vs "
            "the -9/4 counterpart; j = 0 consistent with Q(S_i^2) = (s^2/3) I")
 
 

@@ -290,6 +290,20 @@ def test_cli_rejects_bad_trunc_env(capsys, monkeypatch):
     assert err.startswith("error:") and "GVH_TRUNC" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "r2n"],
+    ["verify", "sphere", "--j", "1"],
+], ids=["r2n", "sphere"])
+def test_cli_trunc_env_ignored_off_the_torus(capsys, monkeypatch, argv):
+    monkeypatch.delenv("GVH_TRUNC", raising=False)
+    code, want, _ = run_cli(capsys, argv)
+    assert code == 0
+    monkeypatch.setenv("GVH_TRUNC", "abc")
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    assert out == want
+
+
 def test_cli_verify_torus_respects_trunc_env(capsys, monkeypatch):
     monkeypatch.setenv("GVH_TRUNC", "48")
     code, out, _ = run_cli(capsys, ["verify", "torus"])

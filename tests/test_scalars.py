@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from gvh.scalars import (HBAR, S_I, S_ONE, S_SPIN, S_ZERO, GaussRational,
-                         ParamPoly, Scalar)
+from gvh import scalars
+from gvh.cli import main
+from gvh.scalars import (HBAR, PARAMS, S_I, S_ONE, S_SPIN, S_ZERO,
+                         GaussRational, ParamPoly, Scalar, _prs_gcd,
+                         poly_divexact, poly_gcd)
 
 RNG = random.Random(0)
 NTRIALS = 100
@@ -33,6 +36,175 @@ def test_gauss_rational_field():
     # i^2 = -1
     i = GaussRational(0, 1)
     assert i * i == GaussRational(-1)
+
+
+class _PairRef:
+    """Reference Q(i) element: the former Fraction-pair GaussRational."""
+
+    def __init__(self, re, im):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o):
+        return _PairRef(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return _PairRef(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return _PairRef(self.re * o.re - self.im * o.im,
+                        self.re * o.im + self.im * o.re)
+
+    def inverse(self):
+        n = self.re * self.re + self.im * self.im
+        return _PairRef(self.re / n, -self.im / n)
+
+    def conj(self):
+        return _PairRef(self.re, -self.im)
+
+    def pair(self):
+        return (self.re, self.im)
+
+    def hash(self):
+        return hash((self.re, self.im))
+
+    def repr(self):
+        return "GaussRational(%r, %r)" % (self.re, self.im)
+
+    def str(self):
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            if self.im == 1:
+                return "i"
+            if self.im == -1:
+                return "-i"
+            return "%s*i" % self.im
+        sign = "+" if self.im > 0 else "-"
+        mag = abs(self.im)
+        istr = "i" if mag == 1 else "%s*i" % mag
+        return "%s%s%s" % (self.re, sign, istr)
+
+
+def _rand_part(rng):
+    kind = rng.random()
+    if kind < 0.2:
+        return Fraction(0)
+    if kind < 0.3:
+        return Fraction(rng.choice((-1, 1)))
+    return Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+
+
+def _check_gauss(g, ref):
+    assert (g.re, g.im) == ref.pair()
+    assert g.d > 0 and math.gcd(g.a, g.b, g.d) == 1
+    assert hash(g) == ref.hash()
+    assert str(g) == ref.str()
+    assert repr(g) == ref.repr()
+
+
+def test_gauss_rational_matches_fraction_pair_reference():
+    rng = random.Random(7)
+    vals = []
+    for _ in range(300):
+        re, im = _rand_part(rng), _rand_part(rng)
+        vals.append((GaussRational(re, im), _PairRef(re, im)))
+    for g, ref in vals:
+        _check_gauss(g, ref)
+        _check_gauss(-g, _PairRef(-ref.re, -ref.im))
+        _check_gauss(g.conj(), ref.conj())
+    for (g, gr), (h, hr) in zip(vals, vals[1:] + vals[:1]):
+        _check_gauss(g + h, gr + hr)
+        _check_gauss(g - h, gr - hr)
+        _check_gauss(g * h, gr * hr)
+        assert (g == h) == (gr.pair() == hr.pair())
+        assert g == GaussRational(*gr.pair())
+        if hr.pair() != (0, 0):
+            _check_gauss(h.inverse(), hr.inverse())
+            _check_gauss(g / h, gr * hr.inverse())
+        else:
+            with pytest.raises(ZeroDivisionError):
+                h.inverse()
+    # equal values built along different paths share one canonical form
+    third = GaussRational(Fraction(1, 3))
+    assert third + third + third == GaussRational(1)
+    assert (GaussRational(Fraction(1, 6), Fraction(1, 6))
+            + GaussRational(Fraction(1, 6), Fraction(-1, 6))) == third
+
+
+def _monomial(exp, coef=1):
+    return ParamPoly({tuple(exp): GaussRational(coef)})
+
+
+def _rand_poly(rng, nterms):
+    out = ParamPoly({})
+    for _ in range(nterms):
+        exp = [rng.randint(0, 3) for _ in PARAMS[:3]] + [0] * (len(PARAMS) - 3)
+        coef = GaussRational(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                             rng.choice((0, 0, 1, -2)))
+        out = out + _monomial(exp, 1) * ParamPoly.const(coef)
+    return out
+
+
+def test_monomial_gcd_matches_prs():
+    rng = random.Random(11)
+    cases = [
+        # monomial over a multi-term polynomial, and the reverse
+        (_monomial((2, 1, 0, 0, 0, 0), Fraction(3, 2)),
+         _monomial((1, 1, 0, 0, 0, 0)) + _monomial((2, 2, 0, 0, 0, 0), 5)),
+        (_monomial((0, 0, 0, 0, 0, 0), 7),
+         _monomial((1, 0, 0, 0, 0, 0)) + _monomial((0, 1, 0, 0, 0, 0))),
+        (_monomial((0, 0, 3, 0, 0, 0), -1),
+         _monomial((0, 0, 1, 0, 0, 0)) + _monomial((1, 0, 0, 0, 0, 0))),
+    ]
+    for _ in range(40):
+        shift = [rng.randint(0, 2) for _ in range(3)] + [0, 0, 0]
+        mono = _monomial([rng.randint(0, 3) for _ in range(3)] + [0, 0, 0],
+                         rng.randint(1, 4))
+        other = _rand_poly(rng, rng.randint(2, 4)) * _monomial(shift)
+        if len(other.terms) > 1:
+            cases.append((mono, other))
+    for mono, other in cases:
+        assert len(mono.terms) == 1 and len(other.terms) > 1
+        want = _prs_gcd(mono, other)
+        assert poly_gcd(mono, other) == want
+        assert poly_gcd(other, mono) == _prs_gcd(other, mono) == want
+        _, lc = want.leading()
+        assert lc == GaussRational(1) and len(want.terms) == 1
+
+
+def test_monomial_divexact():
+    rng = random.Random(13)
+    for _ in range(40):
+        q = _rand_poly(rng, rng.randint(1, 4))
+        if q.is_zero():
+            continue
+        exp = [rng.randint(0, 2) for _ in range(3)] + [0, 0, 0]
+        d = _monomial(exp, Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+        assert poly_divexact(q * d, d) == q
+        if min(e[0] for e in (q * d).terms) == exp[0]:
+            # one more power of hbar than some term carries
+            exp[0] += 1
+            assert poly_divexact(q * d, _monomial(exp)) is None
+
+
+def test_verify_runs_never_reach_the_prs(monkeypatch, capsys):
+    """verify r2n and verify sphere reduce only by constant or monomial gcds."""
+    calls = []
+    prs = scalars._prs_gcd
+
+    def counted(f, g):
+        calls.append((f, g))
+        return prs(f, g)
+
+    monkeypatch.setattr(scalars, "_prs_gcd", counted)
+    # the counter sees a genuine two-term reduction
+    assert (HBAR * HBAR - S_SPIN * S_SPIN) / (HBAR - S_SPIN) == HBAR + S_SPIN
+    assert calls
+    calls.clear()
+    assert main(["verify", "r2n"]) == 0
+    assert main(["verify", "sphere", "--j", "3"]) == 0
+    capsys.readouterr()
+    assert calls == []
 
 
 def test_constants():
