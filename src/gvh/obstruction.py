@@ -839,8 +839,13 @@ def torus_irreducibility(k, trunc=64, tol=1e-6, hbar=None, quad_order=None):
     if trunc < 32:
         raise ValueError("truncation must be at least 32")
     check_quadrature_size(trunc, quad_order)
-    # four stacked real float64 blocks of M²×M², M = N/2
-    check_memory(32 * (trunc // 2) ** 4, "the commutant stack at truncation %d" % trunc)
+    # the larger parity sector of the commutant stack, M = N/2: four real
+    # slabs of ⌈M²/2⌉ rows by ⌈M²/2⌉ float64 columns (8·M⁴ bytes for even
+    # M), plus the O(M³) index arrays its builder holds
+    M = trunc // 2
+    half = (M * M + 1) // 2
+    check_memory(32 * half * half + 64 * M ** 3,
+                 "the commutant stack at truncation %d" % trunc)
     if hbar is None:
         hbar = DEFAULT_TORUS_HBAR
     mats = torus_transformed_ops(k, trunc, hbar, quad_order)

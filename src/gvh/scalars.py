@@ -642,6 +642,8 @@ class Scalar:
 def _reduce(num, den):
     if num.is_zero():
         return PP_ZERO, PP_ONE
+    if den == PP_ONE:
+        return num, PP_ONE
     g = poly_gcd(num, den)
     if not (g == PP_ONE):
         num = poly_divexact(num, g)

@@ -146,17 +146,64 @@ def _complex_reference(mats, tol, M):
     return int(np.sum(sv < tol * sv[0])), sv / sv[0]
 
 
-@pytest.mark.parametrize("M, sizes, want", [
-    (3, None, 1), (5, None, 1), (8, None, 1), (8, [3, 5], 2),
-], ids=["M3", "M5", "M8", "M8-blocks"])
-def test_real_commutant_stack_matches_complex_reference(M, sizes, want):
-    mats = _conjugation_closed_set(np.random.default_rng(M), M, sizes)
+def _assert_matches_reference(mats, M, want):
+    """Kernel dimension and tail equal to the complex reference's; the
+    reference's SVD is the last one called."""
     kdim, tail = commutant_kernel_dim(mats, tol=1e-6, interior=M)
     ref_kdim, ref_sv = _complex_reference(mats, 1e-6, M)
     assert kdim == ref_kdim == want
     ref_tail = ref_sv[-6:]
     above = ref_tail > 1e-12
     assert np.allclose(np.array(tail)[above], ref_tail[above], rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("M, sizes, want", [
+    (3, None, 1), (5, None, 1), (8, None, 1), (8, [3, 5], 2),
+], ids=["M3", "M5", "M8", "M8-blocks"])
+def test_real_commutant_stack_matches_complex_reference(M, sizes, want,
+                                                        svd_shapes):
+    # random blocks are not P-closed: the trivial grading factors the full
+    # real stack in one call
+    mats = _conjugation_closed_set(np.random.default_rng(M), M, sizes)
+    _assert_matches_reference(mats, M, want)
+    assert svd_shapes[:-1] == [(3 * M * M, M * M)]
+
+
+def _parity_closed_set(rng, M):
+    """[E, O, H, PHP]: a random even block, a random odd one and a random
+    real block with its partner under the parity P = diag((−1)ⁿ)."""
+    sign = (-1.0) ** np.add.outer(np.arange(M), np.arange(M))  # PhP = sign·h
+    e, o, h = rng.standard_normal((3, M, M))
+    return [e * (sign > 0), o * (sign < 0), h, sign * h]
+
+
+@pytest.mark.parametrize("M", [4, 5, 8])
+def test_parity_closed_set_splits_into_two_sectors(M, svd_shapes):
+    mats = _parity_closed_set(np.random.default_rng(M), M)
+    _assert_matches_reference(mats, M, 1)
+    # grades 0, 1, 0, 1: each sector keeps ⌈M²/2⌉ + ⌊M²/2⌋ rows per pair
+    even, odd = (M * M + 1) // 2, M * M // 2
+    assert svd_shapes[:-1] == [(2 * (even + odd), even), (2 * (even + odd), odd)]
+
+
+def test_off_parity_perturbation_takes_trivial_grading(svd_shapes):
+    M = 6
+    mats = _parity_closed_set(np.random.default_rng(6), M)
+    bound = 64 * np.finfo(float).eps * max(np.abs(g).max() for g in mats)
+    mats[0] = mats[0].copy()
+    mats[0][0, 1] = 4 * bound  # an odd entry in the even block
+    _assert_matches_reference(mats, M, 1)
+    assert svd_shapes[:-1] == [(4 * M * M, M * M)]
+
+
+def test_single_odd_block_at_odd_size_keeps_structural_zeros(svd_shapes):
+    # x is odd: at M = 5 the even sector has 13 columns but only 12 odd rows,
+    # so a zero row pads it and its null column still counts
+    M = 5
+    mats = [position_tridiagonal(2 * M)]
+    kdim, _ = commutant_kernel_dim(mats, tol=1e-6, interior=M)
+    assert svd_shapes == [(13, 13), (13, 12)]
+    assert kdim == _complex_reference(mats, 1e-6, M)[0] == M
 
 
 def test_commutant_rejects_unpaired_complex_generator():

@@ -374,7 +374,7 @@ def test_torus_quadrature_bound_checked_on_entry(monkeypatch):
 
 def test_torus_commutant_stack_bound_checked_on_entry(monkeypatch):
     _forbid_matrices(monkeypatch)
-    # quadrature order 12000 (about 1.2 GB) passes; the real stack 32·1500⁴
-    # bytes (about 162 TB) does not
+    # quadrature order 12000 (about 1.2 GB) passes; the larger parity sector
+    # of the commutant stack, 8·1500⁴ bytes (about 40 TB), does not
     with pytest.raises(ValueError, match="commutant stack.*physical memory"):
         torus_irreducibility(1, trunc=3000)

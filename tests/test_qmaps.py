@@ -8,6 +8,7 @@ import pytest
 
 from gvh.diffop import DiffOp
 from gvh.flat import FlatElement, bracket_flat
+from gvh.hermite import commutant_kernel_dim
 from gvh.matrices import spin_matrices
 from gvh.poly import monomials_upto
 from gvh.qmaps import (METAPLECTIC, POSITION, SCHRODINGER, TORUS_PREQUANT,
@@ -267,6 +268,47 @@ def test_transformed_ops_are_closed_under_conjugation(k, quad_order):
                                                              quad_order=quad_order)
     assert np.array_equal(a_minus.entries, a_plus.entries.conj())
     assert not b_plus.entries.imag.any() and not b_minus.entries.imag.any()
+
+
+@pytest.mark.parametrize("k, quad_order", [(1, None), (2, None), (3, None),
+                                          (2, 160)])
+def test_transformed_ops_are_closed_under_parity(k, quad_order):
+    # the graded commutant stack pairs B+ with B- = P B+ P and grades A± by
+    # parity, up to 64 eps max|h|; P = diag((-1)^n)
+    mats = [m.entries for m in torus_transformed_ops(k, 32, quad_order=quad_order)]
+    a_plus, a_minus, b_plus, b_minus = mats
+    sign = (-1.0) ** np.add.outer(np.arange(32), np.arange(32))
+    bound = 64 * np.finfo(float).eps * max(np.abs(m).max() for m in mats)
+    assert np.abs(a_minus - sign * a_plus).max() <= bound
+    assert np.abs(b_minus - sign * b_plus).max() <= bound
+
+
+def _real_stack_reference(mats, tol):
+    """Kernel dimension and normalized singular values of the full real
+    stack over √2 Re A₊, √2 Im A₊, B₊ and B₋."""
+    M = mats[0].dim // 2
+    a_plus, _, b_plus, b_minus = (m.entries[:M, :M] for m in mats)
+    eye = np.eye(M)
+    blocks = [np.sqrt(2.0) * a_plus.real, np.sqrt(2.0) * a_plus.imag,
+              b_plus.real, b_minus.real]
+    stacked = np.vstack([np.kron(h.T, eye) - np.kron(eye, h) for h in blocks])
+    sv = np.linalg.svd(stacked, compute_uv=False)
+    return int(np.sum(sv < tol * sv[0])), sv / sv[0]
+
+
+@pytest.mark.parametrize("trunc", [32, 64])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_graded_commutant_matches_full_real_stack(k, trunc, svd_shapes):
+    mats = torus_transformed_ops(k, trunc)
+    kdim, tail = commutant_kernel_dim(mats, tol=1e-6)
+    # two quarter-size sectors, T even and T odd
+    M = trunc // 2
+    assert svd_shapes == [(2 * M * M, M * M // 2)] * 2
+    ref_kdim, ref_sv = _real_stack_reference(mats, 1e-6)
+    assert kdim == ref_kdim
+    ref_tail = ref_sv[-6:]
+    above = ref_tail > 1e-12
+    assert np.allclose(np.array(tail)[above], ref_tail[above], rtol=1e-10, atol=0)
 
 
 def test_transformed_pure_x_harmonic_symbol():
