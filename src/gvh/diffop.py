@@ -13,23 +13,17 @@ import cmath
 import itertools
 import math
 
-from .scalars import S_I, S_ONE, Scalar, TWO_PI
-from .sparse import accumulate, add_terms, neg_terms, nonzero_terms, scale_terms
+from .scalars import S_I, S_ONE, Scalar, TWO_PI, as_scalar
+from .sparse import TermMap, accumulate, nonzero_terms
 
 
-def _coerce_scalar(c):
-    if isinstance(c, Scalar):
-        return c
-    return Scalar.from_rational(c)
-
-
-class TorusXCoef:
+class TorusXCoef(TermMap):
     """Coefficient ring for torus-bundle operators: Σ c · x^j · e^{2πi(mx+ny)}.
 
     Keys are (m, n, j); closed under products and under ∂/∂x, ∂/∂y.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
     VARS = ("x", "y")
 
     def __init__(self, terms=None):
@@ -41,31 +35,19 @@ class TorusXCoef:
 
     @classmethod
     def const(cls, c):
-        return cls({(0, 0, 0): _coerce_scalar(c)})
+        return cls({(0, 0, 0): as_scalar(c)})
 
     @classmethod
     def xpow(cls, j, c=S_ONE):
-        return cls({(0, 0, j): _coerce_scalar(c)})
+        return cls({(0, 0, j): as_scalar(c)})
 
     @classmethod
     def harmonic(cls, m, n, c=S_ONE):
-        return cls({(m, n, 0): _coerce_scalar(c)})
+        return cls({(m, n, 0): as_scalar(c)})
 
     @classmethod
     def from_torus_element(cls, f):
-        return cls({(m, n, 0): c for (m, n), c in f.coeffs.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        return TorusXCoef(add_terms(self.terms, other.terms))
-
-    def __neg__(self):
-        return TorusXCoef(neg_terms(self.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
+        return cls({(m, n, 0): c for (m, n), c in f.terms.items()})
 
     def __mul__(self, other):
         terms = {}
@@ -73,9 +55,6 @@ class TorusXCoef:
             for (m2, n2, j2), c2 in other.terms.items():
                 accumulate(terms, (m1 + m2, n1 + n2, j1 + j2), c1 * c2)
         return TorusXCoef(terms)
-
-    def scale(self, c):
-        return TorusXCoef(scale_terms(self.terms, _coerce_scalar(c)))
 
     def partial(self, name):
         terms = {}
@@ -91,12 +70,6 @@ class TorusXCoef:
             else:
                 raise KeyError(name)
         return TorusXCoef(terms)
-
-    def __eq__(self, other):
-        return isinstance(other, TorusXCoef) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def evalf(self, x, y, params=None):
         total = 0j
@@ -121,21 +94,15 @@ class TorusXCoef:
             bits.append("(%s)*%s" % (c, body))
         return " + ".join(bits)
 
-    __repr__ = __str__
 
-
-class DiffOp:
+class DiffOp(TermMap):
     """Σ c_α ∂^α over (x, y), α = (order in x, order in y), c_α a TorusXCoef."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
     VARS = TorusXCoef.VARS
 
     def __init__(self, terms=None):
         self.terms = nonzero_terms(terms or {})
-
-    # -- linear structure ----------------------------------------------------
-    def is_zero(self):
-        return not self.terms
 
     def order(self):
         if not self.terms:
@@ -145,17 +112,7 @@ class DiffOp:
     def coeff(self, alpha):
         return self.terms.get(tuple(alpha), TorusXCoef.zero())
 
-    def __add__(self, other):
-        return DiffOp(add_terms(self.terms, other.terms))
-
-    def __neg__(self):
-        return DiffOp(neg_terms(self.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c):
-        c = _coerce_scalar(c)
         return DiffOp({a: coef.scale(c) for a, coef in self.terms.items()})
 
     def __rmul__(self, c):
@@ -167,12 +124,6 @@ class DiffOp:
         if isinstance(other, (int, Scalar)):
             return self.scale(other)
         return diffop_compose(self, other)
-
-    def __eq__(self, other):
-        return isinstance(other, DiffOp) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def apply_to_coef(self, f):
         """Apply the operator to a coefficient f."""
@@ -198,8 +149,6 @@ class DiffOp:
             body = " ".join(ds) if ds else "1"
             bits.append("[%s] %s" % (c, body))
         return " + ".join(bits)
-
-    __repr__ = __str__
 
 
 def diffop_compose(A, B):

@@ -6,92 +6,72 @@ together with [Q(p), Q(q)] = -i*hbar is consistent.
 
 from __future__ import annotations
 
+import functools
+
 from .poly import MultiPoly
 from .scalars import S_ONE
+from .sparse import TermMap, nonzero_terms
 
 
+@functools.lru_cache(maxsize=None)
 def flat_vars(n):
     return tuple("q%d" % k for k in range(1, n + 1)) + tuple("p%d" % k for k in range(1, n + 1))
 
 
-class FlatElement:
-    __slots__ = ("n", "poly")
+class FlatElement(TermMap):
+    """A polynomial in q1..qn, p1..pn, keyed by exponent tuples (q first)."""
 
-    def __init__(self, n, poly):
+    __slots__ = ("n",)
+    _context = ("n",)
+
+    def __init__(self, n, terms=None):
         self.n = n
-        if poly.vars != flat_vars(n):
-            raise ValueError("polynomial variables %r do not match n=%d" % (poly.vars, n))
-        self.poly = poly
+        self.terms = nonzero_terms(terms or {})
 
     @classmethod
     def zero(cls, n):
-        return cls(n, MultiPoly.zero(flat_vars(n)))
+        return cls(n, {})
 
     @classmethod
     def const(cls, n, c):
-        return cls(n, MultiPoly.const(flat_vars(n), c))
+        return cls(n, MultiPoly.const(flat_vars(n), c).terms)
 
     @classmethod
     def coordinate(cls, n, name):
-        return cls(n, MultiPoly.var(flat_vars(n), name))
+        return cls(n, MultiPoly.var(flat_vars(n), name).terms)
 
     @classmethod
     def monomial(cls, n, qexps, pexps, c=S_ONE):
-        return cls(n, MultiPoly.monomial(flat_vars(n), tuple(qexps) + tuple(pexps), c))
+        return cls(n, MultiPoly.monomial(flat_vars(n), tuple(qexps) + tuple(pexps), c).terms)
 
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("degrees of freedom differ: %d vs %d" % (self.n, other.n))
-
-    def __add__(self, other):
-        self._check(other)
-        return FlatElement(self.n, self.poly + other.poly)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FlatElement(self.n, self.poly - other.poly)
-
-    def __neg__(self):
-        return FlatElement(self.n, -self.poly)
+    @property
+    def poly(self):
+        """The same sum as a MultiPoly in flat_vars(n), sharing its terms."""
+        return MultiPoly(flat_vars(self.n), self.terms)
 
     def __mul__(self, other):
         self._check(other)
-        return FlatElement(self.n, self.poly * other.poly)
-
-    def scale(self, c):
-        return FlatElement(self.n, self.poly.scale(c))
-
-    def __eq__(self, other):
-        return isinstance(other, FlatElement) and self.n == other.n and self.poly == other.poly
-
-    def __hash__(self):
-        return hash((self.n, self.poly))
-
-    def is_zero(self):
-        return self.poly.is_zero()
+        return self._new((self.poly * other.poly).terms)
 
     def degree(self):
         return self.poly.degree()
 
     def momentum_degree(self):
         """Highest total power of the p variables."""
-        if self.poly.is_zero():
+        if not self.terms:
             return -1
-        return max(sum(e[self.n:]) for e in self.poly.terms)
+        return max(sum(e[self.n:]) for e in self.terms)
 
     def __str__(self):
         return str(self.poly)
-
-    __repr__ = __str__
 
 
 def bracket_flat(f, g):
     """{f, g} = sum_k (df/dp_k dg/dq_k - df/dq_k dg/dp_k); gives {p,q} = 1."""
     f._check(g)
-    n = f.n
-    out = MultiPoly.zero(flat_vars(n))
-    for k in range(1, n + 1):
+    fp, gp = f.poly, g.poly
+    out = MultiPoly.zero(fp.vars)
+    for k in range(1, f.n + 1):
         qk, pk = "q%d" % k, "p%d" % k
-        out = out + f.poly.partial(pk) * g.poly.partial(qk) \
-                  - f.poly.partial(qk) * g.poly.partial(pk)
-    return FlatElement(n, out)
+        out = out + fp.partial(pk) * gp.partial(qk) - fp.partial(qk) * gp.partial(pk)
+    return f._new(out.terms)

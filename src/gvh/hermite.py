@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sparse import accumulate, add_terms, neg_terms, scale_terms
+from .sparse import TermMap, accumulate, scale_terms
 
 
 SQRT_HALF = math.sqrt(0.5)
@@ -104,10 +104,13 @@ def position_tridiagonal(N):
     return X
 
 
-class FExp:
-    """Symbol Σ c · t^j · e^{iωt}, keyed by (j, ω); closed under ·, ∂, shifts."""
+class FExp(TermMap):
+    """Symbol Σ c · t^j · e^{iωt}, keyed by (j, ω); closed under ·, ∂, shifts.
 
-    __slots__ = ("terms",)
+    Coefficients are complex doubles, so a product of nonzero terms can
+    underflow to zero: results go through the constructor's zero filter."""
+
+    __slots__ = ()
 
     def __init__(self, terms=None):
         clean = {}
@@ -132,18 +135,6 @@ class FExp:
     def harmonic(cls, omega, c=1.0):
         """c · e^{iωt}."""
         return cls({(0, float(omega)): c})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        return FExp(add_terms(self.terms, other.terms))
-
-    def __neg__(self):
-        return FExp(neg_terms(self.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         terms = {}
@@ -188,9 +179,6 @@ class FExp:
             total += v
         return total
 
-    def __eq__(self, other):
-        return isinstance(other, FExp) and self.terms == other.terms
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -204,8 +192,6 @@ class FExp:
                 body.append("e^(%gi t)" % w)
             bits.append("(%s)%s" % (c, "*".join(body) if body else ""))
         return " + ".join(bits)
-
-    __repr__ = __str__
 
 
 class NumericOp:

@@ -10,11 +10,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import HBAR, S_I, S_ONE, S_ZERO, Scalar
-from .sparse import accumulate, add_terms, neg_terms, nonzero_terms, scale_terms
+from .sparse import TermMap, accumulate, nonzero_terms
 
 
-class ExactMatrix:
-    __slots__ = ("dim", "terms")
+class ExactMatrix(TermMap):
+    __slots__ = ("dim",)
+    _context = ("dim",)
 
     def __init__(self, dim, terms=None):
         self.dim = dim
@@ -24,25 +25,8 @@ class ExactMatrix:
     def identity(cls, dim):
         return cls(dim, {(i, i): S_ONE for i in range(dim)})
 
-    def _check(self, other):
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch %d vs %d" % (self.dim, other.dim))
-
     def entry(self, i, j):
         return self.terms.get((i, j), S_ZERO)
-
-    def __add__(self, other):
-        self._check(other)
-        return ExactMatrix(self.dim, add_terms(self.terms, other.terms))
-
-    def __neg__(self):
-        return ExactMatrix(self.dim, neg_terms(self.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return ExactMatrix(self.dim, scale_terms(self.terms, c))
 
     def __rmul__(self, c):
         if isinstance(c, ExactMatrix):
@@ -60,10 +44,7 @@ class ExactMatrix:
         for (i, k), a in self.terms.items():
             for j, b in rows.get(k, ()):
                 accumulate(out, (i, j), a * b)
-        return ExactMatrix(self.dim, out)
-
-    def commutator(self, other):
-        return self * other - other * self
+        return self._new(out)
 
     def adjoint(self):
         return ExactMatrix(self.dim, {(j, i): c.conj()
@@ -75,22 +56,10 @@ class ExactMatrix:
             t = t + self.entry(i, i)
         return t
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, ExactMatrix) and self.dim == other.dim \
-            and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
-
     def __str__(self):
         n = self.dim
         return "[" + "; ".join(", ".join(str(self.entry(i, j)) for j in range(n))
                                for i in range(n)) + "]"
-
-    __repr__ = __str__
 
 
 def _half_integer(j):

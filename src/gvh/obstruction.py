@@ -24,7 +24,7 @@ from .linalg import solve_affine
 from .matrices import ExactMatrix, _half_integer, spin_matrices
 from .poly import MultiPoly, monomials_upto
 from .qmaps import sphere_map, weyl_map
-from .scalars import A_SYM, HBAR, S_I, S_ONE, S_ZERO, S_SPIN, Scalar
+from .scalars import A_SYM, HBAR, S_I, S_ONE, S_ZERO, S_SPIN, Scalar, as_scalar
 from .sparse import accumulate
 from .sphere import SVARS, SphereElement, bracket_raw, sphere_canonicalize
 from .weyl import (WeylElement, symmetrized, weyl_commutant, weyl_commutator,
@@ -52,9 +52,6 @@ class WeylCarrier:
     def zero_op(self):
         return WeylElement.zero(self.n)
 
-    def commutator(self, a, b):
-        return weyl_commutator(a, b)
-
 
 class MatrixCarrier:
     """Unknowns are square matrices over Scalar; the atoms are the matrix
@@ -70,9 +67,6 @@ class MatrixCarrier:
     def zero_op(self):
         return ExactMatrix(self.dim)
 
-    def commutator(self, a, b):
-        return a.commutator(b)
-
 
 # ---------------------------------------------------------------------------
 # Extension problems
@@ -87,30 +81,24 @@ class BracketConstraint:
     quantized as Σ c_i (i/ħ)[Q(f_i), Q(g_i)] = Σ λ_k K_k + Σ μ_t U_t."""
 
     def __init__(self, terms, label=""):
-        self.terms = [(_as_scalar(c), f, g) for c, f, g in terms]
+        self.terms = [(as_scalar(c), f, g) for c, f, g in terms]
         self.label = label
 
     def __repr__(self):
         return "BracketConstraint(%s)" % (self.label or len(self.terms))
 
 
-def _as_scalar(c):
-    if isinstance(c, Scalar):
-        return c
-    return Scalar.from_fraction(fractions.Fraction(c))
-
-
 class ExtensionProblem:
     """known: list of (classical element, carrier operator); targets: the
-    classical elements needing assignments; schedule: BracketConstraints."""
+    classical elements needing assignments; schedule: BracketConstraints.
+    A classical element's coordinates are its `terms`."""
 
-    def __init__(self, knowns, targets, carrier, schedule, bracket, coords):
+    def __init__(self, knowns, targets, carrier, schedule, bracket):
         self.knowns = list(knowns)
         self.targets = list(targets)
         self.carrier = carrier
         self.schedule = list(schedule)
         self.bracket = bracket
-        self.coords = coords
 
     def _classify(self, elem):
         """('known', idx) | ('target', idx); matches by classical equality."""
@@ -125,9 +113,8 @@ class ExtensionProblem:
     def expand_in_span(self, elem):
         """Sparse coefficients (λ over knowns, μ over targets) with
         elem = Σ λ_k known_k + Σ μ_t target_t, required unique."""
-        cols = [self.coords(k) for k, _ in self.knowns] + \
-               [self.coords(t) for t in self.targets]
-        rhs = self.coords(elem)
+        cols = [k.terms for k, _ in self.knowns] + [t.terms for t in self.targets]
+        rhs = elem.terms
         rows = {key: {} for key in rhs}
         for j, col in enumerate(cols):
             for key, c in col.items():
@@ -174,7 +161,6 @@ def _linearize(prob, con, expansion, form):
     Returns the residual as {carrier key: {col: coefficient}}, col None for
     the constant term, or None when some [F_col, G_col'] is nonzero: then
     the residual is genuinely quadratic in x."""
-    carrier = prob.carrier
     terms = {}
 
     def add(op, col, c):
@@ -185,7 +171,7 @@ def _linearize(prob, con, expansion, form):
         c_ih = c * I_OVER_HBAR
         for cf, F in form(f).items():
             for cg, G in form(g).items():
-                comm = carrier.commutator(F, G)
+                comm = F.commutator(G)
                 if cf is None or cg is None:
                     add(comm, cg if cf is None else cf, c_ih)
                 elif not comm.is_zero():
@@ -308,10 +294,6 @@ def extension_solve(prob):
 def _flat_mono(qe, pe):
     return FlatElement.monomial(1, (qe,), (pe,))
 
-def _flat_coords(f):
-    return dict(f.poly.terms)
-
-
 def weyl_generators():
     X = WeylElement.x()
     P = WeylElement.p()
@@ -337,7 +319,7 @@ def quadratic_extension_problem():
     for f, g in ((q2, qp), (p2, qp), (q2, p2)):
         schedule.append(BracketConstraint([(1, f, g)], "{%s, %s}" % (f, g)))
     return ExtensionProblem(knowns, targets, WeylCarrier(1, 2), schedule,
-                            bracket_flat, _flat_coords)
+                            bracket_flat)
 
 
 def cubic_extension_problem():
@@ -363,7 +345,7 @@ def cubic_extension_problem():
         [(fractions.Fraction(1, 9), q3, p3), (fractions.Fraction(-1, 3), q2p, qp2)],
         "(1/9){q^3,p^3} - (1/3){q^2 p, q p^2}"))
     return ExtensionProblem(knowns, targets, WeylCarrier(1, 3), schedule,
-                            bracket_flat, _flat_coords)
+                            bracket_flat)
 
 
 def sphere_equivariance_problem(j):
@@ -384,7 +366,7 @@ def sphere_equivariance_problem(j):
         for t in targets:
             schedule.append(BracketConstraint([(1, si, t)], "{%s, %s}" % (si, t)))
     return ExtensionProblem(knowns, targets, MatrixCarrier(dim), schedule,
-                            bracket_raw, lambda m: dict(m.terms))
+                            bracket_raw)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +421,7 @@ def vonneumann_rules_flat(degree):
                                           "{%s, %s}" % (k, target))
                         for k in (q, p, qp)]
             prob = ExtensionProblem(knowns, [target], WeylCarrier(1, e),
-                                    schedule, bracket_flat, _flat_coords)
+                                    schedule, bracket_flat)
             sol = extension_solve(prob)
             if sol.verdict != "unique":
                 raise RuntimeError("rule for %s came back %s" % (target, sol.verdict))

@@ -128,8 +128,8 @@ class _TorusAlgebra(_Algebra):
         raise ParseError("unknown symbol %r for the torus" % name, pos)
 
     def constant_value(self, elem):
-        if all(f == (0, 0) for f in elem.coeffs):
-            return elem.coeffs.get((0, 0), S_ZERO)
+        if all(f == (0, 0) for f in elem.terms):
+            return elem.terms.get((0, 0), S_ZERO)
         return None
 
 
@@ -313,11 +313,11 @@ def _trig_name(kind, m, n):
 def _print_torus(elem):
     parts = []
     done = set()
-    const = elem.coeffs.get((0, 0))
+    const = elem.terms.get((0, 0))
     if const is not None:
         cs = _coeff_str(const)
         parts.append(cs if cs else "1")
-    for f in sorted(elem.coeffs):
+    for f in sorted(elem.terms):
         if f == (0, 0) or f in done:
             continue
         m, n = f
@@ -325,8 +325,8 @@ def _print_torus(elem):
             continue
         done.add(f)
         done.add((-m, -n))
-        cplus = elem.coeffs.get((m, n), S_ZERO)
-        cminus = elem.coeffs.get((-m, -n), S_ZERO)
+        cplus = elem.terms.get((m, n), S_ZERO)
+        cminus = elem.terms.get((-m, -n), S_ZERO)
         a = cplus + cminus
         b = S_I * (cplus - cminus)
         if m != 0 and n != 0:

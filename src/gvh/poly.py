@@ -7,14 +7,13 @@ per-algebra variable order.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import Scalar, S_ZERO, S_ONE
-from .sparse import accumulate, add_terms, neg_terms, scale_terms
+from .scalars import S_ZERO, S_ONE, as_scalar
+from .sparse import TermMap, accumulate
 
 
-class MultiPoly:
-    __slots__ = ("vars", "terms")
+class MultiPoly(TermMap):
+    __slots__ = ("vars",)
+    _context = ("vars",)
 
     def __init__(self, vars, terms=None):
         self.vars = tuple(vars)
@@ -28,7 +27,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, vars, c):
-        c = _to_scalar(c)
+        c = as_scalar(c)
         if c.is_zero():
             return cls(vars, {})
         return cls(vars, {(0,) * len(vars): c})
@@ -42,15 +41,12 @@ class MultiPoly:
 
     @classmethod
     def monomial(cls, vars, exps, c=S_ONE):
-        c = _to_scalar(c)
+        c = as_scalar(c)
         if c.is_zero():
             return cls(vars, {})
         return cls(vars, {tuple(exps): c})
 
     # -- queries -----------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def degree(self):
         if not self.terms:
@@ -64,23 +60,9 @@ class MultiPoly:
         return self.terms.get((0,) * len(self.vars), S_ZERO)
 
     def homogeneous_part(self, d):
-        return MultiPoly(self.vars, {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def _check(self, other):
-        if self.vars != other.vars:
-            raise ValueError("variable sets differ: %r vs %r" % (self.vars, other.vars))
+        return self._new({e: c for e, c in self.terms.items() if sum(e) == d})
 
     # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        self._check(other)
-        return MultiPoly(self.vars, add_terms(self.terms, other.terms))
-
-    def __neg__(self):
-        return MultiPoly(self.vars, neg_terms(self.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
@@ -88,23 +70,13 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return MultiPoly(self.vars, out)
-
-    def scale(self, c):
-        return MultiPoly(self.vars, scale_terms(self.terms, _to_scalar(c)))
+        return self._new(out)
 
     def __pow__(self, n):
         out = MultiPoly.const(self.vars, S_ONE)
         for _ in range(n):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        return (isinstance(other, MultiPoly) and self.vars == other.vars
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.vars, tuple(sorted((e, hash(c)) for e, c in self.terms.items()))))
 
     # -- calculus --------------------------------------------------------------
 
@@ -121,7 +93,7 @@ class MultiPoly:
             e2 = list(e)
             e2[idx] = k - 1
             out[tuple(e2)] = c * k
-        return MultiPoly(self.vars, out)
+        return self._new(out)
 
     def laplacian(self):
         out = MultiPoly(self.vars, {})
@@ -182,21 +154,9 @@ class MultiPoly:
             out += ("-" + p[1:]) if p.startswith("-") else ("+" + p)
         return out
 
-    __repr__ = __str__
-
 
 def _needs_parens(cs):
     return any(ch in cs[1:] for ch in "+-") or "/" in cs
-
-
-def _to_scalar(c):
-    if isinstance(c, Scalar):
-        return c
-    if isinstance(c, int):
-        return Scalar.from_int(c)
-    if isinstance(c, Fraction):
-        return Scalar.from_fraction(c)
-    raise TypeError("cannot use %r as coefficient" % (c,))
 
 
 def monomials_upto(nvars, bound):

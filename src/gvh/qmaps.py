@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .diffop import DiffOp, TorusXCoef, diffop_commutator
+from .diffop import DiffOp, TorusXCoef
 from .flat import bracket_flat, flat_vars
 from .hermite import FExp, NumericOp, hermite_matrix
 from .matrices import ExactMatrix, spin_matrices
@@ -24,7 +24,7 @@ from .scalars import A_SYM, C_SYM, HBAR, S_I, Scalar
 from .sparse import accumulate
 from .sphere import SphereElement, bracket_sphere, sphere_canonicalize
 from .torus import bracket_torus
-from .weyl import WeylElement, contractions, weyl_commutator
+from .weyl import WeylElement, contractions
 
 DEFAULT_TORUS_HBAR = 1.0 / (2.0 * math.pi)
 _MINUS_IH_HALF = -(S_I * HBAR) * Scalar.from_rational(1, 2)
@@ -267,16 +267,6 @@ TORUS_PREQUANT = QuantizationMap(
     bracket_torus)
 
 
-def _carrier_commutator(A, B):
-    if isinstance(A, DiffOp):
-        return diffop_commutator(A, B)
-    if isinstance(A, ExactMatrix):
-        return A.commutator(B)
-    if isinstance(A, WeylElement):
-        return weyl_commutator(A, B)
-    raise TypeError("no commutator for carrier %r" % (A,))
-
-
 def check_q1(qmap, f, g):
     """Residual Q({f,g}) − (i/ħ)[Q(f), Q(g)] in the map's carrier."""
     qmap.ensure_domain(f, "f")
@@ -286,7 +276,7 @@ def check_q1(qmap, f, g):
     qf = qmap(f)
     qg = qmap(g)
     qbr = qmap(br)
-    comm = _carrier_commutator(qf, qg)
+    comm = qf.commutator(qg)
     return qbr - comm.scale(S_I / HBAR)
 
 

@@ -10,13 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .scalars import S_ONE, S_ZERO, Scalar
-
-
-def _coerce_scalar(c):
-    if isinstance(c, Scalar):
-        return c
-    return Scalar.from_rational(c)
+from .scalars import S_ONE, S_ZERO, Scalar, as_scalar
 
 
 def _split_square(k):
@@ -74,7 +68,7 @@ class Radical:
 
     @classmethod
     def from_scalar(cls, c):
-        return cls({1: _coerce_scalar(c)})
+        return cls({1: as_scalar(c)})
 
     @classmethod
     def sqrt_int(cls, k):

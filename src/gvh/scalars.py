@@ -639,6 +639,17 @@ class Scalar:
     __repr__ = __str__
 
 
+def as_scalar(c):
+    """c as a Scalar: a Scalar unchanged, an int or a Fraction exactly."""
+    if isinstance(c, Scalar):
+        return c
+    if isinstance(c, int):
+        return Scalar.from_int(c)
+    if isinstance(c, Fraction):
+        return Scalar.from_fraction(c)
+    raise TypeError("cannot use %r as an exact coefficient" % (c,))
+
+
 def _reduce(num, den):
     if num.is_zero():
         return PP_ZERO, PP_ONE

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .poly import MultiPoly
 from .scalars import Scalar, S_ZERO, S_SPIN
-from .sparse import accumulate, add_terms, neg_terms, nonzero_terms
+from .sparse import TermMap, accumulate, nonzero_terms
 
 SVARS = ("S1", "S2", "S3")
 
@@ -81,13 +81,13 @@ def harmonic_decompose(f):
     return out
 
 
-class SphereElement:
+class SphereElement(TermMap):
     """Canonical class of a sphere polynomial: {degree l: harmonic part}."""
 
-    __slots__ = ("buckets",)
+    __slots__ = ()
 
-    def __init__(self, buckets):
-        self.buckets = nonzero_terms(buckets)
+    def __init__(self, terms):
+        self.terms = nonzero_terms(terms)
 
     @classmethod
     def zero(cls):
@@ -116,46 +116,26 @@ class SphereElement:
 
     def representative(self):
         out = MultiPoly.zero(SVARS)
-        for h in self.buckets.values():
+        for h in self.terms.values():
             out = out + h
         return out
 
     def constant_part(self):
         """The harmonic degree-0 component as a Scalar."""
-        b = self.buckets.get(0)
+        b = self.terms.get(0)
         return b.constant_term() if b is not None else S_ZERO
 
     def degree(self):
-        return max(self.buckets) if self.buckets else -1
-
-    def is_zero(self):
-        return not self.buckets
-
-    def __add__(self, other):
-        return SphereElement(add_terms(self.buckets, other.buckets))
-
-    def __neg__(self):
-        return SphereElement(neg_terms(self.buckets))
-
-    def __sub__(self, other):
-        return self + (-other)
+        return max(self.terms) if self.terms else -1
 
     def __mul__(self, other):
         return SphereElement.canonicalize(self.representative() * other.representative())
 
     def scale(self, c):
-        return SphereElement({l: h.scale(c) for l, h in self.buckets.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, SphereElement) and self.buckets == other.buckets
-
-    def __hash__(self):
-        return hash(tuple(sorted((l, hash(h)) for l, h in self.buckets.items())))
+        return SphereElement({l: h.scale(c) for l, h in self.terms.items()})
 
     def __str__(self):
         return str(self.representative())
-
-    __repr__ = __str__
 
 
 def bracket_sphere(f, g):

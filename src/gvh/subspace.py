@@ -34,11 +34,10 @@ class FlatAmbient:
         return [self.from_coords({k: S_ONE}) for k in self.keys()]
 
     def coords(self, elem):
-        return dict(elem.poly.terms)
+        return elem.terms
 
     def from_coords(self, coords):
-        return FlatElement(self.n, MultiPoly(flat_vars(self.n),
-                                             {e: c for e, c in coords.items() if not c.is_zero()}))
+        return FlatElement(self.n, coords)
 
     def zero(self):
         return FlatElement.zero(self.n)
@@ -80,7 +79,7 @@ class SphereAmbient:
 
     def coords(self, elem):
         out = {}
-        for l, h in elem.buckets.items():
+        for l, h in elem.terms.items():
             for e, c in h.terms.items():
                 out[(l, e)] = c
         return out
@@ -121,10 +120,10 @@ class TorusAmbient:
         return [self.from_coords({k: S_ONE}) for k in self.keys()]
 
     def coords(self, elem):
-        return dict(elem.coeffs)
+        return elem.terms
 
     def from_coords(self, coords):
-        return TorusElement({f: c for f, c in coords.items() if not c.is_zero()}, self.B)
+        return TorusElement(coords, self.B)
 
     def zero(self):
         return TorusElement.zero(self.B)

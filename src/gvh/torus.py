@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import cmath
 
-from .scalars import Scalar, S_ZERO, S_ONE, S_I, HBAR, TWO_PI
-from .sparse import accumulate, add_terms, neg_terms, nonzero_terms, scale_terms
+from .scalars import S_ZERO, S_ONE, S_I, HBAR, TWO_PI, as_scalar
+from .sparse import TermMap, accumulate, nonzero_terms
 
 
-class TorusElement:
-    __slots__ = ("coeffs", "B")
+class TorusElement(TermMap):
+    __slots__ = ("B",)
+    _context = ("B",)
 
-    def __init__(self, coeffs=None, B=None):
-        self.coeffs = {} if coeffs is None else nonzero_terms(coeffs)
+    def __init__(self, terms=None, B=None):
+        self.terms = {} if terms is None else nonzero_terms(terms)
         self.B = HBAR if B is None else B
 
     # -- constructors ------------------------------------------------------
@@ -28,7 +29,7 @@ class TorusElement:
 
     @classmethod
     def const(cls, c, B=None):
-        return cls({(0, 0): c if isinstance(c, Scalar) else Scalar.from_int(c)}, B)
+        return cls({(0, 0): as_scalar(c)}, B)
 
     @classmethod
     def harmonic(cls, m, n, c=S_ONE, B=None):
@@ -48,85 +49,56 @@ class TorusElement:
 
     # -- queries ---------------------------------------------------------------
 
-    def is_zero(self):
-        return not self.coeffs
-
     def is_real(self):
         """Reality: c_(-m,-n) equals the conjugate of c_(m,n)."""
-        for (m, n), c in self.coeffs.items():
-            if self.coeffs.get((-m, -n), S_ZERO) != c.conj():
+        for (m, n), c in self.terms.items():
+            if self.terms.get((-m, -n), S_ZERO) != c.conj():
                 return False
         return True
 
     def freq_bound(self):
-        if not self.coeffs:
+        if not self.terms:
             return 0
-        return max(max(abs(m), abs(n)) for m, n in self.coeffs)
-
-    def _check(self, other):
-        if self.B != other.B:
-            raise ValueError("symplectic scales differ: %s vs %s" % (self.B, other.B))
+        return max(max(abs(m), abs(n)) for m, n in self.terms)
 
     # -- arithmetic ----------------------------------------------------------------
-
-    def __add__(self, other):
-        self._check(other)
-        return TorusElement(add_terms(self.coeffs, other.coeffs), self.B)
-
-    def __neg__(self):
-        return TorusElement(neg_terms(self.coeffs), self.B)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
         out = {}
-        for (m1, n1), c1 in self.coeffs.items():
-            for (m2, n2), c2 in other.coeffs.items():
+        for (m1, n1), c1 in self.terms.items():
+            for (m2, n2), c2 in other.terms.items():
                 accumulate(out, (m1 + m2, n1 + n2), c1 * c2)
-        return TorusElement(out, self.B)
-
-    def scale(self, c):
-        return TorusElement(scale_terms(self.coeffs, c), self.B)
-
-    def __eq__(self, other):
-        return (isinstance(other, TorusElement) and self.B == other.B
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.B, tuple(sorted((f, hash(c)) for f, c in self.coeffs.items()))))
+        return self._new(out)
 
     # -- calculus --------------------------------------------------------------------
 
     def partial_x(self):
         return TorusElement(
-            {f: c * TWO_PI * S_I * f[0] for f, c in self.coeffs.items() if f[0]}, self.B)
+            {f: c * TWO_PI * S_I * f[0] for f, c in self.terms.items() if f[0]}, self.B)
 
     def partial_y(self):
         return TorusElement(
-            {f: c * TWO_PI * S_I * f[1] for f, c in self.coeffs.items() if f[1]}, self.B)
+            {f: c * TWO_PI * S_I * f[1] for f, c in self.terms.items() if f[1]}, self.B)
 
     def conj(self):
-        return TorusElement({(-m, -n): c.conj() for (m, n), c in self.coeffs.items()}, self.B)
+        return TorusElement({(-m, -n): c.conj() for (m, n), c in self.terms.items()}, self.B)
 
     # -- evaluation --------------------------------------------------------------------
 
     def evalf(self, x, y, params):
         total = 0j
-        for (m, n), c in self.coeffs.items():
+        for (m, n), c in self.terms.items():
             total += c.evalf(params) * cmath.exp(2j * cmath.pi * (m * x + n * y))
         return total
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for (m, n) in sorted(self.coeffs):
-            parts.append("(%s)*e(%d,%d)" % (self.coeffs[(m, n)], m, n))
+        for (m, n) in sorted(self.terms):
+            parts.append("(%s)*e(%d,%d)" % (self.terms[(m, n)], m, n))
         return " + ".join(parts)
-
-    __repr__ = __str__
 
 
 def bracket_torus(f, g):
@@ -134,13 +106,13 @@ def bracket_torus(f, g):
     f._check(g)
     out = {}
     four_pi2 = TWO_PI * TWO_PI
-    for (m1, n1), c1 in f.coeffs.items():
-        for (m2, n2), c2 in g.coeffs.items():
+    for (m1, n1), c1 in f.terms.items():
+        for (m2, n2), c2 in g.terms.items():
             det = m1 * n2 - n1 * m2
             if det == 0:
                 continue
             accumulate(out, (m1 + m2, n1 + n2), c1 * c2 * four_pi2 * (-det) / f.B)
-    return TorusElement(out, f.B)
+    return f._new(out)
 
 
 def basic_set(k, B=None):

@@ -12,22 +12,17 @@ from __future__ import annotations
 
 import math
 
-from .scalars import HBAR, S_I, S_ONE, S_ZERO, Scalar
-from .sparse import accumulate, add_terms, neg_terms, nonzero_terms, scale_terms
+from .scalars import HBAR, S_I, S_ONE, S_ZERO, Scalar, as_scalar
+from .sparse import TermMap, accumulate, nonzero_terms
 
 _MINUS_IH = -(S_I * HBAR)
 
 
-def _coerce(c):
-    if isinstance(c, Scalar):
-        return c
-    return Scalar.from_rational(c)
-
-
-class WeylElement:
+class WeylElement(TermMap):
     """Finite Scalar combination of normal-ordered words X^α P^β."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
+    _context = ("n",)
 
     def __init__(self, n, terms=None):
         self.n = n
@@ -40,7 +35,7 @@ class WeylElement:
 
     @classmethod
     def const(cls, c, n=1):
-        return cls(n, {(0,) * (2 * n): _coerce(c)})
+        return cls(n, {(0,) * (2 * n): as_scalar(c)})
 
     @classmethod
     def identity(cls, n=1):
@@ -63,12 +58,9 @@ class WeylElement:
         exps = tuple(exps)
         if n is None:
             n = len(exps) // 2
-        return cls(n, {exps: _coerce(coeff)})
+        return cls(n, {exps: as_scalar(coeff)})
 
     # -- structure ---------------------------------------------------------
-    def is_zero(self):
-        return not self.terms
-
     def degree(self):
         if not self.terms:
             return -1
@@ -84,33 +76,7 @@ class WeylElement:
     def is_scalar(self):
         return all(sum(e) == 0 for e in self.terms)
 
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("mixed degrees of freedom: %d vs %d" % (self.n, other.n))
-
-    # -- linear operations ---------------------------------------------------
-    def __add__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = WeylElement.const(other, self.n)
-        self._check(other)
-        return WeylElement(self.n, add_terms(self.terms, other.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return WeylElement(self.n, neg_terms(self.terms))
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = WeylElement.const(other, self.n)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, c):
-        return WeylElement(self.n, scale_terms(self.terms, _coerce(c)))
-
+    # -- products ------------------------------------------------------------
     def __rmul__(self, other):
         if isinstance(other, (int, Scalar)):
             return self.scale(other)
@@ -120,13 +86,6 @@ class WeylElement:
         if isinstance(other, (int, Scalar)):
             return self.scale(other)
         return weyl_product(self, other)
-
-    def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.n == other.n \
-            and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
 
     def __str__(self):
         if not self.terms:
@@ -147,8 +106,6 @@ class WeylElement:
             word = "*".join(factors) if factors else "1"
             bits.append("(%s)*%s" % (c, word))
         return " + ".join(bits)
-
-    __repr__ = __str__
 
 
 def _reorder_coeff(m, g, t):
@@ -182,7 +139,7 @@ def weyl_product(A, B):
                 exps = tuple(ea[k] + gamma[k] - t[k] for k in range(n)) + \
                     tuple(beta[k] + eb[n + k] - t[k] for k in range(n))
                 accumulate(out, exps, c)
-    return WeylElement(n, out)
+    return A._new(out)
 
 
 def weyl_commutator(A, B):
@@ -215,7 +172,7 @@ class WeylAmbient:
         return [self.from_coords({k: S_ONE}) for k in self.keys()]
 
     def coords(self, elem):
-        return dict(elem.terms)
+        return elem.terms
 
     def from_coords(self, coords):
         return WeylElement(self.n, coords)

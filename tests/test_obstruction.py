@@ -130,7 +130,7 @@ def _quadratic_cap_problem(qp_known):
     schedule = [BracketConstraint([(1, f, g)], "{%s, %s}" % (f, g))
                 for f, g in ((p, q2), (q, p2), (q2, p2))]
     return ExtensionProblem(knowns, targets, WeylCarrier(1, 2), schedule,
-                            bracket_flat, lambda f: dict(f.poly.terms))
+                            bracket_flat)
 
 
 def test_extension_bilinear_stage_over_cap_is_undecided():

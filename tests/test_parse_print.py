@@ -100,7 +100,7 @@ def test_torus_bracket_from_text():
     out = bracket_torus(sx, sy)
     # {sin 2pi x, sin 2pi y} lands on the (1,1)/(1,-1) modes
     assert not out.is_zero()
-    assert all(abs(m) == 1 and abs(n) == 1 for (m, n) in out.coeffs)
+    assert all(abs(m) == 1 and abs(n) == 1 for (m, n) in out.terms)
 
 
 def test_torus_round_trips():

@@ -1,0 +1,119 @@
+"""The TermMap contract, checked on every finite-sum class of the engine.
+
+Each case gives two maps a, b in one context and, where the class has a
+context, a map c in another one (other variables, degrees of freedom,
+dimension or symplectic scale).
+"""
+
+import pytest
+
+from gvh.diffop import DiffOp, TorusXCoef
+from gvh.flat import FlatElement
+from gvh.hermite import FExp
+from gvh.matrices import ExactMatrix, spin_matrices
+from gvh.poly import MultiPoly
+from gvh.scalars import HBAR, S_I, S_ONE, Scalar
+from gvh.sparse import TermMap
+from gvh.sphere import SphereElement
+from gvh.torus import TorusElement
+from gvh.weyl import WeylElement
+
+XY = ("x", "y")
+
+
+def _cases():
+    s1, s2, s3 = (SphereElement.coordinate(v) for v in ("S1", "S2", "S3"))
+    return {
+        "MultiPoly": (MultiPoly.var(XY, "x") * MultiPoly.var(XY, "y"),
+                      MultiPoly.monomial(XY, (2, 0), HBAR),
+                      MultiPoly.var(("x", "z"), "x")),
+        "FlatElement": (FlatElement.monomial(1, (1,), (1,)),
+                        FlatElement.coordinate(1, "q1").scale(HBAR),
+                        FlatElement.coordinate(2, "q1")),
+        "WeylElement": (WeylElement.x(), WeylElement.p().scale(S_I),
+                        WeylElement.x(1, n=2)),
+        "ExactMatrix": (spin_matrices(1)[0], ExactMatrix.identity(3),
+                        ExactMatrix.identity(2)),
+        "TorusElement": (TorusElement.sin(1, 0), TorusElement.cos(0, 1),
+                         TorusElement.sin(1, 0, B=Scalar.param("b"))),
+        "SphereElement": (s1, s2 * s3, None),
+        "TorusXCoef": (TorusXCoef.xpow(1), TorusXCoef.harmonic(1, 0, HBAR), None),
+        "DiffOp": (DiffOp({(1, 0): TorusXCoef.const(1)}),
+                   DiffOp({(0, 0): TorusXCoef.xpow(2)}), None),
+        "FExp": (FExp.tpow(2, 3.0), FExp.harmonic(1.5, 2.0), None),
+    }
+
+
+CASES = _cases()
+
+
+def test_cases_cover_every_subclass_and_context():
+    assert {cls.__name__ for cls in TermMap.__subclasses__()} == set(CASES)
+    contexts = {name for a, _, c in CASES.values() if c is not None
+                for name in type(a)._context}
+    assert contexts == {"vars", "n", "dim", "B"}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sum_across_contexts_raises(name):
+    a, b, c = CASES[name]
+    if c is None:
+        assert type(a)._context == ()
+        return
+    assert type(a)._context
+    with pytest.raises(ValueError, match="contexts differ"):
+        a + c
+    with pytest.raises(ValueError, match="contexts differ"):
+        c - a
+    assert a != c
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_difference_with_itself_is_zero(name):
+    a, b, _ = CASES[name]
+    for m in (a, b, a + b):
+        d = m - m
+        assert d.is_zero() and d.terms == {}
+        assert type(d) is type(m)
+    assert not (a + b).is_zero()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_equal_maps_hash_equal(name):
+    a, b, _ = CASES[name]
+    pairs = [(a + b, b + a), ((a + b) - b, a), (-(-a), a),
+             (a.scale(2), a + a), ((a - b).scale(-1), b - a)]
+    for x, y in pairs:
+        assert x == y
+        assert hash(x) == hash(y)
+    assert a + b != a
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_scale_by_zero_is_zero(name):
+    a, b, _ = CASES[name]
+    zero = 0.0 if isinstance(a, FExp) else Scalar.from_int(0)
+    for m in (a, a + b):
+        for c in (0, zero):
+            z = m.scale(c)
+            assert z.is_zero() and type(z) is type(m)
+            assert z == m - m
+
+
+def test_equal_terms_in_other_classes_are_unequal():
+    # P in the Weyl algebra, the classical p and the matrix unit E_01 share
+    # one key and one coefficient, and n = dim = 1
+    w = WeylElement(1, {(0, 1): S_ONE})
+    f = FlatElement(1, {(0, 1): S_ONE})
+    m = ExactMatrix(1, {(0, 1): S_ONE})
+    assert w.terms == f.terms == m.terms
+    assert w != m and m != w
+    assert w != f and f != w
+
+
+@pytest.mark.parametrize("name", ["WeylElement", "ExactMatrix", "DiffOp",
+                                  "MultiPoly"])
+def test_commutator_is_the_product_difference(name):
+    a, b, _ = CASES[name]
+    assert a.commutator(b) == a * b - b * a
+    assert a.commutator(a).is_zero()
