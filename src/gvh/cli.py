@@ -55,6 +55,11 @@ def _check_flags(args):
     """Reject flag values the target cannot work with, before any arithmetic."""
     if args.target == "r2n" and args.n < 1:
         raise ValueError("--n must be at least 1, got %d" % args.n)
+    for flag in ("degree_cap", "freq_cap"):
+        cap = getattr(args, flag, None)
+        if cap is not None and cap < 0:
+            raise ValueError("--%s must be at least 0, got %d"
+                             % (flag.replace("_", "-"), cap))
     if args.target == "torus" and args.B.is_zero():
         raise ValueError("--B must be nonzero on the torus")
     if args.target == "torus" and args.verb == "verify":

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sparse import TermMap, accumulate, scale_terms
+from .sparse import TermMap, accumulate, nonzero_terms, scale_terms
 
 
 SQRT_HALF = math.sqrt(0.5)
@@ -194,89 +194,68 @@ class FExp(TermMap):
         return " + ".join(bits)
 
 
-class NumericOp:
-    """Finite sum of terms ψ ↦ f(x)·ψ^{(d)}(x + a), i.e. M_f ∘ S_a ∘ D^d."""
+class NumericOp(TermMap):
+    """Finite sum of terms ψ ↦ f(x)·ψ^{(d)}(x + a), i.e. M_f ∘ S_a ∘ D^d,
+    keyed by (a, d) with the symbol f an FExp.  Loops over the terms run in
+    key order, so the float sums behind a matrix have a fixed order."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        merged = {}
-        for f, a, d in (terms or []):
-            key = (float(a), int(d))
-            merged[key] = merged.get(key, FExp.zero()) + f
-        self.terms = [(f, a, d) for (a, d), f in sorted(merged.items())
-                      if not f.is_zero()]
-
-    @classmethod
-    def zero(cls):
-        return cls([])
+        self.terms = nonzero_terms(terms or {})
 
     @classmethod
     def identity(cls):
-        return cls([(FExp.const(1.0), 0.0, 0)])
+        return cls({(0.0, 0): FExp.const(1.0)})
 
     @classmethod
     def multiply_by(cls, f):
         if not isinstance(f, FExp):
             f = FExp.const(f)
-        return cls([(f, 0.0, 0)])
+        return cls({(0.0, 0): f})
 
     @classmethod
     def shift_by(cls, a):
-        return cls([(FExp.const(1.0), float(a), 0)])
+        return cls({(float(a), 0): FExp.const(1.0)})
 
     @classmethod
     def derivative(cls, order=1):
-        return cls([(FExp.const(1.0), 0.0, int(order))])
-
-    def __add__(self, other):
-        return NumericOp(list(self.terms) + list(other.terms))
-
-    def __neg__(self):
-        return NumericOp([(f.scale(-1), a, d) for f, a, d in self.terms])
-
-    def __sub__(self, other):
-        return self + (-other)
+        return cls({(0.0, int(order)): FExp.const(1.0)})
 
     def scale(self, c):
-        return NumericOp([(f.scale(c), a, d) for f, a, d in self.terms])
+        return NumericOp({k: f.scale(c) for k, f in self.terms.items()})
 
     def compose(self, other):
         """Normal-ordered product self ∘ other."""
-        out = []
-        for f1, a1, d1 in self.terms:
-            for f2, a2, d2 in other.terms:
+        out = {}
+        for (a1, d1), f1 in sorted(self.terms.items()):
+            for (a2, d2), f2 in sorted(other.terms.items()):
                 g = f2
                 for k in range(d1 + 1):
                     # D^{d1}(f2·u) picks C(d1,k) f2^{(k)} u^{(d1−k)}
-                    out.append((f1 * g.shift(a1).scale(math.comb(d1, k)),
-                                a1 + a2, d1 - k + d2))
+                    accumulate(out, (a1 + a2, d1 - k + d2),
+                               f1 * g.shift(a1).scale(math.comb(d1, k)))
                     g = g.deriv()
         return NumericOp(out)
 
     __matmul__ = compose
 
     def adjoint(self):
-        out = []
-        for f, a, d in self.terms:
+        out = {}
+        for (a, d), f in sorted(self.terms.items()):
             h = f.conj().shift(-a)
             sign = (-1) ** d
             for k in range(d + 1):
-                out.append((h.scale(sign * math.comb(d, k)), -a, d - k))
+                accumulate(out, (-a, d - k), h.scale(sign * math.comb(d, k)))
                 h = h.deriv()
         return NumericOp(out)
 
     def max_dorder(self):
-        return max((d for _, _, d in self.terms), default=0)
-
-    def describe(self):
-        return " + ".join("M[%s]·S[%g]·D^%d" % (f, a, d) for f, a, d in self.terms) \
-            or "0"
+        return max((d for _, d in self.terms), default=0)
 
     def __str__(self):
-        return self.describe()
-
-    __repr__ = __str__
+        return " + ".join("M[%s]·S[%g]·D^%d" % (f, a, d)
+                          for (a, d), f in sorted(self.terms.items())) or "0"
 
 
 class NumericMatrix:
@@ -293,28 +272,9 @@ class NumericMatrix:
         self.dim = self.entries.shape[0]
         self.provenance = dict(provenance or {})
 
-    def _merge(self, note):
-        prov = dict(self.provenance)
-        prov["derived"] = note
-        return prov
-
-    def __add__(self, other):
-        return NumericMatrix(self.entries + other.entries, self._merge("sum"))
-
-    def __sub__(self, other):
-        return NumericMatrix(self.entries - other.entries, self._merge("difference"))
-
     def __matmul__(self, other):
-        return NumericMatrix(self.entries @ other.entries, self._merge("product"))
-
-    def scale(self, c):
-        return NumericMatrix(c * self.entries, dict(self.provenance))
-
-    def adjoint(self):
-        return NumericMatrix(self.entries.conj().T, dict(self.provenance))
-
-    def entry(self, i, j):
-        return complex(self.entries[i, j])
+        return NumericMatrix(self.entries @ other.entries,
+                             dict(self.provenance, derived="product"))
 
     def __str__(self):
         return "NumericMatrix(dim=%d, provenance=%r)" % (self.dim, self.provenance)
@@ -356,7 +316,7 @@ def hermite_matrix(op, trunc, quad_order=None):
     selftest = _gram_selftest(quad_order, nprime)
     xs, wm = gauss_hermite_rule(quad_order)
     total = np.zeros((N, N), dtype=complex)
-    for f, a, d in op.terms:
+    for (a, d), f in sorted(op.terms.items()):
         nk = N + d
         # centre the shift: x = u − a/2 recombines the Gaussian tails exactly
         hm = hermite_values(xs - a / 2.0, N)
@@ -374,7 +334,7 @@ def hermite_matrix(op, trunc, quad_order=None):
         "trunc": N,
         "quad_order": int(quad_order),
         "gram_selftest": selftest,
-        "operator": op.describe(),
+        "operator": str(op),
     })
 
 

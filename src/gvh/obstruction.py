@@ -3,12 +3,13 @@
 The solver treats a quantization-extension question as exact linear algebra.
 One affine stage runs twice.  It writes every operand as an affine form
 F₀ + Σ x_col F_col, linearizes each bracket constraint into rows keyed by
-(constraint, carrier key), and makes one exact affine solve.  The first run
+(constraint, operator key), and makes one exact affine solve.  The first run
 takes the constraints that are linear in the unknowns (equivariance), each
-target a combination of carrier atoms (normal-ordered Weyl words, or matrix
-units).  The second takes the bracket relations between two unknowns over
-the family the first run left — anything genuinely quadratic there comes
-back "undecided" rather than risking a wrong verdict.
+target a combination of the keys of an operator `Ambient` (normal-ordered
+Weyl words, or matrix units).  The second takes the bracket relations
+between two unknowns over the family the first run left — anything
+genuinely quadratic there comes back "undecided" rather than risking a
+wrong verdict.
 
 Certificates replay the classical-identity schedules that force each no-go:
 every step records the classical identity, both quantized sides, and their
@@ -22,50 +23,18 @@ import fractions
 from .flat import FlatElement, bracket_flat
 from .linalg import solve_affine
 from .matrices import ExactMatrix, _half_integer, spin_matrices
-from .poly import MultiPoly, monomials_upto
+from .poly import MultiPoly
 from .qmaps import sphere_map, weyl_map
 from .scalars import A_SYM, HBAR, S_I, S_ONE, S_ZERO, S_SPIN, Scalar, as_scalar
 from .sparse import accumulate
 from .sphere import SVARS, SphereElement, bracket_raw, sphere_canonicalize
+from .subspace import MatrixAmbient, WeylAmbient
 from .weyl import (WeylElement, symmetrized, weyl_commutant, weyl_commutator,
                    weyl_product)
 
 I_OVER_HBAR = S_I / HBAR
 
 CONVENTION = "bracket {p,q} = +1; commutator [X,P] = i*hbar; rule Q({f,g}) = (i/hbar)[Q(f),Q(g)]"
-
-
-# ---------------------------------------------------------------------------
-# Carriers for unknown operators
-# ---------------------------------------------------------------------------
-
-class WeylCarrier:
-    """Unknowns live in the Weyl algebra, coefficients in the Scalar field."""
-
-    def __init__(self, n, degree_cap):
-        self.n = n
-        self.atom_keys = monomials_upto(2 * n, degree_cap)
-
-    def atom_op(self, key):
-        return WeylElement.word(key, 1, self.n)
-
-    def zero_op(self):
-        return WeylElement.zero(self.n)
-
-
-class MatrixCarrier:
-    """Unknowns are square matrices over Scalar; the atoms are the matrix
-    units (i, j), in row-major order."""
-
-    def __init__(self, dim):
-        self.dim = dim
-        self.atom_keys = [(i, j) for i in range(dim) for j in range(dim)]
-
-    def atom_op(self, key):
-        return ExactMatrix(self.dim, {key: S_ONE})
-
-    def zero_op(self):
-        return ExactMatrix(self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +58,15 @@ class BracketConstraint:
 
 
 class ExtensionProblem:
-    """known: list of (classical element, carrier operator); targets: the
-    classical elements needing assignments; schedule: BracketConstraints.
-    A classical element's coordinates are its `terms`."""
+    """known: list of (classical element, operator); targets: the classical
+    elements needing assignments; ambient: the capped operator span the
+    targets are solved in; schedule: BracketConstraints.  A classical
+    element's coordinates are its `terms`."""
 
-    def __init__(self, knowns, targets, carrier, schedule, bracket):
+    def __init__(self, knowns, targets, ambient, schedule, bracket):
         self.knowns = list(knowns)
         self.targets = list(targets)
-        self.carrier = carrier
+        self.ambient = ambient
         self.schedule = list(schedule)
         self.bracket = bracket
 
@@ -137,7 +107,7 @@ class SolutionSpace:
     def __init__(self, verdict, assignments=None, family=None, contradiction=None,
                  detail=""):
         self.verdict = verdict
-        self.assignments = assignments      # list of carrier ops (particular)
+        self.assignments = assignments      # list of operators (particular)
         self.family = family or []          # list of direction lists
         self.contradiction = contradiction  # (constraint label, residual op)
         self.detail = detail
@@ -158,7 +128,7 @@ def _linearize(prob, con, expansion, form):
     every operand an affine form F₀ + Σ_col x_col F_col given by `form` as
     the map {None: F₀, col: F_col} (a missing None means F₀ = 0).
 
-    Returns the residual as {carrier key: {col: coefficient}}, col None for
+    Returns the residual as {operator key: {col: coefficient}}, col None for
     the constant term, or None when some [F_col, G_col'] is nonzero: then
     the residual is genuinely quadratic in x."""
     terms = {}
@@ -189,13 +159,11 @@ def _affine_stage(prob, cons, expansions, target_forms, ncols):
     """Solve the constraints `cons` (schedule indices) for x, with each
     target t the affine form target_forms[t] (see `_linearize`).
 
-    One solve_affine call over rows keyed (constraint, carrier key).
+    One solve_affine call over rows keyed (constraint, operator key).
     Returns ("quadratic", ci), ("inconsistent", witness) with witness a
     violated (label, residual) or None, or ("solved", (ops, directions))
     with ops the particular assignment F₀ + Σ x·F_col per target and one
     list Σ x·F_col per null vector."""
-    carrier = prob.carrier
-
     def form(elem):
         kind, i = prob._classify(elem)
         return {None: prob.knowns[i][1]} if kind == "known" else target_forms[i]
@@ -220,7 +188,7 @@ def _affine_stage(prob, cons, expansions, target_forms, ncols):
         out = []
         for form_t in target_forms:
             op = form_t[None] if with_const and None in form_t \
-                else carrier.zero_op()
+                else prob.ambient.zero()
             for col, F in form_t.items():
                 if col in vec:
                     op = op + F.scale(vec[col])
@@ -235,10 +203,10 @@ def extension_solve(prob):
     """Two-stage exact solve of an ExtensionProblem.
 
     Stage 1 takes the constraints without a target-target bracket, with
-    each target an unknown combination of carrier atoms.  Stage 2 takes the
-    rest over the stage-1 family, each target affine in its parameters."""
-    carrier = prob.carrier
-    atoms = carrier.atom_keys
+    each target an unknown combination of the ambient's keys.  Stage 2 takes
+    the rest over the stage-1 family, each target affine in its parameters."""
+    ambient = prob.ambient
+    atoms = ambient.keys()
     expansions, linear_cons, bilinear_cons = [], [], []
     for ci, con in enumerate(prob.schedule):
         combo = None
@@ -250,8 +218,8 @@ def extension_solve(prob):
                        for _, f, g in con.terms)
         (bilinear_cons if bilinear else linear_cons).append(ci)
 
-    # stage 1: target t is Σ_a x_{t,a} atom_a
-    stage1 = [{t * len(atoms) + ai: carrier.atom_op(a)
+    # stage 1: target t is Σ_a x_{t,a} a
+    stage1 = [{t * len(atoms) + ai: ambient.from_coords({a: S_ONE})
                for ai, a in enumerate(atoms)}
               for t in range(len(prob.targets))]
     status, out = _affine_stage(prob, linear_cons, expansions, stage1,
@@ -301,7 +269,7 @@ def weyl_generators():
 
 
 def quadratic_extension_problem():
-    """Extend 1, q, p (Schrödinger generators in the Weyl carrier) to the
+    """Extend 1, q, p (Schrödinger generators in the Weyl algebra) to the
     quadratics; bracket relations among the quadratics are the bilinear
     stage that pins the central shifts."""
     X, P = weyl_generators()
@@ -318,7 +286,7 @@ def quadratic_extension_problem():
                                               "{%s, %s}" % (k, t)))
     for f, g in ((q2, qp), (p2, qp), (q2, p2)):
         schedule.append(BracketConstraint([(1, f, g)], "{%s, %s}" % (f, g)))
-    return ExtensionProblem(knowns, targets, WeylCarrier(1, 2), schedule,
+    return ExtensionProblem(knowns, targets, WeylAmbient(1, 2), schedule,
                             bracket_flat)
 
 
@@ -344,7 +312,7 @@ def cubic_extension_problem():
     schedule.append(BracketConstraint(
         [(fractions.Fraction(1, 9), q3, p3), (fractions.Fraction(-1, 3), q2p, qp2)],
         "(1/9){q^3,p^3} - (1/3){q^2 p, q p^2}"))
-    return ExtensionProblem(knowns, targets, WeylCarrier(1, 3), schedule,
+    return ExtensionProblem(knowns, targets, WeylAmbient(1, 3), schedule,
                             bracket_flat)
 
 
@@ -365,7 +333,7 @@ def sphere_equivariance_problem(j):
     for si in s:
         for t in targets:
             schedule.append(BracketConstraint([(1, si, t)], "{%s, %s}" % (si, t)))
-    return ExtensionProblem(knowns, targets, MatrixCarrier(dim), schedule,
+    return ExtensionProblem(knowns, targets, MatrixAmbient(dim), schedule,
                             bracket_raw)
 
 
@@ -420,7 +388,7 @@ def vonneumann_rules_flat(degree):
             schedule = [BracketConstraint([(1, k, target)],
                                           "{%s, %s}" % (k, target))
                         for k in (q, p, qp)]
-            prob = ExtensionProblem(knowns, [target], WeylCarrier(1, e),
+            prob = ExtensionProblem(knowns, [target], WeylAmbient(1, e),
                                     schedule, bracket_flat)
             sol = extension_solve(prob)
             if sol.verdict != "unique":

@@ -3,7 +3,7 @@
 Grammar
     expr   := ['-'] term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
-    factor := atom ('^' uint)?
+    factor := atom ('^' uint)?          (uint at most MAX_EXPONENT)
     atom   := number | symbol | 'sin(' inner ')' | 'cos(' inner ')' | '(' expr ')'
 
 Flat symbols are q<i> and p<i>; sphere symbols S1, S2, S3 and the radius s;
@@ -24,6 +24,10 @@ from .poly import MultiPoly
 from .scalars import Scalar, S_I, S_ONE, S_SPIN, S_ZERO
 from .sphere import SVARS, SphereElement
 from .torus import TorusElement
+
+
+# Largest exponent after '^'; the parser multiplies once per unit of it.
+MAX_EXPONENT = 64
 
 
 class ParseError(ValueError):
@@ -204,6 +208,8 @@ class _Parser:
         if kind != "num" or "/" in val:
             raise ParseError("exponent must be an unsigned integer", pos)
         e = int(val)
+        if e > MAX_EXPONENT:
+            raise ParseError("exponent %d exceeds the limit %d" % (e, MAX_EXPONENT), pos)
         out = self.algebra.const(S_ONE)
         for _ in range(e):
             out = out * base

@@ -1,6 +1,6 @@
 """Commutative multivariate polynomials over Scalar coefficients.
 
-Carrier for every classical observable (flat coordinates q^i, p_i and sphere
+The storage of every classical observable (flat coordinates q^i, p_i and sphere
 coordinates S1, S2, S3).  Exponent vectors are dense tuples keyed by a fixed
 per-algebra variable order.
 """

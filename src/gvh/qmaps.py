@@ -1,7 +1,7 @@
 """The concrete quantization maps, as evaluable objects with declared
 domains, plus the (Q1)/(Q2) residual checkers.
 
-Carriers: the Weyl algebra for every flat map — on n generators for the
+Target algebras: the Weyl algebra for every flat map — on n generators for the
 Weyl-ordered maps (schrodinger, metaplectic, position, which differ only in
 their domains), on 2n generators for prequantization on phase space
 (vanhove); differential operators on the torus line bundle
@@ -35,7 +35,7 @@ class DomainError(ValueError):
 
 
 class QuantizationMap:
-    """Named linear rule into an operator carrier, with a domain predicate."""
+    """Named linear rule into an operator algebra, with a domain predicate."""
 
     def __init__(self, name, domain, rule, bracket, membership=None, params=None):
         self.name = name
@@ -137,7 +137,7 @@ def torus_prequant_map(f):
 
 
 # ---------------------------------------------------------------------------
-# Transformed torus operators in the Hermite carrier
+# Transformed torus operators as Hermite-basis matrices
 # ---------------------------------------------------------------------------
 
 def transformed_harmonic_op(m, l, hbar=DEFAULT_TORUS_HBAR):
@@ -149,9 +149,9 @@ def transformed_harmonic_op(m, l, hbar=DEFAULT_TORUS_HBAR):
     """
     w = 2.0 * math.pi * m
     f1 = FExp({(0, w): 1.0 - 2j * math.pi * m * l, (1, w): -2j * math.pi * m})
-    terms = [(f1, float(l), 0)]
+    terms = {(float(l), 0): f1}
     if l != 0:
-        terms.append((FExp({(0, w): -2.0 * math.pi * hbar * l}), float(l), 1))
+        terms[(float(l), 1)] = FExp({(0, w): -2.0 * math.pi * hbar * l})
     return NumericOp(terms)
 
 
@@ -268,7 +268,7 @@ TORUS_PREQUANT = QuantizationMap(
 
 
 def check_q1(qmap, f, g):
-    """Residual Q({f,g}) − (i/ħ)[Q(f), Q(g)] in the map's carrier."""
+    """Residual Q({f,g}) − (i/ħ)[Q(f), Q(g)] in the map's operator algebra."""
     qmap.ensure_domain(f, "f")
     qmap.ensure_domain(g, "g")
     br = qmap.bracket(f, g)

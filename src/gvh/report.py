@@ -29,15 +29,14 @@ def _round_floats(value):
 class Report:
     """meta + certificate list + expected/observed summary."""
 
-    def __init__(self, meta=None, certificates=None, results=None,
-                 expected=None):
+    def __init__(self, meta=None):
         self.meta = {"convention": CONVENTION, "hbar": "formal symbol",
                      "version": __version__, "provenance": {}}
         if meta:
             self.meta.update(meta)
-        self.certificates = list(certificates or [])
-        self.results = list(results or [])
-        self.expected = dict(expected or {})
+        self.certificates = []
+        self.results = []
+        self.expected = {}
 
     def add_certificate(self, cert, expected_verdict):
         self.certificates.append(cert.to_dict() if hasattr(cert, "to_dict")

@@ -1,7 +1,8 @@
 """Sparse term maps {key: coefficient}, the storage of every finite sum.
 
 Polynomials, Weyl elements, Fourier series, harmonic buckets, matrices,
-differential operators and Hermite symbols are each a `TermMap`: one dict
+differential operators, Hermite symbols and the line operators built on them
+are each a `TermMap`: one dict
 `terms` plus the context slots that say where the sum lives (its variables,
 degrees of freedom, dimension or symplectic scale).  The base class holds
 their vector-space structure, equality, hashing and the commutator; a

@@ -1,141 +1,173 @@
-"""Echelonized subspaces of the classical algebras, with subalgebra
+"""Capped spans of an algebra, echelonized subspaces of them, subalgebra
 generation, normalizers, and sampled transitivity checks.
 
-An Ambient object fixes the algebra, its bracket, the degree/frequency cap
-(mandatory, never defaulted), and a deterministic coordinate key order.
-Coordinates of an element are sparse maps that may extend beyond the cap;
-out-of-cap keys simply can never be matched by in-cap subspaces, which is
-exactly the right behaviour for membership tests.
+An `Ambient` is a capped span of one algebra: its tag, its coordinate keys in
+a fixed order (they fix the echelon pivots, hence every printed basis), and
+the element constructor from a terms map.  A classical algebra adds its
+bracket, a size measure (degree or frequency) with its cap (mandatory, never
+defaulted), the dimension of its phase space, and the point sampler and
+Hamiltonian field rows of the transitivity check.  The coordinates of an
+element are its terms; only the sphere, whose keys are (harmonic degree,
+monomial) pairs, regroups them.  Coordinates may extend beyond the cap:
+out-of-cap keys can never be matched by in-cap subspaces, which is exactly
+the right behaviour for membership tests.  The operator algebras (Weyl,
+matrices) are ambients too: the extension solver writes each unknown over
+their keys.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
 from .flat import FlatElement, bracket_flat, flat_vars
+from .matrices import ExactMatrix
 from .poly import MultiPoly, monomials_upto
 from .scalars import S_ONE
 from .sparse import nonzero_terms, sub_scaled
 from .sphere import SVARS, SphereElement, bracket_sphere
 from .torus import TorusElement, bracket_torus
+from .weyl import WeylElement, weyl_commutator
 
 
-class FlatAmbient:
-    def __init__(self, n, degree_cap):
-        self.n = n
-        self.degree_cap = degree_cap
-        self.tag = "flat(n=%d, deg<=%d)" % (n, degree_cap)
+class OffManifoldError(ValueError):
+    pass
+
+
+class Ambient:
+    """A capped span, bounded by `size(elem) <= cap`.  `sample(rng, params)`
+    draws a point of phase space; `field_rows(elems, point, params)` gives
+    each element's Hamiltonian field there as one row.  FlatAmbient,
+    TorusAmbient, WeylAmbient and MatrixAmbient build one."""
+
+    def __init__(self, tag, keys, make, bracket=None, size=None, cap=None,
+                 dim_m=None, sample=None, field_rows=None):
+        self.tag = tag
+        self._keys = keys
+        self._make = make
+        self.bracket = bracket
+        self.size = size
+        self.cap = cap
+        self.dim_m = dim_m
+        self.sample = sample
+        self.field_rows = field_rows
 
     def keys(self):
-        return monomials_upto(2 * self.n, self.degree_cap)
-
-    def basis_elements(self):
-        return [self.from_coords({k: S_ONE}) for k in self.keys()]
+        return self._keys
 
     def coords(self, elem):
         return elem.terms
 
     def from_coords(self, coords):
-        return FlatElement(self.n, coords)
-
-    def zero(self):
-        return FlatElement.zero(self.n)
-
-    def within_bound(self, elem):
-        return elem.degree() <= self.degree_cap
-
-    def bracket(self, f, g):
-        return bracket_flat(f, g)
-
-    def dim_m(self):
-        return 2 * self.n
-
-
-class SphereAmbient:
-    def __init__(self, degree_cap):
-        self.degree_cap = degree_cap
-        self.tag = "sphere(deg<=%d)" % degree_cap
-
-    def keys(self):
-        out = []
-        for l in range(self.degree_cap + 1):
-            for e in monomials_upto(3, l):
-                if sum(e) == l:
-                    out.append((l, e))
-        return out
+        return self._make(coords)
 
     def basis_elements(self):
-        """Canonicalized monomials, echelonized: a basis of the canonical
-        sphere polynomials of degree ≤ cap (raw monomial keys over-span)."""
-        from .poly import MultiPoly as _MP
-        seen = SubspaceBasis(self)
-        out = []
-        for e in monomials_upto(3, self.degree_cap):
-            el = SphereElement.canonicalize(_MP(SVARS, {e: S_ONE}))
-            if seen.add_element(el):
-                out.append(el)
-        return out
+        return [self.from_coords({k: S_ONE}) for k in self._keys]
+
+    def zero(self):
+        return self.from_coords({})
+
+    def within_bound(self, elem):
+        return self.size(elem) <= self.cap
+
+
+def _flat_rows(n, elems, point, params):
+    names = flat_vars(n)
+    pt = dict(zip(names, point))
+    return [[e.poly.partial(v).evalf(pt, params) for v in names[n:]]
+            + [-e.poly.partial(v).evalf(pt, params) for v in names[:n]]
+            for e in elems]
+
+
+def FlatAmbient(n, degree_cap):
+    return Ambient("flat(n=%d, deg<=%d)" % (n, degree_cap),
+                   monomials_upto(2 * n, degree_cap),
+                   functools.partial(FlatElement, n), bracket_flat,
+                   FlatElement.degree, degree_cap, 2 * n,
+                   lambda rng, params: [rng.gauss(0.0, 1.0) for _ in range(2 * n)],
+                   functools.partial(_flat_rows, n))
+
+
+def _sphere_point(rng, params):
+    """A point on the radius-s sphere (s from params, default 1.0)."""
+    v = [rng.gauss(0.0, 1.0) for _ in range(3)]
+    nv = math.sqrt(sum(x * x for x in v)) or 1.0
+    radius = params.get("s", 1.0)
+    return [x / nv * radius for x in v]
+
+
+def _sphere_rows(elems, point, params):
+    s_val = params.setdefault("s", 1.0)
+    if abs(sum(x * x for x in point) - s_val ** 2) > 1e-9 * max(1.0, abs(s_val) ** 2):
+        raise OffManifoldError(
+            "point %r does not satisfy S.S = s^2 for s = %r" % (point, s_val))
+    pt = dict(zip(SVARS, point))
+    coords = [SphereElement.coordinate(v) for v in SVARS]
+    return [[bracket_sphere(e, si).representative().evalf(pt, params)
+             for si in coords] for e in elems]
+
+
+class SphereAmbient(Ambient):
+    """Canonical sphere polynomials of degree ≤ cap, keyed (l, monomial)."""
+
+    def __init__(self, degree_cap):
+        keys = [(l, e) for l in range(degree_cap + 1)
+                for e in monomials_upto(3, l) if sum(e) == l]
+        super().__init__("sphere(deg<=%d)" % degree_cap, keys, SphereElement,
+                         bracket_sphere, SphereElement.degree, degree_cap, 2,
+                         _sphere_point, _sphere_rows)
 
     def coords(self, elem):
-        out = {}
-        for l, h in elem.terms.items():
-            for e, c in h.terms.items():
-                out[(l, e)] = c
-        return out
+        return {(l, e): c for l, h in elem.terms.items() for e, c in h.terms.items()}
 
     def from_coords(self, coords):
         buckets = {}
         for (l, e), c in coords.items():
-            if c.is_zero():
-                continue
-            b = buckets.setdefault(l, {})
-            b[e] = c
-        return SphereElement({l: MultiPoly(SVARS, t) for l, t in buckets.items()})
-
-    def zero(self):
-        return SphereElement.zero()
-
-    def within_bound(self, elem):
-        return elem.degree() <= self.degree_cap
-
-    def bracket(self, f, g):
-        return bracket_sphere(f, g)
-
-    def dim_m(self):
-        return 2
-
-
-class TorusAmbient:
-    def __init__(self, freq_cap, B=None):
-        self.freq_cap = freq_cap
-        self.B = TorusElement.zero(B).B
-        self.tag = "torus(|freq|<=%d)" % freq_cap
-
-    def keys(self):
-        c = self.freq_cap
-        return [(m, n) for m in range(-c, c + 1) for n in range(-c, c + 1)]
+            if not c.is_zero():
+                buckets.setdefault(l, {})[e] = c
+        return self._make({l: MultiPoly(SVARS, t) for l, t in buckets.items()})
 
     def basis_elements(self):
-        return [self.from_coords({k: S_ONE}) for k in self.keys()]
+        """Canonicalized monomials, echelonized: a basis of the canonical
+        sphere polynomials of degree ≤ cap (raw monomial keys over-span)."""
+        seen = SubspaceBasis(self)
+        out = []
+        for e in monomials_upto(3, self.cap):
+            el = SphereElement.canonicalize(MultiPoly(SVARS, {e: S_ONE}))
+            if seen.add_element(el):
+                out.append(el)
+        return out
 
-    def coords(self, elem):
-        return elem.terms
 
-    def from_coords(self, coords):
-        return TorusElement(coords, self.B)
+def _torus_rows(elems, point, params):
+    x, y = point
+    return [[e.partial_x().evalf(x, y, params), e.partial_y().evalf(x, y, params)]
+            for e in elems]
 
-    def zero(self):
-        return TorusElement.zero(self.B)
 
-    def within_bound(self, elem):
-        return elem.freq_bound() <= self.freq_cap
+def TorusAmbient(freq_cap, B=None):
+    return Ambient("torus(|freq|<=%d)" % freq_cap,
+                   [(m, n) for m in range(-freq_cap, freq_cap + 1)
+                    for n in range(-freq_cap, freq_cap + 1)],
+                   lambda terms: TorusElement(terms, B), bracket_torus,
+                   TorusElement.freq_bound, freq_cap, 2,
+                   lambda rng, params: (rng.random(), rng.random()), _torus_rows)
 
-    def bracket(self, f, g):
-        return bracket_torus(f, g)
 
-    def dim_m(self):
-        return 2
+def WeylAmbient(n, degree_cap):
+    """Normal-ordered Weyl words X^α P^β of degree ≤ cap."""
+    return Ambient("weyl(n=%d, deg<=%d)" % (n, degree_cap),
+                   monomials_upto(2 * n, degree_cap),
+                   functools.partial(WeylElement, n), weyl_commutator,
+                   WeylElement.degree, degree_cap)
+
+
+def MatrixAmbient(dim):
+    """dim × dim matrices over Scalar, keyed by matrix units in row-major order."""
+    return Ambient("matrix(dim=%d)" % dim,
+                   [(i, j) for i in range(dim) for j in range(dim)],
+                   functools.partial(ExactMatrix, dim))
 
 
 class SubspaceBasis:
@@ -248,45 +280,6 @@ def normalizer(sub, ambient):
     return out
 
 
-class OffManifoldError(ValueError):
-    pass
-
-
-def _hamiltonian_rows(ambient, elems, point, params):
-    rows = []
-    if isinstance(ambient, FlatAmbient):
-        n = ambient.n
-        names = flat_vars(n)
-        pt = {name: point[k] for k, name in enumerate(names)}
-        for e in elems:
-            row = []
-            for k in range(1, n + 1):
-                row.append(e.poly.partial("p%d" % k).evalf(pt, params))
-            for k in range(1, n + 1):
-                row.append(-e.poly.partial("q%d" % k).evalf(pt, params))
-            rows.append(row)
-    elif isinstance(ambient, SphereAmbient):
-        r2 = sum(x * x for x in point)
-        s_val = params.get("s")
-        if s_val is None or abs(r2 - s_val ** 2) > 1e-9 * max(1.0, abs(s_val) ** 2):
-            raise OffManifoldError(
-                "point %r does not satisfy S.S = s^2 for s = %r" % (point, s_val))
-        pt = {name: point[k] for k, name in enumerate(SVARS)}
-        coords = [SphereElement.coordinate(v) for v in SVARS]
-        for e in elems:
-            row = [bracket_sphere(e, si).representative().evalf(pt, params)
-                   for si in coords]
-            rows.append(row)
-    elif isinstance(ambient, TorusAmbient):
-        x, y = point
-        for e in elems:
-            row = [e.partial_x().evalf(x, y, params), e.partial_y().evalf(x, y, params)]
-            rows.append(row)
-    else:
-        raise TypeError("unknown ambient %r" % ambient)
-    return rows
-
-
 def transitivity_check(basis, npoints=8, seed=0, params=None):
     """Rank of the Hamiltonian fields of the basis at sampled points.
 
@@ -296,21 +289,10 @@ def transitivity_check(basis, npoints=8, seed=0, params=None):
     """
     if npoints < 1:
         raise ValueError("npoints must be at least 1, got %d" % npoints)
-    ambient = basis.ambient
-    radius = (params or {}).get("s", 1.0)
     rng = random.Random(seed)
-    reports = []
-    for _ in range(npoints):
-        if isinstance(ambient, FlatAmbient):
-            point = [rng.gauss(0.0, 1.0) for _ in range(2 * ambient.n)]
-        elif isinstance(ambient, SphereAmbient):
-            v = [rng.gauss(0.0, 1.0) for _ in range(3)]
-            nv = math.sqrt(sum(x * x for x in v)) or 1.0
-            point = [x / nv * radius for x in v]
-        else:
-            point = (rng.random(), rng.random())
-        reports.append(transitivity_at_point(basis, point, params))
-    return reports
+    return [transitivity_at_point(basis, basis.ambient.sample(rng, params or {}),
+                                  params)
+            for _ in range(npoints)]
 
 
 def transitivity_at_point(basis, point, params=None):
@@ -321,11 +303,9 @@ def transitivity_at_point(basis, point, params=None):
     params = dict(params or {})
     params.setdefault("pi", math.pi)
     params.setdefault("hbar", 1.0)
-    if isinstance(ambient, SphereAmbient):
-        params.setdefault("s", 1.0)
-    rows = _hamiltonian_rows(ambient, basis.elements(), point, params)
+    rows = ambient.field_rows(basis.elements(), point, params)
     m = np.array(rows, dtype=complex)
     sv = np.linalg.svd(m, compute_uv=False) if m.size else [0.0]
     rk = int((np.asarray(sv) > 1e-9 * max(1.0, float(sv[0]))).sum()) if m.size else 0
-    return {"point": tuple(point), "rank": rk, "dim": ambient.dim_m(),
-            "transitive": rk == ambient.dim_m()}
+    return {"point": tuple(point), "rank": rk, "dim": ambient.dim_m,
+            "transitive": rk == ambient.dim_m}

@@ -155,41 +155,6 @@ def symmetrized(A, B):
     return Scalar.from_rational(1, 2) * anticommutator(A, B)
 
 
-class WeylAmbient:
-    """Ambient adapter so Weyl subspaces reuse the echelon machinery."""
-
-    def __init__(self, n, degree_cap):
-        self.n = n
-        self.degree_cap = degree_cap
-        self.tag = "weyl(n=%d, deg<=%d)" % (n, degree_cap)
-
-    def keys(self):
-        from .poly import monomials_upto
-        return monomials_upto(2 * self.n, self.degree_cap)
-
-    def basis_elements(self):
-        from .scalars import S_ONE
-        return [self.from_coords({k: S_ONE}) for k in self.keys()]
-
-    def coords(self, elem):
-        return elem.terms
-
-    def from_coords(self, coords):
-        return WeylElement(self.n, coords)
-
-    def zero(self):
-        return WeylElement.zero(self.n)
-
-    def within_bound(self, elem):
-        return elem.degree() <= self.degree_cap
-
-    def bracket(self, f, g):
-        return weyl_commutator(f, g)
-
-    def dim_m(self):
-        return 2 * self.n
-
-
 def weyl_words_upto(n, bound):
     from .poly import monomials_upto
     return [WeylElement.word(e, 1, n) for e in monomials_upto(2 * n, bound)]
@@ -199,7 +164,7 @@ def weyl_commutant(gens, words, n=None):
     """Basis of {T ∈ span(words) : [T, g] = 0 for all g}, by exact solve;
     words are exponent tuples of normal-ordered words X^α P^β."""
     from .linalg import nullspace
-    from .subspace import SubspaceBasis
+    from .subspace import SubspaceBasis, WeylAmbient
 
     if n is None:
         n = gens[0].n if gens else 1

@@ -10,7 +10,7 @@ import sympy
 from gvh.flat import FlatElement, bracket_flat
 from gvh.matrices import spin_matrices
 from gvh.obstruction import (CONVENTION, BracketConstraint, ExtensionProblem,
-                             WeylCarrier, anticommutator_certificate,
+                             anticommutator_certificate,
                              cubic_extension_problem, extension_solve,
                              groenewold_certificate,
                              position_nonextension_certificate,
@@ -19,6 +19,7 @@ from gvh.obstruction import (CONVENTION, BracketConstraint, ExtensionProblem,
                              torus_irreducibility, torus_transform_identities,
                              vonneumann_rules_flat)
 from gvh.scalars import HBAR, S_I, S_ONE, Scalar
+from gvh.subspace import WeylAmbient
 from gvh.weyl import WeylElement, symmetrized, weyl_commutator
 
 X = WeylElement.x()
@@ -129,7 +130,7 @@ def _quadratic_cap_problem(qp_known):
         targets.append(qp)
     schedule = [BracketConstraint([(1, f, g)], "{%s, %s}" % (f, g))
                 for f, g in ((p, q2), (q, p2), (q2, p2))]
-    return ExtensionProblem(knowns, targets, WeylCarrier(1, 2), schedule,
+    return ExtensionProblem(knowns, targets, WeylAmbient(1, 2), schedule,
                             bracket_flat)
 
 

@@ -318,7 +318,7 @@ def test_transformed_pure_x_harmonic_symbol():
     op = transformed_harmonic_op(1, 0)
     xs = np.linspace(-1.2, 1.3, 5)
     assert len(op.terms) == 1
-    sym, shift, dorder = op.terms[0]
+    [((shift, dorder), sym)] = op.terms.items()
     assert shift == 0.0 and dorder == 0
     vals = sym.evalf(xs)
     want = np.exp(2j * math.pi * xs) * (1 - 2j * math.pi * xs)

@@ -133,15 +133,26 @@ def test_cli_degree_cap_zero_is_kept(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["normalizer", "r2n", "q1", "--degree-cap", "-1"],
-     "error: generator q1 lies outside the ambient flat(n=1, deg<=-1)"),
+     "error: --degree-cap must be at least 0, got -1"),
+    (["generate", "torus", "sin(2*pi*1*x)", "--freq-cap", "-2"],
+     "error: --freq-cap must be at least 0, got -2"),
+    (["transitivity", "sphere", "S1", "--degree-cap", "-1"],
+     "error: --degree-cap must be at least 0, got -1"),
+], ids=["negative-degree-cap", "negative-freq-cap", "transitivity-negative-cap"])
+def test_cli_rejects_negative_caps(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.strip() == message
+
+
+@pytest.mark.parametrize("argv, message", [
     (["generate", "torus", "sin(2*pi*2*x)", "--freq-cap", "1"],
      "error: generator sin(2*pi*2*x) lies outside the ambient torus(|freq|<=1)"),
     (["transitivity", "r2n", "q1", "p1", "--degree-cap", "0"],
      "error: generator q1 lies outside the ambient flat(n=1, deg<=0)"),
     (["transitivity", "torus", "sin(2*pi*1*x)", "cos(2*pi*1*y)", "--freq-cap", "0"],
      "error: generator sin(2*pi*1*x) lies outside the ambient torus(|freq|<=0)"),
-], ids=["negative-degree-cap", "torus-freq-cap", "transitivity-degree-cap",
-        "transitivity-freq-cap"])
+], ids=["torus-freq-cap", "transitivity-degree-cap", "transitivity-freq-cap"])
 def test_cli_rejects_generator_outside_cap(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)
     assert code == 1 and out == ""
@@ -243,6 +254,20 @@ def test_cli_parse_error(capsys):
     code, out, err = run_cli(capsys, ["bracket", "r2n", "q7", "p1"])
     assert code == 1 and out == ""
     assert err.startswith("error:") and "q7" in err
+
+
+def test_cli_rejects_huge_exponent_before_multiplying(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product ran before the exponent check")
+    monkeypatch.setattr("gvh.flat.FlatElement.__mul__", refuse)
+    code, out, err = run_cli(capsys, ["bracket", "r2n", "q1^99999999", "p1"])
+    assert code == 1 and out == ""
+    assert err.strip() == \
+        "error: exponent 99999999 exceeds the limit 64 (at position 3)"
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, ["bracket", "r2n", "q1^64", "p1"])
+    assert code == 0
+    assert json.loads(out)["results"][0]["result"] == "(-64)*q1^63"
 
 
 def test_cli_rejects_unknown_target(capsys):

@@ -5,12 +5,16 @@ from fractions import Fraction
 import pytest
 
 from gvh.flat import FlatElement
+from gvh.matrices import ExactMatrix
 from gvh.scalars import S_ONE, Scalar
 from gvh.sphere import SphereElement, svar
-from gvh.subspace import (FlatAmbient, OffManifoldError, SphereAmbient,
-                          SubspaceBasis, generate_poisson_subalgebra,
+from gvh.subspace import (FlatAmbient, MatrixAmbient, OffManifoldError,
+                          SphereAmbient, SubspaceBasis, TorusAmbient,
+                          WeylAmbient, generate_poisson_subalgebra,
                           normalizer, transitivity_at_point,
                           transitivity_check)
+from gvh.torus import TorusElement
+from gvh.weyl import WeylElement
 
 
 def _m(n, qe, pe, c=1):
@@ -161,3 +165,58 @@ def test_off_manifold_sphere_point_rejected():
         amb, [SphereElement.canonicalize(svar(v)) for v in ("S1", "S2", "S3")])
     with pytest.raises(OffManifoldError):
         transitivity_at_point(basis, [5.0, 0.0, 0.0], params={"s": 1.0})
+
+
+def _ambient_cases():
+    """(ambient, its leading keys, an element at the cap, one at cap + 1);
+    the matrix ambient has no cap."""
+    half = Scalar.from_rational(1, 2)
+    sphere = SphereElement.canonicalize
+    return {
+        "flat-n1": (FlatAmbient(1, 2),
+                    [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)],
+                    _m(1, (1,), (1,)), _m(1, (2,), (1,))),
+        "flat-n2": (FlatAmbient(2, 2),
+                    [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0),
+                     (1, 0, 0, 0), (0, 0, 0, 2)],
+                    _m(2, (1, 0), (0, 1)), _m(2, (1, 1), (0, 1))),
+        "sphere": (SphereAmbient(2),
+                   [(0, (0, 0, 0)), (1, (0, 0, 1)), (1, (0, 1, 0)),
+                    (1, (1, 0, 0)), (2, (0, 0, 2)), (2, (0, 1, 1))],
+                   sphere(svar("S1") * svar("S2")),
+                   sphere(svar("S1") * svar("S2") * svar("S3"))),
+        "torus-B-half": (TorusAmbient(1, half),
+                         [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1)],
+                         TorusElement.sin(1, -1, B=half),
+                         TorusElement.cos(2, 0, B=half)),
+        "weyl": (WeylAmbient(1, 3),
+                 [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)],
+                 WeylElement.word((1, 2)), WeylElement.word((2, 2))),
+        "matrix": (MatrixAmbient(2), [(0, 0), (0, 1), (1, 0), (1, 1)],
+                   None, None),
+    }
+
+
+AMBIENTS = _ambient_cases()
+
+
+@pytest.mark.parametrize("name", sorted(AMBIENTS))
+def test_ambient_contract(name):
+    amb, leading, at_cap, over_cap = AMBIENTS[name]
+    keys = amb.keys()
+    assert keys[:len(leading)] == leading
+    basis = amb.basis_elements()
+    want = (amb.cap + 1) ** 2 if isinstance(amb, SphereAmbient) else len(keys)
+    assert len(basis) == want
+    e = amb.zero()
+    assert e.is_zero() and amb.coords(e) == {}
+    for c, b in enumerate(basis, start=1):
+        e = e + b.scale(Scalar.from_int(c))
+    assert amb.from_coords(amb.coords(e)) == e
+    assert SubspaceBasis.from_elements(amb, basis).contains(e)
+    if at_cap is None:
+        assert amb.cap is None and isinstance(e, ExactMatrix)
+        return
+    assert amb.within_bound(at_cap) and amb.size(at_cap) == amb.cap
+    assert not amb.within_bound(over_cap)
+    assert amb.size(over_cap) == amb.cap + 1

@@ -9,7 +9,7 @@ import pytest
 
 from gvh.diffop import DiffOp, TorusXCoef
 from gvh.flat import FlatElement
-from gvh.hermite import FExp
+from gvh.hermite import FExp, NumericOp
 from gvh.matrices import ExactMatrix, spin_matrices
 from gvh.poly import MultiPoly
 from gvh.scalars import HBAR, S_I, S_ONE, Scalar
@@ -41,6 +41,9 @@ def _cases():
         "DiffOp": (DiffOp({(1, 0): TorusXCoef.const(1)}),
                    DiffOp({(0, 0): TorusXCoef.xpow(2)}), None),
         "FExp": (FExp.tpow(2, 3.0), FExp.harmonic(1.5, 2.0), None),
+        "NumericOp": (NumericOp.multiply_by(FExp.tpow(1)),
+                      NumericOp.shift_by(0.5).compose(NumericOp.derivative()),
+                      None),
     }
 
 

@@ -5,7 +5,8 @@ import random
 from algebra_props import check_weyl_associativity, random_weyl
 from gvh.poly import monomials_upto
 from gvh.scalars import HBAR, S_I, S_ONE, Scalar
-from gvh.weyl import (WeylAmbient, WeylElement, anticommutator, symmetrized,
+from gvh.subspace import WeylAmbient
+from gvh.weyl import (WeylElement, anticommutator, symmetrized,
                       weyl_commutant, weyl_commutator, weyl_product,
                       weyl_words_upto)
 
