@@ -12,13 +12,15 @@ Gauss–Hermite quadrature with stabilized weights (w_i e^{x_i²} computed via
 the order-(Q−1) Hermite function, never by exponentiating x_i²); shifted
 overlaps are centered so the Gaussian factors recombine exactly.  The
 commutant SVD runs on real stacks: conjugate generator pairs fold into their
-real and imaginary parts, and pairs swapped by the Hermite parity
-P = diag((−1)ⁿ) fold into a P-even and a P-odd block; both folds keep the
-singular values.  With every block of definite parity the stack splits into
-a T-even and a T-odd sector, factored separately at a quarter of the size.
-Dropping the off-parity residue (checked against 64·eps·max|h|) moves each
-singular value by at most its norm (Weyl's inequality); a set that is not
-P-closed takes the trivial grading and one full stack.
+real and imaginary parts, pairs swapped by the Hermite parity P = diag((−1)ⁿ)
+fold into a P-even and a P-odd block, and pairs swapped by the transposition
+τ: h ↦ hᵀ into a symmetric and an antisymmetric block; every fold keeps the
+singular values.  With every block of definite parity and transpose sign the
+stack splits into four sectors, T even or odd and symmetric or
+antisymmetric, factored separately at about a sixteenth of the size.
+Dropping the residue off each grade (checked against 64·eps·max|h|) moves
+each singular value by at most its norm (Weyl's inequality); a set that is
+not P-closed or not τ-closed takes the trivial grading for that involution.
 """
 
 from __future__ import annotations
@@ -339,66 +341,105 @@ def hermite_matrix(op, trunc, quad_order=None):
 
 
 def _fold(blocks, image, phase, close):
-    """Split a set closed under the involution σ = `image` into σ-even and
-    σ-odd blocks.
+    """Grade the blocks [(h, g)] of a set closed under the involution
+    σ = `image` by σ.
 
-    A block with σ(h) = h stays; one with σ(h) = −h becomes phase·h; a pair
-    h, h′ = σ(h) becomes (h + h′)/√2 and phase·(h − h′)/√2.  Each step is a
-    unitary transform of the rows [K(h); K(h′)] of the commutant stack, since
-    K is linear, so the singular values stay.  Returns ([(block, grade)],
-    None) with grade 0 for σ-even and 1 for σ-odd, or (None, i) for the first
-    block i that has no partner under `close`.
+    A block with σ(h) = h becomes (h, g + (0,)); one with σ(h) = −h becomes
+    (phase·h, g + (1,)); a pair h, h′ = σ(h) of equal grade g becomes
+    (h + h′)/√2 and phase·(h − h′)/√2, of grades g + (0,) and g + (1,).  Each
+    step is a unitary transform of the rows [K(h); K(h′)] of the commutant
+    stack, since K is linear, so the singular values stay.  Returns (graded
+    blocks, None), or (None, i) for the first block i that has no partner
+    under `close`.
     """
     out, used = [], set()
-    for i, h in enumerate(blocks):
+    for i, (h, g) in enumerate(blocks):
         if i in used:
             continue
         img = image(h)
         if close(img, h):
-            out.append((h, 0))
+            out.append((h, g + (0,)))
         elif close(img, -h):
-            out.append((phase * h, 1))
+            out.append((phase * h, g + (1,)))
         else:
-            j = next((j for j in range(i + 1, len(blocks))
-                      if j not in used and close(blocks[j], img)), None)
+            j = next((j for j in range(i + 1, len(blocks)) if j not in used
+                      and blocks[j][1] == g and close(blocks[j][0], img)), None)
             if j is None:
                 return None, i
             used.add(j)
-            out += [(SQRT_HALF * (h + blocks[j]), 0),
-                    (phase * SQRT_HALF * (h - blocks[j]), 1)]
+            h2 = blocks[j][0]
+            out += [(SQRT_HALF * (h + h2), g + (0,)),
+                    (phase * SQRT_HALF * (h - h2), g + (1,))]
     return out, None
 
 
-def _sector_stack(graded, parity, p):
-    """The stacked K(h) restricted to the T with parity[i, j] = p.
+def _scatter(stack, rowid, h, cols, ti, tj, w):
+    """Add w·K(h)E_{ti,tj} = w·(E_{ti,tj} h − h E_{ti,tj}) to the given
+    columns: h[tj, b] lands at row (ti, b) and −h[a, ti] at row (a, tj).
+    Entries whose rowid is −1 are dropped.  Within one call every (row,
+    column) pair is distinct, so the buffered `+=` adds each once."""
+    idx = np.arange(h.shape[0])[None, :]
+    cc = np.broadcast_to(cols[:, None], (cols.size, idx.size))
+    for r, v in ((rowid[ti[:, None], idx], h[tj[:, None], idx]),
+                 (rowid[idx, tj[:, None]], -h[idx, ti[:, None]])):
+        sel = r >= 0
+        stack[r[sel], cc[sel]] += (w[:, None] * v)[sel]
 
-    K(h) sends such a T to [T, h], of parity p + grade(h), so each block
-    keeps only those rows; the rest of its column is the off-parity residue.
-    The entries are scattered in directly:
-    [T, h][a, b] = Σ_j T[a, j] h[j, b] − Σ_i h[a, i] T[i, b], so column
-    T[i, j] holds h[j, b] at row (i, b) and −h[a, i] at row (a, j).  At
-    least as many rows as columns (zero rows pad a short stack), so the
-    columns with no rows still show up as zero singular values.
+
+def _sector_stacks(graded, parity, mate, flip):
+    """Yield the stacked K(h) of each nonempty sector (parity p, sign s).
+
+    `graded` holds blocks (h, (q, t)) of parity q and transpose sign (−1)^t.
+    `mate` is the τ-grading's involution on flat entry indices: the
+    transposition (i, j) ↦ (j, i), or the identity under the trivial
+    grading.  `flip` is 1 when it reverses products (the transposition) and
+    0 for the identity, so K(h) maps sign s to sign s + t + flip (mod 2).
+    Matrices of one parity and sign are coordinatized at one entry k per
+    orbit, k ≤ mate(k), fixed entries only for sign +1: the column basis is
+    E_k for a fixed k and (E_k + (−1)^s·E_mate(k))/√2 otherwise, and an
+    image R is read off as R_k and √2·R_k respectively; both are isometries.
+    Each block is first projected onto its sign, (h + (−1)^t·h[mate])/2,
+    which is exact under the identity.  At least as many rows as columns
+    (zero rows pad a short stack), so the columns with no rows still show up
+    as zero singular values.
     """
     M = parity.shape[0]
-    ti, tj = np.nonzero(parity == p)
-    keeps = [parity == (p + q) % 2 for _, q in graded]
-    counts = [int(np.count_nonzero(k)) for k in keeps]
-    shape = (max(sum(counts), ti.size), ti.size)
-    check_memory(8 * shape[0] * shape[1], "the commutant stack of %d blocks "
-                 "at interior size %d" % (len(graded), M))
-    stack = np.zeros(shape)
-    col = np.broadcast_to(np.arange(ti.size)[:, None], (ti.size, M))
-    idx = np.arange(M)[None, :]
-    start = 0
-    for (h, _), keep, count in zip(graded, keeps, counts):
-        row = start + np.cumsum(keep).reshape(M, M) - 1
-        sel = keep[ti[:, None], idx]
-        stack[row[ti[:, None], idx][sel], col[sel]] = h[tj[:, None], idx][sel]
-        sel = keep[idx, tj[:, None]]
-        stack[row[idx, tj[:, None]][sel], col[sel]] -= h[idx, ti[:, None]][sel]
-        start += count
-    return stack
+    flat = np.arange(M * M).reshape(M, M)
+    fixed = mate == flat
+    orbit = flat <= mate
+    weight = np.where(fixed, 1.0, math.sqrt(2.0))
+
+    def reps(par, sgn):
+        return orbit & (parity == par % 2) & ~(fixed & (sgn % 2 == 1))
+
+    for p in (0, 1):
+        for s in (0, 1):
+            ci, cj = np.nonzero(reps(p, s))
+            if not ci.size:
+                continue
+            pair = ~fixed[ci, cj]
+            mi, mj = np.divmod(mate[ci, cj][pair], M)
+            keeps = [reps(p + q, s + t + flip) for _, (q, t) in graded]
+            counts = [int(np.count_nonzero(k)) for k in keeps]
+            shape = (max(sum(counts), ci.size), ci.size)
+            check_memory(8 * shape[0] * shape[1], "the commutant stack of %d "
+                         "blocks at interior size %d" % (len(graded), M))
+            stack = np.zeros(shape)
+            rweight = np.ones(shape[0])
+            cols = np.arange(ci.size)
+            start = 0
+            for (h, (_, t)), keep, count in zip(graded, keeps, counts):
+                h = 0.5 * (h + (1 - 2 * t) * h.ravel()[mate])
+                rowid = np.full((M, M), -1)
+                rowid[keep] = np.arange(start, start + count)
+                rweight[start:start + count] = weight[keep]
+                _scatter(stack, rowid, h, cols, ci, cj,
+                         np.where(pair, SQRT_HALF, 1.0))
+                _scatter(stack, rowid, h, cols[pair], mi, mj,
+                         np.full(mi.size, (1 - 2 * s) * SQRT_HALF))
+                start += count
+            stack *= rweight[:, None]
+            yield stack
 
 
 def commutant_kernel_dim(mats, tol, interior=None):
@@ -432,6 +473,25 @@ def commutant_kernel_dim(mats, tol, interior=None):
     the torus generators, far below `tol`.  A set that is not P-closed gets
     the trivial grading: every index even, every block of grade 0, so the
     even sector is the full real stack and the odd sector is empty.
+
+    The graded blocks are then graded once more by the transposition
+    τ: T ↦ Tᵀ, which commutes with P, by the same fold and closeness test:
+    hᵀ = h is symmetric, hᵀ = −h antisymmetric, and a pair h, h′ ≈ hᵀ of
+    equal parity folds into (h + h′)/√2 and (h − h′)/√2.  If hᵀ = t·h then
+    [Tᵀ, h] = −t·[T, h]ᵀ, so K(h) maps the T of transpose sign s onto
+    matrices of sign −s·t.  Each parity sector splits in two, on the
+    orthonormal columns {E_ii} ∪ {(E_ij + s·E_ji)/√2, i < j}; an image of
+    sign u is read off at R_aa and √2·R_ab (a < b), none on the diagonal
+    when u = −1, which is an isometry onto that subspace.  Both changes of
+    basis are orthogonal, so the four sectors (p, s) have between them the
+    singular values of the parity sectors.  Each block is projected onto
+    its sign first; the residue dropped, (h − t·hᵀ)/2, moves each singular
+    value by at most ‖K(·)‖₂ of it (Weyl's inequality again).  On the torus
+    set √2 Re A₊, √2 Im A₊ and (B₊ + B₋)/√2 are symmetric and (B₊ − B₋)/√2
+    antisymmetric, since B₋ = B₊ᵀ.  A set that is not τ-closed gets the
+    trivial τ-grading: the identity involution, every block of grade 0,
+    every entry its own orbit, so each parity sector stays whole, built
+    exactly as before, and its antisymmetric half is empty.
     """
     arrs = [m.entries if isinstance(m, NumericMatrix) else np.asarray(m, dtype=complex)
             for m in mats]
@@ -439,22 +499,33 @@ def commutant_kernel_dim(mats, tol, interior=None):
         raise ValueError("need at least one generator")
     N = arrs[0].shape[0]
     M = interior if interior is not None else N // 2
-    conj, lone = _fold([g[:M, :M] for g in arrs], np.conj, -1j, np.array_equal)
+    conj, lone = _fold([(g[:M, :M], ()) for g in arrs], np.conj, -1j,
+                       np.array_equal)
     if lone is not None:
         raise ValueError("generator %d is complex and no other generator "
                          "equals its conjugate" % lone)
-    real_blocks = [h.real for h, _ in conj]  # imaginary parts are exactly 0
+    real_blocks = [(h.real, ()) for h, _ in conj]  # imaginary parts are exactly 0
     parity = np.add.outer(np.arange(M), np.arange(M)) % 2
     sign = 1.0 - 2.0 * parity
-    bound = 64 * np.finfo(float).eps * max(float(np.abs(h).max()) for h in real_blocks)
-    graded, lone = _fold(real_blocks, lambda h: sign * h, 1.0,
-                         lambda a, b: float(np.abs(a - b).max()) <= bound)
+    bound = 64 * np.finfo(float).eps * max(float(np.abs(h).max())
+                                           for h, _ in real_blocks)
+
+    def close(a, b):
+        return float(np.abs(a - b).max()) <= bound
+
+    graded, lone = _fold(real_blocks, lambda h: sign * h, 1.0, close)
     if lone is not None:
-        graded = [(h, 0) for h in real_blocks]
+        graded = [(h, (0,)) for h, _ in real_blocks]
         parity = np.zeros_like(parity)
+    mate = np.arange(M * M).reshape(M, M)
+    tgraded, lone = _fold(graded, np.transpose, 1.0, close)
+    if lone is None:
+        graded, mate, flip = tgraded, mate.T, 1
+    else:
+        graded, flip = [(h, g + (0,)) for h, g in graded], 0
     sv = np.sort(np.concatenate(
-        [np.linalg.svd(_sector_stack(graded, parity, p), compute_uv=False)
-         for p in (0, 1) if (parity == p).any()]))[::-1]
+        [np.linalg.svd(stack, compute_uv=False)
+         for stack in _sector_stacks(graded, parity, mate, flip)]))[::-1]
     smax = float(sv[0]) if sv.size else 0.0
     if smax <= 1e-300:
         return M * M, [0.0] * min(6, sv.size)

@@ -789,9 +789,12 @@ def torus_irreducibility(k, trunc=64, tol=1e-6, hbar=None, quad_order=None):
     if trunc < 32:
         raise ValueError("truncation must be at least 32")
     check_quadrature_size(trunc, quad_order)
-    # the larger parity sector of the commutant stack, M = N/2: four real
-    # slabs of ⌈M²/2⌉ rows by ⌈M²/2⌉ float64 columns (8·M⁴ bytes for even
-    # M), plus the O(M³) index arrays its builder holds
+    # the largest sector the commutant stack can take, M = N/2: with the
+    # parity grading alone (a set that is not τ-closed) four real slabs of
+    # ⌈M²/2⌉ rows by ⌈M²/2⌉ float64 columns (8·M⁴ bytes for even M), plus
+    # the O(M³) index arrays its builder holds.  The τ-graded sectors of the
+    # torus set are about a quarter of that, but the bound must hold for
+    # whichever grading the generators admit.
     M = trunc // 2
     half = (M * M + 1) // 2
     check_memory(32 * half * half + 64 * M ** 3,

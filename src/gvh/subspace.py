@@ -35,6 +35,21 @@ class OffManifoldError(ValueError):
     pass
 
 
+# An ambient lists every key up front, at about 220 bytes and 2 µs a key
+# (flat n = 2, cap 60: 635,376 keys in 1.3 s and 138 MiB); a million keys
+# is past any span the engine can echelonize.
+MAX_KEYS = 10 ** 6
+
+
+def _check_key_count(tag, count):
+    """`tag`, or a ValueError when the ambient it names would have more
+    than MAX_KEYS keys; called before any key is listed."""
+    if count > MAX_KEYS:
+        raise ValueError("the ambient %s has %d keys, more than the limit %d"
+                         % (tag, count, MAX_KEYS))
+    return tag
+
+
 class Ambient:
     """A capped span, bounded by `size(elem) <= cap`.  `sample(rng, params)`
     draws a point of phase space; `field_rows(elems, point, params)` gives
@@ -81,8 +96,9 @@ def _flat_rows(n, elems, point, params):
 
 
 def FlatAmbient(n, degree_cap):
-    return Ambient("flat(n=%d, deg<=%d)" % (n, degree_cap),
-                   monomials_upto(2 * n, degree_cap),
+    tag = _check_key_count("flat(n=%d, deg<=%d)" % (n, degree_cap),
+                           math.comb(2 * n + degree_cap, 2 * n))
+    return Ambient(tag, monomials_upto(2 * n, degree_cap),
                    functools.partial(FlatElement, n), bracket_flat,
                    FlatElement.degree, degree_cap, 2 * n,
                    lambda rng, params: [rng.gauss(0.0, 1.0) for _ in range(2 * n)],
@@ -112,9 +128,12 @@ class SphereAmbient(Ambient):
     """Canonical sphere polynomials of degree ≤ cap, keyed (l, monomial)."""
 
     def __init__(self, degree_cap):
+        # Σ_{l≤cap} C(l + 2, 2) monomials of degree l in S1, S2, S3
+        tag = _check_key_count("sphere(deg<=%d)" % degree_cap,
+                               math.comb(degree_cap + 3, 3))
         keys = [(l, e) for l in range(degree_cap + 1)
                 for e in monomials_upto(3, l) if sum(e) == l]
-        super().__init__("sphere(deg<=%d)" % degree_cap, keys, SphereElement,
+        super().__init__(tag, keys, SphereElement,
                          bracket_sphere, SphereElement.degree, degree_cap, 2,
                          _sphere_point, _sphere_rows)
 
@@ -147,9 +166,10 @@ def _torus_rows(elems, point, params):
 
 
 def TorusAmbient(freq_cap, B=None):
-    return Ambient("torus(|freq|<=%d)" % freq_cap,
-                   [(m, n) for m in range(-freq_cap, freq_cap + 1)
-                    for n in range(-freq_cap, freq_cap + 1)],
+    tag = _check_key_count("torus(|freq|<=%d)" % freq_cap,
+                           (2 * freq_cap + 1) ** 2)
+    return Ambient(tag, [(m, n) for m in range(-freq_cap, freq_cap + 1)
+                         for n in range(-freq_cap, freq_cap + 1)],
                    lambda terms: TorusElement(terms, B), bracket_torus,
                    TorusElement.freq_bound, freq_cap, 2,
                    lambda rng, params: (rng.random(), rng.random()), _torus_rows)
@@ -157,16 +177,17 @@ def TorusAmbient(freq_cap, B=None):
 
 def WeylAmbient(n, degree_cap):
     """Normal-ordered Weyl words X^α P^β of degree ≤ cap."""
-    return Ambient("weyl(n=%d, deg<=%d)" % (n, degree_cap),
-                   monomials_upto(2 * n, degree_cap),
+    tag = _check_key_count("weyl(n=%d, deg<=%d)" % (n, degree_cap),
+                           math.comb(2 * n + degree_cap, 2 * n))
+    return Ambient(tag, monomials_upto(2 * n, degree_cap),
                    functools.partial(WeylElement, n), weyl_commutator,
                    WeylElement.degree, degree_cap)
 
 
 def MatrixAmbient(dim):
     """dim × dim matrices over Scalar, keyed by matrix units in row-major order."""
-    return Ambient("matrix(dim=%d)" % dim,
-                   [(i, j) for i in range(dim) for j in range(dim)],
+    tag = _check_key_count("matrix(dim=%d)" % dim, dim * dim)
+    return Ambient(tag, [(i, j) for i in range(dim) for j in range(dim)],
                    functools.partial(ExactMatrix, dim))
 
 

@@ -196,13 +196,64 @@ def test_off_parity_perturbation_takes_trivial_grading(svd_shapes):
     assert svd_shapes[:-1] == [(4 * M * M, M * M)]
 
 
+def _transpose_closed_set(rng, M):
+    """A P- and τ-closed set: an even symmetric block, an odd antisymmetric
+    one, a random symmetric block with its partner under P, and a random
+    even block with its transpose."""
+    sign = (-1.0) ** np.add.outer(np.arange(M), np.arange(M))
+    s, a, g, h = rng.standard_normal((4, M, M))
+    g = g + g.T
+    h = h * (sign > 0)
+    return [(s + s.T) * (sign > 0), (a - a.T) * (sign < 0), g, sign * g, h, h.T]
+
+
+def _sector_columns(M):
+    """Columns of the (p, s) sectors in call order: the even symmetric
+    sector holds the M diagonal entries and one column per even pair."""
+    even_pairs = ((M * M + 1) // 2 - M) // 2
+    return [M + even_pairs, even_pairs, M * M // 4, M * M // 4]
+
+
+@pytest.mark.parametrize("M", [4, 5, 8])
+def test_transpose_closed_set_splits_into_four_sectors(M, svd_shapes):
+    mats = _transpose_closed_set(np.random.default_rng(M), M)
+    _assert_matches_reference(mats, M, 1)
+    assert [c for _, c in svd_shapes[:-1]] == _sector_columns(M)
+    # each block sends the four sectors onto the four (parity, sign) classes
+    assert sum(r for r, _ in svd_shapes[:-1]) == len(mats) * M * M
+    if M == 4:
+        assert svd_shapes[:-1] == [(20, 6), (28, 2), (24, 4), (24, 4)]
+
+
+def test_off_symmetry_perturbation_keeps_parity_sectors(svd_shapes):
+    M = 6
+    mats = _transpose_closed_set(np.random.default_rng(6), M)
+    bound = 64 * np.finfo(float).eps * max(np.abs(g).max() for g in mats)
+    mats[0] = mats[0].copy()
+    mats[0][0, 2] += 4 * bound  # even, so the block keeps its parity
+    _assert_matches_reference(mats, M, 1)
+    assert [c for _, c in svd_shapes[:-1]] == [M * M // 2, M * M // 2]
+    assert sum(r for r, _ in svd_shapes[:-1]) == len(mats) * M * M
+
+
+def test_transpose_pair_folds_without_parity(svd_shapes):
+    # h and hᵀ are not P-graded: the trivial parity grading leaves one
+    # symmetric and one antisymmetric sector
+    M = 6
+    h = np.random.default_rng(7).standard_normal((M, M))
+    _assert_matches_reference([h, h.T], M, 1)
+    assert svd_shapes[:-1] == [(M * M, M * (M + 1) // 2), (M * M, M * (M - 1) // 2)]
+
+
 def test_single_odd_block_at_odd_size_keeps_structural_zeros(svd_shapes):
-    # x is odd: at M = 5 the even sector has 13 columns but only 12 odd rows,
-    # so a zero row pads it and its null column still counts
+    # x is odd and symmetric: at M = 5 the even symmetric sector has 9
+    # columns (5 diagonal, 4 pairs) but only 6 odd antisymmetric rows, and
+    # the odd symmetric sector 6 columns over 4 even antisymmetric rows, so
+    # zero rows pad both and their null columns still count
     M = 5
     mats = [position_tridiagonal(2 * M)]
     kdim, _ = commutant_kernel_dim(mats, tol=1e-6, interior=M)
-    assert svd_shapes == [(13, 13), (13, 12)]
+    assert svd_shapes == [(9, 9), (6, 4), (6, 6), (9, 6)]
     assert kdim == _complex_reference(mats, 1e-6, M)[0] == M
 
 

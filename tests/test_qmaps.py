@@ -283,6 +283,19 @@ def test_transformed_ops_are_closed_under_parity(k, quad_order):
     assert np.abs(b_minus - sign * b_plus).max() <= bound
 
 
+@pytest.mark.parametrize("k, quad_order", [(1, None), (2, None), (3, None),
+                                          (2, 160)])
+def test_transformed_ops_are_closed_under_transposition(k, quad_order):
+    # the graded commutant stack takes A± as symmetric and pairs B+ with
+    # B- = B+^T, up to 64 eps max|h|
+    mats = [m.entries for m in torus_transformed_ops(k, 32, quad_order=quad_order)]
+    a_plus, a_minus, b_plus, b_minus = mats
+    bound = 64 * np.finfo(float).eps * max(np.abs(m).max() for m in mats)
+    assert np.abs(a_plus - a_plus.T).max() <= bound
+    assert np.abs(a_minus - a_minus.T).max() <= bound
+    assert np.abs(b_minus - b_plus.T).max() <= bound
+
+
 def _real_stack_reference(mats, tol):
     """Kernel dimension and normalized singular values of the full real
     stack over √2 Re A₊, √2 Im A₊, B₊ and B₋."""
@@ -301,9 +314,14 @@ def _real_stack_reference(mats, tol):
 def test_graded_commutant_matches_full_real_stack(k, trunc, svd_shapes):
     mats = torus_transformed_ops(k, trunc)
     kdim, tail = commutant_kernel_dim(mats, tol=1e-6)
-    # two quarter-size sectors, T even and T odd
+    # four sectors (parity p, transpose sign s), p even first and s = +1
+    # first: √2 Re A₊, √2 Im A₊ and (B₊ + B₋)/√2 are symmetric and
+    # (B₊ − B₋)/√2 antisymmetric
     M = trunc // 2
-    assert svd_shapes == [(2 * M * M, M * M // 2)] * 2
+    quarter = M * M // 4
+    assert svd_shapes == [(M * M - M, quarter + M // 2),
+                          (M * M + M, quarter - M // 2),
+                          (M * M, quarter), (M * M, quarter)]
     ref_kdim, ref_sv = _real_stack_reference(mats, 1e-6)
     assert kdim == ref_kdim
     ref_tail = ref_sv[-6:]

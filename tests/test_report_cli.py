@@ -270,6 +270,18 @@ def test_cli_rejects_huge_exponent_before_multiplying(capsys, monkeypatch):
     assert json.loads(out)["results"][0]["result"] == "(-64)*q1^63"
 
 
+def test_cli_rejects_huge_ambient_before_listing_keys(capsys, monkeypatch):
+    # flat n = 3 up to degree 60 has C(66, 6) = 90,858,768 keys
+    def refuse(*args, **kwargs):
+        raise AssertionError("keys were listed before the size check")
+    monkeypatch.setattr("gvh.subspace.monomials_upto", refuse)
+    code, out, err = run_cli(capsys, ["generate", "r2n", "q1", "--n", "3",
+                                      "--degree-cap", "60"])
+    assert code == 1 and out == ""
+    assert err.strip() == ("error: the ambient flat(n=3, deg<=60) has 90858768 "
+                           "keys, more than the limit 1000000")
+
+
 def test_cli_rejects_unknown_target(capsys):
     with pytest.raises(SystemExit):
         main(["bracket", "cylinder", "q1", "p1"])

@@ -220,3 +220,17 @@ def test_ambient_contract(name):
     assert amb.within_bound(at_cap) and amb.size(at_cap) == amb.cap
     assert not amb.within_bound(over_cap)
     assert amb.size(over_cap) == amb.cap + 1
+
+
+@pytest.mark.parametrize("build, args", [
+    (FlatAmbient, (2, 3)), (SphereAmbient, (3,)), (TorusAmbient, (2,)),
+    (WeylAmbient, (1, 4)), (MatrixAmbient, (3,)),
+], ids=["flat", "sphere", "torus", "weyl", "matrix"])
+def test_key_bound_is_the_exact_key_count(build, args, monkeypatch):
+    count = len(build(*args).keys())
+    monkeypatch.setattr("gvh.subspace.MAX_KEYS", count)
+    assert len(build(*args).keys()) == count
+    monkeypatch.setattr("gvh.subspace.MAX_KEYS", count - 1)
+    with pytest.raises(ValueError, match="has %d keys, more than the limit %d"
+                       % (count, count - 1)):
+        build(*args)
