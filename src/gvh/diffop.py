@@ -1,8 +1,14 @@
-"""Differential operators on the torus line bundle.
+"""Differential and shift operators on the torus line bundle and the line.
 
-A DiffOp is a finite sum Σ c_α ∂_x^{α₁} ∂_y^{α₂} whose coefficients are
-TorusXCoef (trigonometric polynomials times powers of x); composition uses
-the generalized Leibniz rule ∂^α(b·u) = Σ_{γ≤α} C(α,γ) (∂^γ b)(∂^{α−γ}u).
+A DiffOp is a finite sum Σ c_{a,α} S_a ∂_x^{α₁} ∂_y^{α₂} whose coefficients
+are TorusXCoef (trigonometric polynomials times powers of x) and where S_a
+shifts x by an integer a, (S_a u)(x, y) = u(x + a, y).  Composition uses the
+generalized Leibniz rule ∂^α(b·u) = Σ_{γ≤α} C(α,γ) (∂^γ b)(∂^{α−γ}u) and
+moves a shift right past a coefficient as S_a b = b(x + a) S_a; the phase
+e^{2πima} of e(m, n) is 1 for an integer a, so the algebra is closed over
+the exact Scalar.  The line-bundle operators have a = 0; the transformed
+torus operators A±, B± (qmaps.transformed_harmonic_op) are DiffOps in x
+alone, evaluated on the Hermite basis by hermite.hermite_matrix.
 Flat-space operators are Weyl elements instead (weyl.py): X ↦ q and
 P ↦ −iħ∂ carry the Weyl algebra onto the polynomial-coefficient operators.
 """
@@ -71,11 +77,37 @@ class TorusXCoef(TermMap):
                 raise KeyError(name)
         return TorusXCoef(terms)
 
-    def evalf(self, x, y, params=None):
-        total = 0j
+    def shift(self, a):
+        """The coefficient at x + a: x^j·e(m, n) ↦ (x + a)^j·e(m, n).
+
+        The phase e^{2πima} that the shift leaves out is 1 only for an
+        integer a, so any other shift is refused."""
+        if not isinstance(a, int):
+            raise ValueError("shift by %r: only an integer shift leaves "
+                             "e^(2 pi i m x) unchanged" % (a,))
+        if not a:
+            return self
+        terms = {}
         for (m, n, j), c in self.terms.items():
-            total += complex(c.evalf(params)) * (x ** j) * \
-                cmath.exp(2j * cmath.pi * (m * x + n * y))
+            for i in range(j + 1):
+                accumulate(terms, (m, n, i), c * (math.comb(j, i) * a ** (j - i)))
+        return TorusXCoef(terms)
+
+    def evalf(self, x, y=0.0, params=None, exp=cmath.exp):
+        """Numeric value at (x, y), with the parameters taken from `params`.
+
+        With exp=numpy.exp, x and y may be arrays.  Terms are summed in key
+        order and each phase is exp(i·(2πm)·x + i·(2πn)·y), so the float
+        bits of a sum do not depend on how the map was built."""
+        total = 0j
+        for (m, n, j), c in sorted(self.terms.items()):
+            v = complex(c.evalf(params or {}))
+            if j:
+                v = v * x ** j
+            if m or n:
+                v = v * exp(1j * (2.0 * math.pi * m) * x
+                            + 1j * (2.0 * math.pi * n) * y)
+            total = total + v
         return total
 
     def __str__(self):
@@ -96,7 +128,8 @@ class TorusXCoef(TermMap):
 
 
 class DiffOp(TermMap):
-    """Σ c_α ∂^α over (x, y), α = (order in x, order in y), c_α a TorusXCoef."""
+    """Σ c_{a,α} S_a ∂^α keyed (a, α_x, α_y): c a TorusXCoef, S_a the shift
+    x ↦ x + a by an integer a, α the orders in x and in y."""
 
     __slots__ = ()
     VARS = TorusXCoef.VARS
@@ -105,12 +138,10 @@ class DiffOp(TermMap):
         self.terms = nonzero_terms(terms or {})
 
     def order(self):
-        if not self.terms:
-            return -1
-        return max(sum(a) for a in self.terms)
+        return max((dx + dy for _, dx, dy in self.terms), default=-1)
 
-    def coeff(self, alpha):
-        return self.terms.get(tuple(alpha), TorusXCoef.zero())
+    def coeff(self, key):
+        return self.terms.get(tuple(key), TorusXCoef.zero())
 
     def scale(self, c):
         return DiffOp({a: coef.scale(c) for a, coef in self.terms.items()})
@@ -128,22 +159,22 @@ class DiffOp(TermMap):
     def apply_to_coef(self, f):
         """Apply the operator to a coefficient f."""
         out = TorusXCoef.zero()
-        for alpha, c in self.terms.items():
+        for (a, *alpha), c in self.terms.items():
             g = f
             for name, k in zip(self.VARS, alpha):
                 for _ in range(k):
                     g = g.partial(name)
-            out = out + c * g
+            out = out + c * g.shift(a)
         return out
 
     def __str__(self):
         if not self.terms:
             return "0"
         bits = []
-        for a in sorted(self.terms, key=lambda t: (sum(t), t)):
-            c = self.terms[a]
-            ds = []
-            for name, k in zip(self.VARS, a):
+        for key in sorted(self.terms, key=lambda t: (t[1] + t[2], t)):
+            c = self.terms[key]
+            ds = ["S[%d]" % key[0]] if key[0] else []
+            for name, k in zip(self.VARS, key[1:]):
                 if k:
                     ds.append("d/d%s" % name if k == 1 else "d^%d/d%s^%d" % (k, name, k))
             body = " ".join(ds) if ds else "1"
@@ -152,23 +183,27 @@ class DiffOp(TermMap):
 
 
 def diffop_compose(A, B):
-    """Operator composition A∘B via the generalized Leibniz rule."""
+    """Operator composition A∘B.  A term a·S_s ∂^α meets b·S_t ∂^β as
+
+        Σ_{γ≤α} C(α,γ) a·(∂^γ b)(x + s) S_{s+t} ∂^{α−γ+β}
+
+    by the generalized Leibniz rule and one move of the shift."""
     out = {}
-    for alpha, a in A.terms.items():
+    for (s, *alpha), a in A.terms.items():
         for gamma in itertools.product(*(range(k + 1) for k in alpha)):
             binom = math.prod(math.comb(k, g) for k, g in zip(alpha, gamma))
             rest = tuple(k - g for k, g in zip(alpha, gamma))
-            for beta, b in B.terms.items():
+            for (t, *beta), b in B.terms.items():
                 db = b
                 for name, k in zip(DiffOp.VARS, gamma):
                     for _ in range(k):
                         db = db.partial(name)
                 if db.is_zero():
                     continue
-                c = a * db
+                c = a * db.shift(s)
                 if binom != 1:
                     c = c.scale(Scalar.from_rational(binom))
-                accumulate(out, tuple(r + k for r, k in zip(rest, beta)), c)
+                accumulate(out, (s + t,) + tuple(r + k for r, k in zip(rest, beta)), c)
     return DiffOp(out)
 
 

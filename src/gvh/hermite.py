@@ -1,15 +1,17 @@
 """Truncated Hermite-basis matrices for operators on the real line.
 
 The basis is the unit-scale orthonormal Hermite functions h_n (eigenbasis of
-the weight e^{−x²}); every operator is a finite sum of terms
+the weight e^{−x²}); an operator is a DiffOp in x alone, a finite sum of
+terms
 
     ψ ↦ f(x) · (d^d ψ/dx^d)(x + a)
 
-with f a polynomial-times-exponential symbol Σ c t^j e^{iωt}.  That class is
-closed under composition and adjoints, so composite operators are reduced
-symbolically before any quadrature happens.  Matrix entries come from
-Gauss–Hermite quadrature with stabilized weights (w_i e^{x_i²} computed via
-the order-(Q−1) Hermite function, never by exponentiating x_i²); shifted
+with a an integer and f = Σ c x^j e^{2πimx} a TorusXCoef whose coefficients
+are exact in π and ħ.  That class is closed under composition
+(diffop.diffop_compose), so composite operators are reduced exactly before
+any quadrature happens, and only the matrix entries are floats.  They come
+from Gauss–Hermite quadrature with stabilized weights (w_i e^{x_i²} computed
+via the order-(Q−1) Hermite function, never by exponentiating x_i²); shifted
 overlaps are centered so the Gaussian factors recombine exactly.  The
 commutant SVD runs on real stacks: conjugate generator pairs fold into their
 real and imaginary parts, pairs swapped by the Hermite parity P = diag((−1)ⁿ)
@@ -31,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sparse import TermMap, accumulate, nonzero_terms, scale_terms
+from .diffop import DiffOp
 
 
 SQRT_HALF = math.sqrt(0.5)
@@ -106,160 +108,6 @@ def position_tridiagonal(N):
     return X
 
 
-class FExp(TermMap):
-    """Symbol Σ c · t^j · e^{iωt}, keyed by (j, ω); closed under ·, ∂, shifts.
-
-    Coefficients are complex doubles, so a product of nonzero terms can
-    underflow to zero: results go through the constructor's zero filter."""
-
-    __slots__ = ()
-
-    def __init__(self, terms=None):
-        clean = {}
-        for k, c in (terms or {}).items():
-            if c != 0:
-                clean[k] = complex(c)
-        self.terms = clean
-
-    @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
-    def const(cls, c=1.0):
-        return cls({(0, 0.0): c})
-
-    @classmethod
-    def tpow(cls, j, c=1.0):
-        return cls({(j, 0.0): c})
-
-    @classmethod
-    def harmonic(cls, omega, c=1.0):
-        """c · e^{iωt}."""
-        return cls({(0, float(omega)): c})
-
-    def __mul__(self, other):
-        terms = {}
-        for (j1, w1), c1 in self.terms.items():
-            for (j2, w2), c2 in other.terms.items():
-                accumulate(terms, (j1 + j2, w1 + w2), c1 * c2)
-        return FExp(terms)
-
-    def scale(self, c):
-        return FExp(scale_terms(self.terms, c))
-
-    def shift(self, a):
-        """f(t + a)."""
-        out = {}
-        for (j, w), c in self.terms.items():
-            base = c * complex(np.exp(1j * w * a))
-            for k in range(j + 1):
-                accumulate(out, (k, w), base * math.comb(j, k) * a ** (j - k))
-        return FExp(out)
-
-    def deriv(self):
-        out = {}
-        for (j, w), c in self.terms.items():
-            if j > 0:
-                accumulate(out, (j - 1, w), c * j)
-            if w != 0:
-                accumulate(out, (j, w), c * 1j * w)
-        return FExp(out)
-
-    def conj(self):
-        return FExp({(j, -w): c.conjugate() for (j, w), c in self.terms.items()})
-
-    def evalf(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        total = np.zeros(xs.shape, dtype=complex)
-        for (j, w), c in self.terms.items():
-            v = np.full(xs.shape, c, dtype=complex)
-            if j:
-                v = v * xs ** j
-            if w:
-                v = v * np.exp(1j * w * xs)
-            total += v
-        return total
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (j, w) in sorted(self.terms):
-            c = self.terms[(j, w)]
-            body = []
-            if j:
-                body.append("t" if j == 1 else "t^%d" % j)
-            if w:
-                body.append("e^(%gi t)" % w)
-            bits.append("(%s)%s" % (c, "*".join(body) if body else ""))
-        return " + ".join(bits)
-
-
-class NumericOp(TermMap):
-    """Finite sum of terms ψ ↦ f(x)·ψ^{(d)}(x + a), i.e. M_f ∘ S_a ∘ D^d,
-    keyed by (a, d) with the symbol f an FExp.  Loops over the terms run in
-    key order, so the float sums behind a matrix have a fixed order."""
-
-    __slots__ = ()
-
-    def __init__(self, terms=None):
-        self.terms = nonzero_terms(terms or {})
-
-    @classmethod
-    def identity(cls):
-        return cls({(0.0, 0): FExp.const(1.0)})
-
-    @classmethod
-    def multiply_by(cls, f):
-        if not isinstance(f, FExp):
-            f = FExp.const(f)
-        return cls({(0.0, 0): f})
-
-    @classmethod
-    def shift_by(cls, a):
-        return cls({(float(a), 0): FExp.const(1.0)})
-
-    @classmethod
-    def derivative(cls, order=1):
-        return cls({(0.0, int(order)): FExp.const(1.0)})
-
-    def scale(self, c):
-        return NumericOp({k: f.scale(c) for k, f in self.terms.items()})
-
-    def compose(self, other):
-        """Normal-ordered product self ∘ other."""
-        out = {}
-        for (a1, d1), f1 in sorted(self.terms.items()):
-            for (a2, d2), f2 in sorted(other.terms.items()):
-                g = f2
-                for k in range(d1 + 1):
-                    # D^{d1}(f2·u) picks C(d1,k) f2^{(k)} u^{(d1−k)}
-                    accumulate(out, (a1 + a2, d1 - k + d2),
-                               f1 * g.shift(a1).scale(math.comb(d1, k)))
-                    g = g.deriv()
-        return NumericOp(out)
-
-    __matmul__ = compose
-
-    def adjoint(self):
-        out = {}
-        for (a, d), f in sorted(self.terms.items()):
-            h = f.conj().shift(-a)
-            sign = (-1) ** d
-            for k in range(d + 1):
-                accumulate(out, (-a, d - k), h.scale(sign * math.comb(d, k)))
-                h = h.deriv()
-        return NumericOp(out)
-
-    def max_dorder(self):
-        return max((d for _, d in self.terms), default=0)
-
-    def __str__(self):
-        return " + ".join("M[%s]·S[%g]·D^%d" % (f, a, d)
-                          for (a, d), f in sorted(self.terms.items())) or "0"
-
-
 class NumericMatrix:
     """Complex matrix with the truncation/quadrature provenance attached."""
 
@@ -296,14 +144,19 @@ def _gram_selftest(order, nmax, tol=1e-10):
     return err
 
 
-def hermite_matrix(op, trunc, quad_order=None):
-    """N×N matrix of a NumericOp in the Hermite-function basis.
+def hermite_matrix(op, trunc, hbar, quad_order=None):
+    """N×N matrix of a DiffOp in x alone in the Hermite-function basis, with
+    its symbols evaluated at π and the numeric ħ.
 
     quad_order defaults to the 4N oversampling floor and may not go below it;
     every call re-runs the orthonormality self-test on the rule it uses.
+    Terms are summed in key order, so the float sums have a fixed order.
     """
-    if not isinstance(op, NumericOp):
-        raise TypeError("expected a NumericOp, got %r" % (op,))
+    if not isinstance(op, DiffOp):
+        raise TypeError("expected a DiffOp, got %r" % (op,))
+    if any(dy for _, _, dy in op.terms) or \
+            any(n for f in op.terms.values() for _, n, _ in f.terms):
+        raise ValueError("not an operator on the line: %s acts in y" % op)
     N = int(trunc)
     if N < 2:
         raise ValueError("truncation size must be at least 2")
@@ -313,17 +166,17 @@ def hermite_matrix(op, trunc, quad_order=None):
     if quad_order < floor:
         raise ValueError("quad_order %d below oversampling floor %d"
                          % (quad_order, floor))
-    maxd = op.max_dorder()
-    nprime = N + maxd
+    nprime = N + max(op.order(), 0)
     selftest = _gram_selftest(quad_order, nprime)
     xs, wm = gauss_hermite_rule(quad_order)
+    values = {"pi": math.pi, "hbar": hbar}
     total = np.zeros((N, N), dtype=complex)
-    for (a, d), f in sorted(op.terms.items()):
+    for (a, d, _), f in sorted(op.terms.items()):
         nk = N + d
         # centre the shift: x = u − a/2 recombines the Gaussian tails exactly
         hm = hermite_values(xs - a / 2.0, N)
         hn = hermite_values(xs + a / 2.0, nk)
-        fv = f.evalf(xs - a / 2.0)
+        fv = f.evalf(xs - a / 2.0, params=values, exp=np.exp)
         G = np.einsum("mi,i,ni->mn", hm, wm * fv, hn)
         if d:
             Dfull = derivative_band(nk)

@@ -734,10 +734,10 @@ def torus_transform_identities(k, trunc=64, hbar=None, quad_order=None):
     The right-hand sides are built from independent band matrices (the
     multiply-by-x tridiagonal and the derivative band) at size N+1 so the
     product picks up the correct one-step coupling before cropping.  The
-    A-side product is composed at the symbol level before truncation: A± are
-    multiplications by linearly growing symbols, so the product of their
-    truncations converges far too slowly in N, while their composite is
-    again a single multiplication with exact matrix elements.  The B-side
+    A-side product is composed exactly (a DiffOp product) before truncation:
+    A± are multiplications by linearly growing symbols, so the product of
+    their truncations converges far too slowly in N, while their composite
+    is again a single multiplication with exact matrix elements.  The B-side
     uses genuine truncated matrix products (shift/derivative tails decay
     fast enough)."""
     import math
@@ -765,9 +765,8 @@ def torus_transform_identities(k, trunc=64, hbar=None, quad_order=None):
     rhs_a = eye + (w * w) * (xe @ xe)[:N, :N]
     de = derivative_band(N + 1)
     rhs_b = eye - (w * hbar) ** 2 * (de @ de)[:N, :N]
-    composite_a = transformed_harmonic_op(-k, 0, hbar) @ \
-        transformed_harmonic_op(k, 0, hbar)
-    mat_a = hermite_matrix(composite_a, N, quad_order)
+    composite_a = transformed_harmonic_op(-k, 0) * transformed_harmonic_op(k, 0)
+    mat_a = hermite_matrix(composite_a, N, hbar, quad_order)
     err_a = float(np.max(np.abs(mat_a.entries[:M, :M] - rhs_a[:M, :M])))
     err_b = float(np.max(np.abs(
         (b_minus @ b_plus).entries[:M, :M] - rhs_b[:M, :M])))

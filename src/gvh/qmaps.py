@@ -5,9 +5,11 @@ Target algebras: the Weyl algebra for every flat map — on n generators for the
 Weyl-ordered maps (schrodinger, metaplectic, position, which differ only in
 their domains), on 2n generators for prequantization on phase space
 (vanhove); differential operators on the torus line bundle
-(torus_prequant); spin matrices over Scalar (sphere); and truncated Hermite
-matrices (the transformed torus operators A±, B±).  A Weyl element reads as
-a differential operator through X ↦ q·, P ↦ −iħ∂/∂q.
+(torus_prequant); spin matrices over Scalar (sphere); and, for the
+transformed torus operators A±, B±, exact shift-differential operators on
+the line (DiffOps in x alone), read as truncated Hermite matrices at a
+numeric ħ.  A Weyl element reads as a differential operator through
+X ↦ q·, P ↦ −iħ∂/∂q.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ import math
 
 from .diffop import DiffOp, TorusXCoef
 from .flat import bracket_flat, flat_vars
-from .hermite import FExp, NumericOp, hermite_matrix
+from .hermite import hermite_matrix
 from .matrices import ExactMatrix, spin_matrices
 from .poly import MultiPoly
-from .scalars import A_SYM, C_SYM, HBAR, S_I, Scalar
+from .scalars import A_SYM, C_SYM, HBAR, S_I, S_ONE, TWO_PI, Scalar
 from .sparse import accumulate
 from .sphere import SphereElement, bracket_sphere, sphere_canonicalize
 from .torus import bracket_torus
@@ -130,9 +132,9 @@ def torus_prequant_map(f):
     m0 = TorusXCoef.from_torus_element(f) - \
         TorusXCoef.xpow(1) * TorusXCoef.from_torus_element(fx)
     return DiffOp({
-        (1, 0): TorusXCoef.from_torus_element(fy.scale((S_I * HBAR) / B)),
-        (0, 1): TorusXCoef.from_torus_element(fx.scale(-(S_I * HBAR) / B)),
-        (0, 0): m0,
+        (0, 1, 0): TorusXCoef.from_torus_element(fy.scale((S_I * HBAR) / B)),
+        (0, 0, 1): TorusXCoef.from_torus_element(fx.scale(-(S_I * HBAR) / B)),
+        (0, 0, 0): m0,
     })
 
 
@@ -140,19 +142,20 @@ def torus_prequant_map(f):
 # Transformed torus operators as Hermite-basis matrices
 # ---------------------------------------------------------------------------
 
-def transformed_harmonic_op(m, l, hbar=DEFAULT_TORUS_HBAR):
+def transformed_harmonic_op(m, l):
     """The transformed image of e^{2πi(mx+ly)} as an operator on the line:
 
-        ψ(t) ↦ e^{2πimt}[(1 − 2πim(t + l))ψ(t + l) − 2πħl ψ′(t + l)].
+        ψ(t) ↦ e^{2πimt}[(1 − 2πim(t + l))ψ(t + l) − 2πħl ψ′(t + l)],
 
+    a DiffOp in x alone, exact in π and ħ, keyed (shift l, order in x, 0).
     (m, 0) with m = ±k gives A±; (0, ±k) gives B±.
     """
-    w = 2.0 * math.pi * m
-    f1 = FExp({(0, w): 1.0 - 2j * math.pi * m * l, (1, w): -2j * math.pi * m})
-    terms = {(float(l), 0): f1}
-    if l != 0:
-        terms[(float(l), 1)] = FExp({(0, w): -2.0 * math.pi * hbar * l})
-    return NumericOp(terms)
+    two_pi_im = TWO_PI * S_I * m
+    terms = {(l, 0, 0): TorusXCoef({(m, 0, 0): S_ONE - two_pi_im * l,
+                                    (m, 0, 1): -two_pi_im})}
+    if l:
+        terms[(l, 1, 0)] = TorusXCoef.harmonic(m, 0, -(TWO_PI * HBAR * l))
+    return DiffOp(terms)
 
 
 @functools.lru_cache(maxsize=1)
@@ -165,8 +168,8 @@ def torus_transformed_ops(k, trunc, hbar=DEFAULT_TORUS_HBAR, quad_order=None):
         raise ValueError("frequency k must be a positive integer, got %r" % (k,))
     mats = []
     for (m, l) in ((k, 0), (-k, 0), (0, k), (0, -k)):
-        op = transformed_harmonic_op(m, l, hbar)
-        mat = hermite_matrix(op, trunc, quad_order)
+        op = transformed_harmonic_op(m, l)
+        mat = hermite_matrix(op, trunc, hbar, quad_order)
         mat.provenance.update({"hbar": hbar, "k": k, "harmonic": (m, l)})
         mats.append(mat)
     return tuple(mats)

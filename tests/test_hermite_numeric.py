@@ -5,14 +5,28 @@ depends on them.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gvh.hermite import (FExp, NumericOp, QuadratureError,
-                         commutant_kernel_dim, derivative_band,
-                         gauss_hermite_rule, hermite_matrix, hermite_values,
-                         position_tridiagonal)
+from gvh.diffop import DiffOp, TorusXCoef
+from gvh.hermite import (QuadratureError, commutant_kernel_dim,
+                         derivative_band, gauss_hermite_rule, hermite_matrix,
+                         hermite_values, position_tridiagonal)
+from gvh.qmaps import DEFAULT_TORUS_HBAR
+from gvh.scalars import HBAR, Scalar
+
+PI = {"pi": math.pi}
+
+
+def _line_op(shift=0, dorder=0, coef=None):
+    """coef(x)·S_shift·D^dorder, a DiffOp in x alone."""
+    return DiffOp({(shift, dorder, 0): TorusXCoef.const(1) if coef is None else coef})
+
+
+def _matrix(op, trunc):
+    return hermite_matrix(op, trunc, DEFAULT_TORUS_HBAR)
 
 
 def test_hermite_values_orthonormal():
@@ -24,14 +38,14 @@ def test_hermite_values_orthonormal():
 
 
 def test_identity_matrix():
-    m = hermite_matrix(NumericOp.identity(), 64)
+    m = _matrix(_line_op(), 64)
     assert m.dim == 64
     assert np.max(np.abs(m.entries - np.eye(64))) < 1e-10
 
 
 def test_position_matrix_matches_tridiagonal():
     # multiplication by x has exact entries sqrt((n+1)/2) off the diagonal
-    m = hermite_matrix(NumericOp.multiply_by(FExp.tpow(1)), 48)
+    m = _matrix(_line_op(coef=TorusXCoef.xpow(1)), 48)
     ref = position_tridiagonal(48)
     assert np.max(np.abs(m.entries - ref)) < 1e-10
     assert abs(ref[0, 1] - math.sqrt(0.5)) < 1e-15
@@ -40,7 +54,7 @@ def test_position_matrix_matches_tridiagonal():
 
 
 def test_derivative_matrix_matches_band():
-    m = hermite_matrix(NumericOp.derivative(), 48)
+    m = _matrix(_line_op(dorder=1), 48)
     ref = derivative_band(48)
     assert np.max(np.abs(m.entries - ref)) < 1e-10
     # d/dx is antisymmetric on Hermite functions
@@ -57,51 +71,61 @@ def test_annihilation_relation():
 
 
 def test_doubling_stability():
-    op = NumericOp.multiply_by(FExp.harmonic(2.0))  # e^{2ix} multiplication
-    m32 = hermite_matrix(op, 32)
-    m64 = hermite_matrix(op, 64)
+    op = _line_op(coef=TorusXCoef.harmonic(1, 0))  # e^{2 pi i x} multiplication
+    m32 = _matrix(op, 32)
+    m64 = _matrix(op, 64)
     assert np.max(np.abs(m64.entries[:32, :32] - m32.entries)) < 1e-10
 
 
 def test_shift_operator():
-    # shift_by(a): psi(x) -> psi(x + a); reference from direct quadrature
-    a = 0.6
-    m = hermite_matrix(NumericOp.shift_by(a), 24)
+    # S_a: psi(x) -> psi(x + a) for an integer a; reference from direct
+    # quadrature
     xs, ws = gauss_hermite_rule(200)
     h_here = hermite_values(xs, 24)
-    h_shift = hermite_values(xs + a, 24)
-    ref = (h_here * ws) @ h_shift.T
-    assert np.max(np.abs(m.entries - ref)) < 1e-9
+    for a in (-1, 1, 2):
+        m = _matrix(_line_op(shift=a), 24)
+        ref = (h_here * ws) @ hermite_values(xs + a, 24).T
+        assert np.max(np.abs(m.entries - ref)) < 1e-9
 
 
-def test_fexp_evalf_and_deriv():
-    # 1.5 (t + 1/4)^2 e^{it}
-    f = FExp.tpow(2, 1.5).shift(0.25) * FExp.harmonic(1.0)
+def test_line_symbol_evalf_shift_and_deriv():
+    # 1.5 (t - 2)^2 e^{2 pi i t}, evaluated on an array
+    f = TorusXCoef.xpow(2, Scalar.from_fraction(Fraction(3, 2))).shift(-2) \
+        * TorusXCoef.harmonic(1, 0)
     xs = np.linspace(-2, 2, 7)
-    want = 1.5 * (xs + 0.25) ** 2 * np.exp(1j * xs)
-    assert np.max(np.abs(f.evalf(xs) - want)) < 1e-12
-    d = f.deriv()
-    want_d = (3 * (xs + 0.25) + 1.5j * (xs + 0.25) ** 2) * np.exp(1j * xs)
-    assert np.max(np.abs(d.evalf(xs) - want_d)) < 1e-12
+    phase = np.exp(2j * np.pi * xs)
+    want = 1.5 * (xs - 2) ** 2 * phase
+    assert np.max(np.abs(f.evalf(xs, params=PI, exp=np.exp) - want)) < 1e-12
+    d = f.partial("x")
+    want_d = (3 * (xs - 2) + 3j * np.pi * (xs - 2) ** 2) * phase
+    assert np.max(np.abs(d.evalf(xs, params=PI, exp=np.exp) - want_d)) < 1e-12
 
 
-def test_numeric_op_compose_matches_banded_product():
+def test_line_op_compose_matches_banded_product():
     """d/dx is exactly banded, so padding by one basis vector makes the
     truncated matrix product equal to the matrix of the composed symbol."""
-    mult = NumericOp.multiply_by(FExp.harmonic(2.0))
-    op = mult.compose(NumericOp.derivative())
-    m = hermite_matrix(op, 32)
-    big_mult = hermite_matrix(mult, 34)
-    big_d = hermite_matrix(NumericOp.derivative(), 34)
+    mult = _line_op(coef=TorusXCoef.harmonic(1, 0))
+    op = mult * _line_op(dorder=1)
+    m = _matrix(op, 32)
+    big_mult = _matrix(mult, 34)
+    big_d = _matrix(_line_op(dorder=1), 34)
     ref = (big_mult.entries @ big_d.entries)[:32, :32]
     assert np.max(np.abs(m.entries - ref)) < 1e-9
 
 
-def test_numeric_op_adjoint():
-    op = NumericOp.multiply_by(FExp.harmonic(2.0)).compose(NumericOp.derivative())
-    m = hermite_matrix(op, 32)
-    adj = hermite_matrix(op.adjoint(), 32)
-    assert np.max(np.abs(adj.entries - m.entries.conj().T)) < 1e-9
+def test_hermite_matrix_evaluates_hbar():
+    # hbar·x at hbar = 0.25 is a quarter of the position matrix
+    m = hermite_matrix(_line_op(coef=TorusXCoef.xpow(1, HBAR)), 32, 0.25)
+    assert np.max(np.abs(m.entries - 0.25 * position_tridiagonal(32))) < 1e-10
+
+
+def test_hermite_matrix_rejects_an_operator_in_y():
+    for op in (DiffOp({(0, 0, 1): TorusXCoef.const(1)}),
+               _line_op(coef=TorusXCoef.harmonic(0, 1))):
+        with pytest.raises(ValueError, match="acts in y"):
+            _matrix(op, 8)
+    with pytest.raises(TypeError):
+        _matrix(np.eye(8), 8)
 
 
 def test_quadrature_failure_raises():

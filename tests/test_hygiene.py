@@ -1,9 +1,13 @@
-"""Source hygiene: no module of the package imports a name it never reads.
+"""Source hygiene, checked on each module's syntax tree with the standard
+ast module (the repository carries no linter).
 
-The repository carries no linter, so this scans each module's syntax tree
-with the standard ast module.  A name bound by an import (top-level or
-inside a function) must occur somewhere in the module as a loaded name.
-__init__.py is exempt: its imports are the package's re-exports.
+- No module imports a name it never reads: a name bound by an import
+  (top-level or inside a function) must occur somewhere in the module as a
+  loaded name.  __init__.py is exempt: its imports are the package's
+  re-exports.
+- Only hermite.py imports numpy when it is loaded; every other module
+  imports it inside the functions that need it, so the exact verbs can
+  start without it.
 """
 
 import ast
@@ -38,3 +42,32 @@ def test_no_unused_imports():
               for p in modules
               for line, name in _unused_imports(ast.parse(p.read_text()))]
     assert unused == []
+
+
+def _load_time_imports(tree):
+    """Top-level names of the modules a tree imports when it is executed:
+    the body of the module and of its classes, not of its functions."""
+    found, todo = set(), list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_load_time_scan_skips_function_bodies():
+    tree = ast.parse("import os.path\nfrom numpy import linalg\n"
+                     "def f():\n    import scipy\n"
+                     "class C:\n    import json\n"
+                     "if True:\n    import re\n")
+    assert _load_time_imports(tree) == {"os", "numpy", "json", "re"}
+
+
+def test_only_hermite_imports_numpy_at_load_time():
+    loaders = sorted(p.name for p in SRC.glob("*.py")
+                     if "numpy" in _load_time_imports(ast.parse(p.read_text())))
+    assert loaders == ["hermite.py"]

@@ -241,11 +241,11 @@ def test_torus_prequant_printed_formula():
     # d/dy coefficient = -i hbar f_x (as a mixed x/harmonic coefficient)
     from gvh.diffop import TorusXCoef
     fx = TorusXCoef.from_torus_element(f.partial_x())
-    assert op.coeff((0, 1)) == fx * TorusXCoef.const(MIH)
-    assert op.coeff((1, 0)).is_zero()  # cos(2 pi x) has f_y = 0
+    assert op.coeff((0, 0, 1)) == fx * TorusXCoef.const(MIH)
+    assert op.coeff((0, 1, 0)).is_zero()  # cos(2 pi x) has f_y = 0
     # Q2 on the torus carrier
     unit = TorusElement.const(S_ONE, B=S_ONE)
-    ident = DiffOp({(0, 0): TorusXCoef.const(S_ONE)})
+    ident = DiffOp({(0, 0, 0): TorusXCoef.const(S_ONE)})
     assert check_q2(TORUS_PREQUANT, unit, ident).is_zero()
 
 
@@ -336,11 +336,56 @@ def test_transformed_pure_x_harmonic_symbol():
     op = transformed_harmonic_op(1, 0)
     xs = np.linspace(-1.2, 1.3, 5)
     assert len(op.terms) == 1
-    [((shift, dorder), sym)] = op.terms.items()
-    assert shift == 0.0 and dorder == 0
-    vals = sym.evalf(xs)
+    [((shift, dorder, dy), sym)] = op.terms.items()
+    assert shift == 0 and dorder == 0 and dy == 0
+    vals = sym.evalf(xs, params={"pi": math.pi}, exp=np.exp)
     want = np.exp(2j * math.pi * xs) * (1 - 2j * math.pi * xs)
     assert np.max(np.abs(vals - want)) < 1e-12
+
+
+def _line(key, coef):
+    return DiffOp({key: coef})
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_transformed_product_identities_are_exact(k):
+    # A-A+ = 1 + 4 pi^2 k^2 x^2 and B-B+ = 1 - 4 pi^2 hbar^2 k^2 d^2, as
+    # exact operator equalities (k = 3 is the case the N = 64 truncated
+    # product misses)
+    from gvh.diffop import TorusXCoef
+    from gvh.scalars import TWO_PI
+    one = _line((0, 0, 0), TorusXCoef.const(S_ONE))
+    a_plus, a_minus = transformed_harmonic_op(k, 0), transformed_harmonic_op(-k, 0)
+    b_plus, b_minus = transformed_harmonic_op(0, k), transformed_harmonic_op(0, -k)
+    w2 = (TWO_PI * k) ** 2
+    assert a_minus * a_plus == one + _line((0, 0, 0), TorusXCoef.xpow(2, w2))
+    assert b_minus * b_plus == one + _line((0, 2, 0), TorusXCoef.const(-w2 * HBAR * HBAR))
+    assert a_plus * a_minus == a_minus * a_plus
+    assert b_plus * b_minus == b_minus * b_plus
+
+
+def test_transformed_ops_match_sympy_on_test_functions():
+    """Apply A± and B± to psi = x^j e^{2 pi i m' x} through apply_to_coef and
+    compare with sympy's value of the defining formula
+    psi -> e^{2 pi i m t}[(1 - 2 pi i m (t + l)) psi(t + l) - 2 pi hbar l psi'(t + l)]."""
+    sympy = pytest.importorskip("sympy")
+    import math
+    from gvh.diffop import TorusXCoef
+    t = sympy.Symbol("t", real=True)
+    hb = 0.37
+    points = (-0.8, 0.15, 1.3)
+    for m, l in ((2, 0), (-2, 0), (0, 2), (0, -2), (1, 0), (0, 3)):
+        op = transformed_harmonic_op(m, l)
+        for j, mp in ((0, 0), (1, 1), (2, -1), (3, 2)):
+            psi = t ** j * sympy.exp(2 * sympy.pi * sympy.I * mp * t)
+            want = sympy.exp(2 * sympy.pi * sympy.I * m * t) * (
+                (1 - 2 * sympy.pi * sympy.I * m * (t + l)) * psi.subs(t, t + l)
+                - 2 * sympy.pi * hb * l * sympy.diff(psi, t).subs(t, t + l))
+            got = op.apply_to_coef(TorusXCoef.xpow(j) * TorusXCoef.harmonic(mp, 0))
+            for x in points:
+                ref = complex(want.subs(t, x).evalf(20))
+                val = got.evalf(x, params={"pi": math.pi, "hbar": hb})
+                assert abs(val - ref) < 1e-10 * max(1.0, abs(ref)), (m, l, j, mp, x)
 
 
 def test_check_q1_with_custom_map():

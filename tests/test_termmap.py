@@ -9,7 +9,6 @@ import pytest
 
 from gvh.diffop import DiffOp, TorusXCoef
 from gvh.flat import FlatElement
-from gvh.hermite import FExp, NumericOp
 from gvh.matrices import ExactMatrix, spin_matrices
 from gvh.poly import MultiPoly
 from gvh.scalars import HBAR, S_I, S_ONE, Scalar
@@ -38,12 +37,12 @@ def _cases():
                          TorusElement.sin(1, 0, B=Scalar.param("b"))),
         "SphereElement": (s1, s2 * s3, None),
         "TorusXCoef": (TorusXCoef.xpow(1), TorusXCoef.harmonic(1, 0, HBAR), None),
-        "DiffOp": (DiffOp({(1, 0): TorusXCoef.const(1)}),
-                   DiffOp({(0, 0): TorusXCoef.xpow(2)}), None),
-        "FExp": (FExp.tpow(2, 3.0), FExp.harmonic(1.5, 2.0), None),
-        "NumericOp": (NumericOp.multiply_by(FExp.tpow(1)),
-                      NumericOp.shift_by(0.5).compose(NumericOp.derivative()),
-                      None),
+        "DiffOp": (DiffOp({(0, 1, 0): TorusXCoef.const(1)}),
+                   DiffOp({(0, 0, 0): TorusXCoef.xpow(2)}), None),
+        # x·S_1 and S_{−1}∂ on the line, as the transformed torus operators
+        "DiffOp-shifted": (DiffOp({(1, 0, 0): TorusXCoef.xpow(1)}),
+                           DiffOp({(-1, 1, 0): TorusXCoef.harmonic(1, 0, HBAR)}),
+                           None),
     }
 
 
@@ -51,7 +50,8 @@ CASES = _cases()
 
 
 def test_cases_cover_every_subclass_and_context():
-    assert {cls.__name__ for cls in TermMap.__subclasses__()} == set(CASES)
+    assert {cls.__name__ for cls in TermMap.__subclasses__()} == \
+        {type(a).__name__ for a, _, _ in CASES.values()}
     contexts = {name for a, _, c in CASES.values() if c is not None
                 for name in type(a)._context}
     assert contexts == {"vars", "n", "dim", "B"}
@@ -95,9 +95,8 @@ def test_equal_maps_hash_equal(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_scale_by_zero_is_zero(name):
     a, b, _ = CASES[name]
-    zero = 0.0 if isinstance(a, FExp) else Scalar.from_int(0)
     for m in (a, a + b):
-        for c in (0, zero):
+        for c in (0, Scalar.from_int(0)):
             z = m.scale(c)
             assert z.is_zero() and type(z) is type(m)
             assert z == m - m
@@ -115,7 +114,7 @@ def test_equal_terms_in_other_classes_are_unequal():
 
 
 @pytest.mark.parametrize("name", ["WeylElement", "ExactMatrix", "DiffOp",
-                                  "MultiPoly"])
+                                  "DiffOp-shifted", "MultiPoly"])
 def test_commutator_is_the_product_difference(name):
     a, b, _ = CASES[name]
     assert a.commutator(b) == a * b - b * a
