@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .scalars import Scalar, HBAR, S_I, S_ONE, S_SPIN, S_ZERO  # noqa: F401
 from .flat import FlatElement, bracket_flat  # noqa: F401
-from .sphere import SphereElement, bracket_sphere, sphere_canonicalize  # noqa: F401
+from .sphere import SphereElement, bracket_sphere  # noqa: F401
 from .torus import TorusElement, bracket_torus, basic_set  # noqa: F401
 from .weyl import WeylElement, weyl_commutant, weyl_product  # noqa: F401
 from .matrices import ExactMatrix, spin_matrices  # noqa: F401

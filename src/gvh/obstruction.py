@@ -27,7 +27,7 @@ from .poly import MultiPoly
 from .qmaps import sphere_map, weyl_map
 from .scalars import A_SYM, HBAR, S_I, S_ONE, S_ZERO, S_SPIN, Scalar, as_scalar
 from .sparse import accumulate
-from .sphere import SVARS, SphereElement, bracket_raw, sphere_canonicalize
+from .sphere import SVARS, SphereElement, bracket_raw
 from .subspace import MatrixAmbient, WeylAmbient
 from .weyl import (WeylElement, symmetrized, weyl_commutant, weyl_commutator,
                    weyl_product)
@@ -569,7 +569,7 @@ def sphere_certificate(j):
         bracket_raw(s[1] * s[2], s[2] * s[0])
     expect_cl = -(s[0] * s[0] + s[1] * s[1] + s[2] * s[2]) * s[2]
     cl_ok = (lhs_cl - expect_cl).is_zero()
-    canon = sphere_canonicalize(lhs_cl)
+    canon = SphereElement.canonicalize(lhs_cl)
     canon_expected = SphereElement.canonicalize(s[2]).scale(-s2)
     m1 = ih(Q(s[0] * s[0]).commutator(Q(s[0] * s[1]))) - \
         ih(Q(s[1] * s[1]).commutator(Q(s[0] * s[1]))) - \
@@ -612,7 +612,7 @@ def sphere_certificate(j):
     inner2 = bracket_raw(s[0] * s[0], s[1] * s[2])
     lhs2_cl = bracket_raw(s[1] * s[1], inner1) - \
         bracket_raw(s[0] * s[0], inner2).scale(Scalar.from_rational(3, 4))
-    canon2 = sphere_canonicalize(lhs2_cl)
+    canon2 = SphereElement.canonicalize(lhs2_cl)
     canon2_expected = SphereElement.canonicalize(s[1] * s[2]).scale(
         Scalar.from_rational(2) * s2)
     cl2_ok = canon2 == canon2_expected

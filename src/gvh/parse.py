@@ -62,78 +62,29 @@ def _tokenize(text):
 
 
 class _Algebra:
-    """Element constructors + constant handling for one classical algebra."""
+    """One classical algebra for the parser: `const(c)` builds a constant
+    element, and `symbols(name, parser)` the element a name stands for, or
+    None when the algebra has no such symbol."""
 
-    def const(self, c):
-        raise NotImplementedError
-
-    def symbol(self, name, parser, pos):
-        raise NotImplementedError
-
-    def constant_value(self, elem):
-        """The element's Scalar value if it is a constant, else None."""
-        raise NotImplementedError
-
-
-class _FlatAlgebra(_Algebra):
-    def __init__(self, n):
-        self.n = n
-        self.names = set(flat_vars(n))
-
-    def const(self, c):
-        return FlatElement.const(self.n, c)
+    def __init__(self, label, const, symbols):
+        self.label = label
+        self.const = const
+        self._symbols = symbols
 
     def symbol(self, name, parser, pos):
         if name == "i":
             return self.const(S_I)
-        if name in self.names:
-            return FlatElement.coordinate(self.n, name)
-        raise ParseError("unknown symbol %r for flat(%d)" % (name, self.n), pos)
+        out = self._symbols(name, parser)
+        if out is None:
+            raise ParseError("unknown symbol %r for %s" % (name, self.label), pos)
+        return out
 
     def constant_value(self, elem):
-        if elem.poly.degree() <= 0:
-            return elem.poly.constant_term()
-        return None
-
-
-class _SphereAlgebra(_Algebra):
-    def const(self, c):
-        return MultiPoly.const(SVARS, c)
-
-    def symbol(self, name, parser, pos):
-        if name == "i":
-            return self.const(S_I)
-        if name == "s":
-            return self.const(S_SPIN)
-        if name in SVARS:
-            return MultiPoly.var(SVARS, name)
-        raise ParseError("unknown symbol %r for the sphere" % name, pos)
-
-    def constant_value(self, elem):
-        if elem.degree() <= 0:
-            return elem.constant_term()
-        return None
-
-
-class _TorusAlgebra(_Algebra):
-    def __init__(self, B=None):
-        self.B = B
-
-    def const(self, c):
-        return TorusElement.const(c, self.B)
-
-    def symbol(self, name, parser, pos):
-        if name == "i":
-            return self.const(S_I)
-        if name in ("sin", "cos"):
-            m, n = parser.trig_inner()
-            ctor = TorusElement.sin if name == "sin" else TorusElement.cos
-            return ctor(m, n, self.B)
-        raise ParseError("unknown symbol %r for the torus" % name, pos)
-
-    def constant_value(self, elem):
-        if all(f == (0, 0) for f in elem.terms):
-            return elem.terms.get((0, 0), S_ZERO)
+        """The element's Scalar value if it is a constant, else None: every
+        key of a constant is the key of const(1)."""
+        (unit,) = self.const(S_ONE).terms
+        if all(k == unit for k in elem.terms):
+            return elem.terms.get(unit, S_ZERO)
         return None
 
 
@@ -265,11 +216,20 @@ def parse_expression(text, algebra, n=1, B=None):
     algebra: 'flat' (with n degrees of freedom), 'sphere', or 'torus'.
     """
     if algebra == "flat":
-        alg = _FlatAlgebra(n)
+        names = set(flat_vars(n))
+        alg = _Algebra("flat(%d)" % n, lambda c: FlatElement.const(n, c),
+                       lambda name, parser: FlatElement.coordinate(n, name)
+                       if name in names else None)
     elif algebra == "sphere":
-        alg = _SphereAlgebra()
+        names = {v: MultiPoly.var(SVARS, v) for v in SVARS}
+        names["s"] = MultiPoly.const(SVARS, S_SPIN)
+        alg = _Algebra("the sphere", lambda c: MultiPoly.const(SVARS, c),
+                       lambda name, parser: names.get(name))
     elif algebra == "torus":
-        alg = _TorusAlgebra(B)
+        trig = {"sin": TorusElement.sin, "cos": TorusElement.cos}
+        alg = _Algebra("the torus", lambda c: TorusElement.const(c, B),
+                       lambda name, parser: trig[name](*parser.trig_inner(), B)
+                       if name in trig else None)
     else:
         raise ValueError("unknown algebra %r" % (algebra,))
     out = _Parser(_tokenize(text), alg).parse()
@@ -353,8 +313,6 @@ def _print_torus(elem):
 
 def print_expression(elem):
     """Grammar-conformant rendering; parse(print(x)) equals x exactly."""
-    if isinstance(elem, FlatElement):
-        return _print_poly(elem.poly)
     if isinstance(elem, SphereElement):
         return _print_poly(elem.representative())
     if isinstance(elem, MultiPoly):

@@ -73,7 +73,7 @@ class MultiPoly(TermMap):
         return self._new(out)
 
     def __pow__(self, n):
-        out = MultiPoly.const(self.vars, S_ONE)
+        out = self._new({(0,) * len(self.vars): S_ONE})
         for _ in range(n):
             out = out * self
         return out
@@ -96,7 +96,7 @@ class MultiPoly(TermMap):
         return self._new(out)
 
     def laplacian(self):
-        out = MultiPoly(self.vars, {})
+        out = self._new({})
         for v in self.vars:
             out = out + self.partial(v).partial(v)
         return out

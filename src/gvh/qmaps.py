@@ -18,13 +18,13 @@ import functools
 import math
 
 from .diffop import DiffOp, TorusXCoef
-from .flat import bracket_flat, flat_vars
+from .flat import FlatElement, active_dofs, bracket_flat
 from .hermite import hermite_matrix
 from .matrices import ExactMatrix, spin_matrices
 from .poly import MultiPoly
 from .scalars import A_SYM, C_SYM, HBAR, S_I, S_ONE, TWO_PI, Scalar
 from .sparse import accumulate
-from .sphere import SphereElement, bracket_sphere, sphere_canonicalize
+from .sphere import SVARS, SphereElement, bracket_raw
 from .torus import bracket_torus
 from .weyl import WeylElement, contractions
 
@@ -80,7 +80,7 @@ def weyl_map(f):
     −iħ Σ (f^i ∂_i + ½ ∂_i f^i) + g."""
     n = f.n
     out = {}
-    for e, c in f.poly.terms.items():
+    for e, c in f.terms.items():
         alpha, beta = e[:n], e[n:]
         for t, num in contractions(beta, alpha):
             exps = tuple(a - s for a, s in zip(alpha, t)) + \
@@ -98,19 +98,19 @@ def vanhove_map(f):
     Every term has at most one P, to the right, so it is already in normal
     order."""
     n = f.n
-    av = flat_vars(n)
+    av = f.vars
 
     def unit(i):
         return tuple(int(i == k) for k in range(2 * n))
 
-    zeroth = f.poly
+    zeroth = f
     terms = {}
-    for k in range(n):
-        fp = f.poly.partial(av[n + k])
-        zeroth = zeroth - MultiPoly.var(av, av[n + k]) * fp
+    for k in active_dofs(f):
+        fp = f.partial(av[n + k])
+        zeroth = zeroth - FlatElement.coordinate(n, av[n + k]) * fp
         terms.update({e + unit(k): c for e, c in fp.terms.items()})
         terms.update({e + unit(n + k): -c
-                      for e, c in f.poly.partial(av[k]).terms.items()})
+                      for e, c in f.partial(av[k]).terms.items()})
     terms.update({e + (0,) * (2 * n): c for e, c in zeroth.terms.items()})
     return WeylElement(2 * n, terms)
 
@@ -182,7 +182,7 @@ def torus_transformed_ops(k, trunc, hbar=DEFAULT_TORUS_HBAR, quad_order=None):
 def _sphere_rep_poly(f):
     if isinstance(f, SphereElement):
         return f.representative()
-    if isinstance(f, MultiPoly):
+    if isinstance(f, MultiPoly) and f.vars == SVARS:
         return f
     raise TypeError("expected a sphere polynomial, got %r" % (f,))
 
@@ -228,9 +228,9 @@ def sphere_map(j, a=A_SYM, const_c=C_SYM):
         return out
 
     def bracket(f, g):
-        cf = f if isinstance(f, SphereElement) else sphere_canonicalize(f)
-        cg = g if isinstance(g, SphereElement) else sphere_canonicalize(g)
-        return bracket_sphere(cf, cg)
+        # the Casimir is central, so raw and canonical operands give one class
+        return SphereElement.canonicalize(
+            bracket_raw(_sphere_rep_poly(f), _sphere_rep_poly(g)))
 
     return QuantizationMap(
         name="sphere(j=%s)" % (j,),

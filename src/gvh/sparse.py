@@ -1,10 +1,10 @@
 """Sparse term maps {key: coefficient}, the storage of every finite sum.
 
-Polynomials, Weyl elements, Fourier series, harmonic buckets, matrices,
-and the torus coefficients and shift-differential operators built on them
-are each a `TermMap`: one dict `terms` plus the context slots that say
-where the sum lives (its variables, degrees of freedom, dimension or
-symplectic scale).  The base class holds
+Polynomials (flat and canonical sphere observables among them), Weyl
+elements, Fourier series, matrices, and the torus coefficients and
+shift-differential operators built on them are each a `TermMap`: one dict
+`terms` plus the context slots that say where the sum lives (its variables,
+degrees of freedom, dimension or symplectic scale).  The base class holds
 their vector-space structure, equality, hashing and the commutator; a
 subclass adds its constructors, product, calculus and printing.  The rows of
 `linalg` use the same helpers on bare dicts.

@@ -1,10 +1,11 @@
 """Polynomial observables on the sphere S^2 modulo the Casimir relation.
 
-Elements are stored in canonical harmonic form: a map degree -> harmonic
-polynomial (annihilated by the formal Laplacian), with every occurrence of
-S1^2+S2^2+S3^2 replaced by the formal radius-squared s^2.  The decomposition
-f = sum_j r^(2j) h_(d-2j) of a homogeneous polynomial is unique, so two
-representatives that agree modulo (S.S - s^2) canonicalize identically.
+An element is stored as the terms of its canonical representative: every
+occurrence of S1^2+S2^2+S3^2 replaced by the formal radius-squared s^2, so
+that the part of each degree l is harmonic (annihilated by the formal
+Laplacian).  The decomposition f = sum_j r^(2j) h_(d-2j) of a homogeneous
+polynomial is unique, so two representatives that agree modulo (S.S - s^2)
+canonicalize identically.
 
 Bracket: {f, g} = -sum eps_ijk S_i df/dS_j dg/dS_k, so {S1, S2} = -S3.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import MultiPoly
-from .scalars import Scalar, S_ZERO, S_SPIN
+from .scalars import Scalar, S_SPIN
 from .sparse import TermMap, accumulate, nonzero_terms
 
 SVARS = ("S1", "S2", "S3")
@@ -82,16 +83,13 @@ def harmonic_decompose(f):
 
 
 class SphereElement(TermMap):
-    """Canonical class of a sphere polynomial: {degree l: harmonic part}."""
+    """Canonical class of a sphere polynomial, keyed by the monomials of its
+    harmonic representative."""
 
     __slots__ = ()
 
     def __init__(self, terms):
         self.terms = nonzero_terms(terms)
-
-    @classmethod
-    def zero(cls):
-        return cls({})
 
     @classmethod
     def const(cls, c):
@@ -103,36 +101,27 @@ class SphereElement(TermMap):
 
     @classmethod
     def canonicalize(cls, raw):
-        """Harmonic canonical form of a plain polynomial in S1, S2, S3."""
-        buckets = {}
+        """Harmonic canonical form of a plain polynomial in S1, S2, S3; each
+        degree d adds s^(d-l)·h_l into the monomials of degree l."""
+        terms = {}
         for d in range(raw.degree() + 1):
             part = raw.homogeneous_part(d)
             if part.is_zero():
                 continue
             for l, h in harmonic_decompose(part).items():
-                j = (d - l) // 2
-                accumulate(buckets, l, h.scale(S_SPIN ** (2 * j)))
-        return cls(buckets)
+                for e, c in h.scale(S_SPIN ** (d - l)).terms.items():
+                    accumulate(terms, e, c)
+        return cls(terms)
 
     def representative(self):
-        out = MultiPoly.zero(SVARS)
-        for h in self.terms.values():
-            out = out + h
-        return out
-
-    def constant_part(self):
-        """The harmonic degree-0 component as a Scalar."""
-        b = self.terms.get(0)
-        return b.constant_term() if b is not None else S_ZERO
+        """The canonical representative as a MultiPoly sharing the terms."""
+        return MultiPoly(SVARS, self.terms)
 
     def degree(self):
-        return max(self.terms) if self.terms else -1
+        return self.representative().degree()
 
     def __mul__(self, other):
         return SphereElement.canonicalize(self.representative() * other.representative())
-
-    def scale(self, c):
-        return SphereElement({l: h.scale(c) for l, h in self.terms.items()})
 
     def __str__(self):
         return str(self.representative())
@@ -140,7 +129,3 @@ class SphereElement(TermMap):
 
 def bracket_sphere(f, g):
     return SphereElement.canonicalize(bracket_raw(f.representative(), g.representative()))
-
-
-def sphere_canonicalize(raw):
-    return SphereElement.canonicalize(raw)

@@ -7,8 +7,7 @@ the element constructor from a terms map.  A classical algebra adds its
 bracket, a size measure (degree or frequency) with its cap (mandatory, never
 defaulted), the dimension of its phase space, and the point sampler and
 Hamiltonian field rows of the transitivity check.  The coordinates of an
-element are its terms; only the sphere, whose keys are (harmonic degree,
-monomial) pairs, regroups them.  Coordinates may extend beyond the cap:
+element are its terms.  Coordinates may extend beyond the cap:
 out-of-cap keys can never be matched by in-cap subspaces, which is exactly
 the right behaviour for membership tests.  The operator algebras (Weyl,
 matrices) are ambients too: the extension solver writes each unknown over
@@ -53,31 +52,29 @@ def _check_key_count(tag, count):
 class Ambient:
     """A capped span, bounded by `size(elem) <= cap`.  `sample(rng, params)`
     draws a point of phase space; `field_rows(elems, point, params)` gives
-    each element's Hamiltonian field there as one row.  FlatAmbient,
-    TorusAmbient, WeylAmbient and MatrixAmbient build one."""
+    each element's Hamiltonian field there as one row.  `basis(ambient)`
+    lists a basis where the unit keys over-span (the sphere).  FlatAmbient,
+    SphereAmbient, TorusAmbient, WeylAmbient and MatrixAmbient build one."""
 
     def __init__(self, tag, keys, make, bracket=None, size=None, cap=None,
-                 dim_m=None, sample=None, field_rows=None):
+                 dim_m=None, sample=None, field_rows=None, basis=None):
         self.tag = tag
         self._keys = keys
-        self._make = make
+        self.from_coords = make
         self.bracket = bracket
         self.size = size
         self.cap = cap
         self.dim_m = dim_m
         self.sample = sample
         self.field_rows = field_rows
+        self._basis = basis
 
     def keys(self):
         return self._keys
 
-    def coords(self, elem):
-        return elem.terms
-
-    def from_coords(self, coords):
-        return self._make(coords)
-
     def basis_elements(self):
+        if self._basis is not None:
+            return self._basis(self)
         return [self.from_coords({k: S_ONE}) for k in self._keys]
 
     def zero(self):
@@ -90,8 +87,8 @@ class Ambient:
 def _flat_rows(n, elems, point, params):
     names = flat_vars(n)
     pt = dict(zip(names, point))
-    return [[e.poly.partial(v).evalf(pt, params) for v in names[n:]]
-            + [-e.poly.partial(v).evalf(pt, params) for v in names[:n]]
+    return [[e.partial(v).evalf(pt, params) for v in names[n:]]
+            + [-e.partial(v).evalf(pt, params) for v in names[:n]]
             for e in elems]
 
 
@@ -124,39 +121,22 @@ def _sphere_rows(elems, point, params):
              for si in coords] for e in elems]
 
 
-class SphereAmbient(Ambient):
-    """Canonical sphere polynomials of degree ≤ cap, keyed (l, monomial)."""
+def _sphere_basis(ambient):
+    """Canonicalized monomials, echelonized: a basis of the canonical sphere
+    polynomials of degree ≤ cap (raw monomial keys over-span)."""
+    seen = SubspaceBasis(ambient)
+    return [el for el in (SphereElement.canonicalize(MultiPoly(SVARS, {e: S_ONE}))
+                          for e in ambient.keys())
+            if seen.add_element(el)]
 
-    def __init__(self, degree_cap):
-        # Σ_{l≤cap} C(l + 2, 2) monomials of degree l in S1, S2, S3
-        tag = _check_key_count("sphere(deg<=%d)" % degree_cap,
-                               math.comb(degree_cap + 3, 3))
-        keys = [(l, e) for l in range(degree_cap + 1)
-                for e in monomials_upto(3, l) if sum(e) == l]
-        super().__init__(tag, keys, SphereElement,
-                         bracket_sphere, SphereElement.degree, degree_cap, 2,
-                         _sphere_point, _sphere_rows)
 
-    def coords(self, elem):
-        return {(l, e): c for l, h in elem.terms.items() for e, c in h.terms.items()}
-
-    def from_coords(self, coords):
-        buckets = {}
-        for (l, e), c in coords.items():
-            if not c.is_zero():
-                buckets.setdefault(l, {})[e] = c
-        return self._make({l: MultiPoly(SVARS, t) for l, t in buckets.items()})
-
-    def basis_elements(self):
-        """Canonicalized monomials, echelonized: a basis of the canonical
-        sphere polynomials of degree ≤ cap (raw monomial keys over-span)."""
-        seen = SubspaceBasis(self)
-        out = []
-        for e in monomials_upto(3, self.cap):
-            el = SphereElement.canonicalize(MultiPoly(SVARS, {e: S_ONE}))
-            if seen.add_element(el):
-                out.append(el)
-        return out
+def SphereAmbient(degree_cap):
+    """Canonical sphere polynomials of degree ≤ cap, keyed by monomial."""
+    tag = _check_key_count("sphere(deg<=%d)" % degree_cap,
+                           math.comb(degree_cap + 3, 3))
+    return Ambient(tag, monomials_upto(3, degree_cap), SphereElement,
+                   bracket_sphere, SphereElement.degree, degree_cap, 2,
+                   _sphere_point, _sphere_rows, _sphere_basis)
 
 
 def _torus_rows(elems, point, params):
@@ -222,7 +202,7 @@ class SubspaceBasis:
 
     def add_element(self, elem):
         """Insert an element; returns True when it enlarges the span."""
-        res = self.reduce_coords(self.ambient.coords(elem))
+        res = self.reduce_coords(elem.terms)
         pivot = min(res, key=self._key_order, default=None)
         if pivot is None:
             return False
@@ -242,7 +222,7 @@ class SubspaceBasis:
         return True
 
     def contains(self, elem):
-        return not self.reduce_coords(self.ambient.coords(elem))
+        return not self.reduce_coords(elem.terms)
 
     def contains_basis(self, other):
         return all(self.contains(e) for e in other.elements())
@@ -288,7 +268,7 @@ def normalizer(sub, ambient):
     rows = {}
     for x, ex in enumerate(base):
         for si, s_el in enumerate(sub_elems):
-            res = sub.reduce_coords(ambient.coords(ambient.bracket(ex, s_el)))
+            res = sub.reduce_coords(ambient.bracket(ex, s_el).terms)
             for rk, c in res.items():
                 rows.setdefault((si, rk), {})[x] = c
     from .linalg import nullspace

@@ -108,12 +108,12 @@ def test_criterion_3_closed_form_rules_degree_five():
     # degree <= 2 overlap, where brackets stay inside the ruled span
     def rule(f):
         op = WeylElement.const(S_ZERO)
-        for exps, c in f.poly.terms.items():
+        for exps, c in f.terms.items():
             op = op + rules[exps].scale(c)
         return op
 
     def member(f):
-        missing = [e for e in f.poly.terms if e not in rules]
+        missing = [e for e in f.terms if e not in rules]
         if missing:
             return "no closed-form rule for exponents %s" % (missing,)
         return None

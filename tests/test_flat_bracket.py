@@ -70,3 +70,37 @@ def test_bilinearity():
         f, g, h = (random_flat(RNG) for _ in range(3))
         c = Scalar.from_int(RNG.randint(-3, 3))
         assert bracket_flat(f + g.scale(c), h) == bracket_flat(f, h) + bracket_flat(g, h).scale(c)
+
+
+def test_cost_follows_the_variables_present_not_n(monkeypatch):
+    # at n = 1000 only q3, p7 and q7 occur; bracket_flat and vanhove_map
+    # differentiate in those degrees of freedom alone
+    from gvh.poly import MultiPoly
+    from gvh.qmaps import vanhove_map
+    from gvh.weyl import WeylElement
+
+    calls = []
+    partial = MultiPoly.partial
+
+    def counting(self, name):
+        calls.append(name)
+        return partial(self, name)
+
+    monkeypatch.setattr(MultiPoly, "partial", counting)
+    n = 1000
+    f = FlatElement.coordinate(n, "q3") * FlatElement.coordinate(n, "p7")
+    g = FlatElement.monomial(n, [2 if k == 7 else 0 for k in range(1, n + 1)],
+                             [0] * n)
+    want = FlatElement.coordinate(n, "q3") * FlatElement.coordinate(n, "q7")
+    assert bracket_flat(f, g) == want.scale(Scalar.from_int(2))
+    assert sorted(calls) == ["p3", "p3", "p7", "p7", "q3", "q3", "q7", "q7"]
+
+    del calls[:]
+
+    def word(ones):
+        return tuple(int(k in ones) for k in range(4 * n))
+
+    # Q(q3·p7) = X3·P7 − X_{n+7}·P_{n+3}
+    assert vanhove_map(f) == WeylElement(2 * n, {word({2, 2 * n + 6}): S_ONE,
+                                                 word({n + 6, 3 * n + 2}): -S_ONE})
+    assert sorted(calls) == ["p3", "p7", "q3", "q7"]

@@ -49,8 +49,16 @@ def _cases():
 CASES = _cases()
 
 
+def _subclasses(cls):
+    """Every subclass of cls, at any depth (FlatElement is a MultiPoly)."""
+    out = set()
+    for sub in cls.__subclasses__():
+        out |= {sub} | _subclasses(sub)
+    return out
+
+
 def test_cases_cover_every_subclass_and_context():
-    assert {cls.__name__ for cls in TermMap.__subclasses__()} == \
+    assert {cls.__name__ for cls in _subclasses(TermMap)} == \
         {type(a).__name__ for a, _, _ in CASES.values()}
     contexts = {name for a, _, c in CASES.values() if c is not None
                 for name in type(a)._context}

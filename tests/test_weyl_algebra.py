@@ -107,4 +107,4 @@ def test_ambient_coordinates_roundtrip():
     amb = WeylAmbient(1, 3)
     for _ in range(20):
         e = random_weyl(RNG, deg=3)
-        assert amb.from_coords(amb.coords(e)) == e
+        assert amb.from_coords(e.terms) == e
