@@ -20,7 +20,7 @@ import itertools
 import math
 
 from .scalars import S_I, S_ONE, Scalar, TWO_PI, as_scalar
-from .sparse import TermMap, accumulate, nonzero_terms
+from .sparse import TermMap, accumulate, monoid_product, nonzero_terms
 
 
 class TorusXCoef(TermMap):
@@ -55,12 +55,7 @@ class TorusXCoef(TermMap):
     def from_torus_element(cls, f):
         return cls({(m, n, 0): c for (m, n), c in f.terms.items()})
 
-    def __mul__(self, other):
-        terms = {}
-        for (m1, n1, j1), c1 in self.terms.items():
-            for (m2, n2, j2), c2 in other.terms.items():
-                accumulate(terms, (m1 + m2, n1 + n2, j1 + j2), c1 * c2)
-        return TorusXCoef(terms)
+    _product = monoid_product
 
     def partial(self, name):
         terms = {}
@@ -143,17 +138,7 @@ class DiffOp(TermMap):
     def coeff(self, key):
         return self.terms.get(tuple(key), TorusXCoef.zero())
 
-    def scale(self, c):
-        return DiffOp({a: coef.scale(c) for a, coef in self.terms.items()})
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Scalar)):
-            return self.scale(c)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return self.scale(other)
+    def _product(self, other):
         return diffop_compose(self, other)
 
     def apply_to_coef(self, f):

@@ -28,15 +28,10 @@ class ExactMatrix(TermMap):
     def entry(self, i, j):
         return self.terms.get((i, j), S_ZERO)
 
-    def __rmul__(self, c):
-        if isinstance(c, ExactMatrix):
-            return NotImplemented
-        return self.scale(c)
+    # kept in the class dict: perfbench/tracer.py wraps it from there
+    __mul__ = TermMap.__mul__
 
-    def __mul__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return self.scale(other)
-        self._check(other)
+    def _product(self, other):
         rows = {}
         for (k, j), b in other.terms.items():
             rows.setdefault(k, []).append((j, b))

@@ -727,7 +727,7 @@ def strong_nogo_record():
         steps, verdict, cert.discrepancy)
 
 
-def torus_transform_identities(k, trunc=64, hbar=None, quad_order=None):
+def torus_transform_identities(k, trunc=64, quad_order=None):
     """Interior-block errors of A₋A₊ = I + 4π²k²x² and
     B₋B₊ = I − 4π²ħ²k² d²/dx² in the truncated Hermite basis.
 
@@ -753,8 +753,7 @@ def torus_transform_identities(k, trunc=64, hbar=None, quad_order=None):
     if trunc < 4:
         raise ValueError("truncation too small")
     check_quadrature_size(trunc, quad_order)
-    if hbar is None:
-        hbar = DEFAULT_TORUS_HBAR
+    hbar = DEFAULT_TORUS_HBAR
     N = trunc
     M = N // 2
     mats = torus_transformed_ops(k, N, hbar, quad_order)
@@ -779,7 +778,7 @@ def torus_transform_identities(k, trunc=64, hbar=None, quad_order=None):
     }
 
 
-def torus_irreducibility(k, trunc=64, tol=1e-6, hbar=None, quad_order=None):
+def torus_irreducibility(k, trunc=64, tol=1e-6, quad_order=None):
     """Numeric commutant-kernel estimate for the transformed torus operators."""
     from .hermite import check_memory, check_quadrature_size, commutant_kernel_dim
     from .qmaps import DEFAULT_TORUS_HBAR, torus_transformed_ops
@@ -798,9 +797,7 @@ def torus_irreducibility(k, trunc=64, tol=1e-6, hbar=None, quad_order=None):
     half = (M * M + 1) // 2
     check_memory(32 * half * half + 64 * M ** 3,
                  "the commutant stack at truncation %d" % trunc)
-    if hbar is None:
-        hbar = DEFAULT_TORUS_HBAR
-    mats = torus_transformed_ops(k, trunc, hbar, quad_order)
+    mats = torus_transformed_ops(k, trunc, DEFAULT_TORUS_HBAR, quad_order)
     kdim, tail = commutant_kernel_dim(mats, tol)
     gap = None
     if len(tail) >= 2:
@@ -812,7 +809,7 @@ def torus_irreducibility(k, trunc=64, tol=1e-6, hbar=None, quad_order=None):
         "k": k,
         "trunc": trunc,
         "tol": tol,
-        "hbar": hbar,
+        "hbar": DEFAULT_TORUS_HBAR,
         "quad_order": mats[0].provenance.get("quad_order"),
         "commutant_dim_estimate": kdim,
         "singular_tail": tail,

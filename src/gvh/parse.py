@@ -7,16 +7,16 @@ Grammar
     atom   := number | symbol | 'sin(' inner ')' | 'cos(' inner ')' | '(' expr ')'
 
 Flat symbols are q<i> and p<i>; sphere symbols S1, S2, S3 and the radius s;
-torus atoms are sin/cos of '2*pi*' int '*' ('x'|'y').  Numbers are unsigned
-integers or integer fractions.  Division is only by constants (it exists so
-printed rational coefficients like (1)/(s+1) round-trip).  Parsed sphere
+torus atoms are sin/cos of '2*pi*' int '*' ('x'|'y').  A number is an
+unsigned integer; a fraction such as 1/3 is a division.  Division is only by
+nonzero constants (it exists so printed rational coefficients like
+(1)/(s+1) round-trip), so q1^3/2 is (q1^3)/2.  Parsed sphere
 expressions are canonicalized; torus trig input is normalized immediately to
 the exponential Fourier basis.
 """
 
 from __future__ import annotations
 
-import fractions
 import re
 
 from .flat import FlatElement, flat_vars
@@ -36,7 +36,7 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()]))")
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()]))")
 
 
 def _tokenize(text):
@@ -143,7 +143,8 @@ class _Parser:
                 else:
                     c = self.algebra.constant_value(rhs)
                     if c is None or c.is_zero():
-                        raise ParseError("division only by nonzero constants", pos)
+                        raise ParseError("division only by nonzero constants"
+                                         if c is None else "zero denominator", pos)
                     out = out.scale(S_ONE / c)
             else:
                 return out
@@ -156,7 +157,7 @@ class _Parser:
         else:
             return base
         kind, val, pos = self.next()
-        if kind != "num" or "/" in val:
+        if kind != "num":
             raise ParseError("exponent must be an unsigned integer", pos)
         e = int(val)
         if e > MAX_EXPONENT:
@@ -169,11 +170,7 @@ class _Parser:
     def atom(self):
         kind, val, pos = self.next()
         if kind == "num":
-            try:
-                value = fractions.Fraction(val)
-            except ZeroDivisionError:
-                raise ParseError("zero denominator in %r" % val, pos) from None
-            return self.algebra.const(Scalar.from_fraction(value))
+            return self.algebra.const(Scalar.from_int(int(val)))
         if kind == "name":
             return self.algebra.symbol(val, self, pos)
         if kind == "op" and val == "(":
@@ -199,7 +196,7 @@ class _Parser:
             sign = -1
             self.next()
         kind, val, pos = self.next()
-        if kind != "num" or "/" in val:
+        if kind != "num":
             raise ParseError("trig frequency must be an integer", pos)
         freq = sign * int(val)
         self.expect_op("*")

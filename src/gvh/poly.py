@@ -8,7 +8,7 @@ per-algebra variable order.
 from __future__ import annotations
 
 from .scalars import S_ZERO, S_ONE, as_scalar
-from .sparse import TermMap, accumulate
+from .sparse import TermMap, monoid_product
 
 
 class MultiPoly(TermMap):
@@ -64,13 +64,7 @@ class MultiPoly(TermMap):
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __mul__(self, other):
-        self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return self._new(out)
+    _product = monoid_product
 
     def __pow__(self, n):
         out = self._new({(0,) * len(self.vars): S_ONE})

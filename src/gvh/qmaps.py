@@ -39,13 +39,12 @@ class DomainError(ValueError):
 class QuantizationMap:
     """Named linear rule into an operator algebra, with a domain predicate."""
 
-    def __init__(self, name, domain, rule, bracket, membership=None, params=None):
+    def __init__(self, name, domain, rule, bracket, membership=None):
         self.name = name
         self.domain = domain
         self._rule = rule
         self._bracket = bracket
         self._membership = membership
-        self.params = dict(params or {})
 
     def ensure_domain(self, f, label="element"):
         if self._membership is not None:
@@ -238,7 +237,6 @@ def sphere_map(j, a=A_SYM, const_c=C_SYM):
         rule=rule,
         bracket=bracket,
         membership=membership,
-        params={"j": j, "a": a, "c": const_c},
     )
 
 

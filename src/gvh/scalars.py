@@ -2,8 +2,10 @@
 formal parameters (hbar, s, a, c, b, pi).
 
 Every coefficient in the engine is a Scalar: a gcd-reduced ratio of
-polynomials in the six formal parameters over Q(i).  Arithmetic is exact;
-a numeric evaluation hook (`Scalar.evalf`) exists for the torus numerics.
+polynomials in the six formal parameters over Q(i).  Each polynomial is a
+ParamPoly, a `sparse.TermMap` with no context, so its sums, equality and
+hashing are the base class's.  Arithmetic is exact; a numeric evaluation
+hook (`Scalar.evalf`) exists for the torus numerics.
 
 Two representations keep the common cases cheap:
 
@@ -20,9 +22,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
+from operator import sub
 
-from .sparse import add_terms
+from .sparse import TermMap, monoid_product
 
 PARAMS = ("hbar", "s", "a", "c", "b", "pi")
 NPARAMS = len(PARAMS)
@@ -150,13 +152,14 @@ def _grevkey(exp):
     return (sum(exp), exp)
 
 
-class ParamPoly:
+class ParamPoly(TermMap):
     """Polynomial in the six formal parameters over GaussRational.
 
     terms maps dense exponent tuples (length NPARAMS) to nonzero coefficients.
+    It has no context: every ParamPoly lives in one ring.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         self.terms = {} if terms is None else terms
@@ -181,9 +184,6 @@ class ParamPoly:
 
     # -- basic queries -------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def is_const(self):
         return not self.terms or (len(self.terms) == 1 and _ZEXP in self.terms)
 
@@ -207,15 +207,6 @@ class ParamPoly:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other):
-        return ParamPoly(add_terms(self.terms, other.terms))
-
-    def __neg__(self):
-        return ParamPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         # a constant factor only scales; the other side keeps its term order,
         # which evalf's float sums depend on
@@ -223,18 +214,7 @@ class ParamPoly:
             return self.scale(other.terms[_ZEXP])
         if len(self.terms) == 1 and _ZEXP in self.terms:
             return other.scale(self.terms[_ZEXP])
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                c = c1 * c2
-                v = out.get(e)
-                c = c if v is None else v + c
-                if c.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = c
-        return ParamPoly(out)
+        return monoid_product(self, other)
 
     def scale(self, g):
         if g.is_zero():
@@ -243,23 +223,8 @@ class ParamPoly:
             return self
         return ParamPoly({e: c * g for e, c in self.terms.items()})
 
-    def __pow__(self, n):
-        out = ParamPoly.const(GR_ONE)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def conj(self):
         return ParamPoly({e: c.conj() for e, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, ParamPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items(), key=lambda t: t[0])))
-
-    def key(self):
-        return tuple(sorted(self.terms.items(), key=lambda t: t[0]))
 
     # -- evaluation / substitution --------------------------------------
 
@@ -311,8 +276,6 @@ class ParamPoly:
         for p in parts[1:]:
             out += ("-" + p[1:]) if p.startswith("-") else ("+" + p)
         return out
-
-    __repr__ = __str__
 
 
 PP_ZERO = ParamPoly({})
@@ -612,7 +575,7 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num.key(), self.den.key()))
+        return hash((self.num, self.den))
 
     # -- evaluation / substitution -----------------------------------------
 

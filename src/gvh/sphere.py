@@ -120,7 +120,7 @@ class SphereElement(TermMap):
     def degree(self):
         return self.representative().degree()
 
-    def __mul__(self, other):
+    def _product(self, other):
         return SphereElement.canonicalize(self.representative() * other.representative())
 
     def __str__(self):

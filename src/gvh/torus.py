@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 
 from .scalars import S_ZERO, S_ONE, S_I, HBAR, TWO_PI, as_scalar
-from .sparse import TermMap, accumulate, nonzero_terms
+from .sparse import TermMap, accumulate, monoid_product, nonzero_terms
 
 
 class TorusElement(TermMap):
@@ -63,13 +63,7 @@ class TorusElement(TermMap):
 
     # -- arithmetic ----------------------------------------------------------------
 
-    def __mul__(self, other):
-        self._check(other)
-        out = {}
-        for (m1, n1), c1 in self.terms.items():
-            for (m2, n2), c2 in other.terms.items():
-                accumulate(out, (m1 + m2, n1 + n2), c1 * c2)
-        return self._new(out)
+    _product = monoid_product
 
     # -- calculus --------------------------------------------------------------------
 

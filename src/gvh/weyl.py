@@ -10,6 +10,7 @@ whose m = n = 1 case is PX = XP − iħ.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .scalars import HBAR, S_I, S_ONE, S_ZERO, Scalar, as_scalar
@@ -76,15 +77,7 @@ class WeylElement(TermMap):
     def is_scalar(self):
         return all(sum(e) == 0 for e in self.terms)
 
-    # -- products ------------------------------------------------------------
-    def __rmul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return self.scale(other)
+    def _product(self, other):
         return weyl_product(self, other)
 
     def __str__(self):
@@ -117,11 +110,9 @@ def contractions(beta, gamma):
     """Pairs (t, Π_k C(β_k,t_k) C(γ_k,t_k) t_k!) for every t ≤ min(β, γ).
 
     These are the terms of reordering P^β X^γ, and of Weyl-ordering q^γ p^β."""
-    out = [((), 1)]
-    for b, g in zip(beta, gamma):
-        out = [(t + (s,), num * _reorder_coeff(b, g, s))
-               for t, num in out for s in range(min(b, g) + 1)]
-    return out
+    return [(t, math.prod(map(_reorder_coeff, beta, gamma, t)))
+            for t in itertools.product(*[range(min(b, g) + 1)
+                                         for b, g in zip(beta, gamma)])]
 
 
 def weyl_product(A, B):

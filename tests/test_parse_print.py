@@ -50,6 +50,15 @@ def test_number_powers_fold():
     assert parse_expression("2^3", "flat") == FlatElement.const(1, Scalar.from_int(8))
 
 
+def test_division_after_a_power():
+    # a number is an integer and '/' the grammar's division: q1^3/2 = (q1^3)/2
+    assert parse_expression("(1+i)*q1^3/2", "flat") == \
+        parse_expression("(1+i)/2*q1^3", "flat")
+    q = FlatElement.coordinate(1, "q1")
+    assert parse_expression("q1^2/3", "flat") == \
+        (q * q).scale(Scalar.from_rational(1, 3))
+
+
 # ---------------------------------------------------------------------------
 # sphere
 

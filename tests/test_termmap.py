@@ -2,20 +2,24 @@
 
 Each case gives two maps a, b in one context and, where the class has a
 context, a map c in another one (other variables, degrees of freedom,
-dimension or symplectic scale).
+dimension or symplectic scale).  A ParamPoly's coefficients are
+GaussRationals, so it is scaled by GaussRationals; every other class by
+ints, Fractions and Scalars.
 """
+
+from fractions import Fraction
 
 import pytest
 
-from gvh.diffop import DiffOp, TorusXCoef
+from gvh.diffop import DiffOp, TorusXCoef, diffop_compose
 from gvh.flat import FlatElement
 from gvh.matrices import ExactMatrix, spin_matrices
 from gvh.poly import MultiPoly
-from gvh.scalars import HBAR, S_I, S_ONE, Scalar
-from gvh.sparse import TermMap
+from gvh.scalars import HBAR, S_I, S_ONE, GaussRational, ParamPoly, Scalar
+from gvh.sparse import TermMap, monoid_product
 from gvh.sphere import SphereElement
 from gvh.torus import TorusElement
-from gvh.weyl import WeylElement
+from gvh.weyl import WeylElement, weyl_product
 
 XY = ("x", "y")
 
@@ -43,10 +47,37 @@ def _cases():
         "DiffOp-shifted": (DiffOp({(1, 0, 0): TorusXCoef.xpow(1)}),
                            DiffOp({(-1, 1, 0): TorusXCoef.harmonic(1, 0, HBAR)}),
                            None),
+        "ParamPoly": (ParamPoly.var("hbar") * ParamPoly.var("s"),
+                      ParamPoly.var("a") + ParamPoly.const(GaussRational(1, 2)),
+                      None),
     }
 
 
 CASES = _cases()
+
+
+def _coef(name, n):
+    """The integer n as a coefficient the case's class is scaled by."""
+    return GaussRational(n) if name == "ParamPoly" else n
+
+
+def _matrix_product(a, b):
+    n = a.dim
+    return ExactMatrix(n, {(i, j): sum((a.entry(i, k) * b.entry(k, j)
+                                        for k in range(n)), Scalar.from_int(0))
+                           for i in range(n) for j in range(n)})
+
+
+def _sphere_product(a, b):
+    return SphereElement.canonicalize(a.representative() * b.representative())
+
+
+# each class's own product, written without the `*` under test
+PRODUCTS = {"MultiPoly": monoid_product, "FlatElement": monoid_product,
+            "TorusElement": monoid_product, "TorusXCoef": monoid_product,
+            "ParamPoly": monoid_product, "WeylElement": weyl_product,
+            "DiffOp": diffop_compose, "DiffOp-shifted": diffop_compose,
+            "ExactMatrix": _matrix_product, "SphereElement": _sphere_product}
 
 
 def _subclasses(cls):
@@ -93,7 +124,8 @@ def test_difference_with_itself_is_zero(name):
 def test_equal_maps_hash_equal(name):
     a, b, _ = CASES[name]
     pairs = [(a + b, b + a), ((a + b) - b, a), (-(-a), a),
-             (a.scale(2), a + a), ((a - b).scale(-1), b - a)]
+             (a.scale(_coef(name, 2)), a + a),
+             ((a - b).scale(_coef(name, -1)), b - a)]
     for x, y in pairs:
         assert x == y
         assert hash(x) == hash(y)
@@ -103,8 +135,9 @@ def test_equal_maps_hash_equal(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_scale_by_zero_is_zero(name):
     a, b, _ = CASES[name]
+    zeros = (GaussRational(0),) if name == "ParamPoly" else (0, Scalar.from_int(0))
     for m in (a, a + b):
-        for c in (0, Scalar.from_int(0)):
+        for c in zeros:
             z = m.scale(c)
             assert z.is_zero() and type(z) is type(m)
             assert z == m - m
@@ -127,3 +160,20 @@ def test_commutator_is_the_product_difference(name):
     a, b, _ = CASES[name]
     assert a.commutator(b) == a * b - b * a
     assert a.commutator(a).is_zero()
+
+
+@pytest.mark.parametrize("name", sorted(set(CASES) - {"ParamPoly"}))
+def test_scalar_acts_on_either_side_as_scale(name):
+    a, b, _ = CASES[name]
+    for m in (a, a + b):
+        for c in (2, Fraction(1, 3), HBAR):
+            assert m * c == c * m == m.scale(c)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_product_is_the_class_product(name):
+    a, b, _ = CASES[name]
+    product = PRODUCTS[name]
+    assert a * b == product(a, b)
+    assert b * a == product(b, a)
+    assert (a + b) * a == product(a + b, a)

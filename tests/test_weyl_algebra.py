@@ -1,12 +1,14 @@
 """Normal-ordered Weyl algebra: product, commutators, commutant computation."""
 
+import itertools
+import math
 import random
 
 from algebra_props import check_weyl_associativity, random_weyl
 from gvh.poly import monomials_upto
 from gvh.scalars import HBAR, S_I, S_ONE, Scalar
 from gvh.subspace import WeylAmbient
-from gvh.weyl import (WeylElement, anticommutator, symmetrized,
+from gvh.weyl import (WeylElement, anticommutator, contractions, symmetrized,
                       weyl_commutant, weyl_commutator, weyl_product,
                       weyl_words_upto)
 
@@ -108,3 +110,19 @@ def test_ambient_coordinates_roundtrip():
     for _ in range(20):
         e = random_weyl(RNG, deg=3)
         assert amb.from_coords(e.terms) == e
+
+
+def test_contractions_match_direct_enumeration():
+    rng = random.Random(14)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        beta = tuple(rng.randint(0, 3) for _ in range(n))
+        gamma = tuple(rng.randint(0, 3) for _ in range(n))
+        want = []
+        for t in itertools.product(range(4), repeat=n):
+            if all(s <= min(b, g) for s, b, g in zip(t, beta, gamma)):
+                num = 1
+                for s, b, g in zip(t, beta, gamma):
+                    num *= math.comb(b, s) * math.comb(g, s) * math.factorial(s)
+                want.append((t, num))
+        assert contractions(beta, gamma) == want

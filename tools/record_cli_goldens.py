@@ -1,4 +1,4 @@
-"""Record the bytes of the non-verify CLI verbs into tests/data/cli_goldens.json.
+"""Record the bytes of CLI invocations into tests/data/cli_goldens.json.
 
     python3 tools/record_cli_goldens.py
 
@@ -20,7 +20,9 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "tests" / "data" / "cli_goldens.json"
 
 # bracket, generate, normalizer, transitivity and checkq1 on every target,
-# with --n 2, --B, a markdown report, failing checks (exit 1) and bad input
+# with --n 2, --B, a markdown report, failing checks (exit 1) and bad input;
+# then verify on r2n and the sphere.  verify torus is left out: its floats
+# come from LAPACK, so its bytes may differ between machines.
 CASES = [
     ["bracket", "r2n", "q1^2*p1", "p1^2"],
     ["bracket", "r2n", "--n", "2", "q1*p2 + 1/2*q2^2", "p1*p2 - q1^3"],
@@ -62,6 +64,12 @@ CASES = [
     ["bracket", "sphere", "S1/S2", "S1"],
     ["bracket", "torus", "x", "cos(2*pi*1*x)"],
     ["bracket", "torus", "sin(2*pi*1*z)", "1"],
+    ["verify", "r2n"],
+    ["verify", "sphere", "--j", "0"],
+    ["verify", "sphere", "--j", "1/2"],
+    ["verify", "sphere", "--j", "1"],
+    ["verify", "sphere", "--j", "10"],
+    ["verify", "sphere", "--j", "3/2", "--format", "markdown"],
 ]
 
 
