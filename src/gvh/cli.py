@@ -55,6 +55,10 @@ def _check_flags(args):
     """Reject flag values the target cannot work with, before any arithmetic."""
     if args.target == "r2n" and args.n < 1:
         raise ValueError("--n must be at least 1, got %d" % args.n)
+    if args.target == "r2n" and args.verb == "verify" and args.n != 1:
+        # every r2n certificate is built on the generators of one degree of freedom
+        raise ValueError("verify r2n runs on one degree of freedom, got --n %d"
+                         % args.n)
     for flag in ("degree_cap", "freq_cap"):
         cap = getattr(args, flag, None)
         if cap is not None and cap < 0:

@@ -10,6 +10,7 @@ whose m = n = 1 case is PX = XP − iħ.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -115,6 +116,26 @@ def contractions(beta, gamma):
                                          for b, g in zip(beta, gamma)])]
 
 
+# Structure constants of the algebra, cached per ordered pair of words for the
+# life of the process.  verify r2n asks for 94 distinct pairs and
+# vonneumann_rules_flat(6) for 210.  Keys and results hold 2n-tuples, so the
+# bound keeps a long session at large n from growing without limit.
+WORD_CACHE_SIZE = 512
+
+
+@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
+def word_product(ea, eb, n):
+    """X^α P^β · X^γ P^δ in normal order, for ea = α + β and eb = γ + δ: the
+    pairs (exps, (−iħ)^|t| Π_k C(β_k,t_k) C(γ_k,t_k) t_k!) in the order
+    `contractions` lists t."""
+    beta, gamma = ea[n:], eb[:n]
+    return tuple(
+        (tuple(ea[k] + gamma[k] - t[k] for k in range(n))
+         + tuple(beta[k] + eb[n + k] - t[k] for k in range(n)),
+         (_MINUS_IH ** sum(t)) * num)
+        for t, num in contractions(beta, gamma))
+
+
 def weyl_product(A, B):
     """Product in the Weyl algebra, returned in normal-ordered form."""
     A._check(B)
@@ -123,13 +144,8 @@ def weyl_product(A, B):
     for ea, ca in A.terms.items():
         for eb, cb in B.terms.items():
             base = ca * cb
-            beta = ea[n:]
-            gamma = eb[:n]
-            for t, num in contractions(beta, gamma):
-                c = base * (_MINUS_IH ** sum(t)) * num
-                exps = tuple(ea[k] + gamma[k] - t[k] for k in range(n)) + \
-                    tuple(beta[k] + eb[n + k] - t[k] for k in range(n))
-                accumulate(out, exps, c)
+            for exps, w in word_product(ea, eb, n):
+                accumulate(out, exps, base * w)
     return A._new(out)
 
 

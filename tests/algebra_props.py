@@ -2,7 +2,8 @@
 
 Every sampler takes an explicit random.Random so the suites stay
 deterministic; the property loops assert exact identities (antisymmetry,
-Leibniz, Jacobi) and return the number of trials performed.
+Leibniz, Jacobi) and return the number of trials performed.  `weyl_action`
+is the sympy oracle for Weyl elements: X_k acts as q_k·, P_k as −iħ ∂/∂q_k.
 """
 
 from fractions import Fraction
@@ -68,6 +69,31 @@ def random_weyl(rng, n=1, deg=3, terms=3):
     for _ in range(terms):
         out = out + WeylElement.word(rng.choice(cands), random_scalar(rng), n)
     return out
+
+
+def _sympy_scalar(sympy, c, hb):
+    """Exact sympy value of a Scalar that is a polynomial in hbar over Q(i)."""
+    # a constant denominator is monic, hence 1
+    assert c.den.is_const() and c.used_params() <= {"hbar"}
+    out = 0
+    for e, g in c.num.terms.items():
+        out += (sympy.Rational(g.re.numerator, g.re.denominator)
+                + sympy.I * sympy.Rational(g.im.numerator, g.im.denominator)) * hb ** e[0]
+    return out
+
+
+def weyl_action(sympy, weyl, xs, psi, hb):
+    """Weyl element as an operator on psi: X_k -> xs[k] *, P_k -> -i hbar d/dxs[k]."""
+    n = len(xs)
+    total = 0
+    for e, c in weyl.terms.items():
+        term = psi
+        for var, k in zip(xs, e[n:]):
+            term = sympy.diff(term, (var, k)) if k else term
+        for var, k in zip(xs, e[:n]):
+            term = var ** k * term
+        total += _sympy_scalar(sympy, c, hb) * (-sympy.I * hb) ** sum(e[n:]) * term
+    return total
 
 
 def check_poisson_identities(rng, trials, sample, bracket):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from algebra_props import weyl_action
 from gvh.diffop import DiffOp
 from gvh.flat import FlatElement, bracket_flat
 from gvh.hermite import commutant_kernel_dim
@@ -82,31 +83,6 @@ def test_position_q1_on_momentum_affine_pairs():
             assert check_q1(POSITION, f, g).is_zero()
 
 
-def _sympy_scalar(sympy, c, hb):
-    """Exact sympy value of a Scalar that is a polynomial in hbar over Q(i)."""
-    # a constant denominator is monic, hence 1
-    assert c.den.is_const() and c.used_params() <= {"hbar"}
-    out = 0
-    for e, g in c.num.terms.items():
-        out += (sympy.Rational(g.re.numerator, g.re.denominator)
-                + sympy.I * sympy.Rational(g.im.numerator, g.im.denominator)) * hb ** e[0]
-    return out
-
-
-def _act(sympy, weyl, xs, psi, hb):
-    """Weyl element as an operator on psi: X_k -> xs[k] *, P_k -> -i hbar d/dxs[k]."""
-    n = len(xs)
-    total = 0
-    for e, c in weyl.terms.items():
-        term = psi
-        for var, k in zip(xs, e[n:]):
-            term = sympy.diff(term, var, k) if k else term
-        for var, k in zip(xs, e[:n]):
-            term = var ** k * term
-        total += _sympy_scalar(sympy, c, hb) * (-sympy.I * hb) ** sum(e[n:]) * term
-    return total
-
-
 def test_weyl_rule_is_the_symmetrized_ordering_sympy():
     # independent oracle: the average over all distinct orderings of a q's
     # and b p's, acting on psi(q) with q -> q*, p -> -i hbar d/dq
@@ -126,7 +102,7 @@ def test_weyl_rule_is_the_symmetrized_ordering_sympy():
                     u = letters[letter](u)
                 average += u
             average /= len(words)
-            got = _act(sympy, weyl_map(_m((a,), (b,))), (q,), psi, hb)
+            got = weyl_action(sympy, weyl_map(_m((a,), (b,))), (q,), psi, hb)
             assert sympy.expand(got - average) == 0, "q^%d p^%d" % (a, b)
 
 
@@ -142,7 +118,7 @@ def test_vanhove_image_is_prequantization_sympy():
             fq, fp = sympy.diff(f, q), sympy.diff(f, p)
             want = -sympy.I * hb * (fp * sympy.diff(psi, q) - fq * sympy.diff(psi, p)) \
                 + (f - p * fp) * psi
-            got = _act(sympy, vanhove_map(_m((a,), (b,))), (q, p), psi, hb)
+            got = weyl_action(sympy, vanhove_map(_m((a,), (b,))), (q, p), psi, hb)
             assert sympy.expand(got - want) == 0, "q^%d p^%d" % (a, b)
 
 

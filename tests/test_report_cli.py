@@ -184,7 +184,9 @@ def test_cli_zero_B_is_ignored_off_the_torus(capsys):
      "error: --tol must lie strictly between 0 and 1, got -1.0"),
     (["verify", "torus", "--tol", "1"],
      "error: --tol must lie strictly between 0 and 1, got 1.0"),
-], ids=["n-zero", "n-negative", "tol-negative", "tol-one"])
+    (["verify", "r2n", "--n", "2"],
+     "error: verify r2n runs on one degree of freedom, got --n 2"),
+], ids=["n-zero", "n-negative", "tol-negative", "tol-one", "verify-r2n-n-two"])
 def test_cli_rejects_bad_n_and_tol(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)
     assert code == 1 and out == ""

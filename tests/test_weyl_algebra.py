@@ -4,13 +4,16 @@ import itertools
 import math
 import random
 
-from algebra_props import check_weyl_associativity, random_weyl
+import pytest
+
+from algebra_props import check_weyl_associativity, random_weyl, weyl_action
 from gvh.poly import monomials_upto
 from gvh.scalars import HBAR, S_I, S_ONE, Scalar
 from gvh.subspace import WeylAmbient
-from gvh.weyl import (WeylElement, anticommutator, contractions, symmetrized,
-                      weyl_commutant, weyl_commutator, weyl_product,
-                      weyl_words_upto)
+from gvh.weyl import (WORD_CACHE_SIZE, WeylElement, anticommutator,
+                      contractions, symmetrized, weyl_commutant,
+                      weyl_commutator, weyl_product, weyl_words_upto,
+                      word_product)
 
 RNG = random.Random(6)
 
@@ -126,3 +129,46 @@ def test_contractions_match_direct_enumeration():
                     num *= math.comb(b, s) * math.comb(g, s) * math.factorial(s)
                 want.append((t, num))
         assert contractions(beta, gamma) == want
+
+
+def _random_hbar_weyl(rng, n, deg):
+    """Multi-term element with coefficients in Q(i)[ħ]."""
+    return (random_weyl(rng, n, deg, terms=3)
+            + random_weyl(rng, n, deg, terms=2).scale(HBAR)
+            + random_weyl(rng, n, deg, terms=1).scale(HBAR * HBAR))
+
+
+def test_word_cache_is_bounded():
+    assert isinstance(WORD_CACHE_SIZE, int) and WORD_CACHE_SIZE > 0
+    assert word_product.cache_info().maxsize == WORD_CACHE_SIZE
+
+
+@pytest.mark.parametrize("n, deg", [(1, 3), (2, 2)])
+def test_cold_and_warm_products_agree_with_operator_composition(n, deg):
+    # independent oracle: (AB)f = A(Bf) with X_k -> q_k *, P_k -> -i hbar d/dq_k
+    sympy = pytest.importorskip("sympy")
+    hb = sympy.Symbol("hbar", positive=True)
+    qs = sympy.symbols("q1:%d" % (n + 1))
+    # Σ_g c_g q^g over g_k <= 2·deg, with free c_g, tells apart any two
+    # operators of order at most 2·deg in each P_k, as products here are
+    f = sympy.Poly(sum(sympy.Symbol("c%s" % (g,))
+                       * sympy.Mul(*[q ** k for q, k in zip(qs, g)])
+                       for g in itertools.product(range(2 * deg + 1), repeat=n)),
+                   *qs)
+    # P1^deg in A and X1^deg in B reach the longest contraction, |t| = deg
+    p_top = WeylElement.word((0,) * n + (deg,) + (0,) * (n - 1), HBAR, n)
+    x_top = WeylElement.word((deg,) + (0,) * (2 * n - 1), S_I, n)
+    rng = random.Random(15 + n)
+    for _ in range(4):
+        a = _random_hbar_weyl(rng, n, deg) + p_top
+        b = _random_hbar_weyl(rng, n, deg) + x_top
+        word_product.cache_clear()
+        cold = weyl_product(a, b)
+        assert word_product.cache_info().misses > 0
+        hits = word_product.cache_info().hits
+        warm = weyl_product(a, b)
+        assert word_product.cache_info().hits > hits
+        assert list(warm.terms.items()) == list(cold.terms.items())
+        got = weyl_action(sympy, cold, qs, f, hb)
+        want = weyl_action(sympy, a, qs, weyl_action(sympy, b, qs, f, hb), hb)
+        assert (got - want).is_zero, (a, b)
