@@ -1,37 +1,68 @@
 """Exact linear algebra over Scalar.
 
 A row is a sparse map {column: value}, a zero entry being an absent column;
-solution vectors are sparse maps of the same kind.  The reduced row
-echelon form is unique for the fixed column order, so no result depends on
-the order of the rows.
+solution vectors are sparse maps of the same kind.  `Echelon` is the one
+elimination of the engine: it keeps a reduced row echelon form under a
+fixed order of the columns and takes rows one at a time.  `rref` reads it
+back over the columns 0..ncols-1, the only columns every caller's rows
+hold; `subspace.SubspaceBasis` is the same echelon over an ambient's keys.
+The reduced echelon form is unique for the column order, so no result
+depends on the order in which the rows are inserted.
 """
 
 from __future__ import annotations
+
+from bisect import insort
+from operator import itemgetter
 
 from .scalars import S_ONE
 from .sparse import nonzero_terms, sub_scaled
 
 
+class Echelon:
+    """Reduced rows (pivot, row), kept in pivot order under `order`, a key
+    on columns (the column itself by default).  Each row is 1 at its own
+    pivot and has no entry at any other."""
+
+    def __init__(self, order=None):
+        self.order = order
+        self.rows = []
+        self._pivot_order = itemgetter(0) if order is None \
+            else (lambda pivot_row: order(pivot_row[0]))
+
+    def reduce(self, coords):
+        """Residual of coords after elimination against the rows."""
+        coords = nonzero_terms(coords)
+        for pivot, row in self.rows:
+            c = coords.get(pivot)
+            if c is not None:
+                sub_scaled(coords, c, row)
+        return coords
+
+    def add(self, coords):
+        """Insert a row; returns True when it enlarges the span."""
+        res = self.reduce(coords)
+        if not res:
+            return False
+        pivot = min(res, key=self.order)
+        pc = res[pivot]
+        res = {k: c / pc for k, c in res.items()}
+        for _, row in self.rows:
+            c = row.get(pivot)
+            if c is not None:
+                sub_scaled(row, c, res)
+        insort(self.rows, (pivot, res), key=self._pivot_order)
+        return True
+
+
 def rref(rows, ncols):
-    """Reduced row echelon form of columns 0..ncols-1.
+    """Reduced row echelon form of rows over the columns 0..ncols-1.
 
     Returns (reduced rows in pivot order, pivot column list)."""
-    rows = [nonzero_terms(r) for r in rows]
-    red, pivots = [], []
-    for c in range(ncols):
-        k = next((k for k, row in enumerate(rows) if c in row), None)
-        if k is None:
-            continue
-        row = rows.pop(k)
-        pv = row[c]
-        row = {j: v / pv for j, v in row.items()}
-        for other in red + rows:
-            f = other.get(c)
-            if f is not None:
-                sub_scaled(other, f, row)
-        red.append(row)
-        pivots.append(c)
-    return red, pivots
+    ech = Echelon()
+    for row in rows:
+        ech.add(row)
+    return [row for _, row in ech.rows], [pivot for pivot, _ in ech.rows]
 
 
 def nullspace(rows, ncols):

@@ -262,58 +262,53 @@ def extension_solve(prob):
 def _flat_mono(qe, pe):
     return FlatElement.monomial(1, (qe,), (pe,))
 
-def weyl_generators():
-    X = WeylElement.x()
-    P = WeylElement.p()
-    return X, P
+
+def _bracket_constraint(f, g):
+    return BracketConstraint([(1, f, g)], "{%s, %s}" % (f, g))
+
+
+def _flat_problem(rules, targets, brackets_with, extra=()):
+    """Extend `rules`, a map {(a, b): Q(q^a p^b)} on one degree of freedom,
+    to the monomials q^a p^b of `targets`, given by their exponent pairs:
+    one constraint {k, t} for each target t and each k in `brackets_with`,
+    then the constraints `extra`."""
+    ks = [_flat_mono(*k) for k in brackets_with]
+    ts = [_flat_mono(*t) for t in targets]
+    schedule = [_bracket_constraint(k, t) for t in ts for k in ks]
+    return ExtensionProblem([(_flat_mono(*k), op) for k, op in rules.items()],
+                            ts, WeylAmbient(1, max(map(sum, targets))),
+                            schedule + list(extra), bracket_flat)
+
+
+def _schrodinger_rules():
+    """Q(1) = I, Q(q) = X, Q(p) = P."""
+    return {(0, 0): WeylElement.identity(), (1, 0): WeylElement.x(),
+            (0, 1): WeylElement.p()}
 
 
 def quadratic_extension_problem():
     """Extend 1, q, p (Schrödinger generators in the Weyl algebra) to the
     quadratics; bracket relations among the quadratics are the bilinear
     stage that pins the central shifts."""
-    X, P = weyl_generators()
-    one = FlatElement.const(1, S_ONE)
-    q = FlatElement.coordinate(1, "q1")
-    p = FlatElement.coordinate(1, "p1")
     q2, qp, p2 = _flat_mono(2, 0), _flat_mono(1, 1), _flat_mono(0, 2)
-    knowns = [(one, WeylElement.identity()), (q, X), (p, P)]
-    targets = [q2, qp, p2]
-    schedule = []
-    for t in targets:
-        for k in (q, p):
-            schedule.append(BracketConstraint([(1, k, t)],
-                                              "{%s, %s}" % (k, t)))
-    for f, g in ((q2, qp), (p2, qp), (q2, p2)):
-        schedule.append(BracketConstraint([(1, f, g)], "{%s, %s}" % (f, g)))
-    return ExtensionProblem(knowns, targets, WeylAmbient(1, 2), schedule,
-                            bracket_flat)
+    return _flat_problem(
+        _schrodinger_rules(), [(2, 0), (1, 1), (0, 2)], [(1, 0), (0, 1)],
+        [_bracket_constraint(f, g) for f, g in ((q2, qp), (p2, qp), (q2, p2))])
 
 
 def cubic_extension_problem():
     """Attempt to extend the degree ≤ 2 rules to the cubics; the bilinear
     stage carries the classical identity (1/9){q³,p³} = (1/3){q²p, qp²}."""
-    X, P = weyl_generators()
-    one = FlatElement.const(1, S_ONE)
-    q = FlatElement.coordinate(1, "q1")
-    p = FlatElement.coordinate(1, "p1")
-    q2, qp, p2 = _flat_mono(2, 0), _flat_mono(1, 1), _flat_mono(0, 2)
-    knowns = [
-        (one, WeylElement.identity()), (q, X), (p, P),
-        (q2, weyl_product(X, X)), (qp, symmetrized(X, P)),
-        (p2, weyl_product(P, P)),
-    ]
+    rules = _schrodinger_rules()
+    X, P = rules[(1, 0)], rules[(0, 1)]
+    rules.update({(2, 0): weyl_product(X, X), (1, 1): symmetrized(X, P),
+                  (0, 2): weyl_product(P, P)})
     q3, q2p, qp2, p3 = _flat_mono(3, 0), _flat_mono(2, 1), _flat_mono(1, 2), _flat_mono(0, 3)
-    targets = [q3, q2p, qp2, p3]
-    schedule = []
-    for t in targets:
-        for k in (q, p, qp):
-            schedule.append(BracketConstraint([(1, k, t)], "{%s, %s}" % (k, t)))
-    schedule.append(BracketConstraint(
-        [(fractions.Fraction(1, 9), q3, p3), (fractions.Fraction(-1, 3), q2p, qp2)],
-        "(1/9){q^3,p^3} - (1/3){q^2 p, q p^2}"))
-    return ExtensionProblem(knowns, targets, WeylAmbient(1, 3), schedule,
-                            bracket_flat)
+    return _flat_problem(
+        rules, [(3, 0), (2, 1), (1, 2), (0, 3)], [(1, 0), (0, 1), (1, 1)],
+        [BracketConstraint([(fractions.Fraction(1, 9), q3, p3),
+                            (fractions.Fraction(-1, 3), q2p, qp2)],
+                           "(1/9){q^3,p^3} - (1/3){q^2 p, q p^2}")])
 
 
 def sphere_equivariance_problem(j):
@@ -329,10 +324,7 @@ def sphere_equivariance_problem(j):
     for i in range(3):
         for k in range(i, 3):
             targets.append(s[i] * s[k])
-    schedule = []
-    for si in s:
-        for t in targets:
-            schedule.append(BracketConstraint([(1, si, t)], "{%s, %s}" % (si, t)))
+    schedule = [_bracket_constraint(si, t) for si in s for t in targets]
     return ExtensionProblem(knowns, targets, MatrixAmbient(dim), schedule,
                             bracket_raw)
 
@@ -353,60 +345,38 @@ def vonneumann_rules_flat(degree):
     rules, for 2 ≤ e ≤ degree, each via a unique linear extension solve."""
     if degree < 2:
         raise ValueError("rule derivation starts at degree 2")
-    X, P = weyl_generators()
-    one = FlatElement.const(1, S_ONE)
-    q = FlatElement.coordinate(1, "q1")
-    p = FlatElement.coordinate(1, "p1")
+    rules = _schrodinger_rules()
+    X, P = rules[(1, 0)], rules[(0, 1)]
+    records = []
 
-    sol2 = extension_solve(quadratic_extension_problem())
-    if sol2.verdict != "unique":
-        raise RuntimeError("quadratic extension unexpectedly %s" % sol2.verdict)
-    rules = {
-        (1, 0): X, (0, 1): P, (0, 0): WeylElement.identity(),
-        (2, 0): sol2.operator_for(0), (1, 1): sol2.operator_for(1),
-        (0, 2): sol2.operator_for(2),
-    }
-    records = [{
-        "degree": 2,
-        "classical": str(_flat_mono(2, 0)) + ", " + str(_flat_mono(1, 1)) +
-                     ", " + str(_flat_mono(0, 2)),
-        "operator": [str(rules[(2, 0)]), str(rules[(1, 1)]), str(rules[(0, 2)])],
-        "verdict": sol2.verdict,
-        "matches_closed_form": rules[(2, 0)] == weyl_product(X, X)
-            and rules[(1, 1)] == symmetrized(X, P)
-            and rules[(0, 2)] == weyl_product(P, P),
-    }]
-
-    qp = _flat_mono(1, 1)
-    for e in range(3, degree + 1):
-        for (qe, pe) in ((e, 0), (e - 1, 1), (1, e - 1), (0, e)):
-            target = _flat_mono(qe, pe)
-            knowns = [(one, rules[(0, 0)]), (q, X), (p, P), (qp, rules[(1, 1)])]
-            for (a, b), op in rules.items():
-                if 2 <= a + b < e and (a, b) != (1, 1):
-                    knowns.append((_flat_mono(a, b), op))
-            schedule = [BracketConstraint([(1, k, target)],
-                                          "{%s, %s}" % (k, target))
-                        for k in (q, p, qp)]
-            prob = ExtensionProblem(knowns, [target], WeylAmbient(1, e),
-                                    schedule, bracket_flat)
-            sol = extension_solve(prob)
-            if sol.verdict != "unique":
-                raise RuntimeError("rule for %s came back %s" % (target, sol.verdict))
-            rules[(qe, pe)] = sol.operator_for(0)
-        closed = {
-            (e, 0): _power_op(X, e),
-            (0, e): _power_op(P, e),
-            (e - 1, 1): symmetrized(_power_op(X, e - 1), P),
-            (1, e - 1): symmetrized(X, _power_op(P, e - 1)),
-        }
+    def record(e, closed):
         records.append({
             "degree": e,
-            "classical": ", ".join(str(_flat_mono(a, b)) for (a, b) in closed),
+            "classical": ", ".join(str(_flat_mono(*k)) for k in closed),
             "operator": [str(rules[k]) for k in closed],
             "verdict": "unique",
             "matches_closed_form": all(rules[k] == v for k, v in closed.items()),
         })
+
+    sol2 = extension_solve(quadratic_extension_problem())
+    if sol2.verdict != "unique":
+        raise RuntimeError("quadratic extension unexpectedly %s" % sol2.verdict)
+    rules.update({(1, 1): sol2.operator_for(1), (2, 0): sol2.operator_for(0),
+                  (0, 2): sol2.operator_for(2)})
+    record(2, {(2, 0): weyl_product(X, X), (1, 1): symmetrized(X, P),
+               (0, 2): weyl_product(P, P)})
+    for e in range(3, degree + 1):
+        known = {k: op for k, op in rules.items() if sum(k) < e}
+        for target in ((e, 0), (e - 1, 1), (1, e - 1), (0, e)):
+            sol = extension_solve(_flat_problem(known, [target],
+                                                [(1, 0), (0, 1), (1, 1)]))
+            if sol.verdict != "unique":
+                raise RuntimeError("rule for %s came back %s"
+                                   % (_flat_mono(*target), sol.verdict))
+            rules[target] = sol.operator_for(0)
+        record(e, {(e, 0): _power_op(X, e), (0, e): _power_op(P, e),
+                   (e - 1, 1): symmetrized(_power_op(X, e - 1), P),
+                   (1, e - 1): symmetrized(X, _power_op(P, e - 1))})
     return {"rules": rules, "records": records}
 
 
@@ -444,7 +414,7 @@ class ObstructionCertificate:
 def anticommutator_certificate():
     """The square/anti-commutator rule collision on quadratics: reducing
     ¼(XP+PX)² and ½(X²P²+P²X²) to normal order leaves different constants."""
-    X, P = weyl_generators()
+    X, P = WeylElement.x(), WeylElement.p()
     W = symmetrized(X, P)
     lhs = weyl_product(W, W)
     x2, p2 = weyl_product(X, X), weyl_product(P, P)
@@ -475,7 +445,7 @@ def groenewold_certificate():
     """The cubic contradiction: both quantizations of q²p² forced by the
     classical identity (1/9){q³,p³} = (1/3){q²p, qp²} differ by a nonzero
     multiple of the identity."""
-    X, P = weyl_generators()
+    X, P = WeylElement.x(), WeylElement.p()
     q3 = FlatElement.monomial(1, (3,), (0,))
     p3 = FlatElement.monomial(1, (0,), (3,))
     q2p = FlatElement.monomial(1, (2,), (1,))
@@ -657,7 +627,7 @@ def position_nonextension_certificate():
     must be scalar (trivial commutant), the identity 2p² = {p², qp} pins
     T = 0, and the resulting quadratic rules collide with the cubic
     contradiction."""
-    X, P = weyl_generators()
+    X, P = WeylElement.x(), WeylElement.p()
     box = [(m, k) for m in range(4) for k in range(4)]   # X^m P^k, m, k <= 3
     comm_basis = weyl_commutant([X, P], box)
     commutant_scalar = comm_basis.dim() == 1 and \

@@ -12,6 +12,12 @@ out-of-cap keys can never be matched by in-cap subspaces, which is exactly
 the right behaviour for membership tests.  The operator algebras (Weyl,
 matrices) are ambients too: the extension solver writes each unknown over
 their keys.
+
+A `SubspaceBasis` is the `linalg.Echelon` of a span, its pivots in the
+ambient's key order, so its printed basis does not depend on the order in
+which elements are added.  `kernel_span` is the one kernel routine: the
+span of the combinations of a list of elements that a linear map sends to
+zero, which gives normalizers here and Weyl commutants in `weyl`.
 """
 
 from __future__ import annotations
@@ -21,10 +27,10 @@ import math
 import random
 
 from .flat import FlatElement, bracket_flat, flat_vars
+from .linalg import Echelon, nullspace
 from .matrices import ExactMatrix
 from .poly import MultiPoly, monomials_upto
 from .scalars import S_ONE
-from .sparse import nonzero_terms, sub_scaled
 from .sphere import SVARS, SphereElement, bracket_sphere
 from .torus import TorusElement, bracket_torus
 from .weyl import WeylElement, weyl_commutator
@@ -127,7 +133,7 @@ def _sphere_basis(ambient):
     seen = SubspaceBasis(ambient)
     return [el for el in (SphereElement.canonicalize(MultiPoly(SVARS, {e: S_ONE}))
                           for e in ambient.keys())
-            if seen.add_element(el)]
+            if seen.add(el.terms)]
 
 
 def SphereAmbient(degree_cap):
@@ -171,58 +177,25 @@ def MatrixAmbient(dim):
                    functools.partial(ExactMatrix, dim))
 
 
-class SubspaceBasis:
-    """Echelonized list of elements of one ambient algebra."""
+class SubspaceBasis(Echelon):
+    """Echelonized span of elements of one ambient algebra: the echelon
+    over the ambient's keys in their order, out-of-cap keys last, by repr."""
 
     def __init__(self, ambient):
+        key_rank = {k: r for r, k in enumerate(ambient.keys())}
+        super().__init__(lambda k: (0, key_rank[k]) if k in key_rank
+                         else (1, repr(k)))
         self.ambient = ambient
-        self.key_rank = {k: r for r, k in enumerate(ambient.keys())}
-        self.rows = []  # list of (pivot_key, coords dict with pivot coeff 1)
 
     @classmethod
     def from_elements(cls, ambient, elems):
         basis = cls(ambient)
         for e in elems:
-            basis.add_element(e)
+            basis.add(e.terms)
         return basis
 
-    def _key_order(self, k):
-        r = self.key_rank.get(k)
-        # out-of-cap keys sort after every in-cap key, deterministically
-        return (0, r) if r is not None else (1, repr(k))
-
-    def reduce_coords(self, coords):
-        """Residual of coords after elimination against the basis."""
-        coords = nonzero_terms(coords)
-        for pivot, row in self.rows:
-            c = coords.get(pivot)
-            if c is not None:
-                sub_scaled(coords, c, row)
-        return coords
-
-    def add_element(self, elem):
-        """Insert an element; returns True when it enlarges the span."""
-        res = self.reduce_coords(elem.terms)
-        pivot = min(res, key=self._key_order, default=None)
-        if pivot is None:
-            return False
-        pc = res[pivot]
-        res = {k: c / pc for k, c in res.items()}
-        # back-substitute into existing rows to keep reduced echelon form
-        new_rows = []
-        for pv, row in self.rows:
-            c = row.get(pivot)
-            if c is not None:
-                row = dict(row)
-                sub_scaled(row, c, res)
-            new_rows.append((pv, row))
-        new_rows.append((pivot, res))
-        new_rows.sort(key=lambda t: self._key_order(t[0]))
-        self.rows = new_rows
-        return True
-
     def contains(self, elem):
-        return not self.reduce_coords(elem.terms)
+        return not self.reduce(elem.terms)
 
     def contains_basis(self, other):
         return all(self.contains(e) for e in other.elements())
@@ -242,6 +215,20 @@ class SubspaceBasis:
         return True
 
 
+def kernel_span(ambient, base, image):
+    """The echelonized span of the Σ_x c_x·base_x with Σ_x c_x·image(base_x)
+    = 0, for `image` a linear map from elements to coordinate maps."""
+    rows = {}
+    for x, ex in enumerate(base):
+        for key, c in image(ex).items():
+            rows.setdefault(key, {})[x] = c
+    out = SubspaceBasis(ambient)
+    for vec in nullspace(list(rows.values()), len(base)):
+        out.add(sum((base[x].scale(c) for x, c in vec.items()),
+                    ambient.zero()).terms)
+    return out
+
+
 def generate_poisson_subalgebra(gens, ambient):
     """Bracket closure of span(gens) inside the ambient cap (fixed point)."""
     basis = SubspaceBasis.from_elements(ambient, gens)
@@ -253,32 +240,20 @@ def generate_poisson_subalgebra(gens, ambient):
                 h = ambient.bracket(f, g)
                 if h.is_zero() or not ambient.within_bound(h):
                     continue
-                if basis.add_element(h):
+                if basis.add(h.terms):
                     added = True
         if not added:
             return basis
 
 
 def normalizer(sub, ambient):
-    """All g within the ambient cap with {g, sub} contained in span(sub)."""
-    base = ambient.basis_elements()
+    """All g within the ambient cap with {g, sub} contained in span(sub):
+    the residuals of {g, s} against sub vanish for every s in sub."""
     sub_elems = sub.elements()
-    # unknown g = Σ_x g_x·base_x; constraints: residual of {base_x, s} is 0,
-    # one row per (sub element, residual key)
-    rows = {}
-    for x, ex in enumerate(base):
-        for si, s_el in enumerate(sub_elems):
-            res = sub.reduce_coords(ambient.bracket(ex, s_el).terms)
-            for rk, c in res.items():
-                rows.setdefault((si, rk), {})[x] = c
-    from .linalg import nullspace
-    out = SubspaceBasis(ambient)
-    for vec in nullspace(list(rows.values()), len(base)):
-        g = ambient.zero()
-        for x, c in vec.items():
-            g = g + base[x].scale(c)
-        out.add_element(g)
-    return out
+    return kernel_span(
+        ambient, ambient.basis_elements(),
+        lambda g: {(si, k): c for si, s in enumerate(sub_elems)
+                   for k, c in sub.reduce(ambient.bracket(g, s).terms).items()})
 
 
 def transitivity_check(basis, npoints=8, seed=0, params=None):

@@ -170,20 +170,12 @@ def weyl_words_upto(n, bound):
 def weyl_commutant(gens, words, n=None):
     """Basis of {T ∈ span(words) : [T, g] = 0 for all g}, by exact solve;
     words are exponent tuples of normal-ordered words X^α P^β."""
-    from .linalg import nullspace
-    from .subspace import SubspaceBasis, WeylAmbient
+    from .subspace import WeylAmbient, kernel_span
 
     if n is None:
         n = gens[0].n if gens else 1
-    rows = {}
-    for gi, g in enumerate(gens):
-        for col, w in enumerate(words):
-            comm = weyl_commutator(WeylElement.word(w, 1, n), g)
-            for e, c in comm.terms.items():
-                rows.setdefault((gi, e), {})[col] = c
-    vecs = nullspace(list(rows.values()), len(words))
-    ambient = WeylAmbient(n, max((sum(w) for w in words), default=0))
-    basis = SubspaceBasis(ambient)
-    for v in vecs:
-        basis.add_element(WeylElement(n, {words[col]: c for col, c in v.items()}))
-    return basis
+    return kernel_span(
+        WeylAmbient(n, max((sum(w) for w in words), default=0)),
+        [WeylElement.word(w, 1, n) for w in words],
+        lambda T: {(gi, e): c for gi, g in enumerate(gens)
+                   for e, c in weyl_commutator(T, g).terms.items()})

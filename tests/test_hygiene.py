@@ -8,6 +8,8 @@ ast module (the repository carries no linter).
 - Only hermite.py imports numpy when it is loaded; every other module
   imports it inside the functions that need it, so the exact verbs can
   start without it.
+- Only `linalg.Echelon` reads `sparse.sub_scaled`, the elimination step of
+  sparse rows, so the engine keeps one elimination.
 """
 
 import ast
@@ -71,3 +73,26 @@ def test_only_hermite_imports_numpy_at_load_time():
     loaders = sorted(p.name for p in SRC.glob("*.py")
                      if "numpy" in _load_time_imports(ast.parse(p.read_text())))
     assert loaders == ["hermite.py"]
+
+
+def _sub_scaled_readers(tree):
+    """Top-level definitions of a module (or "<module>") that read the name
+    sub_scaled, bare or as an attribute."""
+    return {getattr(top, "name", "<module>") for top in tree.body
+            for n in ast.walk(top)
+            if (isinstance(n, ast.Name) and n.id == "sub_scaled")
+            or (isinstance(n, ast.Attribute) and n.attr == "sub_scaled")}
+
+
+def test_sub_scaled_scan_finds_every_reader():
+    tree = ast.parse("from .sparse import sub_scaled\nfrom . import sparse\n"
+                     "def f(r):\n    sub_scaled(r, 1, r)\n"
+                     "class C:\n    step = sparse.sub_scaled\n"
+                     "def g(r):\n    return r\n")
+    assert _sub_scaled_readers(tree) == {"f", "C"}
+
+
+def test_only_the_echelon_eliminates():
+    readers = {"%s:%s" % (p.name, name) for p in SRC.glob("*.py")
+               for name in _sub_scaled_readers(ast.parse(p.read_text()))}
+    assert readers == {"linalg.py:Echelon"}

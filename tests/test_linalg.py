@@ -108,6 +108,20 @@ def test_rref_idempotent():
         assert red == red2
 
 
+def test_rref_matches_sympy_entry_for_entry():
+    # rref is an Echelon read back over the columns: its reduced rows, zero
+    # rows appended, must be sympy's reduced row echelon form
+    rng = random.Random(11)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        rows = _rand_matrix(rng, nr, nc, density=rng.choice((0.3, 0.7)))
+        red, piv = rref(_sparse(rows), nc)
+        want, want_piv = _to_sympy(rows, nc).rref()
+        assert piv == list(want_piv)
+        dense = [_dense(r, nc) for r in red] + [[S_ZERO] * nc] * (nr - len(red))
+        assert _to_sympy(dense, nc) == want
+
+
 def test_row_order_does_not_change_results():
     # the reduced row echelon form is unique for a fixed column order, so
     # callers may hand rows over in any order

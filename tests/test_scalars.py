@@ -6,7 +6,7 @@ import pytest
 
 from gvh import scalars
 from gvh.cli import main
-from gvh.scalars import (HBAR, PARAMS, S_I, S_ONE, S_SPIN, S_ZERO,
+from gvh.scalars import (HBAR, NPARAMS, PARAMS, S_I, S_ONE, S_SPIN, S_ZERO,
                          GaussRational, ParamPoly, Scalar, _prs_gcd,
                          poly_divexact, poly_gcd)
 
@@ -178,7 +178,7 @@ def test_monomial_divexact():
         q = _rand_poly(rng, rng.randint(1, 4))
         if q.is_zero():
             continue
-        exp = [rng.randint(0, 2) for _ in range(3)] + [0, 0, 0]
+        exp = [rng.randint(0, 2) for _ in range(3)] + [0] * (NPARAMS - 3)
         d = _monomial(exp, Fraction(rng.randint(1, 5), rng.randint(1, 5)))
         assert poly_divexact(q * d, d) == q
         if min(e[0] for e in (q * d).terms) == exp[0]:

@@ -1,5 +1,6 @@
 """Span bookkeeping, Poisson subalgebra generation, normalizers, transitivity."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,36 @@ def test_span_reduction():
     assert basis.dim() == 2
     assert basis.contains(_m(1, (0,), (1,)))
     assert not basis.contains(_m(1, (2,), (0,)))
+
+
+def test_basis_does_not_depend_on_insertion_order():
+    # the printed basis is the reduced echelon form over the ambient's keys,
+    # an out-of-cap key (q^4, S1^4) pivoting after every in-cap key
+    sphere = SphereElement.canonicalize
+    s1, s2, s3 = svar("S1"), svar("S2"), svar("S3")
+    cases = [
+        (FlatAmbient(1, 3), [
+            _m(1, (2,), (0,)) + _m(1, (0,), (1,)),
+            _m(1, (1,), (1,)) - _m(1, (3,), (0,), 2),
+            _m(1, (2,), (0,)) - _m(1, (1,), (1,)) + _m(1, (0,), (0,)),
+            _m(1, (4,), (0,)) + _m(1, (0,), (1,), 3),
+            _m(1, (3,), (0,)) + _m(1, (0,), (0,)),
+        ]),
+        (SphereAmbient(3), [
+            sphere(s1 * s1 + s3),
+            sphere(s1 * s2 - s3 * s3),
+            sphere(s3 * s3 + s2 * s2 * s1),
+            sphere(s1 ** 4 + s3),
+            sphere(s1 * s1 - s2 * s2 * s1),
+        ]),
+    ]
+    for amb, elems in cases:
+        want = SubspaceBasis.from_elements(amb, elems).elements()
+        assert any(not amb.within_bound(e) for e in want)
+        for order in itertools.permutations(elems):
+            got = SubspaceBasis.from_elements(amb, order).elements()
+            assert got == want
+            assert [str(e) for e in got] == [str(e) for e in want]
 
 
 def test_generate_quadratics_close():

@@ -45,6 +45,10 @@ CASES = [
     ["normalizer", "sphere", "1", "S1", "S2", "S3"],
     ["normalizer", "sphere", "S3", "--degree-cap", "2"],
     ["normalizer", "torus", "sin(2*pi*1*x)", "cos(2*pi*1*x)"],
+    ["normalizer", "r2n", "--n", "2", "--degree-cap", "4",
+     "1", "q1", "p1", "q2", "p2"],
+    ["normalizer", "sphere", "--degree-cap", "4", "1", "S1", "S2", "S3"],
+    ["generate", "r2n", "q1^2", "p1^2", "q1^3", "--degree-cap", "6"],
     ["transitivity", "r2n", "q1", "p1", "q1^2*p1"],
     ["transitivity", "r2n", "q1^2"],
     ["transitivity", "sphere", "S1", "S2", "S3"],
