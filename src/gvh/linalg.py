@@ -46,7 +46,9 @@ class Echelon:
             return False
         pivot = min(res, key=self.order)
         pc = res[pivot]
-        res = {k: c / pc for k, c in res.items()}
+        # re-inserted reduced rows and flat expansions already have pivot 1
+        if not pc.is_one():
+            res = {k: c / pc for k, c in res.items()}
         for _, row in self.rows:
             c = row.get(pivot)
             if c is not None:

@@ -3,13 +3,16 @@
 The solver treats a quantization-extension question as exact linear algebra.
 One affine stage runs twice.  It writes every operand as an affine form
 F₀ + Σ x_col F_col, linearizes each bracket constraint into rows keyed by
-(constraint, operator key), and makes one exact affine solve.  The first run
-takes the constraints that are linear in the unknowns (equivariance), each
-target a combination of the keys of an operator `Ambient` (normal-ordered
-Weyl words, or matrix units).  The second takes the bracket relations
-between two unknowns over the family the first run left — anything
-genuinely quadratic there comes back "undecided" rather than risking a
-wrong verdict.
+(constraint, operator key), and makes one exact affine solve.  Within a
+stage each commutator of two operand operators is computed once, however
+many constraints and targets share it.  The first run takes the constraints
+that are linear in the unknowns (equivariance), each target a combination
+of one shared basis of an operator `Ambient`'s keys (normal-ordered Weyl
+words, or matrix units).  The second takes the bracket relations between
+two unknowns over the family the first run left — anything genuinely
+quadratic there comes back "undecided" rather than risking a wrong verdict.
+The von Neumann rules pose one problem per degree, over all four of its
+targets at once.
 
 Certificates replay the classical-identity schedules that force each no-go:
 every step records the classical identity, both quantized sides, and their
@@ -123,10 +126,11 @@ class SolutionSpace:
         return "SolutionSpace(%s, parameters=%d)" % (self.verdict, self.parameters)
 
 
-def _linearize(prob, con, expansion, form):
+def _linearize(prob, con, expansion, form, commutator):
     """Residual Σ c(i/ħ)[F, G] − Σ λ_k K_k − Σ μ_t U_t of one constraint,
     every operand an affine form F₀ + Σ_col x_col F_col given by `form` as
-    the map {None: F₀, col: F_col} (a missing None means F₀ = 0).
+    the map {None: F₀, col: F_col} (a missing None means F₀ = 0), and
+    `commutator(F, G)` giving [F, G] for two of their operators.
 
     Returns the residual as {operator key: {col: coefficient}}, col None for
     the constant term, or None when some [F_col, G_col'] is nonzero: then
@@ -141,7 +145,7 @@ def _linearize(prob, con, expansion, form):
         c_ih = c * I_OVER_HBAR
         for cf, F in form(f).items():
             for cg, G in form(g).items():
-                comm = F.commutator(G)
+                comm = commutator(F, G)
                 if cf is None or cg is None:
                     add(comm, cg if cf is None else cf, c_ih)
                 elif not comm.is_zero():
@@ -159,6 +163,10 @@ def _affine_stage(prob, cons, expansions, target_forms, ncols):
     """Solve the constraints `cons` (schedule indices) for x, with each
     target t the affine form target_forms[t] (see `_linearize`).
 
+    Every commutator of two operands is computed once per stage: the
+    operators are held by prob.knowns and target_forms for the whole stage,
+    so their ids key the memo, which is emptied before the solve.
+
     One solve_affine call over rows keyed (constraint, operator key).
     Returns ("quadratic", ci), ("inconsistent", witness) with witness a
     violated (label, residual) or None, or ("solved", (ops, directions))
@@ -168,14 +176,25 @@ def _affine_stage(prob, cons, expansions, target_forms, ncols):
         kind, i = prob._classify(elem)
         return {None: prob.knowns[i][1]} if kind == "known" else target_forms[i]
 
+    comms = {}
+
+    def commutator(F, G):
+        key = (id(F), id(G))
+        comm = comms.get(key)
+        if comm is None:
+            comm = comms[key] = F.commutator(G)
+        return comm
+
     rows, rhs = {}, {}
     for ci in cons:
-        terms = _linearize(prob, prob.schedule[ci], expansions[ci], form)
+        terms = _linearize(prob, prob.schedule[ci], expansions[ci], form,
+                           commutator)
         if terms is None:
             return "quadratic", ci
         for key, coeffs in terms.items():
             rhs[(ci, key)] = -coeffs.pop(None, S_ZERO)
             rows[(ci, key)] = coeffs
+    comms.clear()
     sol = solve_affine(list(rows.values()), [rhs[k] for k in rows], ncols)
     if sol is None:
         k = min((k for k in rows if not rows[k] and not rhs[k].is_zero()),
@@ -218,9 +237,9 @@ def extension_solve(prob):
                        for _, f, g in con.terms)
         (bilinear_cons if bilinear else linear_cons).append(ci)
 
-    # stage 1: target t is Σ_a x_{t,a} a
-    stage1 = [{t * len(atoms) + ai: ambient.from_coords({a: S_ONE})
-               for ai, a in enumerate(atoms)}
+    # stage 1: target t is Σ_a x_{t,a} a, over one shared basis of atoms
+    basis = [ambient.from_coords({a: S_ONE}) for a in atoms]
+    stage1 = [{t * len(atoms) + ai: b for ai, b in enumerate(basis)}
               for t in range(len(prob.targets))]
     status, out = _affine_stage(prob, linear_cons, expansions, stage1,
                                 len(prob.targets) * len(atoms))
@@ -366,14 +385,15 @@ def vonneumann_rules_flat(degree):
     record(2, {(2, 0): weyl_product(X, X), (1, 1): symmetrized(X, P),
                (0, 2): weyl_product(P, P)})
     for e in range(3, degree + 1):
-        known = {k: op for k, op in rules.items() if sum(k) < e}
-        for target in ((e, 0), (e - 1, 1), (1, e - 1), (0, e)):
-            sol = extension_solve(_flat_problem(known, [target],
-                                                [(1, 0), (0, 1), (1, 1)]))
-            if sol.verdict != "unique":
-                raise RuntimeError("rule for %s came back %s"
-                                   % (_flat_mono(*target), sol.verdict))
-            rules[target] = sol.operator_for(0)
+        # {k, t} lands in the knowns or in t itself, so the four targets'
+        # constraints are independent blocks of one solve
+        targets = [(e, 0), (e - 1, 1), (1, e - 1), (0, e)]
+        sol = extension_solve(_flat_problem(rules, targets,
+                                            [(1, 0), (0, 1), (1, 1)]))
+        if sol.verdict != "unique":
+            raise RuntimeError("rules for degree %d came back %s"
+                               % (e, sol.verdict))
+        rules.update(zip(targets, sol.assignments))
         record(e, {(e, 0): _power_op(X, e), (0, e): _power_op(P, e),
                    (e - 1, 1): symmetrized(_power_op(X, e - 1), P),
                    (1, e - 1): symmetrized(X, _power_op(P, e - 1))})

@@ -10,7 +10,7 @@ import sympy
 from gvh.flat import FlatElement, bracket_flat
 from gvh.matrices import spin_matrices
 from gvh.obstruction import (CONVENTION, BracketConstraint, ExtensionProblem,
-                             anticommutator_certificate,
+                             _flat_problem, anticommutator_certificate,
                              cubic_extension_problem, extension_solve,
                              groenewold_certificate,
                              position_nonextension_certificate,
@@ -169,7 +169,7 @@ def test_certificate_serialization():
 
 
 # ---------------------------------------------------------------------------
-# closed-form rules through degree five
+# closed-form rules through degree seven
 
 
 def test_vonneumann_records_all_unique():
@@ -181,15 +181,52 @@ def test_vonneumann_records_all_unique():
 
 
 def test_vonneumann_rules_match_symmetrization():
-    rules = vonneumann_rules_flat(5)["rules"]
-    for d in range(2, 6):
+    rules = vonneumann_rules_flat(7)["rules"]
+    for d in range(2, 8):
         assert rules[(d, 0)] == WeylElement.word((d, 0))
         assert rules[(0, d)] == WeylElement.word((0, d))
-    for a in range(1, 5):
+    for a in range(1, 7):
         xa = WeylElement.word((a, 0))
         pb = WeylElement.word((0, a))
         assert rules[(a, 1)] == symmetrized(xa, P)
         assert rules[(1, a)] == symmetrized(X, pb)
+
+
+@pytest.mark.parametrize("e", range(3, 8))
+def test_vonneumann_joint_solve_matches_one_target_solves(e):
+    # each {k, t} lands in the knowns or in t, so the degree-e problem over
+    # all four targets splits into the four one-target problems
+    known = vonneumann_rules_flat(e - 1)["rules"]
+    targets = [(e, 0), (e - 1, 1), (1, e - 1), (0, e)]
+    brackets_with = [(1, 0), (0, 1), (1, 1)]
+    joint = extension_solve(_flat_problem(known, targets, brackets_with))
+    assert joint.verdict == "unique"
+    for i, target in enumerate(targets):
+        alone = extension_solve(_flat_problem(known, [target], brackets_with))
+        assert alone.verdict == "unique"
+        assert joint.operator_for(i) == alone.operator_for(0)
+
+
+def test_vonneumann_rules_compute_each_commutator_once_per_stage(monkeypatch):
+    # one problem per degree, one shared stage-1 basis and a commutator memo
+    # per stage; work repeated per target or per constraint shows here
+    from gvh import obstruction, sparse
+
+    counts = {"commutator": 0, "solve": 0}
+    commutator, solve = sparse.TermMap.commutator, obstruction.extension_solve
+
+    def counting_commutator(self, other):
+        counts["commutator"] += 1
+        return commutator(self, other)
+
+    def counting_solve(prob):
+        counts["solve"] += 1
+        return solve(prob)
+
+    monkeypatch.setattr(sparse.TermMap, "commutator", counting_commutator)
+    monkeypatch.setattr(obstruction, "extension_solve", counting_solve)
+    vonneumann_rules_flat(6)
+    assert counts == {"commutator": 282, "solve": 5}
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ and `gvh verify r2n`, each in a fresh interpreter.
 for the life of a process, so every sample runs in a new interpreter: the
 child imports gvh untimed, then times one call (for `verify r2n`,
 `cli.main(["verify", "r2n"])` with stdout discarded), and reports its wall
-and CPU time and, where the tree has the cache, its hits and misses.  The
-cases alternate, SAMPLES times each, and the script reports the median and
-quartiles per case.  The children import numpy (through gvh) with one BLAS
-thread, as in `perfbench/run.py`.
+and CPU time, its number of `TermMap.commutator` calls (counted by a
+wrapper the child installs) and, where the tree has the cache, its hits and
+misses.  The cases alternate, SAMPLES times each, and the script reports
+the median and quartiles per case.  The children import numpy (through gvh)
+with one BLAS thread, as in `perfbench/run.py`.
 
 `--src` selects the `src` tree to import gvh from (default: this
 checkout's), so one copy of the script can time another checkout.  With
@@ -39,9 +40,21 @@ SAMPLES = 15
 CHILD = r"""
 import contextlib, json, os, sys, time
 sys.path.insert(0, sys.argv[1])
-from gvh import weyl
+from gvh import sparse, weyl
 from gvh.cli import main
 from gvh.obstruction import vonneumann_rules_flat
+
+commutators = 0
+commutator = sparse.TermMap.commutator
+
+
+def counting(self, other):
+    global commutators
+    commutators += 1
+    return commutator(self, other)
+
+
+sparse.TermMap.commutator = counting
 
 wall, cpu = time.perf_counter(), time.process_time()
 if sys.argv[2] == "gvh verify r2n":
@@ -53,7 +66,7 @@ else:
 wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
 cache = getattr(weyl, "word_product", None)
 info = cache and cache.cache_info()
-print(json.dumps({"wall_s": wall, "cpu_s": cpu,
+print(json.dumps({"wall_s": wall, "cpu_s": cpu, "commutators": commutators,
                   "cache": info and {"hits": info.hits, "misses": info.misses}}))
 """
 
@@ -74,13 +87,14 @@ def bench(src):
     for case, runs in samples.items():
         wall = [r["wall_s"] for r in runs]
         cpu = [r["cpu_s"] for r in runs]
-        caches = {json.dumps(r["cache"]) for r in runs}
-        assert len(caches) == 1, caches
+        counts = {json.dumps([r["cache"], r["commutators"]]) for r in runs}
+        assert len(counts) == 1, counts
         cases.append({"case": case, "wall_s": _quartiles(wall),
                       "cpu_s": _quartiles(cpu), "cache": runs[0]["cache"],
-                      "samples": wall})
-        print("%s: %.4f s median wall of %d, cache %s"
-              % (case, cases[-1]["wall_s"]["median"], SAMPLES, runs[0]["cache"]),
+                      "commutators": runs[0]["commutators"], "samples": wall})
+        print("%s: %.4f s median wall of %d, %d commutators, cache %s"
+              % (case, cases[-1]["wall_s"]["median"], SAMPLES,
+                 runs[0]["commutators"], runs[0]["cache"]),
               file=sys.stderr)
     return cases
 
