@@ -3,16 +3,17 @@
 The solver treats a quantization-extension question as exact linear algebra.
 One affine stage runs twice.  It writes every operand as an affine form
 F₀ + Σ x_col F_col, linearizes each bracket constraint into rows keyed by
-(constraint, operator key), and makes one exact affine solve.  Within a
-stage each commutator of two operand operators is computed once, however
-many constraints and targets share it.  The first run takes the constraints
-that are linear in the unknowns (equivariance), each target a combination
-of one shared basis of an operator `Ambient`'s keys (normal-ordered Weyl
-words, or matrix units).  The second takes the bracket relations between
-two unknowns over the family the first run left — anything genuinely
-quadratic there comes back "undecided" rather than risking a wrong verdict.
-The von Neumann rules pose one problem per degree, over all four of its
-targets at once.
+(constraint, operator key), and makes one exact affine solve.  Knowns and
+targets are distinct monomials, so a bracket's expansion is its terms.
+Within a stage each commutator of two operand operators is computed once,
+however many constraints and targets share it.  The first run takes the
+constraints that are linear in the unknowns (equivariance), each target a
+combination of one shared basis of an operator `Ambient`'s keys
+(normal-ordered Weyl words, or matrix units).  The second takes the bracket
+relations between two unknowns over the family the first run left —
+anything genuinely quadratic there comes back "undecided" rather than
+risking a wrong verdict.  The von Neumann rules pose one problem per
+degree, over all four of its targets at once.
 
 Certificates replay the classical-identity schedules that force each no-go:
 every step records the classical identity, both quantized sides, and their
@@ -49,8 +50,8 @@ BILINEAR_CAP = 6
 
 
 class BracketConstraint:
-    """One classical identity Σ c_i {f_i, g_i} = (its span expansion),
-    quantized as Σ c_i (i/ħ)[Q(f_i), Q(g_i)] = Σ λ_k K_k + Σ μ_t U_t."""
+    """One classical identity Σ c_i {f_i, g_i} = Σ m·key over the terms of
+    its left side, quantized as Σ c_i (i/ħ)[Q(f_i), Q(g_i)] = Σ m·Q(key)."""
 
     def __init__(self, terms, label=""):
         self.terms = [(as_scalar(c), f, g) for c, f, g in terms]
@@ -63,8 +64,9 @@ class BracketConstraint:
 class ExtensionProblem:
     """known: list of (classical element, operator); targets: the classical
     elements needing assignments; ambient: the capped operator span the
-    targets are solved in; schedule: BracketConstraints.  A classical
-    element's coordinates are its `terms`."""
+    targets are solved in; schedule: BracketConstraints.  Each known and
+    target is a distinct monomial of coefficient 1, and `slot` maps its key
+    to ('known', i) or ('target', i)."""
 
     def __init__(self, knowns, targets, ambient, schedule, bracket):
         self.knowns = list(knowns)
@@ -72,36 +74,15 @@ class ExtensionProblem:
         self.ambient = ambient
         self.schedule = list(schedule)
         self.bracket = bracket
-
-    def _classify(self, elem):
-        """('known', idx) | ('target', idx); matches by classical equality."""
-        for i, t in enumerate(self.targets):
-            if t == elem:
-                return ("target", i)
-        for i, (k, _) in enumerate(self.knowns):
-            if k == elem:
-                return ("known", i)
-        raise ValueError("constraint element %s is neither known nor target" % (elem,))
-
-    def expand_in_span(self, elem):
-        """Sparse coefficients (λ over knowns, μ over targets) with
-        elem = Σ λ_k known_k + Σ μ_t target_t, required unique."""
-        cols = [k.terms for k, _ in self.knowns] + [t.terms for t in self.targets]
-        rhs = elem.terms
-        rows = {key: {} for key in rhs}
-        for j, col in enumerate(cols):
-            for key, c in col.items():
-                rows.setdefault(key, {})[j] = c
-        sol = solve_affine(list(rows.values()),
-                           [rhs.get(key, S_ZERO) for key in rows], len(cols))
-        if sol is None:
-            raise ValueError("bracket result %s not in the known+target span" % (elem,))
-        part, null = sol
-        if null:
-            raise ValueError("ambiguous span expansion for %s" % (elem,))
-        nk = len(self.knowns)
-        return ({j: v for j, v in part.items() if j < nk},
-                {j - nk: v for j, v in part.items() if j >= nk})
+        self.slot = {}
+        for kind, elems in (("known", [k for k, _ in self.knowns]),
+                            ("target", self.targets)):
+            for i, elem in enumerate(elems):
+                key = next(iter(elem.terms), None)
+                if elem.terms != {key: S_ONE} or key in self.slot:
+                    raise ValueError("%s %s is not a distinct monomial of "
+                                     "coefficient 1" % (kind, elem))
+                self.slot[key] = (kind, i)
 
 
 class SolutionSpace:
@@ -126,22 +107,23 @@ class SolutionSpace:
         return "SolutionSpace(%s, parameters=%d)" % (self.verdict, self.parameters)
 
 
-def _linearize(prob, con, expansion, form, commutator):
-    """Residual Σ c(i/ħ)[F, G] − Σ λ_k K_k − Σ μ_t U_t of one constraint,
-    every operand an affine form F₀ + Σ_col x_col F_col given by `form` as
-    the map {None: F₀, col: F_col} (a missing None means F₀ = 0), and
-    `commutator(F, G)` giving [F, G] for two of their operators.
+def _linearize(terms, combo, form, commutator):
+    """Residual Σ c(i/ħ)[F, G] − Σ m·Q(key) of one constraint, given its
+    terms (c, key of f, key of g) and its classical side combo {key: m},
+    every known or target an affine form F₀ + Σ x_col F_col given by
+    `form(key)` as the map {None: F₀, col: F_col} (a missing None means
+    F₀ = 0), and `commutator(F, G)` giving [F, G] for two of their operators.
 
     Returns the residual as {operator key: {col: coefficient}}, col None for
     the constant term, or None when some [F_col, G_col'] is nonzero: then
     the residual is genuinely quadratic in x."""
-    terms = {}
+    out = {}
 
     def add(op, col, c):
         for key, v in op.terms.items():
-            accumulate(terms.setdefault(key, {}), col, c * v)
+            accumulate(out.setdefault(key, {}), col, c * v)
 
-    for c, f, g in con.terms:
+    for c, f, g in terms:
         c_ih = c * I_OVER_HBAR
         for cf, F in form(f).items():
             for cg, G in form(g).items():
@@ -150,18 +132,16 @@ def _linearize(prob, con, expansion, form, commutator):
                     add(comm, cg if cf is None else cf, c_ih)
                 elif not comm.is_zero():
                     return None
-    lam, mu = expansion
-    for k, l in lam.items():
-        add(prob.knowns[k][1], None, -l)
-    for t, m in mu.items():
-        for col, U in form(prob.targets[t]).items():
-            add(U, col, -m)
-    return terms
+    for key, m in combo.items():
+        for col, F in form(key).items():
+            add(F, col, -m)
+    return out
 
 
-def _affine_stage(prob, cons, expansions, target_forms, ncols):
+def _affine_stage(prob, cons, sides, target_forms, ncols):
     """Solve the constraints `cons` (schedule indices) for x, with each
-    target t the affine form target_forms[t] (see `_linearize`).
+    target t the affine form target_forms[t] and sides[ci] the (terms,
+    combo) of constraint ci (see `_linearize`).
 
     Every commutator of two operands is computed once per stage: the
     operators are held by prob.knowns and target_forms for the whole stage,
@@ -172,8 +152,8 @@ def _affine_stage(prob, cons, expansions, target_forms, ncols):
     violated (label, residual) or None, or ("solved", (ops, directions))
     with ops the particular assignment F₀ + Σ x·F_col per target and one
     list Σ x·F_col per null vector."""
-    def form(elem):
-        kind, i = prob._classify(elem)
+    def form(key):
+        kind, i = prob.slot[key]
         return {None: prob.knowns[i][1]} if kind == "known" else target_forms[i]
 
     comms = {}
@@ -187,8 +167,7 @@ def _affine_stage(prob, cons, expansions, target_forms, ncols):
 
     rows, rhs = {}, {}
     for ci in cons:
-        terms = _linearize(prob, prob.schedule[ci], expansions[ci], form,
-                           commutator)
+        terms = _linearize(*sides[ci], form, commutator)
         if terms is None:
             return "quadratic", ci
         for key, coeffs in terms.items():
@@ -226,22 +205,34 @@ def extension_solve(prob):
     the rest over the stage-1 family, each target affine in its parameters."""
     ambient = prob.ambient
     atoms = ambient.keys()
-    expansions, linear_cons, bilinear_cons = [], [], []
+
+    def key(elem):
+        k = next(iter(elem.terms), None)
+        if k not in prob.slot or elem.terms != {k: S_ONE}:
+            raise ValueError("constraint element %s is neither known nor target"
+                             % (elem,))
+        return k
+
+    sides, linear_cons, bilinear_cons = [], [], []
     for ci, con in enumerate(prob.schedule):
-        combo = None
+        terms, combo = [], None
         for c, f, g in con.terms:
+            terms.append((c, key(f), key(g)))
             scaled = prob.bracket(f, g).scale(c)
             combo = scaled if combo is None else combo + scaled
-        expansions.append(prob.expand_in_span(combo))
-        bilinear = any(prob._classify(f)[0] == prob._classify(g)[0] == "target"
-                       for _, f, g in con.terms)
+        if any(k not in prob.slot for k in combo.terms):
+            raise ValueError("bracket result %s not in the known+target span"
+                             % (combo,))
+        sides.append((terms, combo.terms))
+        bilinear = any(prob.slot[f][0] == prob.slot[g][0] == "target"
+                       for _, f, g in terms)
         (bilinear_cons if bilinear else linear_cons).append(ci)
 
     # stage 1: target t is Σ_a x_{t,a} a, over one shared basis of atoms
     basis = [ambient.from_coords({a: S_ONE}) for a in atoms]
     stage1 = [{t * len(atoms) + ai: b for ai, b in enumerate(basis)}
               for t in range(len(prob.targets))]
-    status, out = _affine_stage(prob, linear_cons, expansions, stage1,
+    status, out = _affine_stage(prob, linear_cons, sides, stage1,
                                 len(prob.targets) * len(atoms))
     if status == "inconsistent":
         return SolutionSpace("inconsistent",
@@ -260,7 +251,7 @@ def extension_solve(prob):
                                     % (P, BILINEAR_CAP))
     stage2 = [{None: part_ops[t], **{a: d[t] for a, d in enumerate(dir_ops)}}
               for t in range(len(prob.targets))]
-    status, out = _affine_stage(prob, bilinear_cons, expansions, stage2, P)
+    status, out = _affine_stage(prob, bilinear_cons, sides, stage2, P)
     if status == "quadratic":
         con = prob.schedule[out]
         return SolutionSpace(
@@ -352,13 +343,6 @@ def sphere_equivariance_problem(j):
 # Von Neumann rules, degree by degree
 # ---------------------------------------------------------------------------
 
-def _power_op(base, e):
-    out = WeylElement.identity()
-    for _ in range(e):
-        out = weyl_product(out, base)
-    return out
-
-
 def vonneumann_rules_flat(degree):
     """Derived rules Q(q^e) = X^e, Q(p^e) = P^e, and the symmetrized mixed
     rules, for 2 ≤ e ≤ degree, each via a unique linear extension solve."""
@@ -382,8 +366,8 @@ def vonneumann_rules_flat(degree):
         raise RuntimeError("quadratic extension unexpectedly %s" % sol2.verdict)
     rules.update({(1, 1): sol2.operator_for(1), (2, 0): sol2.operator_for(0),
                   (0, 2): sol2.operator_for(2)})
-    record(2, {(2, 0): weyl_product(X, X), (1, 1): symmetrized(X, P),
-               (0, 2): weyl_product(P, P)})
+    W = WeylElement.word
+    record(2, {(2, 0): W((2, 0)), (1, 1): symmetrized(X, P), (0, 2): W((0, 2))})
     for e in range(3, degree + 1):
         # {k, t} lands in the knowns or in t itself, so the four targets'
         # constraints are independent blocks of one solve
@@ -394,9 +378,9 @@ def vonneumann_rules_flat(degree):
             raise RuntimeError("rules for degree %d came back %s"
                                % (e, sol.verdict))
         rules.update(zip(targets, sol.assignments))
-        record(e, {(e, 0): _power_op(X, e), (0, e): _power_op(P, e),
-                   (e - 1, 1): symmetrized(_power_op(X, e - 1), P),
-                   (1, e - 1): symmetrized(X, _power_op(P, e - 1))})
+        record(e, {(e, 0): W((e, 0)), (0, e): W((0, e)),
+                   (e - 1, 1): symmetrized(W((e - 1, 0)), P),
+                   (1, e - 1): symmetrized(X, W((0, e - 1)))})
     return {"rules": rules, "records": records}
 
 

@@ -2,6 +2,7 @@
 results, the sphere family, and the torus numeric identities."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,40 @@ def test_extension_genuinely_quadratic_is_undecided():
                           "in the 6 parameters")
 
 
+def _problem(knowns, targets, schedule=()):
+    return ExtensionProblem([(k, WeylElement.identity()) for k in knowns],
+                            targets, WeylAmbient(1, 3), schedule, bracket_flat)
+
+
+@pytest.mark.parametrize("knowns, targets", [
+    ([_mono(0, 0)], [_mono(2, 0) + _mono(0, 2)]),         # not a monomial
+    ([_mono(0, 0)], [_mono(2, 0).scale(_frac(2))]),       # coefficient 2
+    ([_mono(0, 0), _mono(1, 0)], [_mono(1, 0)]),          # a known repeated
+    ([_mono(0, 0)], [_mono(2, 0), _mono(2, 0)]),          # a target repeated
+])
+def test_extension_problem_rejects_non_distinct_monomials(knowns, targets):
+    with pytest.raises(ValueError, match="not a distinct monomial of coefficient 1"):
+        _problem(knowns, targets)
+
+
+@pytest.mark.parametrize("operand", [_mono(0, 1), _mono(1, 0).scale(_frac(2))])
+def test_extension_solve_rejects_operand_neither_known_nor_target(operand):
+    con = BracketConstraint([(1, operand, _mono(2, 0))])
+    prob = _problem([_mono(0, 0), _mono(1, 0)], [_mono(2, 0)], [con])
+    message = "constraint element %s is neither known nor target" % operand
+    with pytest.raises(ValueError, match=re.escape(message)):
+        extension_solve(prob)
+
+
+def test_extension_solve_rejects_bracket_outside_span():
+    # {p, q^3} = 3 q^2, and q^2 is neither known nor target
+    one, q, p, q3 = _mono(0, 0), _mono(1, 0), _mono(0, 1), _mono(3, 0)
+    prob = _problem([one, q, p], [q3], [BracketConstraint([(1, p, q3)])])
+    with pytest.raises(ValueError, match=r"bracket result 3\*q1\^2 not in "
+                                         r"the known\+target span"):
+        extension_solve(prob)
+
+
 def test_strong_nogo_record():
     cert = strong_nogo_record()
     assert cert.name == "strong_nogo"
@@ -212,8 +247,9 @@ def test_vonneumann_rules_compute_each_commutator_once_per_stage(monkeypatch):
     # per stage; work repeated per target or per constraint shows here
     from gvh import obstruction, sparse
 
-    counts = {"commutator": 0, "solve": 0}
+    counts = {"commutator": 0, "solve": 0, "solve_affine": 0}
     commutator, solve = sparse.TermMap.commutator, obstruction.extension_solve
+    solve_affine = obstruction.solve_affine
 
     def counting_commutator(self, other):
         counts["commutator"] += 1
@@ -223,10 +259,16 @@ def test_vonneumann_rules_compute_each_commutator_once_per_stage(monkeypatch):
         counts["solve"] += 1
         return solve(prob)
 
+    def counting_solve_affine(*args):
+        counts["solve_affine"] += 1
+        return solve_affine(*args)
+
     monkeypatch.setattr(sparse.TermMap, "commutator", counting_commutator)
     monkeypatch.setattr(obstruction, "extension_solve", counting_solve)
+    monkeypatch.setattr(obstruction, "solve_affine", counting_solve_affine)
     vonneumann_rules_flat(6)
-    assert counts == {"commutator": 282, "solve": 5}
+    # one affine solve per stage: two for the quadratics, one per degree 3..6
+    assert counts == {"commutator": 282, "solve": 5, "solve_affine": 6}
 
 
 # ---------------------------------------------------------------------------

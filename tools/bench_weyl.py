@@ -7,11 +7,12 @@ and `gvh verify r2n`, each in a fresh interpreter.
 for the life of a process, so every sample runs in a new interpreter: the
 child imports gvh untimed, then times one call (for `verify r2n`,
 `cli.main(["verify", "r2n"])` with stdout discarded), and reports its wall
-and CPU time, its number of `TermMap.commutator` calls (counted by a
-wrapper the child installs) and, where the tree has the cache, its hits and
-misses.  The cases alternate, SAMPLES times each, and the script reports
-the median and quartiles per case.  The children import numpy (through gvh)
-with one BLAS thread, as in `perfbench/run.py`.
+and CPU time, its numbers of `TermMap.commutator` and
+`obstruction.solve_affine` calls (counted by wrappers the child installs)
+and, where the tree has the cache, its hits and misses.  The cases
+alternate, SAMPLES times each, and the script reports the median and
+quartiles per case.  The children import numpy (through gvh) with one BLAS
+thread, as in `perfbench/run.py`.
 
 `--src` selects the `src` tree to import gvh from (default: this
 checkout's), so one copy of the script can time another checkout.  With
@@ -40,12 +41,11 @@ SAMPLES = 15
 CHILD = r"""
 import contextlib, json, os, sys, time
 sys.path.insert(0, sys.argv[1])
-from gvh import sparse, weyl
+from gvh import obstruction, sparse, weyl
 from gvh.cli import main
-from gvh.obstruction import vonneumann_rules_flat
 
-commutators = 0
-commutator = sparse.TermMap.commutator
+commutators = solves = 0
+commutator, solve_affine = sparse.TermMap.commutator, obstruction.solve_affine
 
 
 def counting(self, other):
@@ -54,7 +54,14 @@ def counting(self, other):
     return commutator(self, other)
 
 
+def counting_solve(*args):
+    global solves
+    solves += 1
+    return solve_affine(*args)
+
+
 sparse.TermMap.commutator = counting
+obstruction.solve_affine = counting_solve
 
 wall, cpu = time.perf_counter(), time.process_time()
 if sys.argv[2] == "gvh verify r2n":
@@ -62,11 +69,12 @@ if sys.argv[2] == "gvh verify r2n":
         code = main(["verify", "r2n"])
     assert code == 0, code
 else:
-    vonneumann_rules_flat(6)
+    obstruction.vonneumann_rules_flat(6)
 wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
 cache = getattr(weyl, "word_product", None)
 info = cache and cache.cache_info()
 print(json.dumps({"wall_s": wall, "cpu_s": cpu, "commutators": commutators,
+                  "solve_affine": solves,
                   "cache": info and {"hits": info.hits, "misses": info.misses}}))
 """
 
@@ -87,14 +95,17 @@ def bench(src):
     for case, runs in samples.items():
         wall = [r["wall_s"] for r in runs]
         cpu = [r["cpu_s"] for r in runs]
-        counts = {json.dumps([r["cache"], r["commutators"]]) for r in runs}
+        counts = {json.dumps([r["cache"], r["commutators"], r["solve_affine"]])
+                  for r in runs}
         assert len(counts) == 1, counts
         cases.append({"case": case, "wall_s": _quartiles(wall),
                       "cpu_s": _quartiles(cpu), "cache": runs[0]["cache"],
-                      "commutators": runs[0]["commutators"], "samples": wall})
-        print("%s: %.4f s median wall of %d, %d commutators, cache %s"
-              % (case, cases[-1]["wall_s"]["median"], SAMPLES,
-                 runs[0]["commutators"], runs[0]["cache"]),
+                      "commutators": runs[0]["commutators"],
+                      "solve_affine": runs[0]["solve_affine"], "samples": wall})
+        print("%s: %.4f s median wall of %d, %d commutators, %d solve_affine, "
+              "cache %s" % (case, cases[-1]["wall_s"]["median"], SAMPLES,
+                            runs[0]["commutators"], runs[0]["solve_affine"],
+                            runs[0]["cache"]),
               file=sys.stderr)
     return cases
 
