@@ -24,7 +24,7 @@ from .sphere import bracket_sphere
 from .subspace import (FlatAmbient, SphereAmbient, SubspaceBasis,
                        TorusAmbient, generate_poisson_subalgebra, normalizer,
                        transitivity_check)
-from .torus import basic_set, bracket_torus
+from .torus import bracket_torus
 
 TARGETS = ("r2n", "sphere", "torus")
 
@@ -218,73 +218,21 @@ def _verify_sphere(args):
 
 
 def _verify_torus(args):
-    from .obstruction import torus_irreducibility, torus_transform_identities
+    from .obstruction import (torus_identity_certificate, torus_irreducibility,
+                              torus_irreducibility_certificate,
+                              torus_q1_certificate, torus_transform_identities)
     prov = {"k": args.k, "trunc": args.trunc, "tol": args.tol,
             "hbar_numeric": DEFAULT_TORUS_HBAR}
     rep = _base_report(args, prov)
     rep.meta["hbar"] = "formal symbol (numeric parts at hbar = 1/(2*pi))"
-
-    steps = []
-    all_zero = True
-    for kk in (1, 2, 3):
-        gens = basic_set(kk, args.B)
-        pairs = zeros = 0
-        for i, f in enumerate(gens):
-            for g in gens[i + 1:]:
-                pairs += 1
-                if check_q1(TORUS_PREQUANT, f, g).is_zero():
-                    zeros += 1
-        all_zero = all_zero and zeros == pairs
-        steps.append({"classical": "basic set pairs, k = %d" % kk,
-                      "quantum_lhs": "Q({f,g})",
-                      "quantum_rhs": "(i/hbar)[Q(f), Q(g)]",
-                      "difference": "exactly zero on %d/%d pairs" % (zeros, pairs)})
-    rep.add_certificate({
-        "name": "torus_q1_symbolic",
-        "reference": "prequantization bracket compatibility",
-        "steps": steps,
-        "verdict": "consistent" if all_zero else "inconsistent",
-        "discrepancy": None if all_zero else "nonzero symbolic residual",
-    }, "consistent")
-
+    rep.add_certificate(torus_q1_certificate(args.B), "consistent")
     ident = torus_transform_identities(args.k, args.trunc,
                                        quad_order=args.quad_order)
-    ident_tol = 1e-8
-    ident_ok = max(ident["error_a_identity"], ident["error_b_identity"]) < ident_tol
-    rep.add_certificate({
-        "name": "torus_transform_identities",
-        "reference": "Weil-transform product identities",
-        "steps": [
-            {"classical": "A-A+ = I + 4 pi^2 k^2 x^2 (interior block)",
-             "quantum_lhs": "composite-symbol matrix",
-             "quantum_rhs": "band-matrix right side",
-             "difference": ident["error_a_identity"]},
-            {"classical": "B-B+ = I - 4 pi^2 hbar^2 k^2 d^2/dx^2 (interior block)",
-             "quantum_lhs": "truncated matrix product",
-             "quantum_rhs": "band-matrix right side",
-             "difference": ident["error_b_identity"]},
-        ],
-        "verdict": "consistent" if ident_ok else "inconsistent",
-        "discrepancy": None if ident_ok else "identity error above %g" % ident_tol,
-    }, "consistent")
+    rep.add_certificate(torus_identity_certificate(ident), "consistent")
     rep.meta["provenance"]["quad_order"] = ident["quad_order"]
-
     irr = torus_irreducibility(args.k, args.trunc, args.tol,
                                quad_order=args.quad_order)
-    irr_ok = irr["commutant_dim_estimate"] == 1
-    rep.add_certificate({
-        "name": "torus_irreducibility",
-        "reference": "numeric commutant surrogate for irreducibility",
-        "steps": [
-            {"classical": "commutant kernel of {A+, A-, B+, B-}",
-             "quantum_lhs": "kernel dimension %d" % irr["commutant_dim_estimate"],
-             "quantum_rhs": "1 (scalars only)",
-             "difference": irr["singular_tail"][-2] if len(irr["singular_tail"]) > 1
-                           else None},
-        ],
-        "verdict": "consistent" if irr_ok else "undecided",
-        "discrepancy": None if irr_ok else irr["verdict"],
-    }, "consistent")
+    rep.add_certificate(torus_irreducibility_certificate(irr), "consistent")
     return rep
 
 

@@ -77,6 +77,11 @@ def _half_integer(j):
     return twoj
 
 
+# Largest spin dimension 2j+1 built: verify sphere at j = 1000 takes about
+# 9 s and 89 MiB on 2 cores, and its time and memory grow linearly in j.
+MAX_SPIN_DIM = 2001
+
+
 def spin_matrices(j):
     """(Q(S₁), Q(S₂), Q(S₃)) in dimension 2j+1, entries in Q(i)[ħ].
 
@@ -95,6 +100,9 @@ def spin_matrices(j):
     """
     twoj = _half_integer(j)
     dim = twoj + 1
+    if dim > MAX_SPIN_DIM:
+        raise ValueError("spin dimension 2j+1 = %d exceeds %d (j = %s)"
+                         % (dim, MAX_SPIN_DIM, j))
     jplus, jminus, j3 = {}, {}, {}
     for r in range(dim):
         # m = j − r, stored exactly as the Scalar (twoj − 2r)/2

@@ -28,11 +28,12 @@ from .flat import FlatElement, bracket_flat
 from .linalg import solve_affine
 from .matrices import ExactMatrix, _half_integer, spin_matrices
 from .poly import MultiPoly
-from .qmaps import sphere_map, weyl_map
+from .qmaps import TORUS_PREQUANT, check_q1, sphere_map, weyl_map
 from .scalars import A_SYM, HBAR, S_I, S_ONE, S_ZERO, S_SPIN, Scalar, as_scalar
 from .sparse import accumulate
 from .sphere import SVARS, SphereElement, bracket_raw
 from .subspace import MatrixAmbient, WeylAmbient
+from .torus import basic_set
 from .weyl import (WeylElement, symmetrized, weyl_commutant, weyl_commutator,
                    weyl_product)
 
@@ -56,6 +57,8 @@ class BracketConstraint:
     def __init__(self, terms, label=""):
         self.terms = [(as_scalar(c), f, g) for c, f, g in terms]
         self.label = label
+        if not self.terms:
+            raise ValueError("bracket constraint %r has no terms" % (label,))
 
     def __repr__(self):
         return "BracketConstraint(%s)" % (self.label or len(self.terms))
@@ -394,7 +397,7 @@ class ObstructionCertificate:
         self.name = name
         self.reference = reference
         self.steps = steps              # list of dicts
-        self.verdict = verdict          # "inconsistent" | "consistent"
+        self.verdict = verdict          # "inconsistent" | "consistent" | "undecided"
         self.discrepancy = discrepancy  # Scalar, str, or None
         self.assumptions = list(assumptions)
         self.convention = CONVENTION
@@ -791,3 +794,55 @@ def torus_irreducibility(k, trunc=64, tol=1e-6, quad_order=None):
         "verdict": "irreducible (numeric)" if kdim == 1 else
                    "not established (kernel dim %d)" % kdim,
     }
+
+
+# A transform identity holds when its interior-block error lies below this.
+TORUS_IDENTITY_TOL = 1e-8
+
+
+def torus_q1_certificate(B):
+    """Q1 of the prequantization map on each pair of the basic sets, k = 1, 2, 3."""
+    steps, ok = [], True
+    for k in (1, 2, 3):
+        gens = basic_set(k, B)
+        pairs = [(f, g) for i, f in enumerate(gens) for g in gens[i + 1:]]
+        zeros = sum(check_q1(TORUS_PREQUANT, f, g).is_zero() for f, g in pairs)
+        ok = ok and zeros == len(pairs)
+        steps.append({"classical": "basic set pairs, k = %d" % k,
+                      "quantum_lhs": "Q({f,g})",
+                      "quantum_rhs": "(i/hbar)[Q(f), Q(g)]",
+                      "difference": "exactly zero on %d/%d pairs" % (zeros, len(pairs))})
+    return ObstructionCertificate(
+        "torus_q1_symbolic", "prequantization bracket compatibility", steps,
+        "consistent" if ok else "inconsistent",
+        None if ok else "nonzero symbolic residual")
+
+
+def torus_identity_certificate(ident):
+    """Verdict on the errors `torus_transform_identities` measured."""
+    err_a, err_b = ident["error_a_identity"], ident["error_b_identity"]
+    ok = max(err_a, err_b) < TORUS_IDENTITY_TOL
+    return ObstructionCertificate(
+        "torus_transform_identities", "Weil-transform product identities",
+        [{"classical": "A-A+ = I + 4 pi^2 k^2 x^2 (interior block)",
+          "quantum_lhs": "composite-symbol matrix",
+          "quantum_rhs": "band-matrix right side", "difference": err_a},
+         {"classical": "B-B+ = I - 4 pi^2 hbar^2 k^2 d^2/dx^2 (interior block)",
+          "quantum_lhs": "truncated matrix product",
+          "quantum_rhs": "band-matrix right side", "difference": err_b}],
+        "consistent" if ok else "inconsistent",
+        None if ok else "identity error above %g" % TORUS_IDENTITY_TOL)
+
+
+def torus_irreducibility_certificate(irr):
+    """Verdict on the commutant `torus_irreducibility` measured: a kernel
+    other than the scalars is undecided, never inconsistent."""
+    kdim, tail = irr["commutant_dim_estimate"], irr["singular_tail"]
+    ok = kdim == 1
+    return ObstructionCertificate(
+        "torus_irreducibility", "numeric commutant surrogate for irreducibility",
+        [{"classical": "commutant kernel of {A+, A-, B+, B-}",
+          "quantum_lhs": "kernel dimension %d" % kdim,
+          "quantum_rhs": "1 (scalars only)",
+          "difference": tail[-2] if len(tail) > 1 else None}],
+        "consistent" if ok else "undecided", None if ok else irr["verdict"])

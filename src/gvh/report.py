@@ -39,8 +39,7 @@ class Report:
         self.expected = {}
 
     def add_certificate(self, cert, expected_verdict):
-        self.certificates.append(cert.to_dict() if hasattr(cert, "to_dict")
-                                 else dict(cert))
+        self.certificates.append(cert.to_dict())
         self.expected[self.certificates[-1]["name"]] = expected_verdict
 
     def add_result(self, result):
@@ -69,7 +68,7 @@ class Report:
         return 0 if self.summary()["pass"] else 1
 
     def to_dict(self):
-        certs = [{k: c.get(k) for k in
+        certs = [{k: c[k] for k in
                   ("name", "reference", "steps", "verdict", "discrepancy")}
                  for c in self.certificates]
         doc = {"meta": self.meta, "certificates": certs,

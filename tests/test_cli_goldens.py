@@ -5,6 +5,9 @@ bracket, generate, normalizer, transitivity and checkq1 invocations on all
 three targets, and of verify on r2n and the sphere;
 `tools/record_cli_goldens.py` re-records it.  Every
 invocation runs through main(argv) in process and must match byte for byte.
+
+`verify torus` is checked against `perfbench/goldens.json`'s
+`torus_template` instead: every float masked, every other field exact.
 """
 
 import json
@@ -14,8 +17,10 @@ import pytest
 
 from gvh.cli import main
 
-GOLDENS = json.loads((pathlib.Path(__file__).resolve().parent / "data"
-                      / "cli_goldens.json").read_text())
+HERE = pathlib.Path(__file__).resolve().parent
+GOLDENS = json.loads((HERE / "data" / "cli_goldens.json").read_text())
+TORUS_TEMPLATE = json.loads((HERE.parent / "perfbench" / "goldens.json")
+                            .read_text())["torus_template"]
 
 
 def test_goldens_cover_every_verb_and_target():
@@ -33,3 +38,35 @@ def test_cli_replays_golden_bytes(case, capsys):
     code = main(list(case["argv"]))
     cap = capsys.readouterr()
     assert (code, cap.out, cap.err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def _masked(value):
+    if isinstance(value, float):
+        return "<float>"
+    if isinstance(value, dict):
+        return {k: _masked(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_masked(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_verify_torus_matches_the_masked_template(k, capsys, monkeypatch):
+    monkeypatch.delenv("GVH_TRUNC", raising=False)
+    code = main(["verify", "torus", "--k", str(k)])
+    doc = json.loads(capsys.readouterr().out)
+    expected = json.loads(json.dumps(TORUS_TEMPLATE))
+    expected["meta"]["provenance"]["k"] = k
+    if k == 2:
+        assert code == 0
+        assert _masked(doc) == expected
+        return
+    # at truncation 64 the B-identity error of k = 3 is far above tolerance
+    assert code == 1
+    got = {c["name"]: c for c in _masked(doc["certificates"])}
+    want = {c["name"]: c for c in expected["certificates"]}
+    ident = got.pop("torus_transform_identities")
+    assert (ident["verdict"], ident["discrepancy"]) == \
+        ("inconsistent", "identity error above 1e-08")
+    assert ident["steps"] == want.pop("torus_transform_identities")["steps"]
+    assert got == want

@@ -17,8 +17,11 @@ from gvh.obstruction import (CONVENTION, BracketConstraint, ExtensionProblem,
                              position_nonextension_certificate,
                              quadratic_extension_problem, sphere_certificate,
                              sphere_equivariance_problem, strong_nogo_record,
-                             torus_irreducibility, torus_transform_identities,
-                             vonneumann_rules_flat)
+                             TORUS_IDENTITY_TOL, torus_identity_certificate,
+                             torus_irreducibility,
+                             torus_irreducibility_certificate,
+                             torus_transform_identities, vonneumann_rules_flat)
+from gvh.report import Report
 from gvh.scalars import HBAR, S_I, S_ONE, Scalar
 from gvh.subspace import WeylAmbient
 from gvh.weyl import WeylElement, symmetrized, weyl_commutator
@@ -182,6 +185,11 @@ def test_extension_solve_rejects_bracket_outside_span():
     with pytest.raises(ValueError, match=r"bracket result 3\*q1\^2 not in "
                                          r"the known\+target span"):
         extension_solve(prob)
+
+
+def test_bracket_constraint_rejects_no_terms():
+    with pytest.raises(ValueError, match="bracket constraint 'empty' has no terms"):
+        BracketConstraint([], "empty")
 
 
 def test_strong_nogo_record():
@@ -431,6 +439,41 @@ def test_torus_rejects_bad_inputs():
         torus_transform_identities(1, trunc=2)
     with pytest.raises(ValueError):
         torus_irreducibility(0)
+
+
+# the verdict rules on synthetic measurements, without any numerics
+
+def test_torus_identity_error_above_tolerance_is_inconsistent():
+    ident = {"error_a_identity": 1e-12, "error_b_identity": 2 * TORUS_IDENTITY_TOL}
+    cert = torus_identity_certificate(ident)
+    assert cert.verdict == "inconsistent"
+    assert cert.discrepancy == "identity error above 1e-08"
+    assert [s["difference"] for s in cert.steps] == [1e-12, 2e-8]
+    ident["error_b_identity"] = TORUS_IDENTITY_TOL / 2
+    cert = torus_identity_certificate(ident)
+    assert (cert.verdict, cert.discrepancy) == ("consistent", None)
+
+
+def test_torus_kernel_dimension_two_is_undecided():
+    irr = {"commutant_dim_estimate": 2, "singular_tail": [0.5, 1e-9, 1e-12],
+           "verdict": "not established (kernel dim 2)"}
+    cert = torus_irreducibility_certificate(irr)
+    assert cert.verdict == "undecided"
+    assert cert.discrepancy == "not established (kernel dim 2)"
+    assert cert.steps[0]["quantum_lhs"] == "kernel dimension 2"
+    assert cert.steps[0]["difference"] == 1e-9
+    rep = Report()
+    rep.add_certificate(cert, "consistent")
+    assert rep.exit_code() == 2
+
+
+@pytest.mark.parametrize("tail", [[], [1e-13]])
+def test_torus_short_singular_tail_has_no_difference(tail):
+    irr = {"commutant_dim_estimate": 1, "singular_tail": tail,
+           "verdict": "irreducible (numeric)"}
+    cert = torus_irreducibility_certificate(irr)
+    assert cert.steps[0]["difference"] is None
+    assert (cert.verdict, cert.discrepancy) == ("consistent", None)
 
 
 def _forbid_matrices(monkeypatch):

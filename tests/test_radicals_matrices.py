@@ -5,9 +5,10 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
-from gvh.matrices import ExactMatrix, spin_matrices
+from gvh.matrices import MAX_SPIN_DIM, ExactMatrix, spin_matrices
 from gvh.radicals import Radical
 from gvh.scalars import HBAR, S_I, S_ZERO, Scalar
 
@@ -136,6 +137,12 @@ def test_spin_half_integer_validation():
         pass
     else:
         raise AssertionError("non half-integer spin must be rejected")
+
+
+def test_spin_dimension_bound():
+    assert spin_matrices(1000)[2].dim == MAX_SPIN_DIM == 2001
+    with pytest.raises(ValueError, match="spin dimension 2j\\+1 = 2002 exceeds 2001"):
+        spin_matrices(Fraction(2001, 2))
 
 
 def test_exact_matrix_algebra():

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from gvh.cli import main
-from gvh.obstruction import groenewold_certificate
+from gvh.obstruction import ObstructionCertificate, groenewold_certificate
 from gvh.report import Report, emit_json, emit_markdown, emit_report
 
 
@@ -32,23 +32,20 @@ def test_empty_report():
 
 def test_report_exit_codes():
     ok = Report()
-    ok.add_certificate({"name": "a", "reference": "", "steps": [],
-                        "verdict": "inconsistent", "discrepancy": None},
+    ok.add_certificate(ObstructionCertificate("a", "", [], "inconsistent", None),
                        "inconsistent")
     assert ok.exit_code() == 0
     assert ok.summary()["verdict"] == "as expected"
 
     bad = Report()
-    bad.add_certificate({"name": "a", "reference": "", "steps": [],
-                         "verdict": "consistent", "discrepancy": None},
+    bad.add_certificate(ObstructionCertificate("a", "", [], "consistent", None),
                         "inconsistent")
     assert bad.exit_code() == 1
     assert bad.summary()["verdict"] == "mismatch"
 
     undecided = Report()
-    undecided.add_certificate({"name": "a", "reference": "", "steps": [],
-                               "verdict": "undecided", "discrepancy": None},
-                              "consistent")
+    undecided.add_certificate(
+        ObstructionCertificate("a", "", [], "undecided", None), "consistent")
     assert undecided.exit_code() == 2
 
 
@@ -73,11 +70,10 @@ def test_report_byte_stability():
 
 def test_markdown_rendering():
     rep = Report()
-    rep.add_certificate({"name": "demo", "reference": "ref",
-                         "steps": [{"classical": "a | b", "quantum_lhs": "L",
-                                    "quantum_rhs": "R", "difference": "0"}],
-                         "verdict": "consistent", "discrepancy": None},
-                        "consistent")
+    rep.add_certificate(ObstructionCertificate(
+        "demo", "ref", [{"classical": "a | b", "quantum_lhs": "L",
+                         "quantum_rhs": "R", "difference": "0"}],
+        "consistent", None), "consistent")
     text = emit_markdown(rep)
     assert text.startswith("# Verification report")
     assert "## demo" in text and "## Summary" in text
@@ -203,7 +199,7 @@ def test_cli_rejects_torus_sizes_before_arithmetic(capsys, monkeypatch, argv,
                                                    env, message):
     def refuse(*args, **kwargs):
         raise AssertionError("symbolic Q1 batch ran before the size check")
-    monkeypatch.setattr("gvh.cli.check_q1", refuse)
+    monkeypatch.setattr("gvh.obstruction.check_q1", refuse)
     if env is None:
         monkeypatch.delenv("GVH_TRUNC", raising=False)
     else:
@@ -282,6 +278,17 @@ def test_cli_rejects_huge_ambient_before_listing_keys(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.strip() == ("error: the ambient flat(n=3, deg<=60) has 90858768 "
                            "keys, more than the limit 1000000")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "sphere", "--j", "1000000000"],
+    ["checkq1", "sphere", "S1", "S2", "--j", "1000000000"],
+], ids=["verify", "checkq1"])
+def test_cli_rejects_spin_dimension_before_building_matrices(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err == "error: spin dimension 2j+1 = 2000000001 exceeds 2001 " \
+                  "(j = 1000000000)\n"
 
 
 def test_cli_rejects_unknown_target(capsys):
