@@ -14,8 +14,16 @@ from .scalars import S_ONE
 from .sparse import nonzero_terms
 
 
+# Most degrees of freedom a flat phase space takes: every flat element, and
+# every key of its ambient, carries an exponent tuple of 2n slots.
+MAX_FLAT_N = 10_000
+
+
 @functools.lru_cache(maxsize=None)
 def flat_vars(n):
+    if n > MAX_FLAT_N:
+        raise ValueError("%d degrees of freedom exceed the flat bound %d"
+                         % (n, MAX_FLAT_N))
     return tuple("q%d" % k for k in range(1, n + 1)) + tuple("p%d" % k for k in range(1, n + 1))
 
 

@@ -23,12 +23,17 @@ exact difference, so a reader can re-check each line independently.
 from __future__ import annotations
 
 import fractions
+import math
 
 from .flat import FlatElement, bracket_flat
+from .hermite import (check_memory, check_quadrature_size, commutant_kernel_dim,
+                      derivative_band, hermite_matrix, position_tridiagonal)
 from .linalg import solve_affine
 from .matrices import ExactMatrix, _half_integer, spin_matrices
 from .poly import MultiPoly
-from .qmaps import TORUS_PREQUANT, check_q1, sphere_map, weyl_map
+from .qmaps import (CONVENTION, DEFAULT_TORUS_HBAR, TORUS_PREQUANT, check_q1,
+                    sphere_map, torus_transformed_ops, transformed_harmonic_op,
+                    weyl_map)
 from .scalars import A_SYM, HBAR, S_I, S_ONE, S_ZERO, S_SPIN, Scalar, as_scalar
 from .sparse import accumulate
 from .sphere import SVARS, SphereElement, bracket_raw
@@ -38,8 +43,6 @@ from .weyl import (WeylElement, symmetrized, weyl_commutant, weyl_commutator,
                    weyl_product)
 
 I_OVER_HBAR = S_I / HBAR
-
-CONVENTION = "bracket {p,q} = +1; commutator [X,P] = i*hbar; rule Q({f,g}) = (i/hbar)[Q(f),Q(g)]"
 
 
 # ---------------------------------------------------------------------------
@@ -717,14 +720,7 @@ def torus_transform_identities(k, trunc=64, quad_order=None):
     is again a single multiplication with exact matrix elements.  The B-side
     uses genuine truncated matrix products (shift/derivative tails decay
     fast enough)."""
-    import math
-
     import numpy as np
-
-    from .hermite import (check_quadrature_size, derivative_band, hermite_matrix,
-                          position_tridiagonal)
-    from .qmaps import (DEFAULT_TORUS_HBAR, torus_transformed_ops,
-                        transformed_harmonic_op)
     if k < 1:
         raise ValueError("k must be a positive integer")
     if trunc < 4:
@@ -757,8 +753,6 @@ def torus_transform_identities(k, trunc=64, quad_order=None):
 
 def torus_irreducibility(k, trunc=64, tol=1e-6, quad_order=None):
     """Numeric commutant-kernel estimate for the transformed torus operators."""
-    from .hermite import check_memory, check_quadrature_size, commutant_kernel_dim
-    from .qmaps import DEFAULT_TORUS_HBAR, torus_transformed_ops
     if k < 1:
         raise ValueError("k must be a positive integer")
     if trunc < 32:

@@ -28,6 +28,10 @@ from .torus import TorusElement
 
 # Largest exponent after '^'; the parser multiplies once per unit of it.
 MAX_EXPONENT = 64
+# Most term products one parse may form, summed as len(a.terms)·len(b.terms)
+# over every '*' and every step of a '^': nesting multiplies the work that
+# MAX_EXPONENT bounds for one power.
+MAX_PRODUCT_WORK = 10_000
 
 
 class ParseError(ValueError):
@@ -93,6 +97,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.algebra = algebra
+        self.work = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -106,6 +111,15 @@ class _Parser:
         kind, val, pos = self.next()
         if kind != "op" or val != op:
             raise ParseError("expected %r, found %r" % (op, val or "end of input"), pos)
+
+    def product(self, a, b, pos):
+        """a * b, refused at pos if it would take the parse past
+        MAX_PRODUCT_WORK term products."""
+        self.work += len(a.terms) * len(b.terms)
+        if self.work > MAX_PRODUCT_WORK:
+            raise ParseError("expression needs more than %d term products"
+                             % MAX_PRODUCT_WORK, pos)
+        return a * b
 
     def parse(self):
         out = self.expr()
@@ -139,7 +153,7 @@ class _Parser:
                 _, _, pos = self.next()
                 rhs = self.factor()
                 if val == "*":
-                    out = out * rhs
+                    out = self.product(out, rhs, pos)
                 else:
                     c = self.algebra.constant_value(rhs)
                     if c is None or c.is_zero():
@@ -151,7 +165,7 @@ class _Parser:
 
     def factor(self):
         base = self.atom()
-        kind, val, _ = self.peek()
+        kind, val, op_pos = self.peek()
         if kind == "op" and val == "^":
             self.next()
         else:
@@ -164,7 +178,7 @@ class _Parser:
             raise ParseError("exponent %d exceeds the limit %d" % (e, MAX_EXPONENT), pos)
         out = self.algebra.const(S_ONE)
         for _ in range(e):
-            out = out * base
+            out = self.product(out, base, op_pos)
         return out
 
     def atom(self):

@@ -19,7 +19,6 @@ import math
 
 from .diffop import DiffOp, TorusXCoef
 from .flat import FlatElement, active_dofs, bracket_flat
-from .hermite import hermite_matrix
 from .matrices import ExactMatrix, spin_matrices
 from .poly import MultiPoly
 from .scalars import A_SYM, C_SYM, HBAR, S_I, S_ONE, TWO_PI, Scalar
@@ -163,6 +162,7 @@ def torus_transformed_ops(k, trunc, hbar=DEFAULT_TORUS_HBAR, quad_order=None):
 
     Cached: `verify torus` asks for the same four matrices twice, and no
     caller mutates them."""
+    from .hermite import hermite_matrix
     if k < 1:
         raise ValueError("frequency k must be a positive integer, got %r" % (k,))
     mats = []
@@ -266,6 +266,10 @@ VANHOVE = QuantizationMap(
 TORUS_PREQUANT = QuantizationMap(
     "torus_prequant", "finite Fourier series on the torus", torus_prequant_map,
     bracket_torus)
+
+
+# The sign conventions every report states; check_q1 tests the rule.
+CONVENTION = "bracket {p,q} = +1; commutator [X,P] = i*hbar; rule Q({f,g}) = (i/hbar)[Q(f),Q(g)]"
 
 
 def check_q1(qmap, f, g):

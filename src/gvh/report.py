@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from . import __version__
-from .obstruction import CONVENTION
+from .qmaps import CONVENTION
 
 
 def _round_floats(value):

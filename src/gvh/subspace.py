@@ -256,6 +256,11 @@ def normalizer(sub, ambient):
                    for k, c in sub.reduce(ambient.bracket(g, s).terms).items()})
 
 
+# Most sample points one transitivity check takes; the report keeps a rank
+# for each.
+MAX_NPOINTS = 10_000
+
+
 def transitivity_check(basis, npoints=8, seed=0, params=None):
     """Rank of the Hamiltonian fields of the basis at sampled points.
 
@@ -265,6 +270,8 @@ def transitivity_check(basis, npoints=8, seed=0, params=None):
     """
     if npoints < 1:
         raise ValueError("npoints must be at least 1, got %d" % npoints)
+    if npoints > MAX_NPOINTS:
+        raise ValueError("npoints must be at most %d, got %d" % (MAX_NPOINTS, npoints))
     rng = random.Random(seed)
     return [transitivity_at_point(basis, basis.ambient.sample(rng, params or {}),
                                   params)

@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 
+from .poly import monomials_upto
 from .scalars import HBAR, S_I, S_ONE, S_ZERO, Scalar, as_scalar
 from .sparse import TermMap, accumulate, nonzero_terms
 
@@ -163,7 +164,6 @@ def symmetrized(A, B):
 
 
 def weyl_words_upto(n, bound):
-    from .poly import monomials_upto
     return [WeylElement.word(e, 1, n) for e in monomials_upto(2 * n, bound)]
 
 

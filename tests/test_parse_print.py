@@ -50,6 +50,14 @@ def test_number_powers_fold():
     assert parse_expression("2^3", "flat") == FlatElement.const(1, Scalar.from_int(8))
 
 
+def test_work_bound_admits_every_power_of_a_binomial():
+    # (q1+p1)^64 forms 2·(1 + 2 + … + 64) = 4160 term products; two of
+    # them and their 65 x 65 product would form 12545
+    assert len(parse_expression("(q1+p1)^64", "flat").terms) == 65
+    with pytest.raises(ParseError, match="at position 10"):
+        parse_expression("(q1+p1)^64*(q1+p1)^64", "flat")
+
+
 def test_division_after_a_power():
     # a number is an integer and '/' the grammar's division: q1^3/2 = (q1^3)/2
     assert parse_expression("(1+i)*q1^3/2", "flat") == \

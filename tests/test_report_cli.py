@@ -9,6 +9,7 @@ import json
 import pytest
 
 from gvh.cli import main
+from gvh.flat import FlatElement
 from gvh.obstruction import ObstructionCertificate, groenewold_certificate
 from gvh.report import Report, emit_json, emit_markdown, emit_report
 
@@ -229,6 +230,13 @@ def test_cli_transitivity_rejects_no_points(capsys):
     assert err.strip() == "error: npoints must be at least 1, got 0"
 
 
+def test_cli_transitivity_rejects_too_many_points(capsys):
+    code, out, err = run_cli(capsys, ["transitivity", "r2n", "q1",
+                                      "--npoints", "1000000000"])
+    assert code == 1 and out == ""
+    assert err.strip() == "error: npoints must be at most 10000, got 1000000000"
+
+
 def test_cli_checkq1(capsys):
     code, out, _ = run_cli(capsys, ["checkq1", "r2n", "q1^2", "p1^2",
                                     "--map", "metaplectic"])
@@ -278,6 +286,38 @@ def test_cli_rejects_huge_ambient_before_listing_keys(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.strip() == ("error: the ambient flat(n=3, deg<=60) has 90858768 "
                            "keys, more than the limit 1000000")
+
+
+@pytest.mark.parametrize("verb", ["bracket", "checkq1"])
+def test_cli_rejects_huge_n_before_naming_variables(capsys, verb):
+    code, out, err = run_cli(capsys, [verb, "r2n", "q1", "p1",
+                                      "--n", "1000000000"])
+    assert code == 1 and out == ""
+    assert err == "error: 1000000000 degrees of freedom exceed the flat bound 10000\n"
+
+
+def test_cli_runs_at_the_flat_bound(capsys):
+    code, out, _ = run_cli(capsys, ["checkq1", "r2n", "q1", "p1", "--n", "10000"])
+    assert code == 0
+    assert json.loads(out)["results"][0]["residual_zero"] is True
+
+
+def test_cli_rejects_nested_powers_before_multiplying(capsys, monkeypatch):
+    products = []
+    mul = FlatElement.__mul__
+
+    def counting(a, b):
+        products.append((len(a.terms), len(b.terms)))
+        return mul(a, b)
+    monkeypatch.setattr(FlatElement, "__mul__", counting)
+    code, out, err = run_cli(capsys, ["bracket", "r2n", "--n", "2",
+                                      "((q1+p1+q2+p2)^8)^64", "q1"])
+    assert code == 1 and out == ""
+    assert err.strip() == ("error: expression needs more than 10000 term "
+                           "products (at position 17)")
+    # the eight steps of ^8 and the outer power's 1 x 165; its 165 x 165
+    # step would pass the bound and is refused before it runs
+    assert products[-1] == (1, 165) and len(products) == 9
 
 
 @pytest.mark.parametrize("argv", [
