@@ -6,8 +6,8 @@ terms
 
     ψ ↦ f(x) · (d^d ψ/dx^d)(x + a)
 
-with a an integer and f = Σ c x^j e^{2πimx} a TorusXCoef whose coefficients
-are exact in π and ħ.  That class is closed under composition
+with a an integer and f = Σ c x^j e^{2πimx}, c exact in π and ħ, the sum
+of one (a, d) group of terms.  DiffOps are closed under composition
 (diffop.diffop_compose), so composite operators are reduced exactly before
 any quadrature happens, and only the matrix entries are floats.  They come
 from Gauss–Hermite quadrature with stabilized weights (w_i e^{x_i²} computed
@@ -154,8 +154,7 @@ def hermite_matrix(op, trunc, hbar, quad_order=None):
     """
     if not isinstance(op, DiffOp):
         raise TypeError("expected a DiffOp, got %r" % (op,))
-    if any(dy for _, _, dy in op.terms) or \
-            any(n for f in op.terms.values() for _, n, _ in f.terms):
+    if any(dy or n for _, _, dy, _, n, _ in op.terms):
         raise ValueError("not an operator on the line: %s acts in y" % op)
     N = int(trunc)
     if N < 2:
@@ -171,12 +170,20 @@ def hermite_matrix(op, trunc, hbar, quad_order=None):
     xs, wm = gauss_hermite_rule(quad_order)
     values = {"pi": math.pi, "hbar": hbar}
     total = np.zeros((N, N), dtype=complex)
-    for (a, d, _), f in sorted(op.terms.items()):
+    for (a, d, _), group in sorted(op.groups().items()):
         nk = N + d
         # centre the shift: x = u − a/2 recombines the Gaussian tails exactly
-        hm = hermite_values(xs - a / 2.0, N)
+        x = xs - a / 2.0
+        hm = hermite_values(x, N)
         hn = hermite_values(xs + a / 2.0, nk)
-        fv = f.evalf(xs - a / 2.0, params=values, exp=np.exp)
+        fv = 0j
+        for (m, _, j), c in sorted(group):
+            v = complex(c.evalf(values))
+            if j:
+                v = v * x ** j
+            if m:
+                v = v * np.exp(1j * (2.0 * math.pi * m) * x)
+            fv = fv + v
         G = np.einsum("mi,i,ni->mn", hm, wm * fv, hn)
         if d:
             Dfull = derivative_band(nk)
@@ -189,7 +196,6 @@ def hermite_matrix(op, trunc, hbar, quad_order=None):
         "trunc": N,
         "quad_order": int(quad_order),
         "gram_selftest": selftest,
-        "operator": str(op),
     })
 
 

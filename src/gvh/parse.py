@@ -30,7 +30,8 @@ from .torus import TorusElement
 MAX_EXPONENT = 64
 # Most term products one parse may form, summed as len(a.terms)·len(b.terms)
 # over every '*' and every step of a '^': nesting multiplies the work that
-# MAX_EXPONENT bounds for one power.
+# MAX_EXPONENT bounds for one power.  A product of w-slot keys counts
+# 1 + w // 128 times, as adding them costs O(w): flat keys have 2n slots.
 MAX_PRODUCT_WORK = 10_000
 
 
@@ -98,6 +99,8 @@ class _Parser:
         self.i = 0
         self.algebra = algebra
         self.work = 0
+        (unit,) = algebra.const(S_ONE).terms
+        self.key_cost = 1 + len(unit) // 128
 
     def peek(self):
         return self.tokens[self.i]
@@ -114,8 +117,8 @@ class _Parser:
 
     def product(self, a, b, pos):
         """a * b, refused at pos if it would take the parse past
-        MAX_PRODUCT_WORK term products."""
-        self.work += len(a.terms) * len(b.terms)
+        MAX_PRODUCT_WORK term products, each weighted by its key width."""
+        self.work += len(a.terms) * len(b.terms) * self.key_cost
         if self.work > MAX_PRODUCT_WORK:
             raise ParseError("expression needs more than %d term products"
                              % MAX_PRODUCT_WORK, pos)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .diffop import DiffOp, TorusXCoef
+from .diffop import DiffOp
 from .flat import FlatElement, active_dofs, bracket_flat
 from .matrices import ExactMatrix, spin_matrices
 from .poly import MultiPoly
@@ -127,13 +127,12 @@ def torus_prequant_map(f):
     B = f.B
     fx = f.partial_x()
     fy = f.partial_y()
-    m0 = TorusXCoef.from_torus_element(f) - \
-        TorusXCoef.xpow(1) * TorusXCoef.from_torus_element(fx)
-    return DiffOp({
-        (0, 1, 0): TorusXCoef.from_torus_element(fy.scale((S_I * HBAR) / B)),
-        (0, 0, 1): TorusXCoef.from_torus_element(fx.scale(-(S_I * HBAR) / B)),
-        (0, 0, 0): m0,
-    })
+    terms = {(0, 0, 0, m, n, 0): c for (m, n), c in f.terms.items()}
+    for (dx, dy, j), g in (((0, 0, 1), -fx),
+                           ((1, 0, 0), fy.scale((S_I * HBAR) / B)),
+                           ((0, 1, 0), fx.scale(-(S_I * HBAR) / B))):
+        terms.update({(0, dx, dy, m, n, j): c for (m, n), c in g.terms.items()})
+    return DiffOp(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +144,13 @@ def transformed_harmonic_op(m, l):
 
         ψ(t) ↦ e^{2πimt}[(1 − 2πim(t + l))ψ(t + l) − 2πħl ψ′(t + l)],
 
-    a DiffOp in x alone, exact in π and ħ, keyed (shift l, order in x, 0).
+    a DiffOp in x alone, exact in π and ħ, with shift l and x-order ≤ 1.
     (m, 0) with m = ±k gives A±; (0, ±k) gives B±.
     """
     two_pi_im = TWO_PI * S_I * m
-    terms = {(l, 0, 0): TorusXCoef({(m, 0, 0): S_ONE - two_pi_im * l,
-                                    (m, 0, 1): -two_pi_im})}
-    if l:
-        terms[(l, 1, 0)] = TorusXCoef.harmonic(m, 0, -(TWO_PI * HBAR * l))
-    return DiffOp(terms)
+    return DiffOp({(l, 0, 0, m, 0, 0): S_ONE - two_pi_im * l,
+                   (l, 0, 0, m, 0, 1): -two_pi_im,
+                   (l, 1, 0, m, 0, 0): -(TWO_PI * HBAR * l)})
 
 
 @functools.lru_cache(maxsize=1)

@@ -10,19 +10,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gvh.diffop import DiffOp, TorusXCoef
+from gvh.diffop import DiffOp
 from gvh.hermite import (QuadratureError, commutant_kernel_dim,
                          derivative_band, gauss_hermite_rule, hermite_matrix,
                          hermite_values, position_tridiagonal)
 from gvh.qmaps import DEFAULT_TORUS_HBAR
-from gvh.scalars import HBAR, Scalar
-
-PI = {"pi": math.pi}
+from gvh.scalars import HBAR, S_ONE, Scalar
 
 
-def _line_op(shift=0, dorder=0, coef=None):
-    """coef(x)·S_shift·D^dorder, a DiffOp in x alone."""
-    return DiffOp({(shift, dorder, 0): TorusXCoef.const(1) if coef is None else coef})
+def _line_op(shift=0, dorder=0, m=0, j=0, c=S_ONE):
+    """c·x^j·e^{2πimx}·S_shift·D^dorder, a DiffOp in x alone."""
+    return DiffOp({(shift, dorder, 0, m, 0, j): c})
 
 
 def _matrix(op, trunc):
@@ -45,7 +43,7 @@ def test_identity_matrix():
 
 def test_position_matrix_matches_tridiagonal():
     # multiplication by x has exact entries sqrt((n+1)/2) off the diagonal
-    m = _matrix(_line_op(coef=TorusXCoef.xpow(1)), 48)
+    m = _matrix(_line_op(j=1), 48)
     ref = position_tridiagonal(48)
     assert np.max(np.abs(m.entries - ref)) < 1e-10
     assert abs(ref[0, 1] - math.sqrt(0.5)) < 1e-15
@@ -71,7 +69,7 @@ def test_annihilation_relation():
 
 
 def test_doubling_stability():
-    op = _line_op(coef=TorusXCoef.harmonic(1, 0))  # e^{2 pi i x} multiplication
+    op = _line_op(m=1)  # e^{2 pi i x} multiplication
     m32 = _matrix(op, 32)
     m64 = _matrix(op, 64)
     assert np.max(np.abs(m64.entries[:32, :32] - m32.entries)) < 1e-10
@@ -89,22 +87,27 @@ def test_shift_operator():
 
 
 def test_line_symbol_evalf_shift_and_deriv():
-    # 1.5 (t - 2)^2 e^{2 pi i t}, evaluated on an array
-    f = TorusXCoef.xpow(2, Scalar.from_fraction(Fraction(3, 2))).shift(-2) \
-        * TorusXCoef.harmonic(1, 0)
-    xs = np.linspace(-2, 2, 7)
+    # multiplication by f(t) = 1.5 (t - 2)^2 e^{2 pi i t}, built as
+    # S_{-2} M_{1.5 x^2} S_2 M_{e(1)} (S_a M_g = M_{g(x+a)} S_a), and by f',
+    # the commutator [d/dx, M_f], against direct quadrature of f and f'
+    f = _line_op(shift=-2) * _line_op(j=2, c=Scalar.from_fraction(Fraction(3, 2))) \
+        * _line_op(shift=2) * _line_op(m=1)
+    assert f.order() == 0 and {key[0] for key in f.terms} == {0}
+    d = _line_op(dorder=1).commutator(f)
+    assert d.order() == 0
+    xs, ws = gauss_hermite_rule(160)
+    h = hermite_values(xs, 24)
     phase = np.exp(2j * np.pi * xs)
-    want = 1.5 * (xs - 2) ** 2 * phase
-    assert np.max(np.abs(f.evalf(xs, params=PI, exp=np.exp) - want)) < 1e-12
-    d = f.partial("x")
-    want_d = (3 * (xs - 2) + 3j * np.pi * (xs - 2) ** 2) * phase
-    assert np.max(np.abs(d.evalf(xs, params=PI, exp=np.exp) - want_d)) < 1e-12
+    for op, fv in ((f, 1.5 * (xs - 2) ** 2 * phase),
+                   (d, (3 * (xs - 2) + 3j * np.pi * (xs - 2) ** 2) * phase)):
+        ref = (h * ws * fv) @ h.T
+        assert np.max(np.abs(_matrix(op, 24).entries - ref)) < 1e-9
 
 
 def test_line_op_compose_matches_banded_product():
     """d/dx is exactly banded, so padding by one basis vector makes the
     truncated matrix product equal to the matrix of the composed symbol."""
-    mult = _line_op(coef=TorusXCoef.harmonic(1, 0))
+    mult = _line_op(m=1)
     op = mult * _line_op(dorder=1)
     m = _matrix(op, 32)
     big_mult = _matrix(mult, 34)
@@ -115,13 +118,13 @@ def test_line_op_compose_matches_banded_product():
 
 def test_hermite_matrix_evaluates_hbar():
     # hbar·x at hbar = 0.25 is a quarter of the position matrix
-    m = hermite_matrix(_line_op(coef=TorusXCoef.xpow(1, HBAR)), 32, 0.25)
+    m = hermite_matrix(_line_op(j=1, c=HBAR), 32, 0.25)
     assert np.max(np.abs(m.entries - 0.25 * position_tridiagonal(32))) < 1e-10
 
 
 def test_hermite_matrix_rejects_an_operator_in_y():
-    for op in (DiffOp({(0, 0, 1): TorusXCoef.const(1)}),
-               _line_op(coef=TorusXCoef.harmonic(0, 1))):
+    for op in (DiffOp({(0, 0, 1, 0, 0, 0): S_ONE}),
+               DiffOp({(0, 0, 0, 0, 1, 0): S_ONE})):
         with pytest.raises(ValueError, match="acts in y"):
             _matrix(op, 8)
     with pytest.raises(TypeError):

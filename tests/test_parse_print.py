@@ -58,6 +58,23 @@ def test_work_bound_admits_every_power_of_a_binomial():
         parse_expression("(q1+p1)^64*(q1+p1)^64", "flat")
 
 
+def test_work_bound_weighs_wide_flat_keys():
+    # at n = 10,000 each product adds two 20,000-slot keys and counts 157
+    # times, so this power is refused after a few steps instead of running
+    # its 9,520 products
+    import time
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="term products"):
+        parse_expression("(q1+p1+q2+p2)^14", "flat", n=10000)
+    assert time.perf_counter() - start < 0.5
+    assert len(parse_expression("q1*p2", "flat", n=10000).terms) == 1
+    # 5,945 term products: counted once each up to n = 63, twice from 64
+    text = "(q1+p1)^64*(q1+p1)^20"
+    assert len(parse_expression(text, "flat", n=63).terms) == 85
+    with pytest.raises(ParseError, match="at position 10"):
+        parse_expression(text, "flat", n=64)
+
+
 def test_division_after_a_power():
     # a number is an integer and '/' the grammar's division: q1^3/2 = (q1^3)/2
     assert parse_expression("(1+i)*q1^3/2", "flat") == \

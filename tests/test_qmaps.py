@@ -214,14 +214,14 @@ def test_torus_prequant_printed_formula():
     f = TorusElement.cos(1, 0, B=S_ONE)
     op = torus_prequant_map(f)
     assert op.order() == 1
-    # d/dy coefficient = -i hbar f_x (as a mixed x/harmonic coefficient)
-    from gvh.diffop import TorusXCoef
-    fx = TorusXCoef.from_torus_element(f.partial_x())
-    assert op.coeff((0, 0, 1)) == fx * TorusXCoef.const(MIH)
-    assert op.coeff((0, 1, 0)).is_zero()  # cos(2 pi x) has f_y = 0
+    # d/dy coefficient = -i hbar f_x, one term per harmonic of f_x
+    fx = f.partial_x()
+    assert {key[3:]: c for key, c in op.terms.items() if key[:3] == (0, 0, 1)} \
+        == {(m, n, 0): c * MIH for (m, n), c in fx.terms.items()}
+    assert not any(key[:3] == (0, 1, 0) for key in op.terms)  # f_y = 0
     # Q2 on the torus carrier
     unit = TorusElement.const(S_ONE, B=S_ONE)
-    ident = DiffOp({(0, 0, 0): TorusXCoef.const(S_ONE)})
+    ident = DiffOp({(0,) * 6: S_ONE})
     assert check_q2(TORUS_PREQUANT, unit, ident).is_zero()
 
 
@@ -305,22 +305,26 @@ def test_graded_commutant_matches_full_real_stack(k, trunc, svd_shapes):
     assert np.allclose(np.array(tail)[above], ref_tail[above], rtol=1e-10, atol=0)
 
 
+def _symbol_at(op, x, params):
+    """Σ c·x^j·e^{2πimx} over the terms of op, at the points x."""
+    return sum(complex(c.evalf(params)) * x ** j * np.exp(2j * np.pi * m * x)
+               for (_, _, _, m, _, j), c in op.terms.items())
+
+
 def test_transformed_pure_x_harmonic_symbol():
     # the k-th x-harmonic transforms to multiplication by
     # e^{2 pi i k x} (1 - 2 pi i k x); no shift, no derivative
     import math
     op = transformed_harmonic_op(1, 0)
     xs = np.linspace(-1.2, 1.3, 5)
-    assert len(op.terms) == 1
-    [((shift, dorder, dy), sym)] = op.terms.items()
-    assert shift == 0 and dorder == 0 and dy == 0
-    vals = sym.evalf(xs, params={"pi": math.pi}, exp=np.exp)
+    assert {key[:3] for key in op.terms} == {(0, 0, 0)}
+    vals = _symbol_at(op, xs, {"pi": math.pi})
     want = np.exp(2j * math.pi * xs) * (1 - 2j * math.pi * xs)
     assert np.max(np.abs(vals - want)) < 1e-12
 
 
-def _line(key, coef):
-    return DiffOp({key: coef})
+def _line(a=0, dx=0, j=0, c=S_ONE):
+    return DiffOp({(a, dx, 0, 0, 0, j): c})
 
 
 @pytest.mark.parametrize("k", [1, 3, 7])
@@ -328,25 +332,38 @@ def test_transformed_product_identities_are_exact(k):
     # A-A+ = 1 + 4 pi^2 k^2 x^2 and B-B+ = 1 - 4 pi^2 hbar^2 k^2 d^2, as
     # exact operator equalities (k = 3 is the case the N = 64 truncated
     # product misses)
-    from gvh.diffop import TorusXCoef
     from gvh.scalars import TWO_PI
-    one = _line((0, 0, 0), TorusXCoef.const(S_ONE))
+    one = _line()
     a_plus, a_minus = transformed_harmonic_op(k, 0), transformed_harmonic_op(-k, 0)
     b_plus, b_minus = transformed_harmonic_op(0, k), transformed_harmonic_op(0, -k)
     w2 = (TWO_PI * k) ** 2
-    assert a_minus * a_plus == one + _line((0, 0, 0), TorusXCoef.xpow(2, w2))
-    assert b_minus * b_plus == one + _line((0, 2, 0), TorusXCoef.const(-w2 * HBAR * HBAR))
+    assert a_minus * a_plus == one + _line(j=2, c=w2)
+    assert b_minus * b_plus == one + _line(dx=2, c=-w2 * HBAR * HBAR)
     assert a_plus * a_minus == a_minus * a_plus
     assert b_plus * b_minus == b_minus * b_plus
 
 
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_transformed_products_are_exact_rows(k):
+    # each operator is a map of Scalars, so an Echelon holds it as a row:
+    # B-B+ lies in span{I, d^2} and A-A+ in span{I, x^2}, while A+ does not
+    from gvh.linalg import Echelon
+    a_plus, a_minus = transformed_harmonic_op(k, 0), transformed_harmonic_op(-k, 0)
+    b_plus, b_minus = transformed_harmonic_op(0, k), transformed_harmonic_op(0, -k)
+    for basis, op in (((_line(), _line(dx=2)), b_minus * b_plus),
+                      ((_line(), _line(j=2)), a_minus * a_plus)):
+        ech = Echelon()
+        assert all(ech.add(row.terms) for row in basis)
+        assert ech.reduce(op.terms) == {}
+    assert ech.reduce(a_plus.terms) != {}
+
+
 def test_transformed_ops_match_sympy_on_test_functions():
-    """Apply A± and B± to psi = x^j e^{2 pi i m' x} through apply_to_coef and
-    compare with sympy's value of the defining formula
+    """Apply A± and B± to psi = x^j e^{2 pi i m' x}, as the order-0 part of
+    op∘psi (each shift leaves the constant 1 alone), and compare with sympy's value of the defining formula
     psi -> e^{2 pi i m t}[(1 - 2 pi i m (t + l)) psi(t + l) - 2 pi hbar l psi'(t + l)]."""
     sympy = pytest.importorskip("sympy")
     import math
-    from gvh.diffop import TorusXCoef
     t = sympy.Symbol("t", real=True)
     hb = 0.37
     points = (-0.8, 0.15, 1.3)
@@ -357,10 +374,12 @@ def test_transformed_ops_match_sympy_on_test_functions():
             want = sympy.exp(2 * sympy.pi * sympy.I * m * t) * (
                 (1 - 2 * sympy.pi * sympy.I * m * (t + l)) * psi.subs(t, t + l)
                 - 2 * sympy.pi * hb * l * sympy.diff(psi, t).subs(t, t + l))
-            got = op.apply_to_coef(TorusXCoef.xpow(j) * TorusXCoef.harmonic(mp, 0))
+            got = op * DiffOp({(0, 0, 0, mp, 0, j): S_ONE})
+            assert got.order() == 1 if l else got.order() == 0
+            got = DiffOp({key: c for key, c in got.terms.items() if key[1] == 0})
             for x in points:
                 ref = complex(want.subs(t, x).evalf(20))
-                val = got.evalf(x, params={"pi": math.pi, "hbar": hb})
+                val = _symbol_at(got, x, {"pi": math.pi, "hbar": hb})
                 assert abs(val - ref) < 1e-10 * max(1.0, abs(ref)), (m, l, j, mp, x)
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from gvh.diffop import DiffOp, TorusXCoef, diffop_compose
+from gvh.diffop import DiffOp, diffop_compose
 from gvh.flat import FlatElement
 from gvh.matrices import ExactMatrix, spin_matrices
 from gvh.poly import MultiPoly
@@ -40,13 +40,13 @@ def _cases():
         "TorusElement": (TorusElement.sin(1, 0), TorusElement.cos(0, 1),
                          TorusElement.sin(1, 0, B=Scalar.param("b"))),
         "SphereElement": (s1, s2 * s3, None),
-        "TorusXCoef": (TorusXCoef.xpow(1), TorusXCoef.harmonic(1, 0, HBAR), None),
-        "DiffOp": (DiffOp({(0, 1, 0): TorusXCoef.const(1)}),
-                   DiffOp({(0, 0, 0): TorusXCoef.xpow(2)}), None),
-        # x·S_1 and S_{−1}∂ on the line, as the transformed torus operators
-        "DiffOp-shifted": (DiffOp({(1, 0, 0): TorusXCoef.xpow(1)}),
-                           DiffOp({(-1, 1, 0): TorusXCoef.harmonic(1, 0, HBAR)}),
-                           None),
+        # ∂_x and x², keyed (shift, ∂_x order, ∂_y order, m, n, j)
+        "DiffOp": (DiffOp({(0, 1, 0, 0, 0, 0): S_ONE}),
+                   DiffOp({(0, 0, 0, 0, 0, 2): S_ONE}), None),
+        # x·S_1 and ħ·e(1,0)·S_{−1}∂ on the line, as the transformed torus
+        # operators
+        "DiffOp-shifted": (DiffOp({(1, 0, 0, 0, 0, 1): S_ONE}),
+                           DiffOp({(-1, 1, 0, 1, 0, 0): HBAR}), None),
         "ParamPoly": (ParamPoly.var("hbar") * ParamPoly.var("s"),
                       ParamPoly.var("a") + ParamPoly.const(GaussRational(1, 2)),
                       None),
@@ -74,7 +74,7 @@ def _sphere_product(a, b):
 
 # each class's own product, written without the `*` under test
 PRODUCTS = {"MultiPoly": monoid_product, "FlatElement": monoid_product,
-            "TorusElement": monoid_product, "TorusXCoef": monoid_product,
+            "TorusElement": monoid_product,
             "ParamPoly": monoid_product, "WeylElement": weyl_product,
             "DiffOp": diffop_compose, "DiffOp-shifted": diffop_compose,
             "ExactMatrix": _matrix_product, "SphereElement": _sphere_product}
@@ -94,6 +94,16 @@ def test_cases_cover_every_subclass_and_context():
     contexts = {name for a, _, c in CASES.values() if c is not None
                 for name in type(a)._context}
     assert contexts == {"vars", "n", "dim", "B"}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_coefficients_are_exact_scalars(name):
+    # every finite sum is a map of Scalars (GaussRationals in a ParamPoly),
+    # so each can be a row of linalg.Echelon
+    want = GaussRational if name == "ParamPoly" else Scalar
+    a, b, c = CASES[name]
+    for m in (a, b, a + b, a * b) + ((c,) if c is not None else ()):
+        assert all(type(v) is want for v in m.terms.values())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
