@@ -250,83 +250,107 @@ def cmd_verify(args):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="gvh",
-        description="Exact verification of quantization obstruction results "
-                    "on flat phase space, the sphere, and the torus.")
-    sub = parser.add_subparsers(dest="verb", required=True)
+def _common(sp, nexprs=0):
+    sp.add_argument("target", choices=TARGETS)
+    if nexprs:
+        sp.add_argument("exprs", nargs=nexprs, metavar="EXPR")
+    sp.add_argument("--n", type=int, default=1,
+                    help="flat degrees of freedom (default 1)")
+    sp.add_argument("--B", type=_rational, default=Scalar.from_int(1),
+                    help="torus symplectic scale (rational, default 1)")
+    sp.add_argument("--format", choices=("json", "markdown"),
+                    default="json")
 
-    def common(sp, nexprs=0):
-        sp.add_argument("target", choices=TARGETS)
-        if nexprs:
-            sp.add_argument("exprs", nargs=nexprs, metavar="EXPR")
-        sp.add_argument("--n", type=int, default=1,
-                        help="flat degrees of freedom (default 1)")
-        sp.add_argument("--B", type=_rational, default=Scalar.from_int(1),
-                        help="torus symplectic scale (rational, default 1)")
-        sp.add_argument("--format", choices=("json", "markdown"),
-                        default="json")
-        return sp
 
-    common(sub.add_parser("bracket", help="Poisson bracket of two expressions"),
-           nexprs=2)
+def _bracket_args(sp):
+    _common(sp, nexprs=2)
 
-    for verb in ("generate", "normalizer"):
-        sp = common(sub.add_parser(
-            verb, help="%s of the generated Poisson subalgebra" % verb),
-            nexprs="+")
-        sp.add_argument("--degree-cap", type=int, default=None,
-                        help="ambient degree cap (default: 4 flat, 3 sphere)")
-        sp.add_argument("--freq-cap", type=int, default=3,
-                        help="torus ambient frequency cap")
 
-    sp = common(sub.add_parser("transitivity",
-                               help="sampled Hamiltonian-field rank check"),
-                nexprs="+")
+def _span_args(sp):
+    _common(sp, nexprs="+")
+    sp.add_argument("--degree-cap", type=int, default=None,
+                    help="ambient degree cap (default: 4 flat, 3 sphere)")
+    sp.add_argument("--freq-cap", type=int, default=3,
+                    help="torus ambient frequency cap")
+
+
+def _transitivity_args(sp):
+    _common(sp, nexprs="+")
     sp.add_argument("--degree-cap", type=int, default=None)
     sp.add_argument("--freq-cap", type=int, default=3)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--npoints", type=int, default=8)
 
-    sp = common(sub.add_parser("checkq1",
-                               help="bracket-to-commutator residual of a map"),
-                nexprs=2)
+
+def _checkq1_args(sp):
+    _common(sp, nexprs=2)
     sp.add_argument("--map", choices=sorted(_FLAT_MAPS),
                     help="flat-target map (default vanhove)")
     sp.add_argument("--j", type=_spin, default=fractions.Fraction(1),
                     help="spin label for the sphere map")
 
-    sp = common(sub.add_parser("verify",
-                               help="replay the certificate chain for a target"))
+
+def _verify_args(sp):
+    _common(sp)
     sp.add_argument("--j", type=_spin, default=fractions.Fraction(1))
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--trunc", type=int, default=None,
                     help="Hermite truncation (default $GVH_TRUNC or 64)")
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--quad-order", type=int, default=None)
-    return parser
 
 
-_HANDLERS = {
-    "bracket": cmd_bracket,
-    "generate": cmd_generate,
-    "normalizer": cmd_normalizer,
-    "transitivity": cmd_transitivity,
-    "checkq1": cmd_checkq1,
-    "verify": cmd_verify,
+# verb -> (subcommand help, the function adding its arguments, its handler)
+_VERBS = {
+    "bracket": ("Poisson bracket of two expressions", _bracket_args,
+                cmd_bracket),
+    "generate": ("generate of the generated Poisson subalgebra", _span_args,
+                 cmd_generate),
+    "normalizer": ("normalizer of the generated Poisson subalgebra",
+                   _span_args, cmd_normalizer),
+    "transitivity": ("sampled Hamiltonian-field rank check",
+                     _transitivity_args, cmd_transitivity),
+    "checkq1": ("bracket-to-commutator residual of a map", _checkq1_args,
+                cmd_checkq1),
+    "verify": ("replay the certificate chain for a target", _verify_args,
+               cmd_verify),
 }
 
 
+def _build_parser(verb=None):
+    """The gvh parser, with arguments only on `verb`'s subparser when a verb
+    is given (every verb's otherwise).
+
+    Every subparser is still registered, so the top-level usage line, the
+    help listing and the invalid-choice and missing-verb errors read the
+    same bytes as with the full parser; only the argument sets of the other
+    verbs, which their parse never reads, are left out.
+    """
+    parser = argparse.ArgumentParser(
+        prog="gvh",
+        description="Exact verification of quantization obstruction results "
+                    "on flat phase space, the sphere, and the torus.")
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for name, (help_text, add_args, _) in _VERBS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if verb is None or verb == name:
+            add_args(sp)
+    return parser
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # `--help`, no verb or an unknown one: the full parser, for its messages
+    verb = argv[0] if argv and argv[0] in _VERBS else None
+    args = _build_parser(verb).parse_args(argv)
     try:
         if args.verb == "verify" and args.target == "torus" and args.trunc is None:
             # only the torus has a truncation; GVH_TRUNC is not read elsewhere
             args.trunc = _default_trunc()
         _check_flags(args)
-        report, code = _HANDLERS[args.verb](args)
+        _, _, handler = _VERBS[args.verb]
+        report, code = handler(args)
     except (ValueError, RuntimeError, MemoryError) as err:
         # bad input (ParseError, DomainError), a failed internal invariant
         # (QuadratureError) or an allocation the heap could not serve

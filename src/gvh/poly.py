@@ -67,8 +67,10 @@ class MultiPoly(TermMap):
     _product = monoid_product
 
     def __pow__(self, n):
-        out = self._new({(0,) * len(self.vars): S_ONE})
-        for _ in range(n):
+        if n < 1:
+            return self._new({(0,) * len(self.vars): S_ONE})
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 

@@ -7,7 +7,7 @@ ParamPoly, a `sparse.TermMap` with no context, so its sums, equality and
 hashing are the base class's.  Arithmetic is exact; a numeric evaluation
 hook (`Scalar.evalf`) exists for the torus numerics.
 
-Two representations keep the common cases cheap:
+Three shortcuts keep the common cases cheap:
 
 * a GaussRational is (a + b*i)/d over Python ints in lowest terms, so each
   product or sum is int arithmetic and one gcd;
@@ -15,7 +15,11 @@ Two representations keep the common cases cheap:
   with the componentwise minimum exponents of all terms of both (constants
   give 1), and exact division by one term c*x^e shifts exponents by -e and
   scales by 1/c.  `verify` on all three targets reduces only by such gcds;
-  the primitive PRS remains for two multi-term polynomials.
+  the primitive PRS remains for two multi-term polynomials;
+* a unit denominator is always the `PP_ONE` object, so sums and products of
+  two Scalars that both have it (most of them: polynomial coefficients) add
+  or multiply the numerators and skip the reduction, and a product by an int
+  only scales the numerator.
 """
 
 from __future__ import annotations
@@ -445,8 +449,8 @@ class Scalar:
     """Canonical element of the rational-function field Q(i)(hbar, s, a, c, b, pi).
 
     Invariants: gcd(num, den) = 1, den monic in the graded-lex leading
-    coefficient, zero stored as 0/1.  Equality and hashing use the canonical
-    representation directly.
+    coefficient, zero stored as 0/1, a unit den the `PP_ONE` object.
+    Equality and hashing use the canonical representation directly.
     """
 
     __slots__ = ("num", "den")
@@ -516,6 +520,9 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den is PP_ONE and other.den is PP_ONE:
+            num = self.num + other.num
+            return Scalar(num, PP_ONE, _reduced=True) if num.terms else S_ZERO
         return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -533,6 +540,20 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, Scalar):
+            if self.den is PP_ONE and other.den is PP_ONE:
+                # a product of nonzero polynomials is nonzero
+                return Scalar(self.num * other.num, PP_ONE, _reduced=True) \
+                    if self.num.terms and other.num.terms else S_ZERO
+            return Scalar(self.num * other.num, self.den * other.den)
+        if isinstance(other, int):
+            # a nonzero constant keeps gcd(num, den) = 1 and den monic
+            if other == 0:
+                return S_ZERO
+            if other == 1:
+                return self
+            return Scalar(self.num.scale(GaussRational(other)), self.den,
+                          _reduced=True)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -562,9 +583,11 @@ class Scalar:
         return Scalar(self.num.conj(), self.den.conj())
 
     def __pow__(self, n):
-        out = Scalar.from_int(1)
-        base = self if n >= 0 else self.inverse()
-        for _ in range(abs(n)):
+        if n == 0:
+            return Scalar.from_int(1)
+        base = self if n > 0 else self.inverse()
+        out = base
+        for _ in range(abs(n) - 1):
             out = out * base
         return out
 
@@ -627,7 +650,8 @@ def _reduce(num, den):
         inv = lc.inverse()
         num = num.scale(inv)
         den = den.scale(inv)
-    return num, den
+    # a monic constant is 1, and the unit denominator is always PP_ONE
+    return num, (PP_ONE if den.is_const() else den)
 
 
 def _poly_substitute(poly, idx, value):

@@ -45,9 +45,11 @@ R2 = _r2()
 
 def bracket_raw(f, g):
     """Sphere bracket on plain polynomial representatives (no canonicalization)."""
+    df = [f.partial(v) for v in SVARS]
+    dg = [g.partial(v) for v in SVARS]
     out = MultiPoly.zero(SVARS)
     for i, j, k, sign in _EPS:
-        t = svar(SVARS[i]) * f.partial(SVARS[j]) * g.partial(SVARS[k])
+        t = svar(SVARS[i]) * df[j] * dg[k]
         out = out - t if sign > 0 else out + t
     return out
 

@@ -100,3 +100,12 @@ def test_substitute_scalar():
     f = MultiPoly.monomial(VARS, (1, 1))
     g = f.substitute_scalar("q1", Scalar.from_int(2))
     assert g == MultiPoly.monomial(VARS, (0, 1), Scalar.from_int(2))
+
+
+def test_power_starts_from_the_base():
+    f = _rand_poly(random.Random(5))
+    one = MultiPoly.const(VARS, 1)
+    assert f ** 0 == one
+    assert f ** 1 is f
+    cube = f * f * f
+    assert list((f ** 3).terms.items()) == list(cube.terms.items())

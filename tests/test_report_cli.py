@@ -4,10 +4,12 @@ CLI invocations go through main(argv) in process; stdout is parsed back as
 JSON wherever the content matters.
 """
 
+import argparse
 import json
 
 import pytest
 
+from gvh import cli
 from gvh.cli import main
 from gvh.flat import FlatElement
 from gvh.obstruction import ObstructionCertificate, groenewold_certificate
@@ -428,3 +430,43 @@ def test_cli_reports_internal_failures(capsys, monkeypatch, target, func, exc):
     code, out, err = run_cli(capsys, ["verify", target])
     assert code == 1 and out == ""
     assert err == "error: %s\n" % (str(exc) or type(exc).__name__)
+
+
+# ---------------------------------------------------------------------------
+# per-verb parser
+
+
+def _exit_out_err(capsys, call):
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    cap = capsys.readouterr()
+    return code, cap.out, cap.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["frobnicate", "r2n"], ["verify", "r2n", "--bogus", "1"],
+    ["verify", "torus", "--k", "x"], ["checkq1", "r2n", "q1", "p1", "--map", "nope"],
+    ["bracket", "r2n", "q1"],
+] + [[verb, "--help"] for verb in ("bracket", "generate", "normalizer",
+                                    "transitivity", "checkq1", "verify")])
+def test_cli_parser_bytes_match_the_full_parser(capsys, monkeypatch, argv):
+    """main builds arguments for the named verb only; its help, usage and
+    error bytes are those of the parser built for every verb."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    got = _exit_out_err(capsys, lambda: main(list(argv)))
+    full = _exit_out_err(capsys, lambda: cli._build_parser().parse_args(list(argv)))
+    assert got == full
+    assert got[0] != 0 and (got[1] or got[2])
+
+
+def test_cli_builds_only_the_named_verb(capsys, monkeypatch):
+    """One argument set is built per call: 7 parsers' -h plus bracket's 5."""
+    calls = []
+    real = argparse._ActionsContainer.add_argument
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument",
+                        lambda self, *a, **k: calls.append(a) or real(self, *a, **k))
+    code, _, _ = run_cli(capsys, ["bracket", "r2n", "q1", "p1"])
+    assert code == 0
+    assert len(calls) <= 12

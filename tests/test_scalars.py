@@ -6,8 +6,8 @@ import pytest
 
 from gvh import scalars
 from gvh.cli import main
-from gvh.scalars import (HBAR, NPARAMS, PARAMS, S_I, S_ONE, S_SPIN, S_ZERO,
-                         GaussRational, ParamPoly, Scalar, _prs_gcd,
+from gvh.scalars import (HBAR, NPARAMS, PARAMS, PP_ONE, S_I, S_ONE, S_SPIN,
+                         S_ZERO, GaussRational, ParamPoly, Scalar, _prs_gcd,
                          poly_divexact, poly_gcd)
 
 RNG = random.Random(0)
@@ -302,3 +302,57 @@ def test_param_poly_degree():
     p = ParamPoly.var("hbar") * ParamPoly.var("s") + ParamPoly.from_int(1)
     assert p.degree() == 2
     assert p.degree_in(0) == 1
+
+
+def test_power_starts_from_the_base(monkeypatch):
+    """x ** n costs n - 1 products: x ** 1 is x itself."""
+    a = HBAR + S_ONE
+    cube = a * a * a
+    calls = []
+    real = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__",
+                        lambda x, y: calls.append(y) or real(x, y))
+    assert a ** 1 is a and not calls
+    assert a ** 3 == cube and len(calls) == 2
+
+
+def _fast_path_operands(rng):
+    """Scalars with the unit denominator (plain polynomials, and quotients by
+    an integer, which reduce to one), with other denominators, and zero."""
+    def poly():
+        out = S_ZERO
+        for _ in range(rng.randint(1, 3)):
+            c = Scalar.from_fraction(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            out = out + c * HBAR ** rng.randint(0, 2) * S_SPIN ** rng.randint(0, 1)
+        return out
+    unit = [poly() for _ in range(6)] + [HBAR + S_ONE]
+    by_int = [p / Scalar.from_int(k) for p, k in zip(unit, (2, 3, -6))]
+    by_int.append(Scalar(ParamPoly.from_int(4) * HBAR.num, ParamPoly.from_int(4)))
+    other = [S_ONE / (HBAR + S_ONE), (HBAR + S_SPIN) / (S_ONE - HBAR),
+             _rand_scalar(rng), _rand_scalar(rng)]
+    return unit + by_int + other + [S_ZERO, HBAR - HBAR]
+
+
+def _same(got, want):
+    assert list(got.num.terms.items()) == list(want.num.terms.items())
+    assert list(got.den.terms.items()) == list(want.den.terms.items())
+    assert str(got) == str(want)
+    if got.den == PP_ONE:
+        assert got.den is PP_ONE
+
+
+def test_scalar_fast_paths_match_the_general_formula():
+    """Sums and products of unit-denominator Scalars, and products by an
+    int, skip the reduction; each must give the general formula's canonical
+    form with the same term order, and a unit denominator is always PP_ONE."""
+    operands = _fast_path_operands(random.Random(7))
+    for a in operands:
+        assert a.den is PP_ONE or a.den != PP_ONE
+        for b in operands + [0, 1, -1, 7, -7]:
+            rb = Scalar.from_int(b) if isinstance(b, int) else b
+            _same(a * b, Scalar(a.num * rb.num, a.den * rb.den))
+            # int * Scalar is Scalar.__rmul__, the product with a on the left
+            left, right = (a, rb) if isinstance(b, int) else (rb, a)
+            _same(b * a, Scalar(left.num * right.num, left.den * right.den))
+            _same(a + b, Scalar(a.num * rb.den + rb.num * a.den, a.den * rb.den))
+            _same(a - b, Scalar(a.num * rb.den + (-rb.num) * a.den, a.den * rb.den))
