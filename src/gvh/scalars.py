@@ -540,12 +540,6 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            if self.den is PP_ONE and other.den is PP_ONE:
-                # a product of nonzero polynomials is nonzero
-                return Scalar(self.num * other.num, PP_ONE, _reduced=True) \
-                    if self.num.terms and other.num.terms else S_ZERO
-            return Scalar(self.num * other.num, self.den * other.den)
         if isinstance(other, int):
             # a nonzero constant keeps gcd(num, den) = 1 and den monic
             if other == 0:
@@ -557,6 +551,10 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den is PP_ONE and other.den is PP_ONE:
+            # a product of nonzero polynomials is nonzero
+            return Scalar(self.num * other.num, PP_ONE, _reduced=True) \
+                if self.num.terms and other.num.terms else S_ZERO
         return Scalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

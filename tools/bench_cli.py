@@ -1,10 +1,10 @@
 """Time `gvh.cli.main` alone on every invocation of the explore workload,
 each in a fresh interpreter.
 
-    python3 tools/bench_cli.py [--src DIR] [--base DIR] [--seed N] [--out FILE]
+    python3 tools/bench_cli.py [--src DIR] [--base DIR] [--out FILE]
 
-The invocations are `perfbench.workloads.invocations("explore", SEED)`:
-the short bracket, generate, normalizer, transitivity and checkq1 calls.
+The invocations are `perfbench.workloads.invocations("explore", 0)`: the
+short bracket, generate, normalizer, transitivity and checkq1 calls.
 Every sample runs in a new interpreter with `PYTHONDONTWRITEBYTECODE=1`,
 so gvh compiles from source as in a fresh checkout; the child imports
 numpy and `gvh.cli` untimed (as the benchmark's child does), then times
@@ -40,6 +40,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 SAMPLES = 11
+SEED = 0
 
 CHILD = r"""
 import contextlib, hashlib, io, json, sys, time
@@ -99,9 +100,9 @@ def _quartiles(xs):
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def bench(trees, seed):
+def bench(trees):
     """{label: run} for the {label: src} trees, run alternately."""
-    argvs = [inv["argv"] for inv in workloads.invocations("explore", seed)]
+    argvs = [inv["argv"] for inv in workloads.invocations("explore", SEED)]
     verbs = sorted({argv[0] for argv in argvs})
     samples = {label: [[] for _ in argvs] for label in trees}
     order = list(trees)
@@ -142,17 +143,16 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(ROOT / "src"))
     ap.add_argument("--base", default=None)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
     trees = {"change": str(Path(args.src).resolve())}
     if args.base:
         trees = {"parent": str(Path(args.base).resolve()), **trees}
-    run = {"samples": SAMPLES, "workload": "explore", "seed": args.seed,
+    run = {"samples": SAMPLES, "workload": "explore", "seed": SEED,
            "machine": {"nproc": len(os.sched_getaffinity(0)),
                        "processor": platform.processor() or platform.machine(),
                        "python": platform.python_version()},
-           "trees": bench(trees, args.seed)}
+           "trees": bench(trees)}
     text = json.dumps(run, indent=1, sort_keys=True) + "\n"
     if args.out is None:
         sys.stdout.write(text)
