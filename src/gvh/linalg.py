@@ -8,6 +8,10 @@ back over the columns 0..ncols-1, the only columns every caller's rows
 hold; `subspace.SubspaceBasis` is the same echelon over an ambient's keys.
 The reduced echelon form is unique for the column order, so no result
 depends on the order in which the rows are inserted.
+
+Reduction follows the nonzeros: a map from pivot to stored row lets
+`Echelon.reduce` visit only the pivot columns the incoming row holds, so its
+cost is the row's size, not the rank.
 """
 
 from __future__ import annotations
@@ -21,22 +25,27 @@ from .sparse import nonzero_terms, sub_scaled
 
 class Echelon:
     """Reduced rows (pivot, row), kept in pivot order under `order`, a key
-    on columns (the column itself by default).  Each row is 1 at its own
-    pivot and has no entry at any other."""
+    on columns (the column itself by default), and the same rows by pivot.
+    Each row is 1 at its own pivot and has no entry at any other."""
 
     def __init__(self, order=None):
         self.order = order
         self.rows = []
+        self._by_pivot = {}
         self._pivot_order = itemgetter(0) if order is None \
             else (lambda pivot_row: order(pivot_row[0]))
 
     def reduce(self, coords):
-        """Residual of coords after elimination against the rows."""
+        """Residual of coords after elimination against the rows.
+
+        One pass over the pivots coords holds: subtracting a stored row
+        changes coords only off the stored pivots, so each pivot's entry is
+        the one coords came with, and the residual is the one a scan over
+        every row gives."""
         coords = nonzero_terms(coords)
-        for pivot, row in self.rows:
-            c = coords.get(pivot)
-            if c is not None:
-                sub_scaled(coords, c, row)
+        by_pivot = self._by_pivot
+        for pivot in [k for k in coords if k in by_pivot]:
+            sub_scaled(coords, coords[pivot], by_pivot[pivot])
         return coords
 
     def add(self, coords):
@@ -54,6 +63,7 @@ class Echelon:
             if c is not None:
                 sub_scaled(row, c, res)
         insort(self.rows, (pivot, res), key=self._pivot_order)
+        self._by_pivot[pivot] = res
         return True
 
 

@@ -5,11 +5,12 @@ One affine stage runs twice.  It writes every operand as an affine form
 F₀ + Σ x_col F_col, linearizes each bracket constraint into rows keyed by
 (constraint, operator key), and makes one exact affine solve.  Knowns and
 targets are distinct monomials, so a bracket's expansion is its terms.
-Within a stage each commutator of two operand operators is computed once,
-however many constraints and targets share it.  The first run takes the
-constraints that are linear in the unknowns (equivariance), each target a
-combination of one shared basis of an operator `Ambient`'s keys
-(normal-ordered Weyl words, or matrix units).  The second takes the bracket
+Within a stage each (i/ħ)-commutator of two operand operators is computed
+once, however many constraints and targets share it (for Weyl operands, a
+polynomial in ħ).  The first run takes the constraints that are linear in
+the unknowns (equivariance), each target a combination of one shared basis
+of an operator `Ambient`'s keys (normal-ordered Weyl words, or matrix
+units).  The second takes the bracket
 relations between two unknowns over the family the first run left —
 anything genuinely quadratic there comes back "undecided" rather than
 risking a wrong verdict.  The von Neumann rules pose one problem per
@@ -23,6 +24,7 @@ exact difference, so a reader can re-check each line independently.
 from __future__ import annotations
 
 import fractions
+import functools
 import math
 
 from .flat import FlatElement, bracket_flat
@@ -34,15 +36,12 @@ from .poly import MultiPoly
 from .qmaps import (CONVENTION, DEFAULT_TORUS_HBAR, TORUS_PREQUANT, check_q1,
                     sphere_map, torus_transformed_ops, transformed_harmonic_op,
                     weyl_map)
-from .scalars import A_SYM, HBAR, S_I, S_ONE, S_ZERO, S_SPIN, Scalar, as_scalar
+from .scalars import A_SYM, HBAR, S_ONE, S_ZERO, S_SPIN, Scalar, as_scalar
 from .sparse import accumulate
 from .sphere import SVARS, SphereElement, bracket_raw
 from .subspace import MatrixAmbient, WeylAmbient
 from .torus import basic_set
-from .weyl import (WeylElement, symmetrized, weyl_commutant, weyl_commutator,
-                   weyl_product)
-
-I_OVER_HBAR = S_I / HBAR
+from .weyl import WeylElement, symmetrized, weyl_commutant, weyl_product
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +112,13 @@ class SolutionSpace:
         return "SolutionSpace(%s, parameters=%d)" % (self.verdict, self.parameters)
 
 
-def _linearize(terms, combo, form, commutator):
+def _linearize(terms, combo, form, ih_commutator):
     """Residual Σ c(i/ħ)[F, G] − Σ m·Q(key) of one constraint, given its
     terms (c, key of f, key of g) and its classical side combo {key: m},
     every known or target an affine form F₀ + Σ x_col F_col given by
     `form(key)` as the map {None: F₀, col: F_col} (a missing None means
-    F₀ = 0), and `commutator(F, G)` giving [F, G] for two of their operators.
+    F₀ = 0), and `ih_commutator(F, G)` giving (i/ħ)[F, G] for two of their
+    operators.
 
     Returns the residual as {operator key: {col: coefficient}}, col None for
     the constant term, or None when some [F_col, G_col'] is nonzero: then
@@ -130,12 +130,11 @@ def _linearize(terms, combo, form, commutator):
             accumulate(out.setdefault(key, {}), col, c * v)
 
     for c, f, g in terms:
-        c_ih = c * I_OVER_HBAR
         for cf, F in form(f).items():
             for cg, G in form(g).items():
-                comm = commutator(F, G)
+                comm = ih_commutator(F, G)
                 if cf is None or cg is None:
-                    add(comm, cg if cf is None else cf, c_ih)
+                    add(comm, cg if cf is None else cf, c)
                 elif not comm.is_zero():
                     return None
     for key, m in combo.items():
@@ -149,7 +148,7 @@ def _affine_stage(prob, cons, sides, target_forms, ncols):
     target t the affine form target_forms[t] and sides[ci] the (terms,
     combo) of constraint ci (see `_linearize`).
 
-    Every commutator of two operands is computed once per stage: the
+    Every (i/ħ)-commutator of two operands is computed once per stage: the
     operators are held by prob.knowns and target_forms for the whole stage,
     so their ids key the memo, which is emptied before the solve.
 
@@ -164,16 +163,16 @@ def _affine_stage(prob, cons, sides, target_forms, ncols):
 
     comms = {}
 
-    def commutator(F, G):
+    def ih_commutator(F, G):
         key = (id(F), id(G))
         comm = comms.get(key)
         if comm is None:
-            comm = comms[key] = F.commutator(G)
+            comm = comms[key] = F.ih_commutator(G)
         return comm
 
     rows, rhs = {}, {}
     for ci in cons:
-        terms = _linearize(*sides[ci], form, commutator)
+        terms = _linearize(*sides[ci], form, ih_commutator)
         if terms is None:
             return "quadratic", ci
         for key, coeffs in terms.items():
@@ -451,11 +450,14 @@ def anticommutator_certificate():
         steps, verdict, discrepancy)
 
 
+@functools.lru_cache(maxsize=1)
 def groenewold_certificate():
     """The cubic contradiction: both quantizations of q²p² forced by the
     classical identity (1/9){q³,p³} = (1/3){q²p, qp²} differ by a nonzero
-    multiple of the identity."""
-    X, P = WeylElement.x(), WeylElement.p()
+    multiple of the identity.
+
+    Cached: `verify r2n` asks for it directly and again through
+    `position_nonextension_certificate`, and no caller mutates it."""
     q3 = FlatElement.monomial(1, (3,), (0,))
     p3 = FlatElement.monomial(1, (0,), (3,))
     q2p = FlatElement.monomial(1, (2,), (1,))
@@ -463,10 +465,8 @@ def groenewold_certificate():
     classical = bracket_flat(q3, p3).scale(Scalar.from_rational(1, 9)) - \
         bracket_flat(q2p, qp2).scale(Scalar.from_rational(1, 3))
     rules = vonneumann_rules_flat(3)["rules"]
-    ninth = Scalar.from_rational(1, 9) * I_OVER_HBAR
-    third = Scalar.from_rational(1, 3) * I_OVER_HBAR
-    route1 = ninth * weyl_commutator(rules[(3, 0)], rules[(0, 3)])
-    route2 = third * weyl_commutator(rules[(2, 1)], rules[(1, 2)])
+    route1 = Scalar.from_rational(1, 9) * rules[(3, 0)].ih_commutator(rules[(0, 3)])
+    route2 = Scalar.from_rational(1, 3) * rules[(2, 1)].ih_commutator(rules[(1, 2)])
     diff = route1 - route2
     disc = diff.scalar_part()
     h2 = HBAR * HBAR
@@ -541,9 +541,6 @@ def sphere_certificate(j):
     def Q(poly):
         return qmap(poly)
 
-    def ih(mat):
-        return mat.scale(I_OVER_HBAR)
-
     # identity 1:  {S1²−S2², S1S2} − {S2S3, S3S1} = −(S.S)·S3 ≡ −s² S3
     lhs_cl = bracket_raw(s[0] * s[0] - s[1] * s[1], s[0] * s[1]) - \
         bracket_raw(s[1] * s[2], s[2] * s[0])
@@ -551,9 +548,9 @@ def sphere_certificate(j):
     cl_ok = (lhs_cl - expect_cl).is_zero()
     canon = SphereElement.canonicalize(lhs_cl)
     canon_expected = SphereElement.canonicalize(s[2]).scale(-s2)
-    m1 = ih(Q(s[0] * s[0]).commutator(Q(s[0] * s[1]))) - \
-        ih(Q(s[1] * s[1]).commutator(Q(s[0] * s[1]))) - \
-        ih(Q(s[1] * s[2]).commutator(Q(s[2] * s[0])))
+    m1 = Q(s[0] * s[0]).ih_commutator(Q(s[0] * s[1])) - \
+        Q(s[1] * s[1]).ih_commutator(Q(s[0] * s[1])) - \
+        Q(s[1] * s[2]).ih_commutator(Q(s[2] * s[0]))
     q3mat = Q(s[2])
     lam1 = _entrywise_ratio(m1, q3mat)
     if lam1 is None:
@@ -596,10 +593,10 @@ def sphere_certificate(j):
     canon2_expected = SphereElement.canonicalize(s[1] * s[2]).scale(
         Scalar.from_rational(2) * s2)
     cl2_ok = canon2 == canon2_expected
-    q_inner1 = ih(Q(s[0] * s[1]).commutator(Q(s[0] * s[2])))
-    q_inner2 = ih(Q(s[0] * s[0]).commutator(Q(s[1] * s[2])))
-    m2 = ih(Q(s[1] * s[1]).commutator(q_inner1)) - \
-        ih(Q(s[0] * s[0]).commutator(q_inner2)).scale(Scalar.from_rational(3, 4))
+    q_inner1 = Q(s[0] * s[1]).ih_commutator(Q(s[0] * s[2]))
+    q_inner2 = Q(s[0] * s[0]).ih_commutator(Q(s[1] * s[2]))
+    m2 = Q(s[1] * s[1]).ih_commutator(q_inner1) - \
+        Q(s[0] * s[0]).ih_commutator(q_inner2).scale(Scalar.from_rational(3, 4))
     base2 = Q(s[1] * s[2])          # equals (a/2)(Q2Q3 + Q3Q2)
     lam2 = _entrywise_ratio(m2, base2)
     if lam2 is None:
@@ -653,7 +650,7 @@ def position_nonextension_certificate():
     p2_main = weyl_product(P, P)
     # residual of  2(P² + τ) − (i/ħ)[P² + τ, Q(qp)]  must vanish
     lhs_op = p2_main.scale(Scalar.from_rational(2))
-    rhs_op = weyl_commutator(p2_main, weyl_map(_flat_mono(1, 1))).scale(I_OVER_HBAR)
+    rhs_op = p2_main.ih_commutator(weyl_map(_flat_mono(1, 1)))
     resid_noT = lhs_op - rhs_op
     # τ enters as 2τ − (i/ħ)[τI, Q(qp)] = 2τ ⇒ τ = −(residual without T)/2
     tau_coeff = Scalar.from_rational(2)

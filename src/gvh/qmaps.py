@@ -275,11 +275,8 @@ def check_q1(qmap, f, g):
     qmap.ensure_domain(g, "g")
     br = qmap.bracket(f, g)
     qmap.ensure_domain(br, "{f,g}")
-    qf = qmap(f)
-    qg = qmap(g)
-    qbr = qmap(br)
-    comm = qf.commutator(qg)
-    return qbr - comm.scale(S_I / HBAR)
+    qf, qg = qmap(f), qmap(g)
+    return qmap(br) - qf.ih_commutator(qg)
 
 
 def check_q2(qmap, unit, identity_op):

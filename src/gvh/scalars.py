@@ -674,4 +674,5 @@ C_SYM = Scalar.param("c")
 B_SYM = Scalar.param("b")
 PI = Scalar.param("pi")
 TWO_PI = Scalar.from_int(2) * PI
+I_OVER_HBAR = S_I / HBAR
 

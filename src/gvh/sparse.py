@@ -6,12 +6,12 @@ the torus coefficients and shift-differential operators built on them are
 each a `TermMap`: one dict `terms` plus the context slots that say where the
 sum lives (its variables, degrees of freedom, dimension or symplectic
 scale).  The base class holds their vector-space structure, the scalar
-action, equality, hashing, the commutator, and the dispatch of `*` between
-the scalar action and the class's own product `_product`.  A subclass adds
-its constructors, that product, calculus and printing; `monoid_product` is
-the product of every map whose keys multiply by adding componentwise
-(monomials and Fourier modes).  The rows of `linalg` use the same helpers on
-bare dicts.
+action, equality, hashing, the commutator and its (i/ħ) multiple, and the
+dispatch of `*` between the scalar action and the class's own product
+`_product`.  A subclass adds its constructors, that product, calculus and
+printing; `monoid_product` is the product of every map whose keys multiply
+by adding componentwise (monomials and Fourier modes).  The rows of
+`linalg` use the same helpers on bare dicts.
 
 A map never holds a zero coefficient, so two maps are equal exactly when the
 sums they stand for are equal.  Coefficients are exact (they answer
@@ -146,6 +146,11 @@ class TermMap:
 
     def commutator(self, other):
         return self * other - other * self
+
+    def ih_commutator(self, other):
+        """(i/ħ)[self, other], the operator side of the rule (Q1)."""
+        from .scalars import I_OVER_HBAR
+        return self.commutator(other).scale(I_OVER_HBAR)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.terms == other.terms \

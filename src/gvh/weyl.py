@@ -6,6 +6,13 @@ rewrites P^m X^n per index via
     P^m X^n = Σ_t C(m,t) C(n,t) t! (−iħ)^t X^{n−t} P^{m−t},
 
 whose m = n = 1 case is PX = XP − iħ.
+
+The (i/ħ)-commutator of two words is a polynomial in ħ (the Moyal
+bracket): the t = 0 terms of AB and BA are one word of weight 1 and cancel,
+and (i/ħ)(−iħ)^|t| = (−iħ)^(|t|−1) for every other t.  `word_bracket`
+caches those polynomial weights per ordered pair of words, beside
+`word_product`'s cache and bounded by the same `WORD_CACHE_SIZE`, so an
+(i/ħ)-bracket of polynomial coefficients never forms a ratio in ħ.
 """
 
 from __future__ import annotations
@@ -82,6 +89,10 @@ class WeylElement(TermMap):
     def _product(self, other):
         return weyl_product(self, other)
 
+    def ih_commutator(self, other):
+        """(i/ħ)[self, other] from the cached word brackets."""
+        return _expand(self, other, word_bracket)
+
     def __str__(self):
         if not self.terms:
             return "0"
@@ -109,45 +120,83 @@ def _reorder_coeff(m, g, t):
 
 
 def contractions(beta, gamma):
-    """Pairs (t, Π_k C(β_k,t_k) C(γ_k,t_k) t_k!) for every t ≤ min(β, γ).
+    """Pairs (t, Π_k C(β_k,t_k) C(γ_k,t_k) t_k!) for every t ≤ min(β, γ), t
+    in `itertools.product` order.
 
-    These are the terms of reordering P^β X^γ, and of Weyl-ordering q^γ p^β."""
-    return [(t, math.prod(map(_reorder_coeff, beta, gamma, t)))
-            for t in itertools.product(*[range(min(b, g) + 1)
-                                         for b, g in zip(beta, gamma)])]
+    These are the terms of reordering P^β X^γ, and of Weyl-ordering q^γ p^β.
+    Only the indices with min(β_k, γ_k) > 0 vary, so the work follows them
+    rather than the number of generators."""
+    active = [k for k, (b, g) in enumerate(zip(beta, gamma)) if b and g]
+    out = []
+    t = [0] * len(beta)
+    for ts in itertools.product(*[range(min(beta[k], gamma[k]) + 1)
+                                  for k in active]):
+        num = 1
+        for k, s in zip(active, ts):
+            t[k] = s
+            num *= _reorder_coeff(beta[k], gamma[k], s)
+        out.append((tuple(t), num))
+    return out
 
 
 # Structure constants of the algebra, cached per ordered pair of words for the
-# life of the process.  verify r2n asks for 94 distinct pairs and
-# vonneumann_rules_flat(6) for 210.  Keys and results hold 2n-tuples, so the
-# bound keeps a long session at large n from growing without limit.
+# life of the process, products and (i/ħ)-brackets in one LRU each.  Keys and
+# results hold 2n-tuples, so the bound keeps a long session at large n from
+# growing without limit.
 WORD_CACHE_SIZE = 512
+
+
+def _reordered_words(ea, eb, n):
+    """(exps, |t|, Π_k C(β_k,t_k) C(γ_k,t_k) t_k!) for the terms of
+    X^α P^β · X^γ P^δ, ea = α + β and eb = γ + δ, in the order
+    `contractions` lists t."""
+    beta, gamma = ea[n:], eb[:n]
+    for t, num in contractions(beta, gamma):
+        yield (tuple(ea[k] + gamma[k] - t[k] for k in range(n))
+               + tuple(beta[k] + eb[n + k] - t[k] for k in range(n)),
+               sum(t), num)
 
 
 @functools.lru_cache(maxsize=WORD_CACHE_SIZE)
 def word_product(ea, eb, n):
-    """X^α P^β · X^γ P^δ in normal order, for ea = α + β and eb = γ + δ: the
-    pairs (exps, (−iħ)^|t| Π_k C(β_k,t_k) C(γ_k,t_k) t_k!) in the order
-    `contractions` lists t."""
-    beta, gamma = ea[n:], eb[:n]
-    return tuple(
-        (tuple(ea[k] + gamma[k] - t[k] for k in range(n))
-         + tuple(beta[k] + eb[n + k] - t[k] for k in range(n)),
-         (_MINUS_IH ** sum(t)) * num)
-        for t, num in contractions(beta, gamma))
+    """X^α P^β · X^γ P^δ in normal order: the pairs (exps, (−iħ)^|t| times
+    the integer) of `_reordered_words`."""
+    return tuple((exps, (_MINUS_IH ** k) * num)
+                 for exps, k, num in _reordered_words(ea, eb, n))
 
 
-def weyl_product(A, B):
-    """Product in the Weyl algebra, returned in normal-ordered form."""
+@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
+def word_bracket(ea, eb, n):
+    """(i/ħ)[X^α P^β, X^γ P^δ] as pairs (exps, polynomial weight): the terms
+    of both orders but t = 0, weighted (−iħ)^(|t|−1) times the difference
+    of the two orders' integers; a word whose difference is 0 is left out."""
+    sums = {}
+    for sign, a, b in ((1, ea, eb), (-1, eb, ea)):
+        for exps, k, num in _reordered_words(a, b, n):
+            if k:
+                w = sums.setdefault(exps, [k, 0])
+                w[1] += sign * num
+    return tuple((exps, (_MINUS_IH ** (k - 1)) * num)
+                 for exps, (k, num) in sums.items() if num)
+
+
+def _expand(A, B, table):
+    """Σ ca·cb·w over the terms of A and B and the pairs (exps, w) that
+    table(ea, eb, n) gives for their words."""
     A._check(B)
     n = A.n
     out = {}
     for ea, ca in A.terms.items():
         for eb, cb in B.terms.items():
             base = ca * cb
-            for exps, w in word_product(ea, eb, n):
+            for exps, w in table(ea, eb, n):
                 accumulate(out, exps, base * w)
     return A._new(out)
+
+
+def weyl_product(A, B):
+    """Product in the Weyl algebra, returned in normal-ordered form."""
+    return _expand(A, B, word_product)
 
 
 def weyl_commutator(A, B):

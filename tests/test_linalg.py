@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import sympy
 
-from gvh.linalg import nullspace, rank, rref, solve_affine
+from gvh.linalg import Echelon, nullspace, rank, rref, solve_affine
 from gvh.scalars import HBAR, S_I, S_ONE, S_ZERO, Scalar
 
 RNG = random.Random(2)
@@ -139,6 +139,36 @@ def test_row_order_does_not_change_results():
         assert rref(_sparse(rows), nc) == rref(_sparse(shuffled), nc)
         assert solve_affine(_sparse(rows), rhs, nc) == \
             solve_affine(_sparse(shuffled), [rhs[i] for i in order], nc)
+
+
+def test_reduce_looks_up_only_the_rows_at_its_pivots():
+    # one pass over the incoming row's pivot columns, not a scan of the rank:
+    # every stored row the echelon hands out of its lists and maps is counted
+    ech = Echelon()
+    for i in range(200):
+        ech.add({i: S_ONE, 200: Scalar.from_int(i)})
+    reads = []
+
+    class Rows(list):
+        def __iter__(self):
+            for item in list.__iter__(self):
+                reads.append(item)
+                yield item
+
+    class Map(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return dict.__getitem__(self, key)
+
+        def get(self, key, default=None):
+            reads.append(key)
+            return dict.get(self, key, default)
+
+    for name, value in list(vars(ech).items()):
+        if type(value) in (list, dict):
+            setattr(ech, name, (Rows if type(value) is list else Map)(value))
+    assert ech.reduce({7: S_ONE}) == {200: Scalar.from_int(-7)}
+    assert len(reads) <= 2
 
 
 def test_explicit_zero_entries_are_ignored():

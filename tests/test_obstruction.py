@@ -251,12 +251,12 @@ def test_vonneumann_joint_solve_matches_one_target_solves(e):
 
 
 def test_vonneumann_rules_compute_each_commutator_once_per_stage(monkeypatch):
-    # one problem per degree, one shared stage-1 basis and a commutator memo
-    # per stage; work repeated per target or per constraint shows here
-    from gvh import obstruction, sparse
+    # one problem per degree, one shared stage-1 basis and an (i/ħ)-commutator
+    # memo per stage; work repeated per target or per constraint shows here
+    from gvh import obstruction
 
     counts = {"commutator": 0, "solve": 0, "solve_affine": 0}
-    commutator, solve = sparse.TermMap.commutator, obstruction.extension_solve
+    commutator, solve = WeylElement.ih_commutator, obstruction.extension_solve
     solve_affine = obstruction.solve_affine
 
     def counting_commutator(self, other):
@@ -271,12 +271,49 @@ def test_vonneumann_rules_compute_each_commutator_once_per_stage(monkeypatch):
         counts["solve_affine"] += 1
         return solve_affine(*args)
 
-    monkeypatch.setattr(sparse.TermMap, "commutator", counting_commutator)
+    monkeypatch.setattr(WeylElement, "ih_commutator", counting_commutator)
     monkeypatch.setattr(obstruction, "extension_solve", counting_solve)
     monkeypatch.setattr(obstruction, "solve_affine", counting_solve_affine)
     vonneumann_rules_flat(6)
     # one affine solve per stage: two for the quadratics, one per degree 3..6
     assert counts == {"commutator": 282, "solve": 5, "solve_affine": 6}
+
+
+def test_vonneumann_rules_form_few_rational_functions(monkeypatch):
+    # the (i/ħ)-brackets of Weyl words are polynomials in ħ, so the stages'
+    # rows hold polynomials: a ratio in ħ formed per bracket coefficient and
+    # reduced by a gcd would make over a thousand reductions here
+    from gvh import scalars
+
+    calls = []
+    reduce = scalars._reduce
+
+    def counting(num, den):
+        calls.append(den)
+        return reduce(num, den)
+
+    monkeypatch.setattr(scalars, "_reduce", counting)
+    vonneumann_rules_flat(6)
+    assert len(calls) < 500
+
+
+def test_verify_r2n_builds_the_groenewold_certificate_once(monkeypatch, capsys):
+    # verify r2n asks for it directly and through the position certificate
+    from gvh import obstruction
+    from gvh.cli import main
+
+    degrees = []
+    rules = obstruction.vonneumann_rules_flat
+
+    def counting(degree):
+        degrees.append(degree)
+        return rules(degree)
+
+    groenewold_certificate.cache_clear()
+    monkeypatch.setattr(obstruction, "vonneumann_rules_flat", counting)
+    assert main(["verify", "r2n"]) == 0
+    capsys.readouterr()
+    assert degrees == [3]
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ import pytest
 
 from algebra_props import check_weyl_associativity, random_weyl, weyl_action
 from gvh.poly import monomials_upto
-from gvh.scalars import HBAR, S_I, S_ONE, Scalar
+from gvh.scalars import HBAR, PP_ONE, S_I, S_ONE, Scalar
 from gvh.subspace import WeylAmbient
 from gvh.weyl import (WORD_CACHE_SIZE, WeylElement, anticommutator,
                       contractions, symmetrized, weyl_commutant,
                       weyl_commutator, weyl_product, weyl_words_upto,
-                      word_product)
+                      word_bracket, word_product)
 
 RNG = random.Random(6)
 
@@ -131,6 +131,25 @@ def test_contractions_match_direct_enumeration():
         assert contractions(beta, gamma) == want
 
 
+def test_contractions_follow_the_active_indices():
+    # n = 50 with three indices where both β and γ are nonzero, and others
+    # where one of them is: the direct enumeration runs over every index
+    rng = random.Random(19)
+    n = 50
+    for _ in range(10):
+        beta, gamma = [0] * n, [0] * n
+        for k in rng.sample(range(n), 9):
+            beta[k] = rng.randint(1, 3)
+        for k in rng.sample([k for k in range(n) if beta[k]], 3) \
+                + rng.sample([k for k in range(n) if not beta[k]], 3):
+            gamma[k] = rng.randint(1, 3)
+        want = [(t, math.prod(math.comb(b, s) * math.comb(g, s) * math.factorial(s)
+                              for s, b, g in zip(t, beta, gamma)))
+                for t in itertools.product(*[range(min(b, g) + 1)
+                                             for b, g in zip(beta, gamma)])]
+        assert contractions(tuple(beta), tuple(gamma)) == want
+
+
 def _random_hbar_weyl(rng, n, deg):
     """Multi-term element with coefficients in Q(i)[ħ]."""
     return (random_weyl(rng, n, deg, terms=3)
@@ -171,4 +190,53 @@ def test_cold_and_warm_products_agree_with_operator_composition(n, deg):
         assert list(warm.terms.items()) == list(cold.terms.items())
         got = weyl_action(sympy, cold, qs, f, hb)
         want = weyl_action(sympy, a, qs, weyl_action(sympy, b, qs, f, hb), hb)
+        assert (got - want).is_zero, (a, b)
+
+
+def _ih_difference(a, b, n):
+    """(i/ħ)(word_product(a, b) − word_product(b, a)) as a term map."""
+    ab, ba = (WeylElement(n, dict(word_product(*w, n))) for w in ((a, b), (b, a)))
+    return (ab - ba).scale(S_I / HBAR).terms
+
+
+@pytest.mark.parametrize("n, deg", [(1, 3), (2, 3), (3, 2)])
+def test_word_bracket_is_the_ih_commutator_of_word_products(n, deg):
+    # every pair of words at n = 1, random pairs at n = 2 and 3; the weights
+    # are polynomials in ħ, so their denominator is the unit one
+    words = monomials_upto(2 * n, deg)
+    rng = random.Random(20 + n)
+    pairs = itertools.product(words, repeat=2) if n == 1 else \
+        [(rng.choice(words), rng.choice(words)) for _ in range(60)]
+    for a, b in pairs:
+        got = word_bracket(a, b, n)
+        assert dict(got) == _ih_difference(a, b, n) and len(dict(got)) == len(got)
+        assert all(w.den is PP_ONE for _, w in got)
+
+
+@pytest.mark.parametrize("n, deg", [(1, 3), (2, 2)])
+def test_cold_and_warm_ih_commutators_agree_with_operator_composition(n, deg):
+    sympy = pytest.importorskip("sympy")
+    hb = sympy.Symbol("hbar", positive=True)
+    qs = sympy.symbols("q1:%d" % (n + 1))
+    f = sympy.Poly(sum(sympy.Symbol("c%s" % (g,))
+                       * sympy.Mul(*[q ** k for q, k in zip(qs, g)])
+                       for g in itertools.product(range(2 * deg + 1), repeat=n)),
+                   *qs)
+    rng = random.Random(23 + n)
+    for _ in range(4):
+        a, b = _random_hbar_weyl(rng, n, deg), _random_hbar_weyl(rng, n, deg)
+        # a coefficient that is not a polynomial in ħ takes the same path
+        rational = a + random_weyl(rng, n, deg, terms=1).scale(S_ONE / (HBAR + 1))
+        for x, y in ((a, b), (rational, b), (b, rational)):
+            want = weyl_commutator(x, y).scale(S_I / HBAR)
+            word_bracket.cache_clear()
+            assert x.ih_commutator(y) == want
+            assert word_bracket.cache_info().misses > 0
+            hits = word_bracket.cache_info().hits
+            assert x.ih_commutator(y) == want
+            assert word_bracket.cache_info().hits > hits
+        # ħ·(i/ħ)[A, B]f = i(A(Bf) − B(Af))
+        got = weyl_action(sympy, a.ih_commutator(b), qs, f, hb) * hb
+        want = (weyl_action(sympy, a, qs, weyl_action(sympy, b, qs, f, hb), hb)
+                - weyl_action(sympy, b, qs, weyl_action(sympy, a, qs, f, hb), hb)) * sympy.I
         assert (got - want).is_zero, (a, b)

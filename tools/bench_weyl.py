@@ -1,23 +1,31 @@
-"""Time the Weyl-algebra work of the r2n workload: `vonneumann_rules_flat(6)`
-and `gvh verify r2n`, each in a fresh interpreter.
+"""Time the exact solves of the r2n workload, `vonneumann_rules_flat(6)` and
+`(8)` and `gvh verify r2n`, each sample in a fresh interpreter, for one or
+more source trees at once.
 
-    python3 tools/bench_weyl.py [--src DIR] [--label NAME] [--out FILE]
+    python3 tools/bench_weyl.py [LABEL=SRC ...] [--out FILE]
 
-`weyl.word_product` caches the normal-ordered product of each pair of words
-for the life of a process, so every sample runs in a new interpreter: the
-child imports gvh untimed, then times one call (for `verify r2n`,
-`cli.main(["verify", "r2n"])` with stdout discarded), and reports its wall
-and CPU time, its numbers of `TermMap.commutator` and
-`obstruction.solve_affine` calls (counted by wrappers the child installs)
-and, where the tree has the cache, its hits and misses.  The cases
-alternate, SAMPLES times each, and the script reports the median and
-quartiles per case.  The children import numpy (through gvh) with one BLAS
-thread, as in `perfbench/run.py`.
+Each LABEL=SRC names a `src` tree to import gvh from (default: this
+checkout's, as `change`), so one copy of the script compares two checkouts:
+`parent=../parent/src change=src`.  The Weyl word caches live for the life of
+a process, so every sample runs in a new interpreter: the child imports gvh
+untimed, then times one call (for `verify r2n`, `cli.main(["verify", "r2n"])`
+with stdout discarded).  It reports its wall and CPU time and counts, through
+wrappers it installs:
 
-`--src` selects the `src` tree to import gvh from (default: this
-checkout's), so one copy of the script can time another checkout.  With
-`--out`, the run is stored in FILE under `--label`, keeping the runs stored
-under other labels; without it the run is printed.
+- `commutators`: calls of the (i/ħ)-commutator entry point `ih_commutator`
+  (of `TermMap.commutator` in a tree without it);
+- `solve_affine`: calls of `obstruction.solve_affine`;
+- `reductions`: calls of `scalars._reduce`, each a gcd reduction of a ratio;
+- `row_lookups`: stored rows that `linalg.Echelon.reduce` reads out of the
+  echelon's row list or pivot map;
+- `caches`: hits and misses of `weyl.word_product` and `weyl.word_bracket`.
+
+Every round runs each case once per tree, the trees in turn and the first
+tree alternating between rounds, SAMPLES rounds in all; the script reports
+the median and quartiles per tree and case.  The children import numpy
+(through gvh) with one BLAS thread, as in `perfbench/run.py`.  With `--out`,
+each tree's run is stored in FILE under its label, keeping the runs stored
+under other labels; without it the runs are printed.
 """
 
 from __future__ import annotations
@@ -35,33 +43,72 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
-CASES = ("vonneumann_rules_flat(6)", "gvh verify r2n")
+CASES = ("vonneumann_rules_flat(6)", "vonneumann_rules_flat(8)", "gvh verify r2n")
 SAMPLES = 15
 
 CHILD = r"""
 import contextlib, json, os, sys, time
 sys.path.insert(0, sys.argv[1])
-from gvh import obstruction, sparse, weyl
+from gvh import linalg, obstruction, scalars, sparse, weyl
 from gvh.cli import main
 
-commutators = solves = 0
-commutator, solve_affine = sparse.TermMap.commutator, obstruction.solve_affine
+counts = dict.fromkeys(("commutators", "solve_affine", "reductions",
+                        "row_lookups"), 0)
 
 
-def counting(self, other):
-    global commutators
-    commutators += 1
-    return commutator(self, other)
+def counting(key, fn):
+    def wrapper(*args):
+        counts[key] += 1
+        return fn(*args)
+    return wrapper
 
 
-def counting_solve(*args):
-    global solves
-    solves += 1
-    return solve_affine(*args)
+entry = "ih_commutator" if hasattr(sparse.TermMap, "ih_commutator") else "commutator"
+for cls in (sparse.TermMap, weyl.WeylElement):
+    if entry in vars(cls):
+        setattr(cls, entry, counting("commutators", vars(cls)[entry]))
+obstruction.solve_affine = counting("solve_affine", obstruction.solve_affine)
+scalars._reduce = counting("reductions", scalars._reduce)
+
+in_reduce = [False]
 
 
-sparse.TermMap.commutator = counting
-obstruction.solve_affine = counting_solve
+class Rows(list):
+    def __iter__(self):
+        for item in list.__iter__(self):
+            counts["row_lookups"] += in_reduce[0]
+            yield item
+
+
+class Map(dict):
+    def __getitem__(self, key):
+        counts["row_lookups"] += in_reduce[0]
+        return dict.__getitem__(self, key)
+
+    def get(self, key, default=None):
+        counts["row_lookups"] += in_reduce[0]
+        return dict.get(self, key, default)
+
+
+init, reduce = linalg.Echelon.__init__, linalg.Echelon.reduce
+
+
+def counting_init(self, *args):
+    init(self, *args)
+    for name, value in list(vars(self).items()):
+        if type(value) in (list, dict):
+            setattr(self, name, (Rows if type(value) is list else Map)(value))
+
+
+def counting_reduce(self, coords):
+    in_reduce[0] = True
+    try:
+        return reduce(self, coords)
+    finally:
+        in_reduce[0] = False
+
+
+linalg.Echelon.__init__, linalg.Echelon.reduce = counting_init, counting_reduce
 
 wall, cpu = time.perf_counter(), time.process_time()
 if sys.argv[2] == "gvh verify r2n":
@@ -69,14 +116,18 @@ if sys.argv[2] == "gvh verify r2n":
         code = main(["verify", "r2n"])
     assert code == 0, code
 else:
-    obstruction.vonneumann_rules_flat(6)
+    obstruction.vonneumann_rules_flat(int(sys.argv[2].strip("vonneumann_rules_flat()")))
 wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
-cache = getattr(weyl, "word_product", None)
-info = cache and cache.cache_info()
-print(json.dumps({"wall_s": wall, "cpu_s": cpu, "commutators": commutators,
-                  "solve_affine": solves,
-                  "cache": info and {"hits": info.hits, "misses": info.misses}}))
+caches = {}
+for name in ("word_product", "word_bracket"):
+    cache = getattr(weyl, name, None)
+    if cache is not None:
+        info = cache.cache_info()
+        caches[name] = {"hits": info.hits, "misses": info.misses}
+print(json.dumps({"wall_s": wall, "cpu_s": cpu, "caches": caches, **counts}))
 """
+
+COUNTS = ("commutators", "solve_affine", "reductions", "row_lookups", "caches")
 
 
 def _quartiles(xs):
@@ -84,50 +135,57 @@ def _quartiles(xs):
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def bench(src):
-    samples = {case: [] for case in CASES}
-    for _ in range(SAMPLES):
+def bench(trees):
+    samples = {(label, case): [] for label in trees for case in CASES}
+    labels = list(trees)
+    for k in range(SAMPLES):
+        order = labels if k % 2 == 0 else labels[::-1]
         for case in CASES:
-            out = subprocess.run([sys.executable, "-c", CHILD, src, case],
-                                 check=True, capture_output=True, text=True)
-            samples[case].append(json.loads(out.stdout))
-    cases = []
-    for case, runs in samples.items():
-        wall = [r["wall_s"] for r in runs]
-        cpu = [r["cpu_s"] for r in runs]
-        counts = {json.dumps([r["cache"], r["commutators"], r["solve_affine"]])
-                  for r in runs}
+            for label in order:
+                out = subprocess.run([sys.executable, "-c", CHILD, trees[label], case],
+                                     check=True, capture_output=True, text=True)
+                samples[(label, case)].append(json.loads(out.stdout))
+    runs = {}
+    for (label, case), recs in samples.items():
+        counts = {json.dumps([r[k] for k in COUNTS]) for r in recs}
         assert len(counts) == 1, counts
-        cases.append({"case": case, "wall_s": _quartiles(wall),
-                      "cpu_s": _quartiles(cpu), "cache": runs[0]["cache"],
-                      "commutators": runs[0]["commutators"],
-                      "solve_affine": runs[0]["solve_affine"], "samples": wall})
-        print("%s: %.4f s median wall of %d, %d commutators, %d solve_affine, "
-              "cache %s" % (case, cases[-1]["wall_s"]["median"], SAMPLES,
-                            runs[0]["commutators"], runs[0]["solve_affine"],
-                            runs[0]["cache"]),
-              file=sys.stderr)
-    return cases
+        wall = [r["wall_s"] for r in recs]
+        entry = {"case": case, "wall_s": _quartiles(wall),
+                 "cpu_s": _quartiles([r["cpu_s"] for r in recs]),
+                 **{k: recs[0][k] for k in COUNTS}, "samples": wall}
+        runs.setdefault(label, []).append(entry)
+        print("%s %s: %.4f s median wall of %d, %d commutators, %d reductions, "
+              "%d row lookups" % (label, case, entry["wall_s"]["median"], SAMPLES,
+                                  entry["commutators"], entry["reductions"],
+                                  entry["row_lookups"]), file=sys.stderr)
+    return runs
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", default=str(ROOT / "src"))
-    ap.add_argument("--label", default="change")
+    ap.add_argument("trees", nargs="*", metavar="LABEL=SRC",
+                    default=["change=%s" % (ROOT / "src")])
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
-    run = {"samples": SAMPLES,
-           "machine": {"nproc": len(os.sched_getaffinity(0)),
-                       "processor": platform.processor() or platform.machine(),
-                       "python": platform.python_version()},
-           "cases": bench(str(Path(args.src).resolve()))}
+    trees = {}
+    for spec in args.trees:
+        label, sep, src = spec.partition("=")
+        if not sep or not label or label in trees:
+            ap.error("expected distinct LABEL=SRC pairs, got %r" % spec)
+        trees[label] = str(Path(src).resolve())
+    machine = {"nproc": len(os.sched_getaffinity(0)),
+               "processor": platform.processor() or platform.machine(),
+               "python": platform.python_version()}
+    runs = {label: {"samples": SAMPLES, "machine": machine, "alternated_with":
+                    sorted(set(trees) - {label}), "cases": cases}
+            for label, cases in bench(trees).items()}
     if args.out is None:
-        print(json.dumps(run, indent=1))
+        print(json.dumps(runs, indent=1))
         return 0
     out = Path(args.out)
-    runs = json.loads(out.read_text()) if out.exists() else {}
-    runs[args.label] = run
-    out.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
+    stored = json.loads(out.read_text()) if out.exists() else {}
+    stored.update(runs)
+    out.write_text(json.dumps(stored, indent=1, sort_keys=True) + "\n")
     return 0
 
 
