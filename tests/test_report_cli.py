@@ -426,7 +426,7 @@ def test_cli_rejects_torus_truncation_beyond_memory(capsys, monkeypatch):
 def test_cli_reports_internal_failures(capsys, monkeypatch, target, func, exc):
     def fail(*args, **kwargs):
         raise exc
-    groenewold_certificate.cache_clear()  # it caches what it built from the rules
+    groenewold_certificate.cache_clear()  # a cached one hides the patched rules
     monkeypatch.setattr("gvh.obstruction." + func, fail)
     code, out, err = run_cli(capsys, ["verify", target])
     assert code == 1 and out == ""

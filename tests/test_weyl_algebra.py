@@ -226,7 +226,8 @@ def test_cold_and_warm_ih_commutators_agree_with_operator_composition(n, deg):
     for _ in range(4):
         a, b = _random_hbar_weyl(rng, n, deg), _random_hbar_weyl(rng, n, deg)
         # a coefficient that is not a polynomial in ħ takes the same path
-        rational = a + random_weyl(rng, n, deg, terms=1).scale(S_ONE / (HBAR + 1))
+        rational = a + WeylElement.word(rng.choice(monomials_upto(2 * n, deg)),
+                                        S_ONE / (HBAR + 1), n)
         for x, y in ((a, b), (rational, b), (b, rational)):
             want = weyl_commutator(x, y).scale(S_I / HBAR)
             word_bracket.cache_clear()
