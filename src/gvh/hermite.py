@@ -132,10 +132,11 @@ class NumericMatrix:
     __repr__ = __str__
 
 
+@lru_cache(maxsize=32)
 def _gram_selftest(order, nmax, tol=1e-10):
     xs, wm = gauss_hermite_rule(order)
     h = hermite_values(xs, nmax)
-    gram = np.einsum("mi,i,ni->mn", h, wm, h)
+    gram = (h * wm) @ h.T
     err = float(np.max(np.abs(gram - np.eye(nmax))))
     if err > tol:
         raise QuadratureError(
@@ -149,8 +150,9 @@ def hermite_matrix(op, trunc, hbar, quad_order=None):
     its symbols evaluated at π and the numeric ħ.
 
     quad_order defaults to the 4N oversampling floor and may not go below it;
-    every call re-runs the orthonormality self-test on the rule it uses.
-    Terms are summed in key order, so the float sums have a fixed order.
+    the orthonormality self-test runs once per rule and size, each node table
+    once per call.  Terms are summed in key order, so the float sums have a
+    fixed order.
     """
     if not isinstance(op, DiffOp):
         raise TypeError("expected a DiffOp, got %r" % (op,))
@@ -169,13 +171,16 @@ def hermite_matrix(op, trunc, hbar, quad_order=None):
     selftest = _gram_selftest(quad_order, nprime)
     xs, wm = gauss_hermite_rule(quad_order)
     values = {"pi": math.pi, "hbar": hbar}
+    tables = {}
     total = np.zeros((N, N), dtype=complex)
     for (a, d, _), group in sorted(op.groups().items()):
         nk = N + d
         # centre the shift: x = u − a/2 recombines the Gaussian tails exactly
+        for s in (-a / 2.0, a / 2.0):
+            if s not in tables:
+                tables[s] = hermite_values(xs + s, nprime)
         x = xs - a / 2.0
-        hm = hermite_values(x, N)
-        hn = hermite_values(xs + a / 2.0, nk)
+        hm, hn = tables[-a / 2.0][:N], tables[a / 2.0][:nk]
         fv = 0j
         for (m, _, j), c in sorted(group):
             v = complex(c.evalf(values))
@@ -184,13 +189,10 @@ def hermite_matrix(op, trunc, hbar, quad_order=None):
             if m:
                 v = v * np.exp(1j * (2.0 * math.pi * m) * x)
             fv = fv + v
-        G = np.einsum("mi,i,ni->mn", hm, wm * fv, hn)
+        G = (hm * (wm * fv)) @ hn.T
         if d:
-            Dfull = derivative_band(nk)
-            Dp = np.linalg.matrix_power(Dfull, d)
-            total += G @ Dp[:, :N]
-        else:
-            total += G[:, :N]
+            G = G @ np.linalg.matrix_power(derivative_band(nk), d)[:, :N]
+        total += G
     return NumericMatrix(total, {
         "basis": "hermite",
         "trunc": N,
@@ -235,14 +237,12 @@ def _fold(blocks, image, phase, close):
 def _scatter(stack, rowid, h, cols, ti, tj, w):
     """Add w·K(h)E_{ti,tj} = w·(E_{ti,tj} h − h E_{ti,tj}) to the given
     columns: h[tj, b] lands at row (ti, b) and −h[a, ti] at row (a, tj).
-    Entries whose rowid is −1 are dropped.  Within one call every (row,
-    column) pair is distinct, so the buffered `+=` adds each once."""
-    idx = np.arange(h.shape[0])[None, :]
-    cc = np.broadcast_to(cols[:, None], (cols.size, idx.size))
-    for r, v in ((rowid[ti[:, None], idx], h[tj[:, None], idx]),
-                 (rowid[idx, tj[:, None]], -h[idx, ti[:, None]])):
-        sel = r >= 0
-        stack[r[sel], cc[sel]] += (w[:, None] * v)[sel]
+    Rowid −1 is the scratch last row; any other (row, column) pair occurs
+    once per call, as buffered updates need."""
+    idx, cc, w = np.arange(h.shape[0])[None, :], cols[:, None], w[:, None]
+    flat, n = stack.reshape(-1), stack.shape[1]
+    flat[rowid[ti[:, None], idx] * n + cc] += w * h[tj[:, None], idx]
+    flat[rowid[idx, tj[:, None]] * n + cc] -= w * h[idx, ti[:, None]]
 
 
 def _sector_stacks(graded, parity, mate, flip):
@@ -280,11 +280,11 @@ def _sector_stacks(graded, parity, mate, flip):
             mi, mj = np.divmod(mate[ci, cj][pair], M)
             keeps = [reps(p + q, s + t + flip) for _, (q, t) in graded]
             counts = [int(np.count_nonzero(k)) for k in keeps]
-            shape = (max(sum(counts), ci.size), ci.size)
-            check_memory(8 * shape[0] * shape[1], "the commutant stack of %d "
+            rows = max(sum(counts), ci.size)
+            check_memory(8 * rows * ci.size, "the commutant stack of %d "
                          "blocks at interior size %d" % (len(graded), M))
-            stack = np.zeros(shape)
-            rweight = np.ones(shape[0])
+            stack = np.zeros((rows + 1, ci.size))
+            rweight = np.ones(rows)
             cols = np.arange(ci.size)
             start = 0
             for (h, (_, t)), keep, count in zip(graded, keeps, counts):
@@ -297,6 +297,7 @@ def _sector_stacks(graded, parity, mate, flip):
                 _scatter(stack, rowid, h, cols[pair], mi, mj,
                          np.full(mi.size, (1 - 2 * s) * SQRT_HALF))
                 start += count
+            stack = stack[:-1]
             stack *= rweight[:, None]
             yield stack
 
@@ -349,8 +350,8 @@ def commutant_kernel_dim(mats, tol, interior=None):
     set √2 Re A₊, √2 Im A₊ and (B₊ + B₋)/√2 are symmetric and (B₊ − B₋)/√2
     antisymmetric, since B₋ = B₊ᵀ.  A set that is not τ-closed gets the
     trivial τ-grading: the identity involution, every block of grade 0,
-    every entry its own orbit, so each parity sector stays whole, built
-    exactly as before, and its antisymmetric half is empty.
+    every entry its own orbit, so each parity sector stays whole and its
+    antisymmetric half is empty.
     """
     arrs = [m.entries if isinstance(m, NumericMatrix) else np.asarray(m, dtype=complex)
             for m in mats]

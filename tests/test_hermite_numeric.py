@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gvh.diffop import DiffOp
-from gvh.hermite import (QuadratureError, commutant_kernel_dim,
+from gvh.hermite import (QuadratureError, _gram_selftest, commutant_kernel_dim,
                          derivative_band, gauss_hermite_rule, hermite_matrix,
                          hermite_values, position_tridiagonal)
 from gvh.qmaps import DEFAULT_TORUS_HBAR
@@ -86,6 +86,23 @@ def test_shift_operator():
         assert np.max(np.abs(m.entries - ref)) < 1e-9
 
 
+def test_shift_with_two_derivative_orders_matches_direct_quadrature():
+    # B₊-shaped: ψ ↦ 1.5·x·e^{2πix}·ψ(x + 1) + ħ·ψ′(x + 1), two groups at
+    # shift 1 (d = 0 and d = 1) that slice one node table at two row counts;
+    # ψ′ from the exact band h_n' = Σ_k D[k, n] h_k
+    N, hbar = 24, DEFAULT_TORUS_HBAR
+    op = _line_op(shift=1, m=1, j=1, c=Scalar.from_fraction(Fraction(3, 2))) \
+        + _line_op(shift=1, dorder=1, c=HBAR)
+    assert sorted(op.groups()) == [(1, 0, 0), (1, 1, 0)]
+    xs, ws = gauss_hermite_rule(200)
+    h = hermite_values(xs, N)
+    there = hermite_values(xs + 1, N + 1)
+    fv = 1.5 * xs * np.exp(2j * np.pi * xs)
+    ref = (h * ws * fv) @ there[:N].T \
+        + hbar * (h * ws) @ (derivative_band(N + 1)[:, :N].T @ there).T
+    assert np.max(np.abs(_matrix(op, N).entries - ref)) < 1e-9
+
+
 def test_line_symbol_evalf_shift_and_deriv():
     # multiplication by f(t) = 1.5 (t - 2)^2 e^{2 pi i t}, built as
     # S_{-2} M_{1.5 x^2} S_2 M_{e(1)} (S_a M_g = M_{g(x+a)} S_a), and by f',
@@ -134,6 +151,13 @@ def test_hermite_matrix_rejects_an_operator_in_y():
 def test_quadrature_failure_raises():
     with pytest.raises(QuadratureError):
         gauss_hermite_rule(768)
+
+
+def test_failed_selftest_raises_on_every_call():
+    # the self-test is cached per rule and size, but a failure is not
+    for _ in range(2):
+        with pytest.raises(QuadratureError, match="self-test failed"):
+            _gram_selftest(64, 16, tol=1e-300)
 
 
 def test_commutant_of_position_and_derivative():

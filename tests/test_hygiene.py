@@ -12,6 +12,8 @@ ast module (the repository carries no linter).
   obstruction.py, which imports hermite.py.
 - Only `linalg.Echelon` reads `sparse.sub_scaled`, the elimination step of
   sparse rows, so the engine keeps one elimination.
+- No module reads `einsum`: the Hermite quadrature sums are matrix
+  products, which run on BLAS.
 """
 
 import ast
@@ -77,13 +79,18 @@ def test_only_hermite_imports_numpy_at_load_time():
     assert loaders == ["hermite.py"]
 
 
-def _sub_scaled_readers(tree):
-    """Top-level definitions of a module (or "<module>") that read the name
-    sub_scaled, bare or as an attribute."""
+def _readers(tree, name):
+    """Top-level definitions of a module (or "<module>") that read `name`,
+    bare or as an attribute."""
     return {getattr(top, "name", "<module>") for top in tree.body
             for n in ast.walk(top)
-            if (isinstance(n, ast.Name) and n.id == "sub_scaled")
-            or (isinstance(n, ast.Attribute) and n.attr == "sub_scaled")}
+            if (isinstance(n, ast.Name) and n.id == name)
+            or (isinstance(n, ast.Attribute) and n.attr == name)}
+
+
+def _src_readers(name):
+    return {"%s:%s" % (p.name, top) for p in SRC.glob("*.py")
+            for top in _readers(ast.parse(p.read_text()), name)}
 
 
 def test_sub_scaled_scan_finds_every_reader():
@@ -91,10 +98,12 @@ def test_sub_scaled_scan_finds_every_reader():
                      "def f(r):\n    sub_scaled(r, 1, r)\n"
                      "class C:\n    step = sparse.sub_scaled\n"
                      "def g(r):\n    return r\n")
-    assert _sub_scaled_readers(tree) == {"f", "C"}
+    assert _readers(tree, "sub_scaled") == {"f", "C"}
 
 
 def test_only_the_echelon_eliminates():
-    readers = {"%s:%s" % (p.name, name) for p in SRC.glob("*.py")
-               for name in _sub_scaled_readers(ast.parse(p.read_text()))}
-    assert readers == {"linalg.py:Echelon"}
+    assert _src_readers("sub_scaled") == {"linalg.py:Echelon"}
+
+
+def test_no_module_calls_einsum():
+    assert _src_readers("einsum") == set()
