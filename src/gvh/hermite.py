@@ -52,11 +52,19 @@ def check_memory(nbytes, what):
                          "physical memory" % (what, nbytes / 2 ** 30, phys / 2 ** 30))
 
 
+# The largest order whose hermgauss nodes are finite (order 741 overflows).
+MAX_QUAD_ORDER = 740
+
+
 def check_quadrature_size(trunc, quad_order=None):
-    """Bound the Gauss–Hermite rule of order Q (4N by default): its Q×Q
-    companion matrix takes 8·Q² bytes."""
+    """Bound the Gauss–Hermite rule of order Q (4N by default) before its
+    O(Q³) eigensolve: its Q×Q companion matrix takes 8·Q² bytes, and its
+    nodes overflow above MAX_QUAD_ORDER."""
     order = 4 * trunc if quad_order is None else quad_order
     check_memory(8 * order * order, "the order-%d Gauss-Hermite rule" % order)
+    if order > MAX_QUAD_ORDER:
+        raise ValueError("the order-%d Gauss-Hermite rule exceeds %d, the largest "
+                         "order whose nodes are finite" % (order, MAX_QUAD_ORDER))
 
 
 def hermite_values(xs, nmax):

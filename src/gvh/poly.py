@@ -111,17 +111,6 @@ class MultiPoly(TermMap):
             total += v
         return total
 
-    def substitute_scalar(self, name, value):
-        """Substitute a Scalar for an entire variable (degree-preserving uses only)."""
-        idx = self.vars.index(name)
-        out = MultiPoly(self.vars, {})
-        for e, c in self.terms.items():
-            e2 = list(e)
-            k = e2[idx]
-            e2[idx] = 0
-            out = out + MultiPoly(self.vars, {tuple(e2): c * value ** k})
-        return out
-
     # -- printing --------------------------------------------------------------------
 
     def __str__(self):
@@ -169,7 +158,3 @@ def monomials_upto(nvars, bound):
     rec([], nvars, bound)
     out.sort(key=lambda e: (sum(e), e))
     return out
-
-
-def monomials_of_degree(nvars, d):
-    return [e for e in monomials_upto(nvars, d) if sum(e) == d]

@@ -277,8 +277,3 @@ def check_q1(qmap, f, g):
     qmap.ensure_domain(br, "{f,g}")
     qf, qg = qmap(f), qmap(g)
     return qmap(br) - qf.ih_commutator(qg)
-
-
-def check_q2(qmap, unit, identity_op):
-    """Residual Q(1) − I."""
-    return qmap(unit) - identity_op

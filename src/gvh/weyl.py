@@ -21,7 +21,6 @@ import functools
 import itertools
 import math
 
-from .poly import monomials_upto
 from .scalars import HBAR, S_I, S_ONE, S_ZERO, Scalar, as_scalar
 from .sparse import TermMap, accumulate, nonzero_terms
 
@@ -210,10 +209,6 @@ def anticommutator(A, B):
 def symmetrized(A, B):
     """½(AB + BA)."""
     return Scalar.from_rational(1, 2) * anticommutator(A, B)
-
-
-def weyl_words_upto(n, bound):
-    return [WeylElement.word(e, 1, n) for e in monomials_upto(2 * n, bound)]
 
 
 def weyl_commutant(gens, words, n=None):

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from gvh.diffop import DiffOp
-from gvh.hermite import (QuadratureError, _gram_selftest, commutant_kernel_dim,
-                         derivative_band, gauss_hermite_rule, hermite_matrix,
-                         hermite_values, position_tridiagonal)
+from gvh.hermite import (MAX_QUAD_ORDER, QuadratureError, _gram_selftest,
+                         commutant_kernel_dim, derivative_band, gauss_hermite_rule,
+                         hermite_matrix, hermite_values, position_tridiagonal)
 from gvh.qmaps import DEFAULT_TORUS_HBAR
 from gvh.scalars import HBAR, S_ONE, Scalar
 
@@ -151,6 +151,13 @@ def test_hermite_matrix_rejects_an_operator_in_y():
 def test_quadrature_failure_raises():
     with pytest.raises(QuadratureError):
         gauss_hermite_rule(768)
+
+
+def test_largest_allowed_quadrature_order_is_finite():
+    # check_quadrature_size admits orders up to MAX_QUAD_ORDER; a numpy whose
+    # hermgauss overflows sooner fails here
+    xs, wmod = gauss_hermite_rule(MAX_QUAD_ORDER)
+    assert np.all(np.isfinite(xs)) and np.all(np.isfinite(wmod))
 
 
 def test_failed_selftest_raises_on_every_call():

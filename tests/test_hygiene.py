@@ -14,12 +14,16 @@ ast module (the repository carries no linter).
   sparse rows, so the engine keeps one elimination.
 - No module reads `einsum`: the Hermite quadrature sums are matrix
   products, which run on BLAS.
+- No `tools/bench_*.py` defines `_quartiles`, imports `argparse` or sets a
+  `*_NUM_THREADS` variable: the command line, the statistics and the child
+  environment are `tools/benchtool.py`'s.
 """
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gvh"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gvh"
 
 
 def _unused_imports(tree):
@@ -107,3 +111,37 @@ def test_only_the_echelon_eliminates():
 
 def test_no_module_calls_einsum():
     assert _src_readers("einsum") == set()
+
+
+def _own_harness(tree):
+    """What a bench script does itself that the shared harness does."""
+    found = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.FunctionDef) and n.name == "_quartiles":
+            found.add("defines _quartiles")
+        elif isinstance(n, ast.Import) and any(a.name == "argparse" for a in n.names) \
+                or isinstance(n, ast.ImportFrom) and n.module == "argparse":
+            found.add("imports argparse")
+        elif any(isinstance(v, str) and v.endswith("_NUM_THREADS")
+                 for v in (getattr(n, "value", None), getattr(n, "arg", None))):
+            found.add("sets a *_NUM_THREADS variable")
+    return found
+
+
+def test_harness_scan_finds_each_duplicate():
+    tree = ast.parse("import argparse\nimport os\n"
+                     "def _quartiles(xs):\n    return xs\n"
+                     "env = dict(os.environ, OMP_NUM_THREADS='1')\n"
+                     "os.environ['MKL_NUM_THREADS'] = '1'\n")
+    assert _own_harness(tree) == {"defines _quartiles", "imports argparse",
+                                  "sets a *_NUM_THREADS variable"}
+    assert _own_harness(ast.parse("from argparse import ArgumentParser\n")) \
+        == {"imports argparse"}
+
+
+def test_bench_scripts_use_the_shared_harness():
+    scripts = sorted((ROOT / "tools").glob("bench_*.py"))
+    assert scripts
+    own = {"%s: %s" % (p.name, what) for p in scripts
+           for what in _own_harness(ast.parse(p.read_text()))}
+    assert own == set()

@@ -9,6 +9,7 @@ import pytest
 import sympy
 
 from gvh.flat import FlatElement, bracket_flat
+from gvh.hermite import MAX_QUAD_ORDER
 from gvh.matrices import spin_matrices
 from gvh.obstruction import (CONVENTION, BracketConstraint, ExtensionProblem,
                              _flat_problem, anticommutator_certificate,
@@ -534,7 +535,7 @@ def test_torus_quadrature_bound_checked_on_entry(monkeypatch):
 
 def test_torus_commutant_stack_bound_checked_on_entry(monkeypatch):
     _forbid_matrices(monkeypatch)
-    # quadrature order 12000 (about 1.2 GB) passes; the larger parity sector
-    # of the commutant stack, 8·1500⁴ bytes (about 40 TB), does not
+    # quadrature order MAX_QUAD_ORDER passes; the larger parity sector of the
+    # commutant stack, 8·1500⁴ bytes (about 40 TB), does not
     with pytest.raises(ValueError, match="commutant stack.*physical memory"):
-        torus_irreducibility(1, trunc=3000)
+        torus_irreducibility(1, trunc=3000, quad_order=MAX_QUAD_ORDER)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import sympy
 
-from gvh.poly import MultiPoly, monomials_of_degree, monomials_upto
+from gvh.poly import MultiPoly, monomials_upto
 from gvh.scalars import S_ONE, Scalar
 
 VARS = ("q1", "p1")
@@ -77,8 +77,6 @@ def test_monomial_counts():
         for bound in (0, 1, 2, 4):
             got = len(monomials_upto(nvars, bound))
             assert got == math.comb(nvars + bound, nvars)
-    assert len(monomials_of_degree(3, 2)) == 6
-    assert monomials_of_degree(2, 0) == [(0, 0)]
 
 
 def test_coeff_and_constant_term():
@@ -93,13 +91,6 @@ def test_evalf():
     f = MultiPoly.monomial(VARS, (2, 0)) + MultiPoly.monomial(VARS, (0, 1), Scalar.from_int(-2))
     val = f.evalf({"q1": 1.5, "p1": 0.25})
     assert abs(val - (1.5 ** 2 - 2 * 0.25)) < 1e-14
-
-
-def test_substitute_scalar():
-    # replace the variable q1 by the constant 2
-    f = MultiPoly.monomial(VARS, (1, 1))
-    g = f.substitute_scalar("q1", Scalar.from_int(2))
-    assert g == MultiPoly.monomial(VARS, (0, 1), Scalar.from_int(2))
 
 
 def test_power_starts_from_the_base():

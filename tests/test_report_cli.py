@@ -418,6 +418,17 @@ def test_cli_rejects_torus_truncation_beyond_memory(capsys, monkeypatch):
     assert err.startswith("error:") and "physical memory" in err
 
 
+@pytest.mark.parametrize("flags", [["--quad-order", "741"], ["--trunc", "186"]])
+def test_cli_rejects_overflowing_quadrature_before_the_eigensolve(capsys, monkeypatch,
+                                                                  flags):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Gauss-Hermite rule computed before the order bound")
+    monkeypatch.setattr("gvh.hermite.gauss_hermite_rule", refuse)
+    code, out, err = run_cli(capsys, ["verify", "torus", "--k", "1", *flags])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "exceeds 740, the largest order" in err
+
+
 @pytest.mark.parametrize("target, func, exc", [
     ("sphere", "sphere_certificate", RuntimeError("sphere invariant broken")),
     ("r2n", "vonneumann_rules_flat", RuntimeError("rule invariant broken")),

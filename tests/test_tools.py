@@ -1,0 +1,56 @@
+"""The shared harness of `tools/bench_*.py` (`tools/benchtool.py`): its
+command line, its statistics and its store.  No test starts a child."""
+
+import json
+import pathlib
+import sys
+
+import pytest
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
+
+import benchtool  # noqa: E402
+
+
+def test_default_tree_is_this_checkout():
+    trees, out = benchtool.parse_args("doc", [])
+    assert trees == {"change": str(benchtool.ROOT / "src")}
+    assert out is None
+
+
+def test_trees_keep_their_order_and_resolve(tmp_path):
+    trees, out = benchtool.parse_args(
+        "doc", ["parent=%s" % tmp_path, "change=src", "--out", "B.json"])
+    assert list(trees) == ["parent", "change"]
+    assert trees["parent"] == str(tmp_path)
+    assert pathlib.Path(trees["change"]).is_absolute()
+    assert out == "B.json"
+
+
+@pytest.mark.parametrize("specs", [["foo"], ["=src"], ["a="], ["a=/x", "a=/y"]])
+def test_bad_tree_specs_are_usage_errors(specs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        benchtool.parse_args("doc", specs)
+    assert exc.value.code == 2
+    assert "expected distinct LABEL=SRC pairs" in capsys.readouterr().err
+
+
+def test_quartiles():
+    assert benchtool.quartiles([3, 1, 2]) == {"median": 2, "q1": 1.5, "q3": 2.5}
+    assert benchtool.quartiles([4, 1, 3, 2, 5]) == {"median": 3, "q1": 2, "q3": 4}
+
+
+def test_store_keeps_the_labels_it_does_not_rewrite(tmp_path):
+    path = tmp_path / "BENCH.json"
+    benchtool.store({"parent": {"x": 1}, "change": {"x": 2}}, str(path))
+    benchtool.store({"change": {"x": 3}, "other": {"x": 4}}, str(path))
+    assert json.loads(path.read_text()) == {
+        "parent": {"x": 1}, "change": {"x": 3}, "other": {"x": 4}}
+
+
+def test_rounds_reverse_the_tree_order_every_round():
+    seen = []
+    runs = benchtool.rounds({"a": "A", "b": "B"}, ["x", "y"], 3,
+                            lambda src, case: seen.append(src + case) or len(seen))
+    assert seen == ["Ax", "Bx", "Ay", "By", "Bx", "Ax", "By", "Ay", "Ax", "Bx", "Ay", "By"]
+    assert runs == {"a": [[1, 6, 9], [3, 8, 11]], "b": [[2, 5, 10], [4, 7, 12]]}

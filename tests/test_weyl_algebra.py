@@ -12,8 +12,8 @@ from gvh.scalars import HBAR, PP_ONE, S_I, S_ONE, Scalar
 from gvh.subspace import WeylAmbient
 from gvh.weyl import (WORD_CACHE_SIZE, WeylElement, anticommutator,
                       contractions, symmetrized, weyl_commutant,
-                      weyl_commutator, weyl_product, weyl_words_upto,
-                      word_bracket, word_product)
+                      weyl_commutator, weyl_product, word_bracket,
+                      word_product)
 
 RNG = random.Random(6)
 
@@ -100,12 +100,6 @@ def test_commutant_of_x_alone():
     assert basis.dim() == 5
     for e in basis.elements():
         assert weyl_commutator(e, X).is_zero()
-
-
-def test_weyl_words_upto():
-    words = weyl_words_upto(1, 2)
-    assert len(words) == 6
-    assert sorted(w.degree() for w in words) == [0, 1, 1, 2, 2, 2]
 
 
 def test_ambient_coordinates_roundtrip():
