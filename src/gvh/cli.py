@@ -4,6 +4,12 @@ Verbs: bracket, generate, normalizer, transitivity, checkq1, verify.
 Targets: r2n (flat phase space), sphere, torus.  Output is a reproducible
 JSON or markdown report; exit status is 0 when every verdict matches the
 expected one, 2 when any certificate is undecided, 1 otherwise.
+
+Each verb's arguments are rows of the `_VERBS` table.  A well-formed command
+line (`verb target EXPR... [options]` or `verb target [options] EXPR...
+[options]`, every option spelled out) is read from the rows directly; every
+other one, help included, goes to the argparse parser built from the same
+rows, which alone writes help, usage and error messages.
 """
 
 from __future__ import annotations
@@ -250,69 +256,52 @@ def cmd_verify(args):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _common(sp, nexprs=0):
-    sp.add_argument("target", choices=TARGETS)
-    if nexprs:
-        sp.add_argument("exprs", nargs=nexprs, metavar="EXPR")
-    sp.add_argument("--n", type=int, default=1,
-                    help="flat degrees of freedom (default 1)")
-    sp.add_argument("--B", type=_rational, default=Scalar.from_int(1),
-                    help="torus symplectic scale (rational, default 1)")
-    sp.add_argument("--format", choices=("json", "markdown"),
-                    default="json")
+# option rows: (flag, dest, type, default, choices, help)
+_COMMON = (
+    ("--n", "n", int, 1, None, "flat degrees of freedom (default 1)"),
+    ("--B", "B", _rational, Scalar.from_int(1), None,
+     "torus symplectic scale (rational, default 1)"),
+    ("--format", "format", str, "json", ("json", "markdown"), None),
+)
+_SPAN = _COMMON + (
+    ("--degree-cap", "degree_cap", int, None, None,
+     "ambient degree cap (default: 4 flat, 3 sphere)"),
+    ("--freq-cap", "freq_cap", int, 3, None, "torus ambient frequency cap"),
+)
+_TRANSITIVITY = _COMMON + (
+    ("--degree-cap", "degree_cap", int, None, None, None),
+    ("--freq-cap", "freq_cap", int, 3, None, None),
+    ("--seed", "seed", int, 0, None, None),
+    ("--npoints", "npoints", int, 8, None, None),
+)
+_CHECKQ1 = _COMMON + (
+    ("--map", "map", str, None, sorted(_FLAT_MAPS),
+     "flat-target map (default vanhove)"),
+    ("--j", "j", _spin, fractions.Fraction(1), None,
+     "spin label for the sphere map"),
+)
+_VERIFY = _COMMON + (
+    ("--j", "j", _spin, fractions.Fraction(1), None, None),
+    ("--k", "k", int, 1, None, None),
+    ("--trunc", "trunc", int, None, None,
+     "Hermite truncation (default $GVH_TRUNC or 64)"),
+    ("--tol", "tol", float, 1e-6, None, None),
+    ("--quad-order", "quad_order", int, None, None, None),
+)
 
-
-def _bracket_args(sp):
-    _common(sp, nexprs=2)
-
-
-def _span_args(sp):
-    _common(sp, nexprs="+")
-    sp.add_argument("--degree-cap", type=int, default=None,
-                    help="ambient degree cap (default: 4 flat, 3 sphere)")
-    sp.add_argument("--freq-cap", type=int, default=3,
-                    help="torus ambient frequency cap")
-
-
-def _transitivity_args(sp):
-    _common(sp, nexprs="+")
-    sp.add_argument("--degree-cap", type=int, default=None)
-    sp.add_argument("--freq-cap", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--npoints", type=int, default=8)
-
-
-def _checkq1_args(sp):
-    _common(sp, nexprs=2)
-    sp.add_argument("--map", choices=sorted(_FLAT_MAPS),
-                    help="flat-target map (default vanhove)")
-    sp.add_argument("--j", type=_spin, default=fractions.Fraction(1),
-                    help="spin label for the sphere map")
-
-
-def _verify_args(sp):
-    _common(sp)
-    sp.add_argument("--j", type=_spin, default=fractions.Fraction(1))
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--trunc", type=int, default=None,
-                    help="Hermite truncation (default $GVH_TRUNC or 64)")
-    sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--quad-order", type=int, default=None)
-
-
-# verb -> (subcommand help, the function adding its arguments, its handler)
+# verb -> (subcommand help, number of EXPR positionals after the target:
+# 0, 2 or "+", option rows, handler)
 _VERBS = {
-    "bracket": ("Poisson bracket of two expressions", _bracket_args,
-                cmd_bracket),
-    "generate": ("generate of the generated Poisson subalgebra", _span_args,
+    "bracket": ("Poisson bracket of two expressions", 2, _COMMON, cmd_bracket),
+    "generate": ("generate of the generated Poisson subalgebra", "+", _SPAN,
                  cmd_generate),
-    "normalizer": ("normalizer of the generated Poisson subalgebra",
-                   _span_args, cmd_normalizer),
-    "transitivity": ("sampled Hamiltonian-field rank check",
-                     _transitivity_args, cmd_transitivity),
-    "checkq1": ("bracket-to-commutator residual of a map", _checkq1_args,
+    "normalizer": ("normalizer of the generated Poisson subalgebra", "+",
+                   _SPAN, cmd_normalizer),
+    "transitivity": ("sampled Hamiltonian-field rank check", "+",
+                     _TRANSITIVITY, cmd_transitivity),
+    "checkq1": ("bracket-to-commutator residual of a map", 2, _CHECKQ1,
                 cmd_checkq1),
-    "verify": ("replay the certificate chain for a target", _verify_args,
+    "verify": ("replay the certificate chain for a target", 0, _VERIFY,
                cmd_verify),
 }
 
@@ -331,25 +320,68 @@ def _build_parser(verb=None):
         description="Exact verification of quantization obstruction results "
                     "on flat phase space, the sphere, and the torus.")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for name, (help_text, add_args, _) in _VERBS.items():
+    for name, (help_text, nexprs, options, _) in _VERBS.items():
         sp = sub.add_parser(name, help=help_text)
         if verb is None or verb == name:
-            add_args(sp)
+            sp.add_argument("target", choices=TARGETS)
+            if nexprs:
+                sp.add_argument("exprs", nargs=nexprs, metavar="EXPR")
+            for flag, dest, type_, default, choices, help_ in options:
+                sp.add_argument(flag, dest=dest, type=type_, default=default,
+                                choices=choices, help=help_)
     return parser
+
+
+def _parse_args(argv):
+    """The namespace `_build_parser().parse_args(argv)` returns, read from
+    the `_VERBS` rows, when argv is well formed (module docstring) and every
+    value converts and lies in its choices; None otherwise: help, an unknown,
+    abbreviated or --opt=value option, a value starting with '-', a bad value
+    or expression count, another layout."""
+    if len(argv) < 2 or argv[0] not in _VERBS or argv[1] not in TARGETS:
+        return None
+    _, nexprs, options, _ = _VERBS[argv[0]]
+    rows = {row[0]: row for row in options}
+    args = argparse.Namespace(verb=argv[0], target=argv[1],
+                              **{row[1]: row[3] for row in options})
+    exprs, closed, words = [], False, iter(argv[2:])
+    for word in words:
+        if not word.startswith("-"):
+            if closed:  # expressions on both sides of an option
+                return None
+            exprs.append(word)
+            continue
+        value, closed = next(words, "-"), bool(exprs)
+        if word not in rows or value.startswith("-"):
+            return None
+        _, dest, type_, _, choices, _ = rows[word]
+        try:
+            value = type_(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        setattr(args, dest, value)
+    if nexprs:
+        args.exprs = exprs
+    return args if len(exprs) == nexprs or nexprs == "+" and exprs else None
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    # `--help`, no verb or an unknown one: the full parser, for its messages
-    verb = argv[0] if argv and argv[0] in _VERBS else None
-    args = _build_parser(verb).parse_args(argv)
+    args = _parse_args(argv)
+    if args is None:
+        # help, errors and the rarer spellings: argparse; `--help`, no verb
+        # or an unknown one build the full parser
+        verb = argv[0] if argv and argv[0] in _VERBS else None
+        args = _build_parser(verb).parse_args(argv)
     try:
         if args.verb == "verify" and args.target == "torus" and args.trunc is None:
             # only the torus has a truncation; GVH_TRUNC is not read elsewhere
             args.trunc = _default_trunc()
         _check_flags(args)
-        _, _, handler = _VERBS[args.verb]
+        *_, handler = _VERBS[args.verb]
         report, code = handler(args)
     except (ValueError, RuntimeError, MemoryError) as err:
         # bad input (ParseError, DomainError), a failed internal invariant

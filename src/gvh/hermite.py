@@ -58,10 +58,9 @@ MAX_QUAD_ORDER = 740
 
 def check_quadrature_size(trunc, quad_order=None):
     """Bound the Gauss–Hermite rule of order Q (4N by default) before its
-    O(Q³) eigensolve: its Q×Q companion matrix takes 8·Q² bytes, and its
-    nodes overflow above MAX_QUAD_ORDER."""
+    O(Q³) eigensolve: its nodes overflow above MAX_QUAD_ORDER, and its Q×Q
+    companion matrix then takes at most 8·740² bytes (4.4 MB)."""
     order = 4 * trunc if quad_order is None else quad_order
-    check_memory(8 * order * order, "the order-%d Gauss-Hermite rule" % order)
     if order > MAX_QUAD_ORDER:
         raise ValueError("the order-%d Gauss-Hermite rule exceeds %d, the largest "
                          "order whose nodes are finite" % (order, MAX_QUAD_ORDER))

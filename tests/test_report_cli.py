@@ -6,6 +6,8 @@ JSON wherever the content matters.
 
 import argparse
 import json
+import pathlib
+import sys
 
 import pytest
 
@@ -14,6 +16,11 @@ from gvh.cli import main
 from gvh.flat import FlatElement
 from gvh.obstruction import ObstructionCertificate, groenewold_certificate
 from gvh.report import Report, emit_json, emit_markdown, emit_report
+
+HERE = pathlib.Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def run_cli(capsys, argv):
@@ -411,11 +418,11 @@ def test_cli_verify_torus_respects_trunc_env(capsys, monkeypatch):
 
 def test_cli_rejects_torus_truncation_beyond_memory(capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("Hermite matrices built before the memory check")
+        raise AssertionError("Hermite matrices built before the order bound")
     monkeypatch.setattr("gvh.qmaps.torus_transformed_ops", refuse)
     code, out, err = run_cli(capsys, ["verify", "torus", "--trunc", "100000"])
     assert code == 1 and out == ""
-    assert err.startswith("error:") and "physical memory" in err
+    assert err.startswith("error:") and "Gauss-Hermite rule exceeds 740" in err
 
 
 @pytest.mark.parametrize("flags", [["--quad-order", "741"], ["--trunc", "186"]])
@@ -462,7 +469,13 @@ def _exit_out_err(capsys, call):
     ["verify", "torus", "--k", "x"], ["checkq1", "r2n", "q1", "p1", "--map", "nope"],
     ["bracket", "r2n", "q1"],
 ] + [[verb, "--help"] for verb in ("bracket", "generate", "normalizer",
-                                    "transitivity", "checkq1", "verify")])
+                                    "transitivity", "checkq1", "verify")] + [
+    ["checkq1", "sphere", "S1", "S3", "--j", "-1/2"], ["generate", "r2n", "q1", "--f", "2"],
+    ["verify", "torus", "--k=x"], ["bracket", "r2n", "q1", "p1", "-h"],
+    ["verify", "r2n", "--", "--k", "2"], ["generate", "sphere", "S1", "--bogus", "1"],
+    ["generate", "r2n", "q1", "--degree-cap", "4", "p1"], ["checkq1", "sphere", "S1", "--j", "3"],
+    ["bracket", "r2n", "q1", "p1", "q1"], ["verify", "r2n", "q1"],
+])
 def test_cli_parser_bytes_match_the_full_parser(capsys, monkeypatch, argv):
     """main builds arguments for the named verb only; its help, usage and
     error bytes are those of the parser built for every verb."""
@@ -474,11 +487,68 @@ def test_cli_parser_bytes_match_the_full_parser(capsys, monkeypatch, argv):
 
 
 def test_cli_builds_only_the_named_verb(capsys, monkeypatch):
-    """One argument set is built per call: 7 parsers' -h plus bracket's 5."""
-    calls = []
-    real = argparse._ActionsContainer.add_argument
-    monkeypatch.setattr(argparse._ActionsContainer, "add_argument",
-                        lambda self, *a, **k: calls.append(a) or real(self, *a, **k))
-    code, _, _ = run_cli(capsys, ["bracket", "r2n", "q1", "p1"])
-    assert code == 0
-    assert len(calls) <= 12
+    """A well-formed command line is parsed without building any argparse
+    parser: counted through ArgumentParser.__init__."""
+    built = []
+    real = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(a) or real(self, *a, **k))
+    for argv in (["bracket", "r2n", "q1", "p1"], ["verify", "r2n"]):
+        code, _, _ = run_cli(capsys, argv)
+        assert code == 0
+    assert built == []
+
+
+def _command_lines():
+    """Every argv of the benchmark workloads at seeds 0-4 and of the CLI goldens."""
+    argvs = [inv["argv"] for name in workloads.WORKLOADS for seed in range(5)
+             for inv in workloads.invocations(name, seed) if "argv" in inv]
+    argvs += [case["argv"] for case in
+              json.loads((HERE / "data" / "cli_goldens.json").read_text())]
+    return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
+
+
+# variants of a well-formed command line, most of which the direct parser declines
+_MUTATIONS = {
+    "abbreviated": lambda a: a + ["--form", "markdown"],
+    "opt=value": lambda a: a + ["--format=markdown"],
+    "negative-cap": lambda a: a + ["--degree-cap", "-1"],
+    "negative-j": lambda a: a + ["--j", "-1/2"],
+    "double-dash": lambda a: a[:2] + ["--"] + a[2:],
+    "help": lambda a: a + ["-h"],
+    "repeated": lambda a: a + ["--format", "markdown", "--format", "json"],
+    "unknown": lambda a: a + ["--bogus", "1"],
+    "option-first": lambda a: a[:1] + ["--format", "json"] + a[1:],
+    "positional-after-option": lambda a: a + ["--format", "json", "q1"],
+    "missing-expr": lambda a: a[:2] + a[3:],
+    "extra-expr": lambda a: a[:2] + ["q1"] + a[2:],
+}
+
+
+def test_direct_parse_agrees_with_argparse():
+    """Whenever the direct parser returns a namespace, argparse returns the
+    same one; it accepts every workload and golden command line."""
+    parser = cli._build_parser()
+    accepted = dict.fromkeys(_MUTATIONS, 0)
+    for base in _command_lines():
+        assert cli._parse_args(base) == parser.parse_args(base), base
+        for name, mutate in _MUTATIONS.items():
+            argv = mutate(list(base))
+            direct = cli._parse_args(argv)
+            if direct is not None:
+                accepted[name] += 1
+                assert direct == parser.parse_args(argv), argv
+    assert {name for name, n in accepted.items() if n} == \
+        {"repeated", "missing-expr", "extra-expr"}
+
+
+@pytest.mark.parametrize("argv, spelled_out", [
+    (["generate", "r2n", "q1", "--deg", "3"], ["generate", "r2n", "q1", "--degree-cap", "3"]),
+    (["generate", "r2n", "q1", "--degree-cap=3"], ["generate", "r2n", "q1", "--degree-cap", "3"]),
+    (["bracket", "r2n", "--", "q1", "p1"], ["bracket", "r2n", "q1", "p1"]),
+    (["verify", "--j", "1/2", "sphere"], ["verify", "sphere", "--j", "1/2"]),
+])
+def test_cli_argparse_reads_the_lines_the_direct_parser_declines(capsys, argv,
+                                                               spelled_out):
+    assert cli._parse_args(argv) is None
+    assert run_cli(capsys, argv) == run_cli(capsys, spelled_out)

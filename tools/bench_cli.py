@@ -6,11 +6,12 @@ invocations are `perfbench.workloads.invocations("explore", 0)`: the short
 bracket, generate, normalizer, transitivity and checkq1 calls.  The child
 imports numpy and `gvh.cli` untimed (as the benchmark's child does), then
 times `main(argv)` with stdout and stderr captured, and the share of it
-spent in `cli._build_parser`.  Over SAMPLES rounds the script reports the
-median and quartiles of the per-round sums per verb and in total.  One more
-child per invocation and tree counts the `scalars._reduce` and
-`Scalar.from_int` calls of that call, through wrappers that are never
-installed while timing.  Stdout, stderr and exit code of each invocation
+spent reading the command line: in `cli._parse_args` (absent before the
+direct parser), `cli._build_parser` and `argparse.ArgumentParser.parse_args`.
+Over SAMPLES rounds the script reports the median and quartiles of the
+per-round sums per verb and in total.  One more child per invocation and
+tree counts the `scalars._reduce` and `Scalar.from_int` calls of that call,
+through wrappers that are never installed while timing.  Stdout, stderr and exit code of each invocation
 must agree across samples and trees.
 """
 
@@ -26,23 +27,28 @@ SAMPLES = 11
 SEED = 0
 
 CHILD = r"""
-import contextlib, hashlib, io, json, sys, time
+import argparse, contextlib, hashlib, io, json, sys, time
 import numpy  # imported before the clock starts, as in perfbench/child.py
 import gvh.cli
 from gvh import scalars
 
 argv, count = json.loads(sys.argv[1]), sys.argv[2] == "count"
-build, parser_s = gvh.cli._build_parser, [0.0]
+args_s = [0.0]
 
 
-def timed_build(*args):
-    t0 = time.perf_counter()
-    parser = build(*args)
-    parser_s[0] += time.perf_counter() - t0
-    return parser
+def timed(fn):
+    def wrapper(*args):
+        t0 = time.perf_counter()
+        result = fn(*args)
+        args_s[0] += time.perf_counter() - t0
+        return result
+    return wrapper
 
 
-gvh.cli._build_parser = timed_build
+for owner, name in ((gvh.cli, "_parse_args"), (gvh.cli, "_build_parser"),
+                    (argparse.ArgumentParser, "parse_args")):
+    if hasattr(owner, name):
+        setattr(owner, name, timed(getattr(owner, name)))
 counts = {"reduce": 0, "from_int": 0}
 
 
@@ -64,7 +70,7 @@ with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     code = gvh.cli.main(argv)
 wall = time.perf_counter() - t0
 digest = hashlib.sha256((out.getvalue() + "\0" + err.getvalue()).encode())
-print(json.dumps(dict(counts, wall_s=wall, parser_s=parser_s[0], exit=code,
+print(json.dumps(dict(counts, wall_s=wall, args_s=args_s[0], exit=code,
                       output=digest.hexdigest())))
 """
 
@@ -87,7 +93,7 @@ def bench(trees):
         out[label] = run = {
             "samples": SAMPLES, "workload": "explore", "seed": SEED,
             "main_s": benchtool.quartiles(per_round("wall_s")),
-            "build_parser_s": benchtool.quartiles(per_round("parser_s")),
+            "argument_step_s": benchtool.quartiles(per_round("args_s")),
             "per_verb_main_s": {
                 v: benchtool.quartiles(per_round("wall_s", lambda a, v=v: a[0] == v))
                 for v in sorted({argv[0] for argv in argvs})},
@@ -95,9 +101,9 @@ def bench(trees):
             "from_int_calls": sum(c["from_int"] for c in counts),
             "main_s_samples": per_round("wall_s"),
         }
-        print("%s: main %.4f s, _build_parser %.4f s (medians of %d), %d _reduce, "
+        print("%s: main %.4f s, argument step %.4f s (medians of %d), %d _reduce, "
               "%d from_int" % (label, run["main_s"]["median"],
-                               run["build_parser_s"]["median"], SAMPLES,
+                               run["argument_step_s"]["median"], SAMPLES,
                                run["reduce_calls"], run["from_int_calls"]), file=sys.stderr)
     return out
 
