@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Verbs: bracket, generate, normalizer, transitivity, checkq1, verify.
-Targets: r2n (flat phase space), sphere, torus.  Output is a reproducible
-JSON or markdown report; exit status is 0 when every verdict matches the
-expected one, 2 when any certificate is undecided, 1 otherwise.
+Targets, one `_TARGETS` row each: r2n (flat phase space), sphere, torus.
+Output is a reproducible JSON or markdown report; exit status is 0 when every
+verdict matches the expected one, 2 when any certificate is undecided, 1
+otherwise.
 
 Each verb's arguments are rows of the `_VERBS` table.  A well-formed command
 line (`verb target EXPR... [options]` or `verb target [options] EXPR...
@@ -32,8 +33,6 @@ from .subspace import (FlatAmbient, SphereAmbient, SubspaceBasis,
                        transitivity_check)
 from .torus import bracket_torus
 
-TARGETS = ("r2n", "sphere", "torus")
-
 
 def _rational(text):
     try:
@@ -49,30 +48,26 @@ def _spin(text):
         raise argparse.ArgumentTypeError("not a spin label: %r" % text)
 
 
-def _default_trunc():
-    text = os.environ.get("GVH_TRUNC", "64")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError("GVH_TRUNC must be an integer, got %r" % text) from None
-
-
-def _check_flags(args):
-    """Reject flag values the target cannot work with, before any arithmetic."""
-    if args.target == "r2n" and args.n < 1:
+def _check_r2n(args):
+    if args.n < 1:
         raise ValueError("--n must be at least 1, got %d" % args.n)
-    if args.target == "r2n" and args.verb == "verify" and args.n != 1:
+    if args.verb == "verify" and args.n != 1:
         # every r2n certificate is built on the generators of one degree of freedom
         raise ValueError("verify r2n runs on one degree of freedom, got --n %d"
                          % args.n)
-    for flag in ("degree_cap", "freq_cap"):
-        cap = getattr(args, flag, None)
-        if cap is not None and cap < 0:
-            raise ValueError("--%s must be at least 0, got %d"
-                             % (flag.replace("_", "-"), cap))
-    if args.target == "torus" and args.B.is_zero():
+
+
+def _check_torus(args):
+    if args.verb == "verify" and args.trunc is None:
+        # only torus verify has a truncation; GVH_TRUNC is not read elsewhere
+        text = os.environ.get("GVH_TRUNC", "64")
+        try:
+            args.trunc = int(text)
+        except ValueError:
+            raise ValueError("GVH_TRUNC must be an integer, got %r" % text) from None
+    if args.B.is_zero():
         raise ValueError("--B must be nonzero on the torus")
-    if args.target == "torus" and args.verb == "verify":
+    if args.verb == "verify":
         # the sizes torus_irreducibility accepts, checked before the symbolic batch
         if args.k < 1:
             raise ValueError("--k must be at least 1, got %d" % args.k)
@@ -82,26 +77,25 @@ def _check_flags(args):
             raise ValueError("--tol must lie strictly between 0 and 1, got %r" % args.tol)
 
 
-def _parse_elem(args, text):
-    if args.target == "r2n":
-        return parse_expression(text, "flat", n=args.n)
-    if args.target == "sphere":
-        return parse_expression(text, "sphere")
-    return parse_expression(text, "torus", B=args.B)
+def _check_flags(args):
+    """Reject flag values the target cannot work with, before any arithmetic."""
+    _TARGETS[args.target]["check"](args)
+    for flag in ("degree_cap", "freq_cap"):
+        cap = getattr(args, flag, None)
+        if cap is not None and cap < 0:
+            raise ValueError("--%s must be at least 0, got %d"
+                             % (flag.replace("_", "-"), cap))
 
 
-def _ambient(args):
-    cap = args.degree_cap
-    if args.target == "r2n":
-        return FlatAmbient(args.n, 4 if cap is None else cap)
-    if args.target == "sphere":
-        return SphereAmbient(3 if cap is None else cap)
-    return TorusAmbient(args.freq_cap, args.B)
+def _elements(args):
+    """The EXPR arguments, parsed in the target's algebra."""
+    algebra = _TARGETS[args.target]["algebra"]
+    return [parse_expression(t, algebra, n=args.n, B=args.B) for t in args.exprs]
 
 
 def _generators(args, ambient):
     """The parsed generators, each required to lie within the ambient cap."""
-    gens = [_parse_elem(args, t) for t in args.exprs]
+    gens = _elements(args)
     for text, g in zip(args.exprs, gens):
         if not ambient.within_bound(g):
             raise ValueError("generator %s lies outside the ambient %s"
@@ -109,14 +103,9 @@ def _generators(args, ambient):
     return gens
 
 
-def _base_report(args, extra_provenance=None):
-    prov = {"target": args.target, "verb": args.verb}
-    if args.target == "r2n":
-        prov["n"] = args.n
-    if args.target == "torus":
-        prov["B"] = str(args.B)
-    if extra_provenance:
-        prov.update(extra_provenance)
+def _base_report(args, **extra_provenance):
+    prov = {"target": args.target, "verb": args.verb,
+            **_TARGETS[args.target]["provenance"](args), **extra_provenance}
     return Report(meta={"provenance": prov})
 
 
@@ -125,14 +114,8 @@ def _base_report(args, extra_provenance=None):
 # ---------------------------------------------------------------------------
 
 def cmd_bracket(args):
-    f = _parse_elem(args, args.exprs[0])
-    g = _parse_elem(args, args.exprs[1])
-    if args.target == "r2n":
-        h = bracket_flat(f, g)
-    elif args.target == "sphere":
-        h = bracket_sphere(f, g)
-    else:
-        h = bracket_torus(f, g)
+    f, g = _elements(args)
+    h = _TARGETS[args.target]["bracket"](f, g)
     rep = _base_report(args)
     rep.add_result({"name": "bracket", "f": print_expression(f),
                     "g": print_expression(g),
@@ -141,7 +124,7 @@ def cmd_bracket(args):
 
 
 def cmd_generate(args):
-    ambient = _ambient(args)
+    ambient = _TARGETS[args.target]["ambient"](args)
     gens = _generators(args, ambient)
     basis = generate_poisson_subalgebra(gens, ambient)
     rep = _base_report(args)
@@ -153,7 +136,7 @@ def cmd_generate(args):
 
 
 def cmd_normalizer(args):
-    ambient = _ambient(args)
+    ambient = _TARGETS[args.target]["ambient"](args)
     gens = _generators(args, ambient)
     sub = generate_poisson_subalgebra(gens, ambient)
     norm = normalizer(sub, ambient)
@@ -168,12 +151,12 @@ def cmd_normalizer(args):
 
 
 def cmd_transitivity(args):
-    ambient = _ambient(args)
+    ambient = _TARGETS[args.target]["ambient"](args)
     gens = _generators(args, ambient)
     basis = SubspaceBasis.from_elements(ambient, gens)
     reports = transitivity_check(basis, npoints=args.npoints, seed=args.seed)
     transitive = all(r["transitive"] for r in reports)
-    rep = _base_report(args, {"seed": args.seed, "npoints": args.npoints})
+    rep = _base_report(args, seed=args.seed, npoints=args.npoints)
     rep.add_result({"name": "transitivity",
                     "generators": [print_expression(g) for g in gens],
                     "dim_manifold": reports[0]["dim"],
@@ -182,22 +165,12 @@ def cmd_transitivity(args):
     return rep, 0 if transitive else 1
 
 
-_FLAT_MAPS = {"schrodinger": SCHRODINGER, "metaplectic": METAPLECTIC,
-              "position": POSITION, "vanhove": VANHOVE}
-
-
 def cmd_checkq1(args):
-    if args.target == "r2n":
-        qmap = _FLAT_MAPS[args.map or "vanhove"]
-    elif args.target == "sphere":
-        qmap = sphere_map(args.j)
-    else:
-        qmap = TORUS_PREQUANT
-    f = _parse_elem(args, args.exprs[0])
-    g = _parse_elem(args, args.exprs[1])
+    qmap = _TARGETS[args.target]["qmap"](args)
+    f, g = _elements(args)
     residual = check_q1(qmap, f, g)
     zero = residual.is_zero()
-    rep = _base_report(args, {"map": qmap.name})
+    rep = _base_report(args, map=qmap.name)
     rep.add_result({"name": "checkq1", "map": qmap.name,
                     "f": print_expression(f), "g": print_expression(g),
                     "residual_zero": zero, "residual": str(residual)})
@@ -217,7 +190,7 @@ def _verify_r2n(args):
 
 def _verify_sphere(args):
     from .obstruction import sphere_certificate
-    rep = _base_report(args, {"j": str(args.j)})
+    rep = _base_report(args, j=str(args.j))
     expected = "consistent" if args.j == 0 else "inconsistent"
     rep.add_certificate(sphere_certificate(args.j), expected)
     return rep
@@ -227,9 +200,8 @@ def _verify_torus(args):
     from .obstruction import (torus_identity_certificate, torus_irreducibility,
                               torus_irreducibility_certificate,
                               torus_q1_certificate, torus_transform_identities)
-    prov = {"k": args.k, "trunc": args.trunc, "tol": args.tol,
-            "hbar_numeric": DEFAULT_TORUS_HBAR}
-    rep = _base_report(args, prov)
+    rep = _base_report(args, k=args.k, trunc=args.trunc, tol=args.tol,
+                       hbar_numeric=DEFAULT_TORUS_HBAR)
     rep.meta["hbar"] = "formal symbol (numeric parts at hbar = 1/(2*pi))"
     rep.add_certificate(torus_q1_certificate(args.B), "consistent")
     ident = torus_transform_identities(args.k, args.trunc,
@@ -243,13 +215,44 @@ def _verify_torus(args):
 
 
 def cmd_verify(args):
-    if args.target == "r2n":
-        rep = _verify_r2n(args)
-    elif args.target == "sphere":
-        rep = _verify_sphere(args)
-    else:
-        rep = _verify_torus(args)
+    rep = _TARGETS[args.target]["verify"](args)
     return rep, rep.exit_code()
+
+
+# ---------------------------------------------------------------------------
+# phase spaces
+# ---------------------------------------------------------------------------
+
+_FLAT_MAPS = {"schrodinger": SCHRODINGER, "metaplectic": METAPLECTIC,
+              "position": POSITION, "vanhove": VANHOVE}
+
+# target -> its parse.py algebra, its Poisson bracket (called through the
+# module-level name, so that a profiler's wrapper on that name sees it) and
+# functions of the parsed arguments: flag check, ambient span, checkq1 map,
+# verify report and provenance fields
+_TARGETS = {
+    "r2n": dict(
+        algebra="flat", check=_check_r2n,
+        ambient=lambda args: FlatAmbient(
+            args.n, 4 if args.degree_cap is None else args.degree_cap),
+        bracket=lambda f, g: bracket_flat(f, g),
+        qmap=lambda args: _FLAT_MAPS[args.map or "vanhove"],
+        verify=_verify_r2n, provenance=lambda args: {"n": args.n}),
+    "sphere": dict(
+        algebra="sphere", check=lambda args: None,
+        ambient=lambda args: SphereAmbient(
+            3 if args.degree_cap is None else args.degree_cap),
+        bracket=lambda f, g: bracket_sphere(f, g),
+        qmap=lambda args: sphere_map(args.j),
+        verify=_verify_sphere, provenance=lambda args: {}),
+    "torus": dict(
+        algebra="torus", check=_check_torus,
+        ambient=lambda args: TorusAmbient(args.freq_cap, args.B),
+        bracket=lambda f, g: bracket_torus(f, g),
+        qmap=lambda args: TORUS_PREQUANT,
+        verify=_verify_torus, provenance=lambda args: {"B": str(args.B)}),
+}
+TARGETS = tuple(_TARGETS)
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +309,9 @@ _VERBS = {
 }
 
 
-def _build_parser(verb=None):
-    """The gvh parser, with arguments only on `verb`'s subparser when a verb
-    is given (every verb's otherwise).
-
-    Every subparser is still registered, so the top-level usage line, the
-    help listing and the invalid-choice and missing-verb errors read the
-    same bytes as with the full parser; only the argument sets of the other
-    verbs, which their parse never reads, are left out.
-    """
+def _build_parser():
+    """The gvh parser: help, usage, error messages and the command lines
+    `_parse_args` declines."""
     parser = argparse.ArgumentParser(
         prog="gvh",
         description="Exact verification of quantization obstruction results "
@@ -322,13 +319,12 @@ def _build_parser(verb=None):
     sub = parser.add_subparsers(dest="verb", required=True)
     for name, (help_text, nexprs, options, _) in _VERBS.items():
         sp = sub.add_parser(name, help=help_text)
-        if verb is None or verb == name:
-            sp.add_argument("target", choices=TARGETS)
-            if nexprs:
-                sp.add_argument("exprs", nargs=nexprs, metavar="EXPR")
-            for flag, dest, type_, default, choices, help_ in options:
-                sp.add_argument(flag, dest=dest, type=type_, default=default,
-                                choices=choices, help=help_)
+        sp.add_argument("target", choices=TARGETS)
+        if nexprs:
+            sp.add_argument("exprs", nargs=nexprs, metavar="EXPR")
+        for flag, dest, type_, default, choices, help_ in options:
+            sp.add_argument(flag, dest=dest, type=type_, default=default,
+                            choices=choices, help=help_)
     return parser
 
 
@@ -370,16 +366,9 @@ def _parse_args(argv):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = _parse_args(argv)
-    if args is None:
-        # help, errors and the rarer spellings: argparse; `--help`, no verb
-        # or an unknown one build the full parser
-        verb = argv[0] if argv and argv[0] in _VERBS else None
-        args = _build_parser(verb).parse_args(argv)
+    # help, errors and the rarer spellings go to argparse
+    args = _parse_args(argv) or _build_parser().parse_args(argv)
     try:
-        if args.verb == "verify" and args.target == "torus" and args.trunc is None:
-            # only the torus has a truncation; GVH_TRUNC is not read elsewhere
-            args.trunc = _default_trunc()
         _check_flags(args)
         *_, handler = _VERBS[args.verb]
         report, code = handler(args)

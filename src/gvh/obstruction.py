@@ -682,28 +682,6 @@ def position_nonextension_certificate():
         steps, verdict, chained.discrepancy)
 
 
-def strong_nogo_record():
-    """Corollary record: uniqueness of the quadratic extension plus the cubic
-    contradiction; no new computation beyond those two results."""
-    sol = extension_solve(quadratic_extension_problem())
-    cert = groenewold_certificate()
-    steps = [
-        {"classical": "extension of the Schrödinger generators to quadratics",
-         "quantum_lhs": "verdict %s" % sol.verdict,
-         "quantum_rhs": "unique (symmetrized quadratics)",
-         "difference": "parameters remaining: %d" % sol.parameters},
-        {"classical": "extension beyond the quadratics",
-         "quantum_lhs": "verdict %s" % cert.verdict,
-         "quantum_rhs": "inconsistent",
-         "difference": str(cert.discrepancy)},
-    ]
-    verdict = "inconsistent" if sol.verdict == "unique" and \
-        cert.verdict == "inconsistent" else "consistent"
-    return ObstructionCertificate(
-        "strong_nogo", "strong no-go corollary (uniqueness + cubic obstruction)",
-        steps, verdict, cert.discrepancy)
-
-
 def torus_transform_identities(k, trunc=64, quad_order=None):
     """Interior-block errors of A₋A₊ = I + 4π²k²x² and
     B₋B₊ = I − 4π²ħ²k² d²/dx² in the truncated Hermite basis.

@@ -14,6 +14,8 @@ ast module (the repository carries no linter).
   sparse rows, so the engine keeps one elimination.
 - No module reads `einsum`: the Hermite quadrature sums are matrix
   products, which run on BLAS.
+- `cli.py` never compares `args.target`: what the CLI knows about a phase
+  space is its row of the `_TARGETS` table.
 - No `tools/bench_*.py` defines `_quartiles`, imports `argparse` or sets a
   `*_NUM_THREADS` variable: the command line, the statistics and the child
   environment are `tools/benchtool.py`'s.
@@ -111,6 +113,24 @@ def test_only_the_echelon_eliminates():
 
 def test_no_module_calls_einsum():
     assert _src_readers("einsum") == set()
+
+
+def _target_comparisons(tree):
+    """Lines that compare `args.target` with anything."""
+    return sorted(n.lineno for n in ast.walk(tree) if isinstance(n, ast.Compare)
+                  and any(isinstance(e, ast.Attribute) and e.attr == "target"
+                          and isinstance(e.value, ast.Name) and e.value.id == "args"
+                          for e in (n.left, *n.comparators)))
+
+
+def test_target_scan_flags_a_comparison():
+    tree = ast.parse("def f(args):\n    if args.target == 'r2n':\n        pass\n"
+                     "    return 'torus' != args.target or args.verb == 'x'\n")
+    assert _target_comparisons(tree) == [2, 4]
+
+
+def test_cli_reads_targets_from_the_table():
+    assert _target_comparisons(ast.parse((SRC / "cli.py").read_text())) == []
 
 
 def _own_harness(tree):

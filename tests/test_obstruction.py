@@ -17,7 +17,7 @@ from gvh.obstruction import (CONVENTION, BracketConstraint, ExtensionProblem,
                              groenewold_certificate,
                              position_nonextension_certificate,
                              quadratic_extension_problem, sphere_certificate,
-                             sphere_equivariance_problem, strong_nogo_record,
+                             sphere_equivariance_problem,
                              TORUS_IDENTITY_TOL, torus_identity_certificate,
                              torus_irreducibility,
                              torus_irreducibility_certificate,
@@ -193,17 +193,8 @@ def test_bracket_constraint_rejects_no_terms():
         BracketConstraint([], "empty")
 
 
-def test_strong_nogo_record():
-    cert = strong_nogo_record()
-    assert cert.name == "strong_nogo"
-    assert cert.verdict == "inconsistent"
-    assert (cert.discrepancy - _frac(1, 3) * H2).is_zero()
-    assert cert.steps[0]["difference"] == "parameters remaining: 0"
-    assert cert.steps[1]["quantum_rhs"] == "inconsistent"
-
-
 def test_certificate_serialization():
-    d = strong_nogo_record().to_dict()
+    d = groenewold_certificate().to_dict()
     assert sorted(d.keys()) == ["assumptions", "convention", "discrepancy",
                                 "name", "reference", "steps", "verdict"]
     assert d["convention"] == CONVENTION

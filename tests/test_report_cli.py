@@ -388,7 +388,8 @@ def test_cli_rejects_bad_trunc_env(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["verify", "r2n"],
     ["verify", "sphere", "--j", "1"],
-], ids=["r2n", "sphere"])
+    ["bracket", "torus", "sin(2*pi*1*x)", "cos(2*pi*1*y)"],
+], ids=["r2n", "sphere", "bracket-torus"])
 def test_cli_trunc_env_ignored_off_the_torus(capsys, monkeypatch, argv):
     monkeypatch.delenv("GVH_TRUNC", raising=False)
     code, want, _ = run_cli(capsys, argv)
