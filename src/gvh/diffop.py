@@ -40,6 +40,14 @@ class DiffOp(TermMap):
     def _product(self, other):
         return diffop_compose(self, other)
 
+    def commutator(self, other):
+        """[A, B] = AB − BA without the products that cancel: where a term
+        f·∂^α of A and a term g·∂^β of B are both unshifted, the part of
+        their product with no derivative falling on the other factor is
+        f·g·∂^{α+β} in either order.  A shift keeps it: f(x + t) ≠ f(x)."""
+        return diffop_compose(self, other, _commutator=True) \
+            - diffop_compose(other, self, _commutator=True)
+
     def groups(self):
         """{(a, α_x, α_y): [((m, n, j), c), …]}, the symbol of each S_a ∂^α."""
         out = {}
@@ -82,14 +90,16 @@ def _moved(m, n, j, gx, gy, a):
     return tuple(out.items())
 
 
-def diffop_compose(A, B):
+def diffop_compose(A, B, _commutator=False):
     """Operator composition A∘B.  A term a·f·S_s ∂^α meets g·S_t ∂^β, a
     group of B, as Σ_{γ≤α} C(α,γ) a·f·(∂^γ g)(x + s) S_{s+t} ∂^{α−γ+β} by
     the generalized Leibniz rule and one move of the shift.  Each g is moved
     past each (γ, s) once per call and before any product, so the terms
     that cancel there (∂_x of f − x·f_x is −x·f_xx) are never multiplied.
     The phase e^{2πims} the shift leaves out of e(m, n) is 1 only for an
-    integer s, so any other shift is refused."""
+    integer s, so any other shift is refused.  `_commutator` (for
+    DiffOp.commutator) leaves out the products with s = t = 0 and γ = 0,
+    which BA has too."""
     out = {}
     groups = B.groups()
     moved = {}
@@ -100,7 +110,10 @@ def diffop_compose(A, B):
         for gx, gy in itertools.product(range(ax + 1), range(ay + 1)):
             binom = math.comb(ax, gx) * math.comb(ay, gy)
             c0 = ca if binom == 1 else ca * binom
+            shared = _commutator and not (gx or gy or s)
             for (t, bx, by), group in groups.items():
+                if shared and not t:
+                    continue
                 memo = (t, bx, by, gx, gy, s)
                 terms = moved.get(memo) if gx or gy or s else group
                 if terms is None:

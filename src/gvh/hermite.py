@@ -10,9 +10,11 @@ with a an integer and f = Σ c x^j e^{2πimx}, c exact in π and ħ, the sum
 of one (a, d) group of terms.  DiffOps are closed under composition
 (diffop.diffop_compose), so composite operators are reduced exactly before
 any quadrature happens, and only the matrix entries are floats.  They come
-from Gauss–Hermite quadrature with stabilized weights (w_i e^{x_i²} computed
-via the order-(Q−1) Hermite function, never by exponentiating x_i²); shifted
-overlaps are centered so the Gaussian factors recombine exactly.  The
+from Gauss–Hermite quadrature.  The nodes are the eigenvalues of the
+symmetric tridiagonal Jacobi matrix of the Hermite recurrence (Golub and
+Welsch, Math. Comp. 23, 1969); the stabilized weights w_i e^{x_i²} come
+from the order-(Q−1) Hermite function, never from exponentiating x_i², and
+shifted overlaps are centered so the Gaussian factors recombine exactly.  The
 commutant SVD runs on real stacks: conjugate generator pairs fold into their
 real and imaginary parts, pairs swapped by the Hermite parity P = diag((−1)ⁿ)
 fold into a P-even and a P-odd block, and pairs swapped by the transposition
@@ -52,18 +54,19 @@ def check_memory(nbytes, what):
                          "physical memory" % (what, nbytes / 2 ** 30, phys / 2 ** 30))
 
 
-# The largest order whose hermgauss nodes are finite (order 741 overflows).
+# The largest admitted order.  From order 766 e^{−x²/2} underflows to 0 at
+# the outer nodes, the Newton step divides 0 by 0 and the rule fails.
 MAX_QUAD_ORDER = 740
 
 
 def check_quadrature_size(trunc, quad_order=None):
     """Bound the Gauss–Hermite rule of order Q (4N by default) before its
-    O(Q³) eigensolve: its nodes overflow above MAX_QUAD_ORDER, and its Q×Q
-    companion matrix then takes at most 8·740² bytes (4.4 MB)."""
+    O(Q³) eigensolve.  Within MAX_QUAD_ORDER the Q×Q Jacobi matrix takes
+    at most 8·740² bytes (4.4 MB)."""
     order = 4 * trunc if quad_order is None else quad_order
     if order > MAX_QUAD_ORDER:
         raise ValueError("the order-%d Gauss-Hermite rule exceeds %d, the largest "
-                         "order whose nodes are finite" % (order, MAX_QUAD_ORDER))
+                         "order admitted" % (order, MAX_QUAD_ORDER))
 
 
 def hermite_values(xs, nmax):
@@ -79,20 +82,38 @@ def hermite_values(xs, nmax):
     return out
 
 
+def _hermite_pair(xs, n):
+    """h_{n−1} and h_n at the points xs (h_{−1} = 0): the recurrence and
+    arithmetic of hermite_values, two rows at a time."""
+    prev, last = np.zeros_like(xs), np.pi ** -0.25 * np.exp(-xs * xs / 2.0)
+    for k in range(1, n + 1):
+        prev, last = last, math.sqrt(2.0 / k) * xs * last \
+            - math.sqrt((k - 1) / k) * prev
+    return prev, last
+
+
 @lru_cache(maxsize=32)
 def gauss_hermite_rule(order):
     """Nodes and stabilized weights ŵ_i = w_i e^{x_i²} = 1/(Q·h_{Q−1}(x_i)²).
 
-    ∫ g(x) dx ≈ Σ ŵ_i g(x_i) for g with Gaussian decay built in.
+    ∫ g(x) dx ≈ Σ ŵ_i g(x_i) for g with Gaussian decay built in.  Golub–
+    Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    recurrence, zero diagonal and √(k/2) beside it, refined by one Newton
+    step x −= h_Q/(√(2Q)·h_{Q−1}) (h_Q′ = √(2Q)·h_{Q−1} − x·h_Q, and h_Q = 0
+    at a node) and made exactly symmetric.
     """
+    jacobi = np.zeros((order, order))
+    jacobi.ravel()[order::order + 1] = np.sqrt(np.arange(1, order) / 2.0)
+    xs = np.linalg.eigvalsh(jacobi)
     with np.errstate(all="ignore"):
-        xs, _ = np.polynomial.hermite.hermgauss(order)
+        prev, last = _hermite_pair(xs, order)
+        xs -= last / (math.sqrt(2.0 * order) * prev)
+        xs = (xs - xs[::-1]) / 2.0
+        wmod = 1.0 / (order * _hermite_pair(xs, order - 1)[1] ** 2)
     if not np.all(np.isfinite(xs)):
-        raise QuadratureError("Gauss-Hermite nodes overflow at order %d" % order)
-    h = hermite_values(xs, order)
-    wmod = 1.0 / (order * h[order - 1] ** 2)
+        raise QuadratureError("Gauss-Hermite nodes are not finite at order %d" % order)
     if not np.all(np.isfinite(wmod)):
-        raise QuadratureError("stabilized weights overflow at order %d" % order)
+        raise QuadratureError("stabilized weights are not finite at order %d" % order)
     return xs, wmod
 
 
@@ -246,10 +267,10 @@ def _scatter(stack, rowid, h, cols, ti, tj, w):
     columns: h[tj, b] lands at row (ti, b) and −h[a, ti] at row (a, tj).
     Rowid −1 is the scratch last row; any other (row, column) pair occurs
     once per call, as buffered updates need."""
-    idx, cc, w = np.arange(h.shape[0])[None, :], cols[:, None], w[:, None]
+    cc, w = cols[:, None], w[:, None]
     flat, n = stack.reshape(-1), stack.shape[1]
-    flat[rowid[ti[:, None], idx] * n + cc] += w * h[tj[:, None], idx]
-    flat[rowid[idx, tj[:, None]] * n + cc] -= w * h[idx, ti[:, None]]
+    flat[rowid[ti] * n + cc] += w * h[tj]
+    flat[rowid.T[tj] * n + cc] -= w * h.T[ti]
 
 
 def _sector_stacks(graded, parity, mate, flip):

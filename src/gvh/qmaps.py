@@ -127,10 +127,10 @@ def torus_prequant_map(f):
     B = f.B
     fx = f.partial_x()
     fy = f.partial_y()
+    ihb = (S_I * HBAR) / B
     terms = {(0, 0, 0, m, n, 0): c for (m, n), c in f.terms.items()}
-    for (dx, dy, j), g in (((0, 0, 1), -fx),
-                           ((1, 0, 0), fy.scale((S_I * HBAR) / B)),
-                           ((0, 1, 0), fx.scale(-(S_I * HBAR) / B))):
+    for (dx, dy, j), g in (((0, 0, 1), -fx), ((1, 0, 0), fy.scale(ihb)),
+                           ((0, 1, 0), fx.scale(-ihb))):
         terms.update({(0, dx, dy, m, n, j): c for (m, n), c in g.terms.items()})
     return DiffOp(terms)
 

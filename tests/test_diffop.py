@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from gvh.diffop import DiffOp, diffop_compose
-from gvh.scalars import HBAR, S_I, S_ONE, TWO_PI, Scalar
+from gvh.scalars import HBAR, I_OVER_HBAR, S_I, S_ONE, TWO_PI, Scalar
 
 RNG = random.Random(8)
 
@@ -171,3 +171,29 @@ def test_compose_with_shifts_matches_the_action():
         for f in funcs:
             assert _apply(ab, f) == _apply(a, _apply(b, f))
         assert diffop_compose(ab, c) == diffop_compose(a, diffop_compose(b, c))
+
+
+def _rand_term_sum(rng):
+    """A random sum of c·x^j·e(m, n)·S_a·∂_x^{α_x}·∂_y^{α_y}: a in −2…2 (0
+    half the time, so unshifted pairs meet often), j, α_x, α_y ≤ 2 and
+    |m|, |n| ≤ 2."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        key = (rng.choice((0, 0, 0, 0, -2, -1, 1, 2)), rng.randint(0, 2),
+               rng.randint(0, 2), rng.randint(-2, 2), rng.randint(-2, 2),
+               rng.randint(0, 2))
+        c = Scalar.from_fraction(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                          rng.randint(1, 3)))
+        terms[key] = c * rng.choice((S_ONE, HBAR, TWO_PI * S_I))
+    return DiffOp(terms)
+
+
+def test_commutator_equals_the_difference_of_both_compositions():
+    # DiffOp.commutator leaves out the products AB and BA share; what it
+    # returns must still be AB − BA, shifted or not
+    rng = random.Random(28)
+    for _ in range(150):
+        a, b = _rand_term_sum(rng), _rand_term_sum(rng)
+        want = diffop_compose(a, b) - diffop_compose(b, a)
+        assert a.commutator(b) == want
+        assert a.ih_commutator(b) == want.scale(I_OVER_HBAR)

@@ -148,14 +148,26 @@ def test_hermite_matrix_rejects_an_operator_in_y():
         _matrix(np.eye(8), 8)
 
 
+@pytest.mark.parametrize("order", [8, 64, 256, 512, 740])
+def test_rule_matches_hermgauss(order):
+    # numpy's companion-matrix rule as an oracle: the same nodes, and the
+    # stabilized weights 1/(Q·h_{Q−1}²) at its nodes
+    xs, wmod = gauss_hermite_rule(order)
+    with np.errstate(all="ignore"):
+        ref, _ = np.polynomial.hermite.hermgauss(order)
+    assert np.max(np.abs(xs - ref)) < 1e-12
+    want = 1.0 / (order * hermite_values(ref, order)[order - 1] ** 2)
+    assert np.max(np.abs(wmod / want - 1.0)) < 1e-10
+
+
 def test_quadrature_failure_raises():
     with pytest.raises(QuadratureError):
         gauss_hermite_rule(768)
 
 
 def test_largest_allowed_quadrature_order_is_finite():
-    # check_quadrature_size admits orders up to MAX_QUAD_ORDER; a numpy whose
-    # hermgauss overflows sooner fails here
+    # check_quadrature_size admits orders up to MAX_QUAD_ORDER; a rule whose
+    # nodes or weights stop being finite sooner fails here
     xs, wmod = gauss_hermite_rule(MAX_QUAD_ORDER)
     assert np.all(np.isfinite(xs)) and np.all(np.isfinite(wmod))
 

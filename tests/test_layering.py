@@ -56,3 +56,17 @@ def test_exact_verbs_load_no_numerics():
     assert got["exact"] == []
     # the probe sees a heavy import when one happens: verify loads all three
     assert got["verify"] == list(HEAVY)
+
+
+def test_torus_verify_leaves_numpy_polynomial_unloaded():
+    # the Gauss–Hermite rule is gvh's own; numpy.polynomial is a lazy
+    # submodule that would add its import to every torus run
+    probe = ("import contextlib, io, sys\n"
+             "from gvh.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = main(['verify', 'torus', '--k', '1', '--trunc', '32'])\n"
+             "print(code, 'numpy' in sys.modules, 'numpy.polynomial' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "True", "False"]

@@ -478,8 +478,9 @@ def _exit_out_err(capsys, call):
     ["bracket", "r2n", "q1", "p1", "q1"], ["verify", "r2n", "q1"],
 ])
 def test_cli_parser_bytes_match_the_full_parser(capsys, monkeypatch, argv):
-    """main builds arguments for the named verb only; its help, usage and
-    error bytes are those of the parser built for every verb."""
+    """Help and malformed command lines: main exits as the full parser does
+    alone and writes the same stdout and stderr bytes, so the direct reader
+    (`cli._parse_args`) declines each of them and adds no output of its own."""
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
     got = _exit_out_err(capsys, lambda: main(list(argv)))
     full = _exit_out_err(capsys, lambda: cli._build_parser().parse_args(list(argv)))

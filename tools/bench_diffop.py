@@ -57,9 +57,9 @@ counts = {"scalar_mul": 0, "compose": 0}
 
 
 def counting(key, fn):
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         counts[key] += 1
-        return fn(*args)
+        return fn(*args, **kwargs)
     return wrapper
 
 
