@@ -78,7 +78,7 @@ def _half_integer(j):
 
 
 # Largest spin dimension 2j+1 built: verify sphere at j = 1000 takes about
-# 9 s and 89 MiB on 2 cores, and its time and memory grow linearly in j.
+# 4 s and 94 MiB on 2 cores, and its time and memory grow linearly in j.
 MAX_SPIN_DIM = 2001
 
 

@@ -191,6 +191,11 @@ def sphere_map(j, a=A_SYM, const_c=C_SYM):
     ident = ExactMatrix.identity(dim)
     half_a = a * Scalar.from_rational(1, 2)
 
+    @functools.cache
+    def spin_product(i, k):
+        # Q_i² or Q_iQ_k + Q_kQ_i, once per map; callers only read it
+        return q[i] * q[i] if i == k else q[i] * q[k] + q[k] * q[i]
+
     def membership(f):
         try:
             poly = _sphere_rep_poly(f)
@@ -213,12 +218,12 @@ def sphere_map(j, a=A_SYM, const_c=C_SYM):
             elif deg == 2:
                 if 2 in e:
                     i = e.index(2)
-                    out = out + (q[i] * q[i]).scale(a * coeff) + ident.scale(const_c * coeff)
+                    out = out + spin_product(i, i).scale(a * coeff) + \
+                        ident.scale(const_c * coeff)
                 else:
                     i = e.index(1)
                     k = i + 1 + e[i + 1:].index(1)
-                    sym = q[i] * q[k] + q[k] * q[i]
-                    out = out + sym.scale(half_a * coeff)
+                    out = out + spin_product(i, k).scale(half_a * coeff)
             else:
                 raise DomainError("sphere map limited to degree <= 2, got %s" % poly)
         return out

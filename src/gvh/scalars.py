@@ -7,26 +7,36 @@ ParamPoly, a `sparse.TermMap` with no context, so its sums, equality and
 hashing are the base class's.  Arithmetic is exact; a numeric evaluation
 hook (`Scalar.evalf`) exists for the torus numerics.
 
-Three shortcuts keep the common cases cheap:
+Four shortcuts keep the common cases cheap:
 
 * a GaussRational is (a + b*i)/d over Python ints in lowest terms, so each
-  product or sum is int arithmetic and one gcd;
+  product or sum is int arithmetic and one gcd, and none for two Gaussian
+  integers (d = 1);
+* a product by a ratio of two monomials c*x^e/x^f (a constant, a one-term
+  polynomial, i/hbar) needs no polynomial gcd: the gcd can only be a
+  monomial x^g, divided out by shifting exponents.  A factor 1 returns the
+  other operand, a constant scales the other numerator, a one-term
+  polynomial shifts and scales another polynomial, and a quotient by such a
+  ratio is the product by its inverse.  `verify` on all three targets
+  reduces by no gcd at all;
 * when either polynomial in a gcd has one term, the monic gcd is the monomial
   with the componentwise minimum exponents of all terms of both (constants
   give 1), and exact division by one term c*x^e shifts exponents by -e and
-  scales by 1/c.  `verify` on all three targets reduces only by such gcds;
-  the primitive PRS remains for two multi-term polynomials;
+  scales by 1/c; the primitive PRS remains for two multi-term polynomials;
 * a unit denominator is always the `PP_ONE` object, so sums and products of
   two Scalars that both have it (most of them: polynomial coefficients) add
   or multiply the numerators and skip the reduction, and a product by an int
   only scales the numerator.
+
+Every shortcut returns the general formula's canonical form with its term
+order: `ParamPoly.evalf` sums in that order, so the torus floats depend on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import sub
+from operator import add, sub
 
 from .sparse import TermMap, monoid_product
 
@@ -69,6 +79,9 @@ class GaussRational:
     def __add__(self, other):
         d1, d2 = self.d, other.d
         if d1 == d2:
+            if d1 == 1:
+                # a sum of Gaussian integers is canonical as it stands
+                return _gr_new(self.a + other.a, self.b + other.b, 1)
             return _gr(self.a + other.a, self.b + other.b, d1)
         return _gr(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
@@ -83,7 +96,10 @@ class GaussRational:
 
     def __mul__(self, other):
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return _gr(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
+        d = self.d * other.d
+        if d == 1:
+            return _gr_new(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 1)
+        return _gr(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d)
 
     def inverse(self):
         a, b = self.a, self.b
@@ -212,12 +228,14 @@ class ParamPoly(TermMap):
     # -- arithmetic ----------------------------------------------------
 
     def __mul__(self, other):
-        # a constant factor only scales; the other side keeps its term order,
-        # which evalf's float sums depend on
-        if len(other.terms) == 1 and _ZEXP in other.terms:
-            return self.scale(other.terms[_ZEXP])
-        if len(self.terms) == 1 and _ZEXP in self.terms:
-            return other.scale(self.terms[_ZEXP])
+        # a one-term factor only shifts and scales; the other side keeps its
+        # term order, which evalf's float sums depend on
+        if len(other.terms) == 1:
+            (e, c), = other.terms.items()
+            return _times_term(self, e, c)
+        if len(self.terms) == 1:
+            (e, c), = self.terms.items()
+            return _times_term(other, e, c)
         return monoid_product(self, other)
 
     def scale(self, g):
@@ -280,6 +298,27 @@ class ParamPoly(TermMap):
         for p in parts[1:]:
             out += ("-" + p[1:]) if p.startswith("-") else ("+" + p)
         return out
+
+
+def _times_term(p, e, c):
+    """p·c·x^e in p's term order: each exponent shifted by e (which may be
+    negative where p's exponents allow it), each coefficient times c."""
+    terms = p.terms
+    if len(terms) == 1:
+        (k, v), = terms.items()
+        return ParamPoly({k if e == _ZEXP else tuple(map(add, k, e)): v * c})
+    if e == _ZEXP:
+        return p.scale(c)
+    return ParamPoly({tuple(map(add, k, e)): v * c for k, v in terms.items()})
+
+
+def _min_exponent(m, exps):
+    """Componentwise minimum of the exponent m and every exponent in exps."""
+    for e in exps:
+        if m == _ZEXP:
+            break
+        m = tuple(map(min, m, e))
+    return m
 
 
 PP_ZERO = ParamPoly({})
@@ -384,10 +423,7 @@ def _monomial_gcd(f, g):
     """gcd when f has one term: x^m with m the componentwise minimum of the
     exponents of all terms of f and g."""
     (m,) = f.terms
-    for e in g.terms:
-        if m == _ZEXP:
-            return PP_ONE
-        m = tuple(map(min, m, e))
+    m = _min_exponent(m, g.terms)
     return PP_ONE if m == _ZEXP else ParamPoly({m: GR_ONE})
 
 
@@ -455,26 +491,23 @@ class Scalar:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, _reduced=False):
+    def __init__(self, num, den=None):
         if den is None:
             den = PP_ONE
         if den.is_zero():
             raise ZeroDivisionError("Scalar with zero denominator")
-        if not _reduced:
-            num, den = _reduce(num, den)
-        self.num = num
-        self.den = den
+        self.num, self.den = _reduce(num, den)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def from_int(cls, n):
-        return cls(ParamPoly.from_int(n), PP_ONE, _reduced=True)
+        return _scalar(ParamPoly.from_int(n), PP_ONE)
 
     @classmethod
     def from_fraction(cls, fr):
         fr = Fraction(fr)
-        return cls(ParamPoly.const(GaussRational(fr)), PP_ONE, _reduced=True)
+        return _scalar(ParamPoly.const(GaussRational(fr)), PP_ONE)
 
     @classmethod
     def from_rational(cls, num, den=1):
@@ -482,11 +515,11 @@ class Scalar:
 
     @classmethod
     def from_gauss(cls, g):
-        return cls(ParamPoly.const(g), PP_ONE, _reduced=True)
+        return _scalar(ParamPoly.const(g), PP_ONE)
 
     @classmethod
     def param(cls, name):
-        return cls(ParamPoly.var(name), PP_ONE, _reduced=True)
+        return _scalar(ParamPoly.var(name), PP_ONE)
 
     # -- queries ----------------------------------------------------------
 
@@ -517,18 +550,19 @@ class Scalar:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if self.den is PP_ONE and other.den is PP_ONE:
             num = self.num + other.num
-            return Scalar(num, PP_ONE, _reduced=True) if num.terms else S_ZERO
+            return _scalar(num, PP_ONE) if num.terms else S_ZERO
         return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.num, self.den, _reduced=True)
+        return _scalar(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -540,22 +574,49 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            # a nonzero constant keeps gcd(num, den) = 1 and den monic
-            if other == 0:
-                return S_ZERO
-            if other == 1:
-                return self
-            return Scalar(self.num.scale(GaussRational(other)), self.den,
-                          _reduced=True)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den is PP_ONE and other.den is PP_ONE:
+        if other.__class__ is not Scalar:
+            if isinstance(other, int):
+                # a nonzero constant keeps gcd(num, den) = 1 and den monic
+                if other == 0:
+                    return S_ZERO
+                if other == 1:
+                    return self
+                return _scalar(self.num.scale(GaussRational(other)), self.den)
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if len(other.num.terms) == 1 and len(other.den.terms) == 1:
+            z, m = self, other
+        elif len(self.num.terms) == 1 and len(self.den.terms) == 1:
+            z, m = other, self
+        elif not (self.num.terms and other.num.terms):
+            return S_ZERO
+        elif self.den is PP_ONE and other.den is PP_ONE:
             # a product of nonzero polynomials is nonzero
-            return Scalar(self.num * other.num, PP_ONE, _reduced=True) \
-                if self.num.terms and other.num.terms else S_ZERO
-        return Scalar(self.num * other.num, self.den * other.den)
+            return _scalar(monoid_product(self.num, other.num), PP_ONE)
+        else:
+            return Scalar(self.num * other.num, self.den * other.den)
+        # z times m = c·x^e/x^f, a ratio of two monomials (a constant, a
+        # one-term polynomial, i/ħ).  With z = num/den reduced, the gcd of
+        # c·x^e·num and x^f·den is the monomial x^g, g = min(e, den) +
+        # min(f, num) componentwise, so the product shifts num by e − g and
+        # den by f − g, each in its own term order.
+        num, den = z.num, z.den
+        (e, c), = m.num.terms.items()
+        if m.den is PP_ONE:
+            if e == _ZEXP and c == GR_ONE:
+                return z
+            if den is PP_ONE:
+                return _scalar(_times_term(num, e, c), PP_ONE)
+            f = _ZEXP
+        else:
+            (f,) = m.den.terms
+        if not num.terms:
+            return S_ZERO
+        g = tuple(map(add, _min_exponent(e, den.terms), _min_exponent(f, num.terms)))
+        den = _times_term(den, tuple(map(sub, f, g)), GR_ONE)
+        return _scalar(_times_term(num, tuple(map(sub, e, g)), c),
+                       PP_ONE if den.is_const() else den)
 
     __rmul__ = __mul__
 
@@ -565,6 +626,12 @@ class Scalar:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("Scalar division by zero")
+        if len(other.num.terms) == 1 and len(other.den.terms) == 1:
+            # the inverse of c·x^e/x^f is (1/c)·x^f/x^e
+            (e, c), = other.num.terms.items()
+            (f,) = other.den.terms
+            return self * _scalar(ParamPoly({f: c.inverse()}),
+                                  PP_ONE if e == _ZEXP else ParamPoly({e: GR_ONE}))
         return Scalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -623,6 +690,14 @@ class Scalar:
     __repr__ = __str__
 
 
+def _scalar(num, den):
+    """Scalar from a pair already in canonical form."""
+    z = object.__new__(Scalar)
+    z.num = num
+    z.den = den
+    return z
+
+
 def as_scalar(c):
     """c as a Scalar: a Scalar unchanged, an int or a Fraction exactly."""
     if isinstance(c, Scalar):
@@ -659,7 +734,7 @@ def _poly_substitute(poly, idx, value):
         rest = list(e)
         k = rest[idx]
         rest[idx] = 0
-        term = Scalar(ParamPoly({tuple(rest): c}), PP_ONE, _reduced=True)
+        term = _scalar(ParamPoly({tuple(rest): c}), PP_ONE)
         out = out + term * value ** k
     return out
 

@@ -273,8 +273,9 @@ def test_vonneumann_rules_compute_each_commutator_once_per_stage(monkeypatch):
 
 def test_vonneumann_rules_form_few_rational_functions(monkeypatch):
     # the (i/ħ)-brackets of Weyl words are polynomials in ħ, so the stages'
-    # rows hold polynomials: a ratio in ħ formed per bracket coefficient and
-    # reduced by a gcd would make over a thousand reductions here
+    # rows hold polynomials, and their pivots are constants: a quotient by a
+    # constant scales, so no reduction by a gcd is left here (a ratio in ħ
+    # formed per bracket coefficient would make over a thousand)
     from gvh import scalars
 
     calls = []
@@ -286,7 +287,7 @@ def test_vonneumann_rules_form_few_rational_functions(monkeypatch):
 
     monkeypatch.setattr(scalars, "_reduce", counting)
     vonneumann_rules_flat(6)
-    assert len(calls) < 500
+    assert calls == []
 
 
 def test_verify_r2n_builds_the_groenewold_certificate_once(monkeypatch, capsys):
@@ -310,6 +311,59 @@ def test_verify_r2n_builds_the_groenewold_certificate_once(monkeypatch, capsys):
 
 # ---------------------------------------------------------------------------
 # sphere family
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper; returns the list of its calls."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_sphere_certificate_work(monkeypatch):
+    # 14 (i/ħ)-commutators make 28 matrix products, and each of Q1², Q2² and
+    # the three Q_iQ_k + Q_kQ_i is made once: 2 + 6; a ratio of monomials
+    # such as i/ħ scales a polynomial without a gcd
+    from gvh import scalars
+    from gvh.matrices import ExactMatrix
+
+    products = _counting(monkeypatch, ExactMatrix, "_product")
+    gcds = _counting(monkeypatch, scalars, "poly_gcd")
+    sphere_certificate(3)
+    assert len(products) == 22
+    assert len(gcds) <= 2
+
+
+def test_torus_q1_scales_by_i_over_hbar_without_a_gcd(monkeypatch):
+    from gvh import scalars
+    from gvh.obstruction import torus_q1_certificate
+    from gvh.sparse import TermMap
+
+    inside, gcd_inside = [], []
+    gcd, ih_commutator = scalars.poly_gcd, TermMap.ih_commutator
+
+    def counting_gcd(f, g):
+        if inside:
+            gcd_inside.append((f, g))
+        return gcd(f, g)
+
+    def marking(self, other):
+        inside.append(self)
+        try:
+            return ih_commutator(self, other)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(scalars, "poly_gcd", counting_gcd)
+    monkeypatch.setattr(TermMap, "ih_commutator", marking)
+    assert torus_q1_certificate(S_ONE).verdict == "consistent"
+    assert gcd_inside == []
 
 
 def test_sphere_trivial_spin_consistent():

@@ -165,6 +165,19 @@ def test_sphere_map_rules():
     assert sym == (q1 * q2 + q2 * q1).scale(half_a)
 
 
+def test_sphere_map_results_do_not_share_the_cached_spin_products():
+    # the map computes Q1Q2 + Q2Q1 once; what it returns is the caller's own
+    qmap = sphere_map(1)
+    s1s2 = SphereElement.canonicalize(svar("S1") * svar("S2"))
+    first = qmap(s1s2)
+    want = dict(first.terms)
+    first.scale(Scalar.from_int(3))
+    first + first
+    first.terms.clear()
+    again = qmap(s1s2)
+    assert again.terms == want and again is not first
+
+
 def test_sphere_map_casimir_with_trace_condition():
     # substituting c = (s^2 - a hbar^2 j(j+1))/3 makes Q(S.S) = s^2 I exactly
     from gvh.matrices import ExactMatrix

@@ -6,9 +6,10 @@ import pytest
 
 from gvh import scalars
 from gvh.cli import main
-from gvh.scalars import (HBAR, NPARAMS, PARAMS, PP_ONE, S_I, S_ONE, S_SPIN,
-                         S_ZERO, GaussRational, ParamPoly, Scalar, _prs_gcd,
-                         poly_divexact, poly_gcd)
+from gvh.scalars import (HBAR, I_OVER_HBAR, NPARAMS, PARAMS, PP_ONE, S_I,
+                         S_ONE, S_SPIN, S_ZERO, GaussRational, ParamPoly,
+                         Scalar, _prs_gcd, poly_divexact, poly_gcd)
+from gvh.sparse import monoid_product
 
 RNG = random.Random(0)
 NTRIALS = 100
@@ -318,7 +319,8 @@ def test_power_starts_from_the_base(monkeypatch):
 
 def _fast_path_operands(rng):
     """Scalars with the unit denominator (plain polynomials, and quotients by
-    an integer, which reduce to one), with other denominators, and zero."""
+    an integer, which reduce to one), with other denominators, ratios of two
+    monomials (i/ħ, s/ħ², (2+3i)/(5ħ), i, a Gaussian rational), and zero."""
     def poly():
         out = S_ZERO
         for _ in range(rng.randint(1, 3)):
@@ -330,7 +332,11 @@ def _fast_path_operands(rng):
     by_int.append(Scalar(ParamPoly.from_int(4) * HBAR.num, ParamPoly.from_int(4)))
     other = [S_ONE / (HBAR + S_ONE), (HBAR + S_SPIN) / (S_ONE - HBAR),
              _rand_scalar(rng), _rand_scalar(rng)]
-    return unit + by_int + other + [S_ZERO, HBAR - HBAR]
+    monomial = [I_OVER_HBAR, S_SPIN / (HBAR * HBAR),
+                Scalar(ParamPoly.const(GaussRational(2, 3)),
+                       ParamPoly.from_int(5) * HBAR.num),
+                S_I, Scalar.from_gauss(GaussRational(Fraction(3, 4), Fraction(-1, 2)))]
+    return unit + by_int + other + monomial + [S_ZERO, HBAR - HBAR]
 
 
 def _same(got, want):
@@ -356,3 +362,30 @@ def test_scalar_fast_paths_match_the_general_formula():
             _same(b * a, Scalar(left.num * right.num, left.den * right.den))
             _same(a + b, Scalar(a.num * rb.den + rb.num * a.den, a.den * rb.den))
             _same(a - b, Scalar(a.num * rb.den + (-rb.num) * a.den, a.den * rb.den))
+
+
+def test_quotients_by_monomial_ratios_match_the_general_formula():
+    """A quotient by a ratio of two monomials (a nonzero constant among them)
+    multiplies by its inverse; it must give the general quotient's canonical
+    form with the same term order."""
+    operands = _fast_path_operands(random.Random(7))
+    divisors = [c for c in operands + [S_ONE, Scalar.from_int(-7),
+                                       Scalar.from_rational(2, 9)]
+                if len(c.num.terms) == 1 and len(c.den.terms) == 1]
+    assert len([c for c in divisors if c.is_rational()]) >= 5
+    for a in operands:
+        for c in divisors:
+            _same(a / c, Scalar(a.num * c.den, a.den * c.num))
+
+
+def test_one_term_polynomial_products_match_the_monoid_product():
+    """ParamPoly's product shifts and scales by a one-term factor; it must
+    equal monoid_product term for term, in the same order."""
+    rng = random.Random(5)
+    polys = [_rand_poly(rng, rng.randint(0, 4)) for _ in range(30)]
+    polys += [_monomial((0,) * NPARAMS, 1), _monomial((0,) * NPARAMS, -3),
+              _monomial((1, 0, 2, 0, 0, 0), Fraction(2, 5))]
+    for p in polys:
+        for q in polys:
+            got, want = p * q, monoid_product(p, q)
+            assert list(got.terms.items()) == list(want.terms.items())
