@@ -9,12 +9,15 @@ terms
 with a an integer and f = Σ c x^j e^{2πimx}, c exact in π and ħ, the sum
 of one (a, d) group of terms.  DiffOps are closed under composition
 (diffop.diffop_compose), so composite operators are reduced exactly before
-any quadrature happens, and only the matrix entries are floats.  They come
-from Gauss–Hermite quadrature.  The nodes are the eigenvalues of the
-symmetric tridiagonal Jacobi matrix of the Hermite recurrence (Golub and
-Welsch, Math. Comp. 23, 1969); the stabilized weights w_i e^{x_i²} come
-from the order-(Q−1) Hermite function, never from exponentiating x_i², and
-shifted overlaps are centered so the Gaussian factors recombine exactly.  The
+any quadrature happens, and only the matrix entries are floats: a matrix is
+a plain N×N complex ndarray.  They come from Gauss–Hermite quadrature of
+the order `quadrature_order` gives (4N unless set, at most MAX_QUAD_ORDER).
+The nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix of
+the Hermite recurrence (Golub and Welsch, Math. Comp. 23, 1969); the
+stabilized weights w_i e^{x_i²} come from the order-(Q−1) Hermite function,
+never from exponentiating x_i², and shifted overlaps are centered so the
+Gaussian factors recombine exactly.  One generator, `_hermite_rows`, runs
+the three-term recurrence for both the rule and the basis values.  The
 commutant SVD runs on real stacks: conjugate generator pairs fold into their
 real and imaginary parts, pairs swapped by the Hermite parity P = diag((−1)ⁿ)
 fold into a P-even and a P-odd block, and pairs swapped by the transposition
@@ -32,6 +35,7 @@ from __future__ import annotations
 import math
 import os
 from functools import lru_cache
+from itertools import count, islice
 
 import numpy as np
 
@@ -59,37 +63,31 @@ def check_memory(nbytes, what):
 MAX_QUAD_ORDER = 740
 
 
-def check_quadrature_size(trunc, quad_order=None):
-    """Bound the Gauss–Hermite rule of order Q (4N by default) before its
-    O(Q³) eigensolve.  Within MAX_QUAD_ORDER the Q×Q Jacobi matrix takes
-    at most 8·740² bytes (4.4 MB)."""
+def quadrature_order(trunc, quad_order=None):
+    """The order Q of the Gauss–Hermite rule at truncation N: 4N unless
+    given, bounded before its O(Q³) eigensolve.  Within MAX_QUAD_ORDER the
+    Q×Q Jacobi matrix takes at most 8·740² bytes (4.4 MB)."""
     order = 4 * trunc if quad_order is None else quad_order
     if order > MAX_QUAD_ORDER:
         raise ValueError("the order-%d Gauss-Hermite rule exceeds %d, the largest "
                          "order admitted" % (order, MAX_QUAD_ORDER))
+    return order
+
+
+def _hermite_rows(xs):
+    """h_0, h_1, … at the points xs, by the three-term recurrence
+    h_n = √(2/n)·x·h_{n−1} − √((n−1)/n)·h_{n−2} from h_{−1} = 0."""
+    prev, last = np.zeros_like(xs), np.pi ** -0.25 * np.exp(-xs * xs / 2.0)
+    for n in count(1):
+        yield last
+        prev, last = last, math.sqrt(2.0 / n) * xs * last \
+            - math.sqrt((n - 1) / n) * prev
 
 
 def hermite_values(xs, nmax):
     """Values of h_0 … h_{nmax−1} at the points xs; shape (nmax, len(xs))."""
     xs = np.asarray(xs, dtype=float)
-    out = np.zeros((nmax, xs.size))
-    out[0] = np.pi ** -0.25 * np.exp(-xs * xs / 2.0)
-    if nmax > 1:
-        out[1] = math.sqrt(2.0) * xs * out[0]
-    for n in range(2, nmax):
-        out[n] = math.sqrt(2.0 / n) * xs * out[n - 1] \
-            - math.sqrt((n - 1) / n) * out[n - 2]
-    return out
-
-
-def _hermite_pair(xs, n):
-    """h_{n−1} and h_n at the points xs (h_{−1} = 0): the recurrence and
-    arithmetic of hermite_values, two rows at a time."""
-    prev, last = np.zeros_like(xs), np.pi ** -0.25 * np.exp(-xs * xs / 2.0)
-    for k in range(1, n + 1):
-        prev, last = last, math.sqrt(2.0 / k) * xs * last \
-            - math.sqrt((k - 1) / k) * prev
-    return prev, last
+    return np.array(list(islice(_hermite_rows(xs), nmax))).reshape(nmax, xs.size)
 
 
 @lru_cache(maxsize=32)
@@ -106,10 +104,11 @@ def gauss_hermite_rule(order):
     jacobi.ravel()[order::order + 1] = np.sqrt(np.arange(1, order) / 2.0)
     xs = np.linalg.eigvalsh(jacobi)
     with np.errstate(all="ignore"):
-        prev, last = _hermite_pair(xs, order)
-        xs -= last / (math.sqrt(2.0 * order) * prev)
+        h_prev, h_q = islice(_hermite_rows(xs), order - 1, order + 1)
+        xs -= h_q / (math.sqrt(2.0 * order) * h_prev)
         xs = (xs - xs[::-1]) / 2.0
-        wmod = 1.0 / (order * _hermite_pair(xs, order - 1)[1] ** 2)
+        h_prev, = islice(_hermite_rows(xs), order - 1, order)
+        wmod = 1.0 / (order * h_prev ** 2)
     if not np.all(np.isfinite(xs)):
         raise QuadratureError("Gauss-Hermite nodes are not finite at order %d" % order)
     if not np.all(np.isfinite(wmod)):
@@ -136,30 +135,6 @@ def position_tridiagonal(N):
     return X
 
 
-class NumericMatrix:
-    """Complex matrix with the truncation/quadrature provenance attached."""
-
-    __slots__ = ("dim", "entries", "provenance")
-
-    def __init__(self, entries, provenance=None):
-        self.entries = np.asarray(entries, dtype=complex)
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise ValueError("NumericMatrix must be square")
-        if not np.all(np.isfinite(self.entries)):
-            raise ValueError("non-finite matrix entries")
-        self.dim = self.entries.shape[0]
-        self.provenance = dict(provenance or {})
-
-    def __matmul__(self, other):
-        return NumericMatrix(self.entries @ other.entries,
-                             dict(self.provenance, derived="product"))
-
-    def __str__(self):
-        return "NumericMatrix(dim=%d, provenance=%r)" % (self.dim, self.provenance)
-
-    __repr__ = __str__
-
-
 @lru_cache(maxsize=32)
 def _gram_selftest(order, nmax, tol=1e-10):
     xs, wm = gauss_hermite_rule(order)
@@ -177,10 +152,11 @@ def hermite_matrix(op, trunc, hbar, quad_order=None):
     """N×N matrix of a DiffOp in x alone in the Hermite-function basis, with
     its symbols evaluated at π and the numeric ħ.
 
-    quad_order defaults to the 4N oversampling floor and may not go below it;
-    the orthonormality self-test runs once per rule and size, each node table
-    once per call.  Terms are summed in key order, so the float sums have a
-    fixed order.
+    quad_order defaults to the 4N oversampling floor (quadrature_order) and
+    may not go below it; the orthonormality self-test runs once per rule and
+    size, each node table once per call.  Terms are summed in key order, so
+    the float sums have a fixed order.  A ValueError refuses a matrix with a
+    non-finite entry.
     """
     if not isinstance(op, DiffOp):
         raise TypeError("expected a DiffOp, got %r" % (op,))
@@ -189,14 +165,12 @@ def hermite_matrix(op, trunc, hbar, quad_order=None):
     N = int(trunc)
     if N < 2:
         raise ValueError("truncation size must be at least 2")
-    floor = 4 * N
-    if quad_order is None:
-        quad_order = floor
-    if quad_order < floor:
+    quad_order = quadrature_order(N, quad_order)
+    if quad_order < 4 * N:
         raise ValueError("quad_order %d below oversampling floor %d"
-                         % (quad_order, floor))
+                         % (quad_order, 4 * N))
     nprime = N + max(op.order(), 0)
-    selftest = _gram_selftest(quad_order, nprime)
+    _gram_selftest(quad_order, nprime)
     xs, wm = gauss_hermite_rule(quad_order)
     values = {"pi": math.pi, "hbar": hbar}
     tables = {}
@@ -221,12 +195,9 @@ def hermite_matrix(op, trunc, hbar, quad_order=None):
         if d:
             G = G @ np.linalg.matrix_power(derivative_band(nk), d)[:, :N]
         total += G
-    return NumericMatrix(total, {
-        "basis": "hermite",
-        "trunc": N,
-        "quad_order": int(quad_order),
-        "gram_selftest": selftest,
-    })
+    if not np.all(np.isfinite(total)):
+        raise ValueError("non-finite matrix entries")
+    return total
 
 
 def _fold(blocks, image, phase, close):
@@ -381,8 +352,7 @@ def commutant_kernel_dim(mats, tol, interior=None):
     every entry its own orbit, so each parity sector stays whole and its
     antisymmetric half is empty.
     """
-    arrs = [m.entries if isinstance(m, NumericMatrix) else np.asarray(m, dtype=complex)
-            for m in mats]
+    arrs = [np.asarray(m, dtype=complex) for m in mats]
     if not arrs:
         raise ValueError("need at least one generator")
     N = arrs[0].shape[0]

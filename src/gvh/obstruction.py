@@ -28,8 +28,8 @@ import functools
 import math
 
 from .flat import FlatElement, bracket_flat
-from .hermite import (check_memory, check_quadrature_size, commutant_kernel_dim,
-                      derivative_band, hermite_matrix, position_tridiagonal)
+from .hermite import (check_memory, commutant_kernel_dim, derivative_band,
+                      hermite_matrix, position_tridiagonal, quadrature_order)
 from .linalg import solve_affine
 from .matrices import ExactMatrix, _half_integer, spin_matrices
 from .poly import MultiPoly
@@ -700,11 +700,11 @@ def torus_transform_identities(k, trunc=64, quad_order=None):
         raise ValueError("k must be a positive integer")
     if trunc < 4:
         raise ValueError("truncation too small")
-    check_quadrature_size(trunc, quad_order)
+    order = quadrature_order(trunc, quad_order)
     hbar = DEFAULT_TORUS_HBAR
     N = trunc
     M = N // 2
-    mats = torus_transformed_ops(k, N, hbar, quad_order)
+    mats = torus_transformed_ops(k, N, hbar, order)
     b_plus, b_minus = mats[2], mats[3]
     w = 2.0 * math.pi * k
     eye = np.eye(N)
@@ -713,13 +713,11 @@ def torus_transform_identities(k, trunc=64, quad_order=None):
     de = derivative_band(N + 1)
     rhs_b = eye - (w * hbar) ** 2 * (de @ de)[:N, :N]
     composite_a = transformed_harmonic_op(-k, 0) * transformed_harmonic_op(k, 0)
-    mat_a = hermite_matrix(composite_a, N, hbar, quad_order)
-    err_a = float(np.max(np.abs(mat_a.entries[:M, :M] - rhs_a[:M, :M])))
-    err_b = float(np.max(np.abs(
-        (b_minus @ b_plus).entries[:M, :M] - rhs_b[:M, :M])))
+    mat_a = hermite_matrix(composite_a, N, hbar, order)
+    err_a = float(np.max(np.abs(mat_a[:M, :M] - rhs_a[:M, :M])))
+    err_b = float(np.max(np.abs((b_minus @ b_plus)[:M, :M] - rhs_b[:M, :M])))
     return {
-        "k": k, "trunc": N, "hbar": hbar,
-        "quad_order": mat_a.provenance.get("quad_order"),
+        "k": k, "trunc": N, "hbar": hbar, "quad_order": order,
         "interior": M,
         "error_a_identity": err_a,
         "error_b_identity": err_b,
@@ -732,7 +730,7 @@ def torus_irreducibility(k, trunc=64, tol=1e-6, quad_order=None):
         raise ValueError("k must be a positive integer")
     if trunc < 32:
         raise ValueError("truncation must be at least 32")
-    check_quadrature_size(trunc, quad_order)
+    order = quadrature_order(trunc, quad_order)
     # the largest sector the commutant stack can take, M = N/2: with the
     # parity grading alone (a set that is not τ-closed) four real slabs of
     # ⌈M²/2⌉ rows by ⌈M²/2⌉ float64 columns (8·M⁴ bytes for even M), plus
@@ -743,7 +741,7 @@ def torus_irreducibility(k, trunc=64, tol=1e-6, quad_order=None):
     half = (M * M + 1) // 2
     check_memory(32 * half * half + 64 * M ** 3,
                  "the commutant stack at truncation %d" % trunc)
-    mats = torus_transformed_ops(k, trunc, DEFAULT_TORUS_HBAR, quad_order)
+    mats = torus_transformed_ops(k, trunc, DEFAULT_TORUS_HBAR, order)
     kdim, tail = commutant_kernel_dim(mats, tol)
     gap = None
     if len(tail) >= 2:
@@ -756,7 +754,7 @@ def torus_irreducibility(k, trunc=64, tol=1e-6, quad_order=None):
         "trunc": trunc,
         "tol": tol,
         "hbar": DEFAULT_TORUS_HBAR,
-        "quad_order": mats[0].provenance.get("quad_order"),
+        "quad_order": order,
         "commutant_dim_estimate": kdim,
         "singular_tail": tail,
         "singular_gap": gap,

@@ -162,13 +162,8 @@ def torus_transformed_ops(k, trunc, hbar=DEFAULT_TORUS_HBAR, quad_order=None):
     from .hermite import hermite_matrix
     if k < 1:
         raise ValueError("frequency k must be a positive integer, got %r" % (k,))
-    mats = []
-    for (m, l) in ((k, 0), (-k, 0), (0, k), (0, -k)):
-        op = transformed_harmonic_op(m, l)
-        mat = hermite_matrix(op, trunc, hbar, quad_order)
-        mat.provenance.update({"hbar": hbar, "k": k, "harmonic": (m, l)})
-        mats.append(mat)
-    return tuple(mats)
+    return tuple(hermite_matrix(transformed_harmonic_op(m, l), trunc, hbar, quad_order)
+                 for m, l in ((k, 0), (-k, 0), (0, k), (0, -k)))
 
 
 # ---------------------------------------------------------------------------

@@ -343,15 +343,6 @@ def _as_univariate(f, idx):
             for k, d in out.items() if any(not c.is_zero() for c in d.values())}
 
 
-def _shift_pow(poly, idx, k):
-    out = {}
-    for e, c in poly.terms.items():
-        e2 = list(e)
-        e2[idx] += k
-        out[tuple(e2)] = c
-    return ParamPoly(out)
-
-
 def poly_divexact(f, d):
     """Exact division f / d; returns None when d does not divide f."""
     if d.is_zero():
@@ -361,14 +352,8 @@ def poly_divexact(f, d):
     if len(d.terms) == 1:
         # one-term divisor c*x^e: shift every exponent by -e, scale by 1/c
         (de, dc), = d.terms.items()
-        inv = None if dc == GR_ONE else dc.inverse()
-        q = {}
-        for e, c in f.terms.items():
-            qe = tuple(map(sub, e, de))
-            if min(qe) < 0:
-                return None
-            q[qe] = c if inv is None else c * inv
-        return ParamPoly(q)
+        q = _times_term(f, tuple(-x for x in de), dc.inverse())
+        return None if any(min(e) < 0 for e in q.terms) else q
     q = {}
     r = f
     de, dc = d.leading()
@@ -395,7 +380,8 @@ def _pseudo_rem(f, g, idx):
         if dr < dg:
             break
         # r <- lc*r - lead(r)*x^(dr-dg)*g
-        r = (r * lc) - _shift_pow(ru[dr], idx, dr - dg) * g
+        shift = tuple(dr - dg if k == idx else 0 for k in range(NPARAMS))
+        r = (r * lc) - _times_term(ru[dr], shift, GR_ONE) * g
     return r
 
 
@@ -541,13 +527,10 @@ class Scalar:
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, Scalar):
-            return other
-        if isinstance(other, int):
-            return Scalar.from_int(other)
-        if isinstance(other, Fraction):
-            return Scalar.from_fraction(other)
-        return NotImplemented
+        try:
+            return as_scalar(other)
+        except TypeError:
+            return NotImplemented
 
     def __add__(self, other):
         if other.__class__ is not Scalar:

@@ -128,12 +128,12 @@ def _sphere_rows(elems, point, params):
 
 
 def _sphere_basis(ambient):
-    """Canonicalized monomials, echelonized: a basis of the canonical sphere
-    polynomials of degree ≤ cap (raw monomial keys over-span)."""
-    seen = SubspaceBasis(ambient)
-    return [el for el in (SphereElement.canonicalize(MultiPoly(SVARS, {e: S_ONE}))
-                          for e in ambient.keys())
-            if seen.add(el.terms)]
+    """The canonicalized monomials of S1-degree ≤ 1: the (cap+1)² normal-form
+    monomials of S·S − s² with S1² leading (Cox, Little and O'Shea, ch. 2),
+    so a basis of the sphere polynomials of degree ≤ cap (raw monomial keys
+    over-span)."""
+    return [SphereElement.canonicalize(MultiPoly(SVARS, {e: S_ONE}))
+            for e in ambient.keys() if e[0] <= 1]
 
 
 def SphereAmbient(degree_cap):

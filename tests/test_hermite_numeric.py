@@ -13,7 +13,8 @@ import pytest
 from gvh.diffop import DiffOp
 from gvh.hermite import (MAX_QUAD_ORDER, QuadratureError, _gram_selftest,
                          commutant_kernel_dim, derivative_band, gauss_hermite_rule,
-                         hermite_matrix, hermite_values, position_tridiagonal)
+                         hermite_matrix, hermite_values, position_tridiagonal,
+                         quadrature_order)
 from gvh.qmaps import DEFAULT_TORUS_HBAR
 from gvh.scalars import HBAR, S_ONE, Scalar
 
@@ -37,15 +38,15 @@ def test_hermite_values_orthonormal():
 
 def test_identity_matrix():
     m = _matrix(_line_op(), 64)
-    assert m.dim == 64
-    assert np.max(np.abs(m.entries - np.eye(64))) < 1e-10
+    assert m.shape == (64, 64)
+    assert np.max(np.abs(m - np.eye(64))) < 1e-10
 
 
 def test_position_matrix_matches_tridiagonal():
     # multiplication by x has exact entries sqrt((n+1)/2) off the diagonal
     m = _matrix(_line_op(j=1), 48)
     ref = position_tridiagonal(48)
-    assert np.max(np.abs(m.entries - ref)) < 1e-10
+    assert np.max(np.abs(m - ref)) < 1e-10
     assert abs(ref[0, 1] - math.sqrt(0.5)) < 1e-15
     assert abs(ref[4, 5] - math.sqrt(5 / 2)) < 1e-15
     assert abs(ref[5, 4] - math.sqrt(5 / 2)) < 1e-15
@@ -54,7 +55,7 @@ def test_position_matrix_matches_tridiagonal():
 def test_derivative_matrix_matches_band():
     m = _matrix(_line_op(dorder=1), 48)
     ref = derivative_band(48)
-    assert np.max(np.abs(m.entries - ref)) < 1e-10
+    assert np.max(np.abs(m - ref)) < 1e-10
     # d/dx is antisymmetric on Hermite functions
     assert np.max(np.abs(ref + ref.T)) < 1e-14
 
@@ -72,7 +73,7 @@ def test_doubling_stability():
     op = _line_op(m=1)  # e^{2 pi i x} multiplication
     m32 = _matrix(op, 32)
     m64 = _matrix(op, 64)
-    assert np.max(np.abs(m64.entries[:32, :32] - m32.entries)) < 1e-10
+    assert np.max(np.abs(m64[:32, :32] - m32)) < 1e-10
 
 
 def test_shift_operator():
@@ -83,7 +84,7 @@ def test_shift_operator():
     for a in (-1, 1, 2):
         m = _matrix(_line_op(shift=a), 24)
         ref = (h_here * ws) @ hermite_values(xs + a, 24).T
-        assert np.max(np.abs(m.entries - ref)) < 1e-9
+        assert np.max(np.abs(m - ref)) < 1e-9
 
 
 def test_shift_with_two_derivative_orders_matches_direct_quadrature():
@@ -100,7 +101,7 @@ def test_shift_with_two_derivative_orders_matches_direct_quadrature():
     fv = 1.5 * xs * np.exp(2j * np.pi * xs)
     ref = (h * ws * fv) @ there[:N].T \
         + hbar * (h * ws) @ (derivative_band(N + 1)[:, :N].T @ there).T
-    assert np.max(np.abs(_matrix(op, N).entries - ref)) < 1e-9
+    assert np.max(np.abs(_matrix(op, N) - ref)) < 1e-9
 
 
 def test_line_symbol_evalf_shift_and_deriv():
@@ -118,7 +119,7 @@ def test_line_symbol_evalf_shift_and_deriv():
     for op, fv in ((f, 1.5 * (xs - 2) ** 2 * phase),
                    (d, (3 * (xs - 2) + 3j * np.pi * (xs - 2) ** 2) * phase)):
         ref = (h * ws * fv) @ h.T
-        assert np.max(np.abs(_matrix(op, 24).entries - ref)) < 1e-9
+        assert np.max(np.abs(_matrix(op, 24) - ref)) < 1e-9
 
 
 def test_line_op_compose_matches_banded_product():
@@ -129,14 +130,14 @@ def test_line_op_compose_matches_banded_product():
     m = _matrix(op, 32)
     big_mult = _matrix(mult, 34)
     big_d = _matrix(_line_op(dorder=1), 34)
-    ref = (big_mult.entries @ big_d.entries)[:32, :32]
-    assert np.max(np.abs(m.entries - ref)) < 1e-9
+    ref = (big_mult @ big_d)[:32, :32]
+    assert np.max(np.abs(m - ref)) < 1e-9
 
 
 def test_hermite_matrix_evaluates_hbar():
     # hbar·x at hbar = 0.25 is a quarter of the position matrix
     m = hermite_matrix(_line_op(j=1, c=HBAR), 32, 0.25)
-    assert np.max(np.abs(m.entries - 0.25 * position_tridiagonal(32))) < 1e-10
+    assert np.max(np.abs(m - 0.25 * position_tridiagonal(32))) < 1e-10
 
 
 def test_hermite_matrix_rejects_an_operator_in_y():
@@ -166,7 +167,7 @@ def test_quadrature_failure_raises():
 
 
 def test_largest_allowed_quadrature_order_is_finite():
-    # check_quadrature_size admits orders up to MAX_QUAD_ORDER; a rule whose
+    # quadrature_order admits orders up to MAX_QUAD_ORDER; a rule whose
     # nodes or weights stop being finite sooner fails here
     xs, wmod = gauss_hermite_rule(MAX_QUAD_ORDER)
     assert np.all(np.isfinite(xs)) and np.all(np.isfinite(wmod))
@@ -333,7 +334,13 @@ def test_commutant_rejects_unpaired_complex_generator():
         commutant_kernel_dim([r, g], tol=1e-6, interior=4)
 
 
-def test_numeric_matrix_validation():
-    with pytest.raises(ValueError):
-        from gvh.hermite import NumericMatrix
-        NumericMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+def test_hermite_matrix_rejects_non_finite_entries():
+    # x^300 overflows at the outer nodes of the order-256 rule
+    with np.errstate(all="ignore"), \
+            pytest.raises(ValueError, match="non-finite matrix entries"):
+        hermite_matrix(_line_op(j=300), 64, 0.25)
+
+
+def test_quadrature_order_defaults_to_four_times_the_truncation():
+    assert quadrature_order(64) == 256
+    assert quadrature_order(64, 300) == 300

@@ -8,7 +8,8 @@ import pytest
 from gvh.flat import FlatElement
 from gvh.matrices import ExactMatrix
 from gvh.scalars import S_ONE, Scalar
-from gvh.sphere import SphereElement, svar
+from gvh.poly import MultiPoly
+from gvh.sphere import SVARS, SphereElement, svar
 from gvh.subspace import (FlatAmbient, MatrixAmbient, OffManifoldError,
                           SphereAmbient, SubspaceBasis, TorusAmbient,
                           WeylAmbient, generate_poisson_subalgebra,
@@ -97,6 +98,21 @@ def test_normalizer_of_affine_is_quadratics():
         assert norm.contains(_m(1, qe, pe))
     assert norm.contains_basis(p1)
     assert norm.is_bracket_closed()
+
+
+@pytest.mark.parametrize("cap", range(7))
+def test_sphere_basis_spans_every_canonical_monomial(cap):
+    # the S1-degree <= 1 monomials, canonicalized, span what all the
+    # canonicalized monomials of degree <= cap span, with no dependent one
+    amb = SphereAmbient(cap)
+    basis = amb.basis_elements()
+    assert len(basis) == (cap + 1) ** 2
+    every = [SphereElement.canonicalize(MultiPoly(SVARS, {e: S_ONE}))
+             for e in amb.keys()]
+    span = SubspaceBasis.from_elements(amb, basis)
+    full = SubspaceBasis.from_elements(amb, every)
+    assert span.dim() == len(basis)
+    assert span.contains_basis(full) and full.contains_basis(span)
 
 
 def test_normalizer_of_sphere_u2_is_itself():

@@ -35,6 +35,16 @@ def test_bad_tree_specs_are_usage_errors(specs, capsys):
     assert "expected distinct LABEL=SRC pairs" in capsys.readouterr().err
 
 
+def test_child_env_reads_no_bytecode_of_the_tree(monkeypatch):
+    monkeypatch.setenv("GVH_TRUNC", "32")
+    env = benchtool.child_env("/trees/parent/src", "/cache")
+    assert env["PYTHONPATH"] == "/trees/parent/src"
+    assert env["PYTHONPYCACHEPREFIX"] == "/cache"
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert env["PYTHONHASHSEED"] == "0" and env["OPENBLAS_NUM_THREADS"] == "1"
+    assert "GVH_TRUNC" not in env
+
+
 def test_quartiles():
     assert benchtool.quartiles([3, 1, 2]) == {"median": 2, "q1": 1.5, "q3": 2.5}
     assert benchtool.quartiles([4, 1, 3, 2, 5]) == {"median": 3, "q1": 2, "q3": 4}

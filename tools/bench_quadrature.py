@@ -37,7 +37,7 @@ mid = time.perf_counter()
 mats += (hermite_matrix(composite, trunc, DEFAULT_TORUS_HBAR),)
 end = time.perf_counter()
 print(json.dumps({"ops_s": mid - start, "composite_s": end - mid,
-                  "fro": [float(np.linalg.norm(m.entries)) for m in mats]}))
+                  "fro": [float(np.linalg.norm(m)) for m in mats]}))
 """
 
 

@@ -8,8 +8,9 @@ checkout's, as `change`), so one copy of a script compares two checkouts:
 `parent=../parent/src change=src`.  Every child is a fresh interpreter with
 that tree alone on `PYTHONPATH` and the environment `perfbench/run.py` pins
 (one BLAS thread, `PYTHONHASHSEED=0`, `GVH_TRUNC` unset), plus
-`PYTHONDONTWRITEBYTECODE=1`: gvh compiles from source, as in a fresh
-checkout, and no child writes `__pycache__` into the tree it times.  Every
+`PYTHONDONTWRITEBYTECODE=1` and a `PYTHONPYCACHEPREFIX` that holds no gvh
+bytecode: gvh compiles from source, as in a fresh checkout, even when the
+tree it times holds a `__pycache__`, and no child writes one.  Every
 round measures each case once per tree, the trees in turn, and the next round
 takes them in the reverse order.  With `--out`, each tree's run is stored in
 FILE under its label, keeping the runs stored there under other labels;
@@ -19,12 +20,16 @@ without it the runs are printed.
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from collections import namedtuple
 from pathlib import Path
@@ -53,11 +58,44 @@ def parse_args(doc, argv=None):
     return trees, args.out
 
 
+# Imports every gvh module and numpy, so that the bytecode they need lands
+# in the cache.
+WARM = ("import importlib, pkgutil, numpy, gvh\n"
+        "for m in pkgutil.iter_modules(gvh.__path__):\n"
+        "    importlib.import_module('gvh.' + m.name)\n")
+
+
+@functools.cache
+def bytecode_cache():
+    """A `PYTHONPYCACHEPREFIX` directory that holds the bytecode of the
+    standard library and numpy but none of gvh's, removed at exit.  A child
+    pointed at an empty one would compile numpy from source too (0.55 s
+    instead of 0.17 s to import it on a 2-core Intel Xeon VM), so one child
+    imports every gvh module with writes on, and the gvh bytecode it left
+    there is deleted."""
+    cache = tempfile.mkdtemp(prefix="gvh-bench-pyc-")
+    atexit.register(shutil.rmtree, cache, ignore_errors=True)
+    env = run.child_env()
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env.update(PYTHONPYCACHEPREFIX=cache)
+    subprocess.run([sys.executable, "-c", WARM], env=env, check=True)
+    shutil.rmtree(Path(cache, *(ROOT / "src").parts[1:]))
+    return cache
+
+
+def child_env(src, cache):
+    """The environment of a child that times the tree `src`, with the
+    bytecode directory `cache`."""
+    env = run.child_env()
+    env.update(PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPYCACHEPREFIX=cache)
+    return env
+
+
 def spawn(src, args):
     """Run `python ARGS` on the tree `src`: its stdout, exit code, wall time
     from spawn to exit and peak RSS (`ru_maxrss`, read with `os.wait4`)."""
-    env = run.child_env()
-    env.update(PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    env = child_env(src, bytecode_cache())
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, *args], env=env,
                             stdout=subprocess.PIPE, text=True)
