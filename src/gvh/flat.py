@@ -8,10 +8,11 @@ together with [Q(p), Q(q)] = -i*hbar is consistent.
 from __future__ import annotations
 
 import functools
+from operator import add
 
 from .poly import MultiPoly
 from .scalars import S_ONE
-from .sparse import nonzero_terms
+from .sparse import accumulate, nonzero_terms
 
 
 # Most degrees of freedom a flat phase space takes: every flat element, and
@@ -70,11 +71,26 @@ def active_dofs(*elems):
 
 
 def bracket_flat(f, g):
-    """{f, g} = sum_k (df/dp_k dg/dq_k - df/dq_k dg/dp_k); gives {p,q} = 1."""
+    """{f, g} = sum_k (df/dp_k dg/dq_k - df/dq_k dg/dp_k); gives {p,q} = 1.
+
+    Term by term, with u_i the i-th unit exponent and k over the active
+    degrees of freedom: {x^a, x^b} = sum_k
+    (a_(p_k) b_(q_k) - a_(q_k) b_(p_k)) x^(a+b-u_(q_k)-u_(p_k)).
+    """
     f._check(g)
     n = f.n
-    out = f._new({})
-    for k in active_dofs(f, g):
-        qk, pk = f.vars[k], f.vars[n + k]
-        out = out + f.partial(pk) * g.partial(qk) - f.partial(qk) * g.partial(pk)
-    return out
+    dofs = [(k, n + k) for k in active_dofs(f, g)]
+    out = {}
+    for a, c1 in f.terms.items():
+        for b, c2 in g.terms.items():
+            c = None
+            for q, p in dofs:
+                w = a[p] * b[q] - a[q] * b[p]
+                if w:
+                    if c is None:
+                        c, ab = c1 * c2, list(map(add, a, b))
+                    e = ab.copy()
+                    e[q] -= 1
+                    e[p] -= 1
+                    accumulate(out, tuple(e), c * w)
+    return f._new(out)

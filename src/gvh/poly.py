@@ -8,7 +8,7 @@ per-algebra variable order.
 from __future__ import annotations
 
 from .scalars import S_ZERO, S_ONE, as_scalar
-from .sparse import TermMap, monoid_product
+from .sparse import TermMap, accumulate, monoid_product
 
 
 class MultiPoly(TermMap):
@@ -56,9 +56,6 @@ class MultiPoly(TermMap):
     def coeff(self, exps):
         return self.terms.get(tuple(exps), S_ZERO)
 
-    def constant_term(self):
-        return self.terms.get((0,) * len(self.vars), S_ZERO)
-
     def homogeneous_part(self, d):
         return self._new({e: c for e, c in self.terms.items() if sum(e) == d})
 
@@ -92,10 +89,16 @@ class MultiPoly(TermMap):
         return self._new(out)
 
     def laplacian(self):
-        out = self._new({})
-        for v in self.vars:
-            out = out + self.partial(v).partial(v)
-        return out
+        """Term by term, with u_i the i-th unit exponent:
+        Delta x^e = sum_i e_i (e_i - 1) x^(e - 2 u_i)."""
+        out = {}
+        for e, c in self.terms.items():
+            for i, d in enumerate(e):
+                if d > 1:
+                    e2 = list(e)
+                    e2[i] -= 2
+                    accumulate(out, tuple(e2), c * (d * (d - 1)))
+        return self._new(out)
 
     # -- evaluation ---------------------------------------------------------------
 

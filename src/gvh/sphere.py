@@ -20,10 +20,6 @@ from .sparse import TermMap, accumulate, nonzero_terms
 
 SVARS = ("S1", "S2", "S3")
 
-# (i, j, k, sign) with eps_ijk = sign, over the cyclic and anticyclic triples
-_EPS = [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
-        (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)]
-
 
 def svar(name):
     return MultiPoly.var(SVARS, name)
@@ -44,14 +40,24 @@ R2 = _r2()
 
 
 def bracket_raw(f, g):
-    """Sphere bracket on plain polynomial representatives (no canonicalization)."""
-    df = [f.partial(v) for v in SVARS]
-    dg = [g.partial(v) for v in SVARS]
-    out = MultiPoly.zero(SVARS)
-    for i, j, k, sign in _EPS:
-        t = svar(SVARS[i]) * df[j] * dg[k]
-        out = out - t if sign > 0 else out + t
-    return out
+    """Sphere bracket on plain polynomial representatives (no canonicalization).
+
+    Term by term, with u_i the i-th unit exponent:
+    {S^a, S^b} = sum over the cyclic (i, j, k) of
+    (a_k b_j - a_j b_k) S^(a+b+u_i-u_j-u_k).
+    """
+    out = {}
+    for (a1, a2, a3), c1 in f.terms.items():
+        for (b1, b2, b3), c2 in g.terms.items():
+            w = (a3 * b2 - a2 * b3, a1 * b3 - a3 * b1, a2 * b1 - a1 * b2)
+            if w == (0, 0, 0):
+                continue
+            c = c1 * c2
+            e1, e2, e3 = a1 + b1 - 1, a2 + b2 - 1, a3 + b3 - 1
+            for e, wi in zip(((e1 + 2, e2, e3), (e1, e2 + 2, e3), (e1, e2, e3 + 2)), w):
+                if wi:
+                    accumulate(out, e, c * wi)
+    return f._new(out)
 
 
 def harmonic_decompose(f):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 
-from .scalars import S_ZERO, S_ONE, S_I, HBAR, TWO_PI, as_scalar
+from .scalars import S_ONE, S_I, HBAR, TWO_PI, as_scalar
 from .sparse import TermMap, accumulate, monoid_product, nonzero_terms
 
 
@@ -48,13 +48,6 @@ class TorusElement(TermMap):
         return cls({(m, n): half, (-m, -n): half}, B)
 
     # -- queries ---------------------------------------------------------------
-
-    def is_real(self):
-        """Reality: c_(-m,-n) equals the conjugate of c_(m,n)."""
-        for (m, n), c in self.terms.items():
-            if self.terms.get((-m, -n), S_ZERO) != c.conj():
-                return False
-        return True
 
     def freq_bound(self):
         if not self.terms:
@@ -96,17 +89,21 @@ class TorusElement(TermMap):
 
 
 def bracket_torus(f, g):
-    """{f, g} = (1/B)(f_x g_y - f_y g_x) on finite Fourier series."""
+    """{f, g} = (1/B)(f_x g_y - f_y g_x) on finite Fourier series.
+
+    Term by term, with e_(m,n) = e^(2 pi i (m x + n y)):
+    {e_(m1,n1), e_(m2,n2)} = (4 pi^2/B)(n1 m2 - m1 n2) e_(m1+m2,n1+n2),
+    so the integer weights are summed first and 4 pi^2/B multiplies each
+    coefficient of the sum once.
+    """
     f._check(g)
     out = {}
-    four_pi2 = TWO_PI * TWO_PI
     for (m1, n1), c1 in f.terms.items():
         for (m2, n2), c2 in g.terms.items():
-            det = m1 * n2 - n1 * m2
-            if det == 0:
-                continue
-            accumulate(out, (m1 + m2, n1 + n2), c1 * c2 * four_pi2 * (-det) / f.B)
-    return f._new(out)
+            w = n1 * m2 - m1 * n2
+            if w:
+                accumulate(out, (m1 + m2, n1 + n2), c1 * c2 * w)
+    return f._new(out).scale(TWO_PI * TWO_PI / f.B) if out else f._new(out)
 
 
 def basic_set(k, B=None):

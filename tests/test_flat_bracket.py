@@ -1,8 +1,13 @@
+import math
 import random
 
-from algebra_props import check_poisson_identities, random_flat
+import sympy
+
+from algebra_props import (_sympy_scalar, check_poisson_identities, random_flat,
+                           random_scalar)
 from gvh.flat import FlatElement, bracket_flat, flat_vars
-from gvh.scalars import S_ONE, Scalar
+from gvh.poly import monomials_upto
+from gvh.scalars import HBAR, S_ONE, Scalar
 
 RNG = random.Random(3)
 
@@ -72,28 +77,64 @@ def test_bilinearity():
         assert bracket_flat(f + g.scale(c), h) == bracket_flat(f, h) + bracket_flat(g, h).scale(c)
 
 
+def test_bracket_matches_sympy_derivatives():
+    """Independent oracle: sum_k (df/dp_k dg/dq_k - df/dq_k dg/dp_k) by
+    sympy's diff at n = 2, coefficients in hbar, i and the rationals."""
+    hb, xs = sympy.Symbol("hbar"), sympy.symbols("q1 q2 p1 p2")
+
+    def rand():
+        out = FlatElement.zero(2)
+        for e in RNG.sample(monomials_upto(4, 3), 4):
+            c = random_scalar(RNG) + random_scalar(RNG) * HBAR ** RNG.randint(1, 2)
+            out = out + FlatElement.monomial(2, e[:2], e[2:], c)
+        return out
+
+    def sym(f):
+        return sum(_sympy_scalar(sympy, c, hb) * math.prod(v ** d for v, d in zip(xs, e))
+                   for e, c in f.terms.items())
+
+    nonzero = 0
+    for _ in range(20):
+        f, g = rand(), rand()
+        fs, gs = sym(f), sym(g)
+        ref = sum(sympy.diff(fs, xs[2 + k]) * sympy.diff(gs, xs[k])
+                  - sympy.diff(fs, xs[k]) * sympy.diff(gs, xs[2 + k]) for k in range(2))
+        got = bracket_flat(f, g)
+        nonzero += not got.is_zero()
+        assert sympy.expand(sym(got) - ref) == 0
+    assert nonzero >= 15
+
+
 def test_cost_follows_the_variables_present_not_n(monkeypatch):
-    # at n = 1000 only q3, p7 and q7 occur; bracket_flat and vanhove_map
-    # differentiate in those degrees of freedom alone
+    # at n = 1000 only q3, p7 and q7 occur; bracket_flat weighs the degrees
+    # of freedom 3 and 7 alone, with no derivative, and vanhove_map
+    # differentiates in those alone
+    import gvh.flat
     from gvh.poly import MultiPoly
     from gvh.qmaps import vanhove_map
     from gvh.weyl import WeylElement
 
-    calls = []
-    partial = MultiPoly.partial
+    calls, dofs = [], []
+    partial, active = MultiPoly.partial, gvh.flat.active_dofs
 
     def counting(self, name):
         calls.append(name)
         return partial(self, name)
 
+    def recording(*elems):
+        dofs.append(active(*elems))
+        return dofs[-1]
+
     monkeypatch.setattr(MultiPoly, "partial", counting)
+    monkeypatch.setattr(gvh.flat, "active_dofs", recording)
     n = 1000
     f = FlatElement.coordinate(n, "q3") * FlatElement.coordinate(n, "p7")
     g = FlatElement.monomial(n, [2 if k == 7 else 0 for k in range(1, n + 1)],
                              [0] * n)
     want = FlatElement.coordinate(n, "q3") * FlatElement.coordinate(n, "q7")
     assert bracket_flat(f, g) == want.scale(Scalar.from_int(2))
-    assert sorted(calls) == ["p3", "p3", "p7", "p7", "q3", "q3", "q7", "q7"]
+    assert calls == []
+    assert dofs == [[2, 6]]
 
     del calls[:]
 

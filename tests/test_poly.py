@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import sympy
 
+from algebra_props import _sympy_scalar, random_scalar
 from gvh.poly import MultiPoly, monomials_upto
-from gvh.scalars import S_ONE, Scalar
+from gvh.scalars import HBAR, S_ONE, Scalar
 
 VARS = ("q1", "p1")
 RNG = random.Random(1)
@@ -57,6 +58,20 @@ def test_laplacian():
         f = _rand_poly(RNG)
         ref = sympy.diff(_to_sympy(f, (q, p)), q, 2) + sympy.diff(_to_sympy(f, (q, p)), p, 2)
         assert sympy.expand(_to_sympy(f.laplacian(), (q, p)) - ref) == 0
+    # three variables, coefficients in hbar, i and the rationals
+    rng, hb, xyz = random.Random(7), sympy.Symbol("hbar"), sympy.symbols("x y z")
+    f = MultiPoly.zero(("x", "y", "z"))
+    for e in rng.sample(monomials_upto(3, 4), 8):
+        c = random_scalar(rng) + random_scalar(rng) * HBAR ** rng.randint(1, 2)
+        f = f + MultiPoly.monomial(f.vars, e, c)
+
+    def sym(f):
+        return sum(_sympy_scalar(sympy, c, hb) * math.prod(v ** d for v, d in zip(xyz, e))
+                   for e, c in f.terms.items())
+
+    ref = sum(sympy.diff(sym(f), v, 2) for v in xyz)
+    assert len(f.terms) == 8 and f.laplacian().terms
+    assert sympy.expand(sym(f.laplacian()) - ref) == 0
 
 
 def test_homogeneous_parts_sum_back():
@@ -83,7 +98,7 @@ def test_coeff_and_constant_term():
     f = MultiPoly.monomial(VARS, (2, 1), Scalar.from_int(3)) + MultiPoly.const(VARS, Scalar.from_int(7))
     assert f.coeff((2, 1)) == Scalar.from_int(3)
     assert f.coeff((5, 5)).is_zero()
-    assert f.constant_term() == Scalar.from_int(7)
+    assert f.coeff((0, 0)) == Scalar.from_int(7)
     assert f.degree() == 3
 
 

@@ -10,8 +10,10 @@ spent reading the command line: in `cli._parse_args` (absent before the
 direct parser), `cli._build_parser` and `argparse.ArgumentParser.parse_args`.
 Over SAMPLES rounds the script reports the median and quartiles of the
 per-round sums per verb and in total.  One more child per invocation and
-tree counts the `scalars._reduce` and `Scalar.from_int` calls of that call,
-through wrappers that are never installed while timing.  Stdout, stderr and exit code of each invocation
+tree counts the `scalars._reduce`, `Scalar.from_int`, `MultiPoly.partial` and
+`sparse.monoid_product` calls of that call (the last under every name and
+class attribute gvh binds it to), through wrappers that are never installed
+while timing.  Stdout, stderr and exit code of each invocation
 must agree across samples and trees.
 """
 
@@ -30,7 +32,7 @@ CHILD = r"""
 import argparse, contextlib, hashlib, io, json, sys, time
 import numpy  # imported before the clock starts, as in perfbench/child.py
 import gvh.cli
-from gvh import scalars
+from gvh import poly, scalars, sparse
 
 argv, count = json.loads(sys.argv[1]), sys.argv[2] == "count"
 args_s = [0.0]
@@ -49,7 +51,7 @@ for owner, name in ((gvh.cli, "_parse_args"), (gvh.cli, "_build_parser"),
                     (argparse.ArgumentParser, "parse_args")):
     if hasattr(owner, name):
         setattr(owner, name, timed(getattr(owner, name)))
-counts = {"reduce": 0, "from_int": 0}
+counts = {"reduce": 0, "from_int": 0, "partial": 0, "monoid_product": 0}
 
 
 def counting(key, fn):
@@ -63,6 +65,13 @@ if count:
     scalars._reduce = counting("reduce", scalars._reduce)
     scalars.Scalar.from_int = classmethod(
         counting("from_int", scalars.Scalar.from_int.__func__))
+    poly.MultiPoly.partial = counting("partial", poly.MultiPoly.partial)
+    product, wrapped = sparse.monoid_product, counting("monoid_product", sparse.monoid_product)
+    for module in [m for name, m in sys.modules.items() if name.startswith("gvh.")]:
+        for owner in [module] + [c for c in vars(module).values() if isinstance(c, type)]:
+            for name, value in list(vars(owner).items()):
+                if value is product:
+                    setattr(owner, name, wrapped)
 
 out, err = io.StringIO(), io.StringIO()
 t0 = time.perf_counter()
@@ -99,12 +108,15 @@ def bench(trees):
                 for v in sorted({argv[0] for argv in argvs})},
             "reduce_calls": sum(c["reduce"] for c in counts),
             "from_int_calls": sum(c["from_int"] for c in counts),
+            "partial_calls": sum(c["partial"] for c in counts),
+            "monoid_product_calls": sum(c["monoid_product"] for c in counts),
             "main_s_samples": per_round("wall_s"),
         }
         print("%s: main %.4f s, argument step %.4f s (medians of %d), %d _reduce, "
-              "%d from_int" % (label, run["main_s"]["median"],
-                               run["argument_step_s"]["median"], SAMPLES,
-                               run["reduce_calls"], run["from_int_calls"]), file=sys.stderr)
+              "%d from_int, %d partial, %d monoid_product"
+              % (label, run["main_s"]["median"], run["argument_step_s"]["median"],
+                 SAMPLES, run["reduce_calls"], run["from_int_calls"],
+                 run["partial_calls"], run["monoid_product_calls"]), file=sys.stderr)
     return out
 
 
