@@ -45,12 +45,6 @@ class ExactMatrix(TermMap):
         return ExactMatrix(self.dim, {(j, i): c.conj()
                                       for (i, j), c in self.terms.items()})
 
-    def trace(self):
-        t = S_ZERO
-        for i in range(self.dim):
-            t = t + self.entry(i, i)
-        return t
-
     def __str__(self):
         n = self.dim
         return "[" + "; ".join(", ".join(str(self.entry(i, j)) for j in range(n))

@@ -33,9 +33,8 @@ from .hermite import (check_memory, commutant_kernel_dim, derivative_band,
 from .linalg import solve_affine
 from .matrices import ExactMatrix, _half_integer, spin_matrices
 from .poly import MultiPoly
-from .qmaps import (CONVENTION, DEFAULT_TORUS_HBAR, TORUS_PREQUANT, check_q1,
-                    sphere_map, torus_transformed_ops, transformed_harmonic_op,
-                    weyl_map)
+from .qmaps import (DEFAULT_TORUS_HBAR, TORUS_PREQUANT, check_q1, sphere_map,
+                    torus_transformed_ops, transformed_harmonic_op, weyl_map)
 from .scalars import A_SYM, HBAR, S_ONE, S_ZERO, S_SPIN, Scalar, as_scalar
 from .sparse import accumulate
 from .sphere import SVARS, SphereElement, bracket_raw
@@ -394,26 +393,37 @@ def vonneumann_rules_flat(degree):
 # ---------------------------------------------------------------------------
 
 class ObstructionCertificate:
-    def __init__(self, name, reference, steps, verdict, discrepancy,
-                 assumptions=()):
+    """Steps (dicts of display values) and the verdict they force.
+
+    Two optional step booleans, never emitted, decide it: a false "premise"
+    (a classical identity, a trivial commutant: what the chain stands on)
+    makes it undecided; else a false "claim" (a difference that must vanish,
+    an error under its tolerance) makes it inconsistent, measured by
+    `discrepancy`; else it is consistent, with no discrepancy."""
+
+    def __init__(self, name, reference, steps, discrepancy, assumptions=()):
         self.name = name
         self.reference = reference
-        self.steps = steps              # list of dicts
-        self.verdict = verdict          # "inconsistent" | "consistent" | "undecided"
+        self.steps = steps
+        if not all(s.get("premise", True) for s in steps):
+            self.verdict = "undecided"
+        elif not all(s.get("claim", True) for s in steps):
+            self.verdict = "inconsistent"
+        else:
+            self.verdict, discrepancy = "consistent", None
         self.discrepancy = discrepancy  # Scalar, str, or None
         self.assumptions = list(assumptions)
-        self.convention = CONVENTION
 
     def to_dict(self):
         return {
             "name": self.name,
             "reference": self.reference,
             "steps": [{k: (str(v) if not isinstance(v, (bool, int, float, str, type(None)))
-                           else v) for k, v in s.items()} for s in self.steps],
+                           else v) for k, v in s.items()
+                       if k not in ("premise", "claim")} for s in self.steps],
             "verdict": self.verdict,
             "discrepancy": str(self.discrepancy) if self.discrepancy is not None else None,
             "assumptions": list(self.assumptions),
-            "convention": self.convention,
         }
 
     def __repr__(self):
@@ -434,7 +444,7 @@ def anticommutator_certificate():
     steps = [
         {"classical": "(qp)^2 = q^2 * p^2",
          "quantum_lhs": str(lhs), "quantum_rhs": str(rhs),
-         "difference": str(diff)},
+         "difference": str(diff), "claim": diff.is_zero()},
         {"classical": "normal-ordered constant of (1/4)(XP+PX)^2",
          "quantum_lhs": str(lhs_const), "quantum_rhs": "-1/4*hbar^2",
          "difference": str(lhs_const + Scalar.from_rational(1, 4) * HBAR * HBAR)},
@@ -442,12 +452,9 @@ def anticommutator_certificate():
          "quantum_lhs": str(rhs_const), "quantum_rhs": "-hbar^2",
          "difference": str(rhs_const + HBAR * HBAR)},
     ]
-    discrepancy = diff.scalar_part()
-    verdict = "inconsistent" if diff.is_scalar() and not discrepancy.is_zero() \
-        else "consistent"
     return ObstructionCertificate(
         "anticommutator", "Groenewold-Van Hove (flat quadratics)",
-        steps, verdict, discrepancy)
+        steps, diff.scalar_part())
 
 
 @functools.lru_cache(maxsize=1)
@@ -468,14 +475,13 @@ def groenewold_certificate():
     route1 = Scalar.from_rational(1, 9) * rules[(3, 0)].ih_commutator(rules[(0, 3)])
     route2 = Scalar.from_rational(1, 3) * rules[(2, 1)].ih_commutator(rules[(1, 2)])
     diff = route1 - route2
-    disc = diff.scalar_part()
     h2 = HBAR * HBAR
     norm1 = route1.scalar_part() / h2   # constant in units of ħ²
     norm2 = route2.scalar_part() / h2
     steps = [
         {"classical": "(1/9){q^3,p^3} - (1/3){q^2 p, q p^2} = 0",
          "quantum_lhs": str(classical), "quantum_rhs": "0",
-         "difference": str(classical)},
+         "difference": str(classical), "premise": classical.is_zero()},
         {"classical": "(1/9)(i/hbar)[Q(q^3), Q(p^3)]",
          "quantum_lhs": str(route1),
          "quantum_rhs": "constant term %s = (%s)*hbar^2" % (route1.scalar_part(), norm1),
@@ -486,13 +492,11 @@ def groenewold_certificate():
          "difference": "normalized constant %s" % norm2},
         {"classical": "difference of the two quantizations of q^2 p^2",
          "quantum_lhs": str(route1), "quantum_rhs": str(route2),
-         "difference": str(diff)},
+         "difference": str(diff), "claim": diff.is_zero()},
     ]
-    verdict = "inconsistent" if diff.is_scalar() and not disc.is_zero() \
-        else "consistent"
     return ObstructionCertificate(
         "groenewold", "Groenewold's theorem (no extension past quadratics)",
-        steps, verdict, disc)
+        steps, diff.scalar_part())
 
 
 def _entrywise_ratio(m, base):
@@ -519,8 +523,7 @@ def sphere_certificate(j):
             "difference": "0",
         }]
         return ObstructionCertificate(
-            "sphere(j=0)", "spin quantization (trivial case)",
-            steps, "consistent", None)
+            "sphere(j=0)", "spin quantization (trivial case)", steps, None)
 
     jj1 = Scalar.from_rational(twoj * (twoj + 2), 4)   # j(j+1)
     a = A_SYM
@@ -546,8 +549,8 @@ def sphere_certificate(j):
         bracket_raw(s[1] * s[2], s[2] * s[0])
     expect_cl = -(s[0] * s[0] + s[1] * s[1] + s[2] * s[2]) * s[2]
     cl_ok = (lhs_cl - expect_cl).is_zero()
-    canon = SphereElement.canonicalize(lhs_cl)
-    canon_expected = SphereElement.canonicalize(s[2]).scale(-s2)
+    canon_ok = SphereElement.canonicalize(lhs_cl) == \
+        SphereElement.canonicalize(s[2]).scale(-s2)
     m1 = Q(s[0] * s[0]).ih_commutator(Q(s[0] * s[1])) - \
         Q(s[1] * s[1]).ih_commutator(Q(s[0] * s[1])) - \
         Q(s[1] * s[2]).ih_commutator(Q(s[2] * s[0]))
@@ -561,16 +564,14 @@ def sphere_certificate(j):
     steps.append({
         "classical": "{S1^2-S2^2, S1 S2} - {S2 S3, S3 S1} = -(S.S) S3 "
                      "(exact: %s; canonical class -s^2 S3: %s)"
-                     % (cl_ok, canon == canon_expected),
+                     % (cl_ok, canon_ok),
         "quantum_lhs": "(i/hbar)([Q(S1^2)-Q(S2^2), Q(S1 S2)] - [Q(S2 S3), Q(S3 S1)])"
                        " = (%s) Q(S3)" % lam1,
         "quantum_rhs": "Q(-s^2 S3) = -s^2 Q(S3)",
         "difference": "s^2 = %s (target a^2 hbar^2 (j(j+1) - 3/4) = %s)"
                       % (s2_value_1, target1),
+        "premise": cl_ok and canon_ok,
     })
-    if not (s2_value_1 - target1).is_zero():
-        raise RuntimeError("identity 1 derived %s, expected %s"
-                           % (s2_value_1, target1))
 
     if twoj == 1:
         # s² = a²ħ²(3/4 − 3/4) = 0 contradicts s > 0
@@ -579,20 +580,19 @@ def sphere_certificate(j):
             "quantum_lhs": "s^2 = %s" % s2_value_1,
             "quantum_rhs": "s > 0",
             "difference": "s^2 = 0 vs s > 0",
+            "claim": not s2_value_1.is_zero(),
         })
         return ObstructionCertificate(
             "sphere(j=1/2)", "spin quantization no-go",
-            steps, "inconsistent", "s^2 = 0 vs s > 0", assumptions)
+            steps, "s^2 = 0 vs s > 0", assumptions)
 
     # identity 2:  {S2², {S1S2, S1S3}} − (3/4){S1², {S1², S2S3}} = 2 s² S2S3
     inner1 = bracket_raw(s[0] * s[1], s[0] * s[2])
     inner2 = bracket_raw(s[0] * s[0], s[1] * s[2])
     lhs2_cl = bracket_raw(s[1] * s[1], inner1) - \
         bracket_raw(s[0] * s[0], inner2).scale(Scalar.from_rational(3, 4))
-    canon2 = SphereElement.canonicalize(lhs2_cl)
-    canon2_expected = SphereElement.canonicalize(s[1] * s[2]).scale(
-        Scalar.from_rational(2) * s2)
-    cl2_ok = canon2 == canon2_expected
+    cl2_ok = SphereElement.canonicalize(lhs2_cl) == \
+        SphereElement.canonicalize(s[1] * s[2]).scale(Scalar.from_rational(2) * s2)
     q_inner1 = Q(s[0] * s[1]).ih_commutator(Q(s[0] * s[2]))
     q_inner2 = Q(s[0] * s[0]).ih_commutator(Q(s[1] * s[2]))
     m2 = Q(s[1] * s[1]).ih_commutator(q_inner1) - \
@@ -611,10 +611,8 @@ def sphere_certificate(j):
         "quantum_rhs": "Q(2 s^2 S2 S3) = 2 s^2 Q(S2 S3)",
         "difference": "s^2 = %s (target a^2 hbar^2 (j(j+1) - 9/4) = %s)"
                       % (s2_value_2, target2),
+        "premise": cl2_ok,
     })
-    if not (s2_value_2 - target2).is_zero():
-        raise RuntimeError("identity 2 derived %s, expected %s"
-                           % (s2_value_2, target2))
 
     gap = s2_value_1 - s2_value_2
     steps.append({
@@ -622,11 +620,11 @@ def sphere_certificate(j):
         "quantum_lhs": str(s2_value_1),
         "quantum_rhs": str(s2_value_2),
         "difference": str(gap),
+        "claim": gap.is_zero(),
     })
-    verdict = "inconsistent" if not gap.is_zero() else "consistent"
     return ObstructionCertificate(
         "sphere(j=%s)" % (j,), "spin quantization no-go",
-        steps, verdict, gap, assumptions)
+        steps, gap, assumptions)
 
 
 def position_nonextension_certificate():
@@ -645,6 +643,7 @@ def position_nonextension_certificate():
         "quantum_lhs": "dimension %d" % comm_basis.dim(),
         "quantum_rhs": "scalars only",
         "difference": "trivial: %s" % commutant_scalar,
+        "premise": commutant_scalar,
     }]
     # T scalar: Q(p²) = P² + τ with P² = −ħ²d²/dq²; 2p² = {p², qp} forces τ = 0
     p2_main = weyl_product(P, P)
@@ -664,6 +663,7 @@ def position_nonextension_certificate():
         "quantum_lhs": "2(-hbar^2 d^2/dq^2 + T) vs (i/hbar)[-hbar^2 d^2/dq^2 + T, Q(qp)]",
         "quantum_rhs": "forces T = %s" % tau,
         "difference": str(resid_noT),
+        "premise": tau is not None and tau.is_zero(),
     })
     chained = groenewold_certificate()
     steps.append({
@@ -672,14 +672,12 @@ def position_nonextension_certificate():
         "quantum_lhs": "chained certificate: %s" % chained.name,
         "quantum_rhs": chained.verdict,
         "difference": str(chained.discrepancy),
+        "premise": chained.verdict != "undecided",
+        "claim": chained.verdict == "consistent",
     })
-    verdict = "inconsistent" if (commutant_scalar and tau is not None
-                                 and tau.is_zero()
-                                 and chained.verdict == "inconsistent") \
-        else "consistent"
     return ObstructionCertificate(
         "position_nonextension", "Van Hove restriction (position representation)",
-        steps, verdict, chained.discrepancy)
+        steps, chained.discrepancy)
 
 
 def torus_transform_identities(k, trunc=64, quad_order=None):
@@ -769,47 +767,46 @@ TORUS_IDENTITY_TOL = 1e-8
 
 def torus_q1_certificate(B):
     """Q1 of the prequantization map on each pair of the basic sets, k = 1, 2, 3."""
-    steps, ok = [], True
+    steps = []
     for k in (1, 2, 3):
         gens = basic_set(k, B)
         pairs = [(f, g) for i, f in enumerate(gens) for g in gens[i + 1:]]
         zeros = sum(check_q1(TORUS_PREQUANT, f, g).is_zero() for f, g in pairs)
-        ok = ok and zeros == len(pairs)
         steps.append({"classical": "basic set pairs, k = %d" % k,
                       "quantum_lhs": "Q({f,g})",
                       "quantum_rhs": "(i/hbar)[Q(f), Q(g)]",
-                      "difference": "exactly zero on %d/%d pairs" % (zeros, len(pairs))})
+                      "difference": "exactly zero on %d/%d pairs" % (zeros, len(pairs)),
+                      "claim": zeros == len(pairs)})
     return ObstructionCertificate(
         "torus_q1_symbolic", "prequantization bracket compatibility", steps,
-        "consistent" if ok else "inconsistent",
-        None if ok else "nonzero symbolic residual")
+        "nonzero symbolic residual")
 
 
 def torus_identity_certificate(ident):
     """Verdict on the errors `torus_transform_identities` measured."""
     err_a, err_b = ident["error_a_identity"], ident["error_b_identity"]
-    ok = max(err_a, err_b) < TORUS_IDENTITY_TOL
     return ObstructionCertificate(
         "torus_transform_identities", "Weil-transform product identities",
         [{"classical": "A-A+ = I + 4 pi^2 k^2 x^2 (interior block)",
           "quantum_lhs": "composite-symbol matrix",
-          "quantum_rhs": "band-matrix right side", "difference": err_a},
+          "quantum_rhs": "band-matrix right side", "difference": err_a,
+          "claim": err_a < TORUS_IDENTITY_TOL},
          {"classical": "B-B+ = I - 4 pi^2 hbar^2 k^2 d^2/dx^2 (interior block)",
           "quantum_lhs": "truncated matrix product",
-          "quantum_rhs": "band-matrix right side", "difference": err_b}],
-        "consistent" if ok else "inconsistent",
-        None if ok else "identity error above %g" % TORUS_IDENTITY_TOL)
+          "quantum_rhs": "band-matrix right side", "difference": err_b,
+          "claim": err_b < TORUS_IDENTITY_TOL}],
+        "identity error above %g" % TORUS_IDENTITY_TOL)
 
 
 def torus_irreducibility_certificate(irr):
     """Verdict on the commutant `torus_irreducibility` measured: a kernel
     other than the scalars is undecided, never inconsistent."""
     kdim, tail = irr["commutant_dim_estimate"], irr["singular_tail"]
-    ok = kdim == 1
     return ObstructionCertificate(
         "torus_irreducibility", "numeric commutant surrogate for irreducibility",
         [{"classical": "commutant kernel of {A+, A-, B+, B-}",
           "quantum_lhs": "kernel dimension %d" % kdim,
           "quantum_rhs": "1 (scalars only)",
-          "difference": tail[-2] if len(tail) > 1 else None}],
-        "consistent" if ok else "undecided", None if ok else irr["verdict"])
+          "difference": tail[-2] if len(tail) > 1 else None,
+          "premise": kdim == 1}],
+        irr["verdict"])

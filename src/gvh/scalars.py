@@ -248,7 +248,7 @@ class ParamPoly(TermMap):
     def conj(self):
         return ParamPoly({e: c.conj() for e, c in self.terms.items()})
 
-    # -- evaluation / substitution --------------------------------------
+    # -- evaluation ----------------------------------------------------
 
     def evalf(self, values):
         """Evaluate numerically; `values` maps parameter name -> number."""
@@ -648,7 +648,7 @@ class Scalar:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    # -- evaluation / substitution -----------------------------------------
+    # -- evaluation ------------------------------------------------------
 
     def evalf(self, values):
         """Numeric value with parameters substituted from `values`."""
@@ -656,11 +656,6 @@ class Scalar:
         if d == 0:
             raise ZeroDivisionError("denominator vanishes at substitution")
         return self.num.evalf(values) / d
-
-    def substitute(self, name, value):
-        """Exact substitution of a Scalar for one parameter."""
-        idx = _PINDEX[name]
-        return _poly_substitute(self.num, idx, value) / _poly_substitute(self.den, idx, value)
 
     def used_params(self):
         return self.num.used_params() | self.den.used_params()
@@ -708,18 +703,6 @@ def _reduce(num, den):
         den = den.scale(inv)
     # a monic constant is 1, and the unit denominator is always PP_ONE
     return num, (PP_ONE if den.is_const() else den)
-
-
-def _poly_substitute(poly, idx, value):
-    """ParamPoly -> Scalar with parameter idx replaced by a Scalar value."""
-    out = S_ZERO
-    for e, c in poly.terms.items():
-        rest = list(e)
-        k = rest[idx]
-        rest[idx] = 0
-        term = _scalar(ParamPoly({tuple(rest): c}), PP_ONE)
-        out = out + term * value ** k
-    return out
 
 
 S_ZERO = Scalar.from_int(0)

@@ -11,7 +11,7 @@ import sympy
 from gvh.flat import FlatElement, bracket_flat
 from gvh.hermite import MAX_QUAD_ORDER
 from gvh.matrices import spin_matrices
-from gvh.obstruction import (CONVENTION, BracketConstraint, ExtensionProblem,
+from gvh.obstruction import (BracketConstraint, ExtensionProblem,
                              _flat_problem, anticommutator_certificate,
                              cubic_extension_problem, extension_solve,
                              groenewold_certificate,
@@ -22,10 +22,12 @@ from gvh.obstruction import (CONVENTION, BracketConstraint, ExtensionProblem,
                              torus_irreducibility,
                              torus_irreducibility_certificate,
                              torus_transform_identities, vonneumann_rules_flat)
+from gvh.poly import MultiPoly
 from gvh.report import Report
 from gvh.scalars import HBAR, S_I, S_ONE, Scalar
+from gvh.sphere import SVARS
 from gvh.subspace import WeylAmbient
-from gvh.weyl import WeylElement, symmetrized, weyl_commutator
+from gvh.weyl import WeylElement, symmetrized, weyl_commutant, weyl_commutator
 
 X = WeylElement.x()
 P = WeylElement.p()
@@ -95,6 +97,46 @@ def test_groenewold_constants_rederived():
     assert (via_cubes.scalar_part() - _frac(2, 3) * H2).is_zero()
     assert (via_mixed.scalar_part() - _frac(1, 3) * H2).is_zero()
     assert via_cubes - via_mixed == WeylElement.const(_frac(1, 3) * H2)
+
+
+# A mutant classical side: the certificates still compute the same quantum
+# sides, but a premise they stand on is now false, so they may decide nothing.
+
+@pytest.fixture
+def fresh_groenewold():
+    """Rebuild the cached Groenewold certificate before and after a test."""
+    groenewold_certificate.cache_clear()
+    yield
+    groenewold_certificate.cache_clear()
+
+
+def _mutate_bracket(monkeypatch, name, f, g, factor):
+    """Patch gvh.obstruction's bracket `name` so that {f, g} comes out
+    multiplied by `factor`, every other bracket unchanged."""
+    from gvh import obstruction
+
+    bracket = getattr(obstruction, name)
+
+    def mutant(a, b):
+        out = bracket(a, b)
+        return out.scale(factor) if (a, b) == (f, g) else out
+
+    monkeypatch.setattr(obstruction, name, mutant)
+
+
+def test_false_groenewold_identity_is_undecided(monkeypatch, capsys,
+                                                fresh_groenewold):
+    # (1/8){q^3, p^3} - (1/3){q^2 p, q p^2} = (-1/8) q^2 p^2, not 0
+    from gvh.cli import main
+
+    _mutate_bracket(monkeypatch, "bracket_flat", _mono(3, 0), _mono(0, 3),
+                    _frac(9, 8))
+    cert = groenewold_certificate()
+    assert cert.steps[0]["difference"] == "(-1/8)*q1^2*p1^2"
+    assert cert.verdict == "undecided"
+    assert position_nonextension_certificate().verdict == "undecided"
+    assert main(["verify", "r2n"]) == 2
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +237,12 @@ def test_bracket_constraint_rejects_no_terms():
 
 def test_certificate_serialization():
     d = groenewold_certificate().to_dict()
-    assert sorted(d.keys()) == ["assumptions", "convention", "discrepancy",
-                                "name", "reference", "steps", "verdict"]
-    assert d["convention"] == CONVENTION
+    assert sorted(d.keys()) == ["assumptions", "discrepancy", "name",
+                                "reference", "steps", "verdict"]
     assert d["discrepancy"] == "1/3*hbar^2"
+    # the premise and claim flags behind the verdict are not emitted
+    assert all(sorted(step) == ["classical", "difference", "quantum_lhs",
+                                "quantum_rhs"] for step in d["steps"])
     again = json.loads(json.dumps(d, sort_keys=True))
     assert again == d
 
@@ -470,6 +514,46 @@ def test_sphere_gap_rederived_by_sympy(j):
     assert sympy.simplify(reported - gap) == 0
 
 
+@pytest.mark.parametrize("twoj", range(1, 21))
+def test_sphere_s2_values_match_the_paper(twoj):
+    """Gotay-Grundling-Hurst: identity one forces s^2 = a^2 hbar^2 (j(j+1) -
+    3/4), identity two s^2 = a^2 hbar^2 (j(j+1) - 9/4), a gap of (3/2) a^2
+    hbar^2; the expected values come from Fractions, read back by sympy."""
+    a, h = sympy.symbols("a hbar")
+    j = Fraction(twoj, 2)
+
+    def value(text):
+        return sympy.sympify(text.replace("^", "**"), locals={"a": a, "hbar": h})
+
+    def paper(shift):
+        c = j * (j + 1) - shift
+        return a**2 * h**2 * sympy.Rational(c.numerator, c.denominator)
+
+    def derived(step):
+        return value(re.match(r"s\^2 = (\S+) \(target",
+                              cert.steps[step]["difference"]).group(1))
+
+    cert = sphere_certificate(j)
+    assert cert.verdict == "inconsistent"
+    assert sympy.expand(derived(1) - paper(Fraction(3, 4))) == 0
+    if twoj > 1:
+        assert sympy.expand(derived(2) - paper(Fraction(9, 4))) == 0
+        gap = value(str(cert.discrepancy))
+        assert sympy.expand(gap - sympy.Rational(3, 2) * a**2 * h**2) == 0
+
+
+@pytest.mark.parametrize("j", [Fraction(1, 2), 1, 10])
+def test_false_sphere_identity_is_undecided(monkeypatch, j):
+    # {S1^2-S2^2, S1 S2} + {S2 S3, S3 S1} is not -(S.S) S3
+    s = [MultiPoly.var(SVARS, v) for v in SVARS]
+    _mutate_bracket(monkeypatch, "bracket_raw", s[1] * s[2], s[2] * s[0],
+                    Scalar.from_int(-1))
+    cert = sphere_certificate(j)
+    assert "(exact: False; canonical class -s^2 S3: False)" in \
+        cert.steps[1]["classical"]
+    assert cert.verdict == "undecided"
+
+
 def test_sphere_equivariance_family():
     sol = extension_solve(sphere_equivariance_problem(1))
     assert sol.verdict == "family"
@@ -489,6 +573,18 @@ def test_position_nonextension_certificate():
     assert cert.steps[0]["difference"] == "trivial: True"
     assert cert.steps[1]["quantum_rhs"] == "forces T = 0"
     assert cert.steps[2]["quantum_lhs"] == "chained certificate: groenewold"
+
+
+def test_position_nontrivial_commutant_is_undecided(monkeypatch):
+    # a commutant of dimension 2 (here that of X within span{1, X}) leaves
+    # T in Q(p^2) = P^2 + T unpinned, whatever the cubic contradiction says
+    from gvh import obstruction
+
+    monkeypatch.setattr(obstruction, "weyl_commutant",
+                        lambda gens, words: weyl_commutant(gens[:1], [(0, 0), (1, 0)]))
+    cert = position_nonextension_certificate()
+    assert cert.steps[0]["quantum_lhs"] == "dimension 2"
+    assert cert.verdict == "undecided"
 
 
 # ---------------------------------------------------------------------------

@@ -42,20 +42,19 @@ def test_empty_report():
 
 def test_report_exit_codes():
     ok = Report()
-    ok.add_certificate(ObstructionCertificate("a", "", [], "inconsistent", None),
-                       "inconsistent")
+    ok.add_certificate(
+        ObstructionCertificate("a", "", [{"claim": False}], None), "inconsistent")
     assert ok.exit_code() == 0
     assert ok.summary()["verdict"] == "as expected"
 
     bad = Report()
-    bad.add_certificate(ObstructionCertificate("a", "", [], "consistent", None),
-                        "inconsistent")
+    bad.add_certificate(ObstructionCertificate("a", "", [], None), "inconsistent")
     assert bad.exit_code() == 1
     assert bad.summary()["verdict"] == "mismatch"
 
     undecided = Report()
     undecided.add_certificate(
-        ObstructionCertificate("a", "", [], "undecided", None), "consistent")
+        ObstructionCertificate("a", "", [{"premise": False}], None), "consistent")
     assert undecided.exit_code() == 2
 
 
@@ -82,8 +81,8 @@ def test_markdown_rendering():
     rep = Report()
     rep.add_certificate(ObstructionCertificate(
         "demo", "ref", [{"classical": "a | b", "quantum_lhs": "L",
-                         "quantum_rhs": "R", "difference": "0"}],
-        "consistent", None), "consistent")
+                         "quantum_rhs": "R", "difference": "0", "claim": True}],
+        None), "consistent")
     text = emit_markdown(rep)
     assert text.startswith("# Verification report")
     assert "## demo" in text and "## Summary" in text

@@ -1,5 +1,6 @@
 """The shared harness of `tools/bench_*.py` (`tools/benchtool.py`): its
-command line, its statistics and its store.  No test starts a child."""
+command line, its statistics and its store; and the refusals of
+`tools/record_cli_goldens.py`.  No test starts a child."""
 
 import json
 import pathlib
@@ -10,6 +11,7 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
 
 import benchtool  # noqa: E402
+import record_cli_goldens  # noqa: E402
 
 
 def test_default_tree_is_this_checkout():
@@ -64,3 +66,23 @@ def test_rounds_reverse_the_tree_order_every_round():
                             lambda src, case: seen.append(src + case) or len(seen))
     assert seen == ["Ax", "Bx", "Ay", "By", "Bx", "Ax", "By", "Ay", "Ax", "Bx", "Ay", "By"]
     assert runs == {"a": [[1, 6, 9], [3, 8, 11]], "b": [[2, 5, 10], [4, 7, 12]]}
+
+
+@pytest.mark.parametrize("failing, code, written", [
+    (["verify", "r2n"], 2, False),                  # an undecided verdict
+    (["bracket", "r2n", "q2", "p1"], 1, True),      # bad input, as recorded
+])
+def test_cli_goldens_refuse_a_failing_verify(monkeypatch, tmp_path, failing,
+                                             code, written):
+    out = tmp_path / "cli_goldens.json"
+    monkeypatch.setattr(record_cli_goldens, "OUT", out)
+    monkeypatch.setattr(record_cli_goldens, "record", lambda argv: {
+        "argv": argv, "exit": code if argv == failing else 0, "stdout": "",
+        "stderr": ""})
+    if written:
+        record_cli_goldens.main()
+        assert len(json.loads(out.read_text())) == len(record_cli_goldens.CASES)
+    else:
+        with pytest.raises(SystemExit, match="refusing to record"):
+            record_cli_goldens.main()
+        assert not out.exists()

@@ -5,7 +5,9 @@
 Runs each invocation in CASES through `gvh.cli.main(argv)` in process, as
 `tests/test_cli_goldens.py` replays it, and stores its exit code, stdout and
 stderr.  Run it from a checkout whose outputs are known to be right: the
-test then pins every later change to those bytes.
+test then pins every later change to those bytes.  It refuses to write
+anything when a `verify` invocation exits non-zero, so a wrong or undecided
+verdict never becomes a golden.
 """
 
 from __future__ import annotations
@@ -90,6 +92,9 @@ def record(argv):
 def main():
     sys.path.insert(0, str(ROOT / "src"))
     cases = [record(argv) for argv in CASES]
+    failed = [c["argv"] for c in cases if c["argv"][0] == "verify" and c["exit"]]
+    if failed:
+        sys.exit("refusing to record: verify exits non-zero for %s" % failed)
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(cases, indent=1) + "\n")
     print("wrote %d invocations to %s" % (len(cases), OUT))
