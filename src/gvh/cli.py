@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import fractions
-import os
 import sys
 
 from .flat import bracket_flat
@@ -58,13 +57,6 @@ def _check_r2n(args):
 
 
 def _check_torus(args):
-    if args.verb == "verify" and args.trunc is None:
-        # only torus verify has a truncation; GVH_TRUNC is not read elsewhere
-        text = os.environ.get("GVH_TRUNC", "64")
-        try:
-            args.trunc = int(text)
-        except ValueError:
-            raise ValueError("GVH_TRUNC must be an integer, got %r" % text) from None
     if args.B.is_zero():
         raise ValueError("--B must be nonzero on the torus")
     if args.verb == "verify":
@@ -75,6 +67,8 @@ def _check_torus(args):
             raise ValueError("--trunc must be at least 32, got %d" % args.trunc)
         if not 0 < args.tol < 1:
             raise ValueError("--tol must lie strictly between 0 and 1, got %r" % args.tol)
+        from .hermite import quadrature_order  # numpy: only verify loads it
+        quadrature_order(args.trunc, args.quad_order)
 
 
 def _check_flags(args):
@@ -286,8 +280,7 @@ _CHECKQ1 = _COMMON + (
 _VERIFY = _COMMON + (
     ("--j", "j", _spin, fractions.Fraction(1), None, None),
     ("--k", "k", int, 1, None, None),
-    ("--trunc", "trunc", int, None, None,
-     "Hermite truncation (default $GVH_TRUNC or 64)"),
+    ("--trunc", "trunc", int, 64, None, "Hermite truncation (default 64)"),
     ("--tol", "tol", float, 1e-6, None, None),
     ("--quad-order", "quad_order", int, None, None, None),
 )
@@ -372,9 +365,10 @@ def main(argv=None):
         _check_flags(args)
         *_, handler = _VERBS[args.verb]
         report, code = handler(args)
-    except (ValueError, RuntimeError, MemoryError) as err:
+    except (ValueError, RuntimeError, MemoryError, ZeroDivisionError) as err:
         # bad input (ParseError, DomainError), a failed internal invariant
-        # (QuadratureError) or an allocation the heap could not serve
+        # (QuadratureError), an allocation the heap could not serve or a
+        # denominator that vanishes where a numeric check evaluates it
         print("error: %s" % (str(err) or type(err).__name__), file=sys.stderr)
         return 1
     sys.stdout.write(emit_report(report, args.format))

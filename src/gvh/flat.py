@@ -41,10 +41,6 @@ class FlatElement(MultiPoly):
         return len(self.vars) // 2
 
     @classmethod
-    def zero(cls, n):
-        return cls(n, {})
-
-    @classmethod
     def const(cls, n, c):
         return cls(n, MultiPoly.const(flat_vars(n), c).terms)
 

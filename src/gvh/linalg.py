@@ -102,8 +102,3 @@ def solve_affine(rows, rhs, ncols):
     basis = nullspace([{j: v for j, v in row.items() if j != ncols}
                        for row in red], ncols)
     return part, basis
-
-
-def rank(rows, ncols):
-    _, pivots = rref(rows, ncols)
-    return len(pivots)

@@ -41,10 +41,6 @@ class ExactMatrix(TermMap):
                 accumulate(out, (i, j), a * b)
         return self._new(out)
 
-    def adjoint(self):
-        return ExactMatrix(self.dim, {(j, i): c.conj()
-                                      for (i, j), c in self.terms.items()})
-
     def __str__(self):
         n = self.dim
         return "[" + "; ".join(", ".join(str(self.entry(i, j)) for j in range(n))

@@ -104,9 +104,6 @@ class SolutionSpace:
     def parameters(self):
         return len(self.family)
 
-    def operator_for(self, index):
-        return self.assignments[index]
-
     def __repr__(self):
         return "SolutionSpace(%s, parameters=%d)" % (self.verdict, self.parameters)
 
@@ -368,8 +365,7 @@ def vonneumann_rules_flat(degree):
     sol2 = extension_solve(quadratic_extension_problem())
     if sol2.verdict != "unique":
         raise RuntimeError("quadratic extension unexpectedly %s" % sol2.verdict)
-    rules.update({(1, 1): sol2.operator_for(1), (2, 0): sol2.operator_for(0),
-                  (0, 2): sol2.operator_for(2)})
+    rules.update(zip([(2, 0), (1, 1), (0, 2)], sol2.assignments))
     W = WeylElement.word
     record(2, {(2, 0): W((2, 0)), (1, 1): symmetrized(X, P), (0, 2): W((0, 2))})
     for e in range(3, degree + 1):

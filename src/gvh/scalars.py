@@ -207,9 +207,6 @@ class ParamPoly(TermMap):
     def is_const(self):
         return not self.terms or (len(self.terms) == 1 and _ZEXP in self.terms)
 
-    def const_value(self):
-        return self.terms.get(_ZEXP, GR_ZERO)
-
     def degree(self):
         if not self.terms:
             return -1
@@ -262,14 +259,6 @@ class ParamPoly(TermMap):
                     v *= values[PARAMS[k]] ** p
             total += v
         return total
-
-    def used_params(self):
-        used = set()
-        for e in self.terms:
-            for k, p in enumerate(e):
-                if p:
-                    used.add(PARAMS[k])
-        return used
 
     # -- printing --------------------------------------------------------
 
@@ -515,15 +504,6 @@ class Scalar:
     def is_one(self):
         return self.num == PP_ONE and self.den == PP_ONE
 
-    def is_rational(self):
-        """True when the value is a plain Gaussian rational."""
-        return self.num.is_const() and self.den.is_const()
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise ValueError("Scalar %s is not a plain rational" % self)
-        return self.num.const_value() / self.den.const_value()
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
@@ -656,9 +636,6 @@ class Scalar:
         if d == 0:
             raise ZeroDivisionError("denominator vanishes at substitution")
         return self.num.evalf(values) / d
-
-    def used_params(self):
-        return self.num.used_params() | self.den.used_params()
 
     def __str__(self):
         if self.den == PP_ONE:

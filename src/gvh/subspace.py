@@ -194,25 +194,11 @@ class SubspaceBasis(Echelon):
             basis.add(e.terms)
         return basis
 
-    def contains(self, elem):
-        return not self.reduce(elem.terms)
-
-    def contains_basis(self, other):
-        return all(self.contains(e) for e in other.elements())
-
     def dim(self):
         return len(self.rows)
 
     def elements(self):
         return [self.ambient.from_coords(row) for _, row in self.rows]
-
-    def is_bracket_closed(self):
-        elems = self.elements()
-        for f in elems:
-            for g in elems:
-                if not self.contains(self.ambient.bracket(f, g)):
-                    return False
-        return True
 
 
 def kernel_span(ambient, base, image):

@@ -24,17 +24,8 @@ class TorusElement(TermMap):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, B=None):
-        return cls({}, B)
-
-    @classmethod
     def const(cls, c, B=None):
         return cls({(0, 0): as_scalar(c)}, B)
-
-    @classmethod
-    def harmonic(cls, m, n, c=S_ONE, B=None):
-        """c * e^(2 pi i (m x + n y))."""
-        return cls({(int(m), int(n)): c}, B)
 
     @classmethod
     def sin(cls, m, n, B=None):
@@ -67,9 +58,6 @@ class TorusElement(TermMap):
     def partial_y(self):
         return TorusElement(
             {f: c * TWO_PI * S_I * f[1] for f, c in self.terms.items() if f[1]}, self.B)
-
-    def conj(self):
-        return TorusElement({(-m, -n): c.conj() for (m, n), c in self.terms.items()}, self.B)
 
     # -- evaluation --------------------------------------------------------------------
 

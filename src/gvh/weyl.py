@@ -39,10 +39,6 @@ class WeylElement(TermMap):
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def zero(cls, n=1):
-        return cls(n, {})
-
-    @classmethod
     def const(cls, c, n=1):
         return cls(n, {(0,) * (2 * n): as_scalar(c)})
 

@@ -27,7 +27,7 @@ def random_scalar(rng, allow_i=True, allow_zero=True):
 
 
 def random_flat(rng, n=1, deg=3, terms=3):
-    out = FlatElement.zero(n)
+    out = FlatElement(n, {})
     cands = monomials_upto(2 * n, deg)
     for _ in range(terms):
         exps = rng.choice(cands)
@@ -50,21 +50,21 @@ def random_sphere(rng, deg=2, terms=3):
 
 
 def random_torus(rng, fmax=2, terms=2, B=None):
-    out = TorusElement.zero(B)
+    out = TorusElement({}, B)
     for _ in range(terms):
         m = rng.randint(-fmax, fmax)
         n = rng.randint(-fmax, fmax)
-        out = out + TorusElement.harmonic(m, n, random_scalar(rng), B)
+        out = out + TorusElement({(m, n): random_scalar(rng)}, B)
     return out
 
 
 def random_torus_real(rng, fmax=2, terms=2, B=None):
     out = random_torus(rng, fmax, terms, B)
-    return out + out.conj()
+    return out + TorusElement({(-m, -n): c.conj() for (m, n), c in out.terms.items()}, B)
 
 
 def random_weyl(rng, n=1, deg=3, terms=3):
-    out = WeylElement.zero(n)
+    out = WeylElement(n, {})
     cands = monomials_upto(2 * n, deg)
     for _ in range(terms):
         out = out + WeylElement.word(rng.choice(cands), random_scalar(rng), n)
@@ -73,8 +73,8 @@ def random_weyl(rng, n=1, deg=3, terms=3):
 
 def _sympy_scalar(sympy, c, hb):
     """Exact sympy value of a Scalar that is a polynomial in hbar over Q(i)."""
-    # a constant denominator is monic, hence 1
-    assert c.den.is_const() and c.used_params() <= {"hbar"}
+    # a constant denominator is monic, hence 1; hbar is the first parameter
+    assert c.den.is_const() and not any(any(e[1:]) for e in c.num.terms)
     out = 0
     for e, g in c.num.terms.items():
         out += (sympy.Rational(g.re.numerator, g.re.denominator)

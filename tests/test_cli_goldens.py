@@ -51,8 +51,7 @@ def _masked(value):
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_verify_torus_matches_the_masked_template(k, capsys, monkeypatch):
-    monkeypatch.delenv("GVH_TRUNC", raising=False)
+def test_verify_torus_matches_the_masked_template(k, capsys):
     code = main(["verify", "torus", "--k", str(k)])
     doc = json.loads(capsys.readouterr().out)
     expected = json.loads(json.dumps(TORUS_TEMPLATE))

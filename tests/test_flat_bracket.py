@@ -83,7 +83,7 @@ def test_bracket_matches_sympy_derivatives():
     hb, xs = sympy.Symbol("hbar"), sympy.symbols("q1 q2 p1 p2")
 
     def rand():
-        out = FlatElement.zero(2)
+        out = FlatElement(2, {})
         for e in RNG.sample(monomials_upto(4, 3), 4):
             c = random_scalar(RNG) + random_scalar(RNG) * HBAR ** RNG.randint(1, 2)
             out = out + FlatElement.monomial(2, e[:2], e[2:], c)

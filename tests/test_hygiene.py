@@ -19,9 +19,14 @@ ast module (the repository carries no linter).
 - No `tools/bench_*.py` defines `_quartiles`, imports `argparse` or sets a
   `*_NUM_THREADS` variable: the command line, the statistics and the child
   environment are `tools/benchtool.py`'s.
+- Every function, class and method in `src/gvh` is read, as a bare name or
+  as an attribute, somewhere in `src/gvh` outside its own body, so `src/`
+  holds only what gvh runs; the code a ROADMAP item parks is listed in
+  `_PARKED` with that item.
 """
 
 import ast
+import collections
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -165,3 +170,61 @@ def test_bench_scripts_use_the_shared_harness():
     own = {"%s: %s" % (p.name, what) for p in scripts
            for what in _own_harness(ast.parse(p.read_text()))}
     assert own == set()
+
+
+# Definitions no src/ code reads, each kept for the ROADMAP item named.
+_PARKED = {
+    "radicals.py": "item 7",
+    "obstruction.py:cubic_extension_problem": "item 17",
+    "obstruction.py:sphere_equivariance_problem": "item 3",
+}
+
+
+def _unread_definitions(trees):
+    """`file:name` and `file:Class.method` of every module-level function or
+    class and every method, dunders aside, whose name no node of `trees`
+    (file name -> module tree) reads outside the definition's own body.
+
+    Reads are matched by name alone: a method that shares its name with one
+    that is read (`TorusElement.zero` beside `MultiPoly.zero`) is hidden
+    from the scan."""
+    defs = []
+    for fname, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defs.append(("%s:%s" % (fname, top.name), top))
+            if isinstance(top, ast.ClassDef):
+                defs += [("%s:%s.%s" % (fname, top.name, n.name), n) for n in top.body
+                         if isinstance(n, ast.FunctionDef)
+                         and not (n.name.startswith("__") and n.name.endswith("__"))]
+
+    def reads(root):
+        return collections.Counter(
+            n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(root)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute))
+
+    everywhere = sum((reads(tree) for tree in trees.values()), collections.Counter())
+    return sorted(label for label, node in defs
+                  if everywhere[node.name] == reads(node)[node.name])
+
+
+def test_unread_scan_flags_each_unread_definition():
+    trees = {"a.py": ast.parse("def used():\n    pass\n"
+                               "def recursive(n):\n    return recursive(n - 1)\n"
+                               "class C:\n    def __init__(self):\n        pass\n"
+                               "    def method(self):\n        return self.other()\n"
+                               "    def other(self):\n        return used()\n"
+                               "class Unused:\n    def method(self):\n        pass\n"),
+             "b.py": ast.parse("from .a import C\nC().method()\n")}
+    # Unused.method shares its name with C.method, which b.py reads
+    assert _unread_definitions(trees) == ["a.py:Unused", "a.py:recursive"]
+
+
+def test_src_defines_only_what_it_reads():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    unread = _unread_definitions(trees)
+    parked = [next((k for k in (label, label.split(":")[0]) if k in _PARKED), None)
+              for label in unread]
+    assert [label for label, key in zip(unread, parked) if key is None] == []
+    assert set(parked) - {None} == set(_PARKED)  # every entry still parks code

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import sympy
 
-from gvh.linalg import Echelon, nullspace, rank, rref, solve_affine
+from gvh.linalg import Echelon, nullspace, rref, solve_affine
 from gvh.scalars import HBAR, S_I, S_ONE, S_ZERO, Scalar
 
 RNG = random.Random(2)
@@ -43,7 +43,7 @@ def _mat_vec(rows, vec):
 
 
 def _to_sympy(rows, nc):
-    vals = [sympy.Rational(x.rational_value().re) for r in rows for x in r]
+    vals = [sympy.Rational(str(x)) for r in rows for x in r]
     return sympy.Matrix(len(rows), nc, vals)
 
 
@@ -51,7 +51,7 @@ def test_rank_matches_sympy():
     for _ in range(30):
         nr, nc = RNG.randint(1, 5), RNG.randint(1, 5)
         rows = _rand_matrix(RNG, nr, nc)
-        assert rank(_sparse(rows), nc) == _to_sympy(rows, nc).rank()
+        assert len(rref(_sparse(rows), nc)[1]) == _to_sympy(rows, nc).rank()
 
 
 def test_nullspace_dimension_and_membership():
@@ -59,7 +59,7 @@ def test_nullspace_dimension_and_membership():
         nr, nc = RNG.randint(1, 5), RNG.randint(1, 6)
         rows = _rand_matrix(RNG, nr, nc)
         basis = nullspace(_sparse(rows), nc)
-        assert len(basis) == nc - rank(_sparse(rows), nc)
+        assert len(basis) == nc - len(rref(_sparse(rows), nc)[1])
         for vec in basis:
             assert all(v.is_zero() for v in _mat_vec(rows, _dense(vec, nc)))
         assert len(basis) == len(_to_sympy(rows, nc).nullspace())
@@ -90,7 +90,7 @@ def test_solve_affine_detects_inconsistency():
         rhs = [Scalar.from_int(RNG.randint(-3, 3)) for _ in range(nr)]
         got = solve_affine(_sparse(rows), list(rhs), nc)
         a = _to_sympy(rows, nc)
-        aug = a.row_join(sympy.Matrix([sympy.Rational(x.rational_value().re) for x in rhs]))
+        aug = a.row_join(sympy.Matrix([sympy.Rational(str(x)) for x in rhs]))
         consistent = a.rank() == aug.rank()
         assert (got is not None) == consistent
         if not consistent:

@@ -26,8 +26,7 @@ def _rand_poly(rng, deg=3, terms=4):
 def _to_sympy(f, syms):
     expr = sympy.Integer(0)
     for exps, c in f.terms.items():
-        frac = c.rational_value()
-        num = sympy.Rational(frac.re) + sympy.I * sympy.Rational(frac.im)
+        num = _sympy_scalar(sympy, c, sympy.Symbol("hbar"))
         mono = sympy.Integer(1)
         for s, e in zip(syms, exps):
             mono *= s ** e

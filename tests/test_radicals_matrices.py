@@ -103,10 +103,9 @@ def test_spin_matrices_selfadjoint_traceless():
     for j in SPINS:
         w = _spin_weights(j)
         assert all(x > 0 for x in w)
-        weight = ExactMatrix(len(w), {(r, r): Scalar.from_int(x)
-                                      for r, x in enumerate(w)})
         for q in spin_matrices(j):
-            assert weight * q == q.adjoint() * weight
+            assert all(w[r] * q.entry(r, c) == w[c] * q.entry(c, r).conj()
+                       for r in range(q.dim) for c in range(q.dim))
             trace = S_ZERO
             for r in range(q.dim):
                 trace = trace + q.entry(r, r)

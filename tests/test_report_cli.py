@@ -198,21 +198,20 @@ def test_cli_rejects_bad_n_and_tol(capsys, argv, message):
     assert err.strip() == message
 
 
-@pytest.mark.parametrize("argv, env, message", [
-    (["verify", "torus", "--k", "0"], None, "error: --k must be at least 1, got 0"),
-    (["verify", "torus", "--trunc", "16"], None,
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "torus", "--k", "0"], "error: --k must be at least 1, got 0"),
+    (["verify", "torus", "--trunc", "16"],
      "error: --trunc must be at least 32, got 16"),
-    (["verify", "torus"], "16", "error: --trunc must be at least 32, got 16"),
-], ids=["k-zero", "trunc-16", "trunc-env-16"])
+    (["verify", "torus", "--trunc", "186"], "error: the order-744 Gauss-Hermite "
+     "rule exceeds 740, the largest order admitted"),
+    (["verify", "torus", "--quad-order", "741"], "error: the order-741 "
+     "Gauss-Hermite rule exceeds 740, the largest order admitted"),
+], ids=["k-zero", "trunc-16", "trunc-186", "quad-order-741"])
 def test_cli_rejects_torus_sizes_before_arithmetic(capsys, monkeypatch, argv,
-                                                   env, message):
+                                                   message):
     def refuse(*args, **kwargs):
         raise AssertionError("symbolic Q1 batch ran before the size check")
     monkeypatch.setattr("gvh.obstruction.check_q1", refuse)
-    if env is None:
-        monkeypatch.delenv("GVH_TRUNC", raising=False)
-    else:
-        monkeypatch.setenv("GVH_TRUNC", env)
     code, out, err = run_cli(capsys, argv)
     assert code == 1 and out == ""
     assert err.strip() == message
@@ -243,6 +242,13 @@ def test_cli_transitivity_rejects_too_many_points(capsys):
                                       "--npoints", "1000000000"])
     assert code == 1 and out == ""
     assert err.strip() == "error: npoints must be at most 10000, got 1000000000"
+
+
+def test_cli_transitivity_reports_a_vanishing_denominator(capsys):
+    # the sampled field rows are evaluated at the default radius s = 1
+    code, out, err = run_cli(capsys, ["transitivity", "sphere", "S2 + S1/(s-1)"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
 
 
 def test_cli_checkq1(capsys):
@@ -377,31 +383,8 @@ def test_cli_verify_sphere(capsys):
     assert doc["certificates"][0]["discrepancy"] == "s^2 = 0 vs s > 0"
 
 
-def test_cli_rejects_bad_trunc_env(capsys, monkeypatch):
-    monkeypatch.setenv("GVH_TRUNC", "abc")
-    code, out, err = run_cli(capsys, ["verify", "torus"])
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and "GVH_TRUNC" in err
-
-
-@pytest.mark.parametrize("argv", [
-    ["verify", "r2n"],
-    ["verify", "sphere", "--j", "1"],
-    ["bracket", "torus", "sin(2*pi*1*x)", "cos(2*pi*1*y)"],
-], ids=["r2n", "sphere", "bracket-torus"])
-def test_cli_trunc_env_ignored_off_the_torus(capsys, monkeypatch, argv):
-    monkeypatch.delenv("GVH_TRUNC", raising=False)
-    code, want, _ = run_cli(capsys, argv)
-    assert code == 0
-    monkeypatch.setenv("GVH_TRUNC", "abc")
-    code, out, err = run_cli(capsys, argv)
-    assert code == 0 and err == ""
-    assert out == want
-
-
-def test_cli_verify_torus_respects_trunc_env(capsys, monkeypatch):
-    monkeypatch.setenv("GVH_TRUNC", "48")
-    code, out, _ = run_cli(capsys, ["verify", "torus"])
+def test_cli_verify_torus_respects_trunc(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "torus", "--trunc", "48"])
     assert code == 0
     doc = json.loads(out)
     assert doc["meta"]["provenance"]["trunc"] == 48

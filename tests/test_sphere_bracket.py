@@ -8,7 +8,7 @@ import random
 
 import sympy
 
-from algebra_props import (check_poisson_identities,
+from algebra_props import (_sympy_scalar, check_poisson_identities,
                            check_sphere_representatives, random_sphere,
                            random_sphere_raw)
 from gvh.poly import MultiPoly
@@ -116,8 +116,7 @@ def test_bracket_matches_sympy_cross_product():
 def _sym(f, syms):
     expr = sympy.Integer(0)
     for exps, c in f.terms.items():
-        val = c.rational_value()
-        num = sympy.Rational(val.re) + sympy.I * sympy.Rational(val.im)
+        num = _sympy_scalar(sympy, c, sympy.Symbol("hbar"))
         mono = sympy.Integer(1)
         for s, e in zip(syms, exps):
             mono *= s ** e

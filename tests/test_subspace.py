@@ -23,6 +23,11 @@ def _m(n, qe, pe, c=1):
     return FlatElement.monomial(n, qe, pe, Scalar.from_int(c))
 
 
+def _bracket_closed(sub):
+    elems = sub.elements()
+    return all(not sub.reduce(sub.ambient.bracket(f, g).terms) for f in elems for g in elems)
+
+
 def test_span_reduction():
     amb = FlatAmbient(1, 2)
     basis = SubspaceBasis.from_elements(amb, [
@@ -31,8 +36,8 @@ def test_span_reduction():
         _m(1, (0,), (1,)) + _m(1, (1,), (0,)),
     ])
     assert basis.dim() == 2
-    assert basis.contains(_m(1, (0,), (1,)))
-    assert not basis.contains(_m(1, (2,), (0,)))
+    assert not basis.reduce(_m(1, (0,), (1,)).terms)
+    assert basis.reduce(_m(1, (2,), (0,)).terms)
 
 
 def test_basis_does_not_depend_on_insertion_order():
@@ -71,8 +76,8 @@ def test_generate_quadratics_close():
     gens = [_m(1, (2,), (0,)), _m(1, (0,), (2,))]
     sub = generate_poisson_subalgebra(gens, amb)
     assert sub.dim() == 3
-    assert sub.contains(_m(1, (1,), (1,)))
-    assert sub.is_bracket_closed()
+    assert not sub.reduce(_m(1, (1,), (1,)).terms)
+    assert _bracket_closed(sub)
 
 
 def test_generate_affine_plus_quadratic():
@@ -81,7 +86,7 @@ def test_generate_affine_plus_quadratic():
     gens = [_m(1, (2,), (0,)), _m(1, (0,), (2,)), _m(1, (1,), (0,)), _m(1, (0,), (1,))]
     sub = generate_poisson_subalgebra(gens, amb)
     assert sub.dim() == 6
-    assert sub.is_bracket_closed()
+    assert _bracket_closed(sub)
 
 
 def test_normalizer_of_affine_is_quadratics():
@@ -95,9 +100,9 @@ def test_normalizer_of_affine_is_quadratics():
     norm = normalizer(p1, amb)
     assert norm.dim() == 6
     for qe, pe in [((2,), (0,)), ((1,), (1,)), ((0,), (2,))]:
-        assert norm.contains(_m(1, qe, pe))
-    assert norm.contains_basis(p1)
-    assert norm.is_bracket_closed()
+        assert not norm.reduce(_m(1, qe, pe).terms)
+    assert all(not norm.reduce(e.terms) for e in p1.elements())
+    assert _bracket_closed(norm)
 
 
 @pytest.mark.parametrize("cap", range(7))
@@ -112,7 +117,8 @@ def test_sphere_basis_spans_every_canonical_monomial(cap):
     span = SubspaceBasis.from_elements(amb, basis)
     full = SubspaceBasis.from_elements(amb, every)
     assert span.dim() == len(basis)
-    assert span.contains_basis(full) and full.contains_basis(span)
+    assert all(not span.reduce(e.terms) for e in full.elements())
+    assert all(not full.reduce(e.terms) for e in span.elements())
 
 
 def test_normalizer_of_sphere_u2_is_itself():
@@ -125,10 +131,10 @@ def test_normalizer_of_sphere_u2_is_itself():
         SphereElement.canonicalize(svar("S3")),
     ])
     assert u2.dim() == 4
-    assert u2.is_bracket_closed()
+    assert _bracket_closed(u2)
     norm = normalizer(u2, amb)
     assert norm.dim() == 4
-    assert norm.contains_basis(u2)
+    assert all(not norm.reduce(e.terms) for e in u2.elements())
 
 
 def test_normalizer_of_full_ambient_is_itself():
@@ -150,7 +156,7 @@ def test_generate_monotone_in_bound():
     small = generate_poisson_subalgebra(gens_small, FlatAmbient(1, 3))
     big = generate_poisson_subalgebra(gens_small, FlatAmbient(1, 4))
     for e in small.elements():
-        assert big.contains(e)
+        assert not big.reduce(e.terms)
     assert big.dim() >= small.dim()
 
 
@@ -261,7 +267,7 @@ def test_ambient_contract(name):
     for c, b in enumerate(basis, start=1):
         e = e + b.scale(Scalar.from_int(c))
     assert amb.from_coords(e.terms) == e
-    assert SubspaceBasis.from_elements(amb, basis).contains(e)
+    assert not SubspaceBasis.from_elements(amb, basis).reduce(e.terms)
     if at_cap is None:
         assert amb.cap is None and isinstance(e, ExactMatrix)
         return

@@ -56,6 +56,7 @@ CASES = [
     ["transitivity", "sphere", "S1", "S2", "S3"],
     ["transitivity", "sphere", "S3", "S1*S2"],
     ["transitivity", "torus", "sin(2*pi*1*x)", "cos(2*pi*1*y)"],
+    ["transitivity", "sphere", "S2 + S1/(s-1)"],
     ["checkq1", "r2n", "q1^2", "p1^2", "--map", "metaplectic"],
     ["checkq1", "r2n", "q1^3", "p1^3", "--map", "vanhove"],
     ["checkq1", "r2n", "q1^2*p1", "q1*p1", "--map", "position"],
