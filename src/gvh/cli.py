@@ -26,7 +26,7 @@ from .qmaps import (METAPLECTIC, POSITION, SCHRODINGER, TORUS_PREQUANT,
                     sphere_map)
 from .report import Report, emit_report
 from .scalars import Scalar
-from .sphere import bracket_sphere
+from .sphere import bracket_sphere, harmonic_echelon
 from .subspace import (FlatAmbient, SphereAmbient, SubspaceBasis,
                        TorusAmbient, generate_poisson_subalgebra, normalizer,
                        transitivity_check)
@@ -67,8 +67,8 @@ def _check_torus(args):
             raise ValueError("--trunc must be at least 32, got %d" % args.trunc)
         if not 0 < args.tol < 1:
             raise ValueError("--tol must lie strictly between 0 and 1, got %r" % args.tol)
-        from .hermite import quadrature_order  # numpy: only verify loads it
-        quadrature_order(args.trunc, args.quad_order)
+        from .hermite import oversampled_order  # numpy: only verify loads it
+        oversampled_order(args.trunc, args.quad_order)
 
 
 def _check_flags(args):
@@ -95,6 +95,12 @@ def _generators(args, ambient):
             raise ValueError("generator %s lies outside the ambient %s"
                              % (text, ambient.tag))
     return gens
+
+
+def _printed_basis(args, basis):
+    """A span's basis as the report prints it: the reduced echelon form in
+    the keys the target prints in."""
+    return [print_expression(e) for e in _TARGETS[args.target]["printed"](basis)]
 
 
 def _base_report(args, **extra_provenance):
@@ -125,7 +131,7 @@ def cmd_generate(args):
     rep.add_result({"name": "generate",
                     "generators": [print_expression(g) for g in gens],
                     "dimension": basis.dim(),
-                    "basis": [print_expression(e) for e in basis.elements()]})
+                    "basis": _printed_basis(args, basis)})
     return rep, 0
 
 
@@ -139,8 +145,7 @@ def cmd_normalizer(args):
                     "generators": [print_expression(g) for g in gens],
                     "subalgebra_dimension": sub.dim(),
                     "normalizer_dimension": norm.dim(),
-                    "normalizer_basis":
-                        [print_expression(e) for e in norm.elements()]})
+                    "normalizer_basis": _printed_basis(args, norm)})
     return rep, 0
 
 
@@ -221,15 +226,17 @@ _FLAT_MAPS = {"schrodinger": SCHRODINGER, "metaplectic": METAPLECTIC,
               "position": POSITION, "vanhove": VANHOVE}
 
 # target -> its parse.py algebra, its Poisson bracket (called through the
-# module-level name, so that a profiler's wrapper on that name sees it) and
-# functions of the parsed arguments: flag check, ambient span, checkq1 map,
-# verify report and provenance fields
+# module-level name, so that a profiler's wrapper on that name sees it), the
+# printed basis of a span (the sphere's in harmonic keys) and functions of
+# the parsed arguments: flag check, ambient span, checkq1 map, verify report
+# and provenance fields
 _TARGETS = {
     "r2n": dict(
         algebra="flat", check=_check_r2n,
         ambient=lambda args: FlatAmbient(
             args.n, 4 if args.degree_cap is None else args.degree_cap),
         bracket=lambda f, g: bracket_flat(f, g),
+        printed=SubspaceBasis.elements,
         qmap=lambda args: _FLAT_MAPS[args.map or "vanhove"],
         verify=_verify_r2n, provenance=lambda args: {"n": args.n}),
     "sphere": dict(
@@ -237,12 +244,14 @@ _TARGETS = {
         ambient=lambda args: SphereAmbient(
             3 if args.degree_cap is None else args.degree_cap),
         bracket=lambda f, g: bracket_sphere(f, g),
+        printed=lambda basis: harmonic_echelon(basis.elements()),
         qmap=lambda args: sphere_map(args.j),
         verify=_verify_sphere, provenance=lambda args: {}),
     "torus": dict(
         algebra="torus", check=_check_torus,
         ambient=lambda args: TorusAmbient(args.freq_cap, args.B),
         bracket=lambda f, g: bracket_torus(f, g),
+        printed=SubspaceBasis.elements,
         qmap=lambda args: TORUS_PREQUANT,
         verify=_verify_torus, provenance=lambda args: {"B": str(args.B)}),
 }

@@ -74,6 +74,16 @@ def quadrature_order(trunc, quad_order=None):
     return order
 
 
+def oversampled_order(trunc, quad_order=None):
+    """`quadrature_order`, refused below the 4N oversampling floor that a
+    Hermite matrix needs."""
+    order = quadrature_order(trunc, quad_order)
+    if order < 4 * trunc:
+        raise ValueError("quad_order %d below oversampling floor %d"
+                         % (order, 4 * trunc))
+    return order
+
+
 def _hermite_rows(xs):
     """h_0, h_1, … at the points xs, by the three-term recurrence
     h_n = √(2/n)·x·h_{n−1} − √((n−1)/n)·h_{n−2} from h_{−1} = 0."""
@@ -152,11 +162,11 @@ def hermite_matrix(op, trunc, hbar, quad_order=None):
     """N×N matrix of a DiffOp in x alone in the Hermite-function basis, with
     its symbols evaluated at π and the numeric ħ.
 
-    quad_order defaults to the 4N oversampling floor (quadrature_order) and
-    may not go below it; the orthonormality self-test runs once per rule and
-    size, each node table once per call.  Terms are summed in key order, so
-    the float sums have a fixed order.  A ValueError refuses a matrix with a
-    non-finite entry.
+    quad_order defaults to the 4N oversampling floor and may not go below
+    it (`oversampled_order`); the orthonormality self-test runs once per
+    rule and size, each node table once per call.  Terms are summed in key
+    order, so the float sums have a fixed order.  A ValueError refuses a
+    matrix with a non-finite entry.
     """
     if not isinstance(op, DiffOp):
         raise TypeError("expected a DiffOp, got %r" % (op,))
@@ -165,10 +175,7 @@ def hermite_matrix(op, trunc, hbar, quad_order=None):
     N = int(trunc)
     if N < 2:
         raise ValueError("truncation size must be at least 2")
-    quad_order = quadrature_order(N, quad_order)
-    if quad_order < 4 * N:
-        raise ValueError("quad_order %d below oversampling floor %d"
-                         % (quad_order, 4 * N))
+    quad_order = oversampled_order(N, quad_order)
     nprime = N + max(op.order(), 0)
     _gram_selftest(quad_order, nprime)
     xs, wm = gauss_hermite_rule(quad_order)

@@ -11,7 +11,8 @@ torus atoms are sin/cos of '2*pi*' int '*' ('x'|'y').  A number is an
 unsigned integer; a fraction such as 1/3 is a division.  Division is only by
 nonzero constants (it exists so printed rational coefficients like
 (1)/(s+1) round-trip), so q1^3/2 is (q1^3)/2.  Parsed sphere
-expressions are canonicalized; torus trig input is normalized immediately to
+expressions are reduced to their normal form, and printed in their harmonic
+form (`sphere`); torus trig input is normalized immediately to
 the exponential Fourier basis.
 """
 
@@ -225,7 +226,7 @@ class _Parser:
 
 
 def parse_expression(text, algebra, n=1, B=None):
-    """Parse into a FlatElement, canonical SphereElement, or TorusElement.
+    """Parse into a FlatElement, SphereElement (normal form) or TorusElement.
 
     algebra: 'flat' (with n degrees of freedom), 'sphere', or 'torus'.
     """
@@ -256,13 +257,30 @@ def parse_expression(text, algebra, n=1, B=None):
 # Printing (grammar-conformant, exact round-trip)
 # ---------------------------------------------------------------------------
 
+_RATIONAL_CHARS = frozenset("0123456789/")
+
+
+def _is_plain(s):
+    r"""Whether s is a rational times powers of names, the form
+    [0-9/]+(\*[A-Za-z][A-Za-z0-9]*(\^\d+)?)* (names ASCII, exponents any
+    decimal digits), which a product may follow without parentheses."""
+    head, *factors = s.split("*")
+    if not head or not _RATIONAL_CHARS.issuperset(head):
+        return False
+    for factor in factors:
+        name, caret, exp = factor.partition("^")
+        if not (name.isascii() and name.isalnum() and name[:1].isalpha()
+                and (exp.isdecimal() or not caret)):
+            return False
+    return True
+
+
 def _coeff_str(c):
     """Scalar coefficient as a parseable multiplier prefix, '' if 1."""
     s = str(c)
     if s == "1":
         return ""
-    plain = re.fullmatch(r"[0-9/]+(\*[A-Za-z][A-Za-z0-9]*(\^\d+)?)*", s)
-    return s if plain else "(%s)" % s
+    return s if _is_plain(s) else "(%s)" % s
 
 
 def _print_poly(poly):

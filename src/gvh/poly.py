@@ -56,9 +56,6 @@ class MultiPoly(TermMap):
     def coeff(self, exps):
         return self.terms.get(tuple(exps), S_ZERO)
 
-    def homogeneous_part(self, d):
-        return self._new({e: c for e, c in self.terms.items() if sum(e) == d})
-
     # -- arithmetic ----------------------------------------------------------
 
     _product = monoid_product

@@ -23,7 +23,7 @@ from .matrices import ExactMatrix, spin_matrices
 from .poly import MultiPoly
 from .scalars import A_SYM, C_SYM, HBAR, S_I, S_ONE, TWO_PI, Scalar
 from .sparse import accumulate
-from .sphere import SVARS, SphereElement, bracket_raw
+from .sphere import SVARS, SphereElement, bracket_sphere
 from .torus import bracket_torus
 from .weyl import WeylElement, contractions
 
@@ -171,6 +171,8 @@ def torus_transformed_ops(k, trunc, hbar=DEFAULT_TORUS_HBAR, quad_order=None):
 # ---------------------------------------------------------------------------
 
 def _sphere_rep_poly(f):
+    """The polynomial the spin map quantizes: a class's harmonic
+    representative, or a plain polynomial as given."""
     if isinstance(f, SphereElement):
         return f.representative()
     if isinstance(f, MultiPoly) and f.vars == SVARS:
@@ -224,9 +226,9 @@ def sphere_map(j, a=A_SYM, const_c=C_SYM):
         return out
 
     def bracket(f, g):
-        # the Casimir is central, so raw and canonical operands give one class
-        return SphereElement.canonicalize(
-            bracket_raw(_sphere_rep_poly(f), _sphere_rep_poly(g)))
+        # in normal form; a plain polynomial operand is reduced to its class
+        return bracket_sphere(SphereElement.canonicalize(f),
+                              SphereElement.canonicalize(g))
 
     return QuantizationMap(
         name="sphere(j=%s)" % (j,),

@@ -29,7 +29,7 @@ import random
 from .flat import FlatElement, bracket_flat, flat_vars
 from .linalg import Echelon, nullspace
 from .matrices import ExactMatrix
-from .poly import MultiPoly, monomials_upto
+from .poly import monomials_upto
 from .scalars import S_ONE
 from .sphere import SVARS, SphereElement, bracket_sphere
 from .torus import TorusElement, bracket_torus
@@ -123,21 +123,19 @@ def _sphere_rows(elems, point, params):
             "point %r does not satisfy S.S = s^2 for s = %r" % (point, s_val))
     pt = dict(zip(SVARS, point))
     coords = [SphereElement.coordinate(v) for v in SVARS]
-    return [[bracket_sphere(e, si).representative().evalf(pt, params)
+    return [[bracket_sphere(e, si).poly().evalf(pt, params)
              for si in coords] for e in elems]
 
 
 def _sphere_basis(ambient):
-    """The canonicalized monomials of S1-degree ≤ 1: the (cap+1)² normal-form
-    monomials of S·S − s² with S1² leading (Cox, Little and O'Shea, ch. 2),
-    so a basis of the sphere polynomials of degree ≤ cap (raw monomial keys
-    over-span)."""
-    return [SphereElement.canonicalize(MultiPoly(SVARS, {e: S_ONE}))
-            for e in ambient.keys() if e[0] <= 1]
+    """The monomials of S3-degree ≤ 1, the (cap+1)² normal-form keys
+    (`sphere`), so a basis of the sphere polynomials of degree ≤ cap (the
+    ambient's keys, every monomial, over-span)."""
+    return [SphereElement({e: S_ONE}) for e in ambient.keys() if e[2] <= 1]
 
 
 def SphereAmbient(degree_cap):
-    """Canonical sphere polynomials of degree ≤ cap, keyed by monomial."""
+    """Sphere polynomials of degree ≤ cap in normal form, keyed by monomial."""
     tag = _check_key_count("sphere(deg<=%d)" % degree_cap,
                            math.comb(degree_cap + 3, 3))
     return Ambient(tag, monomials_upto(3, degree_cap), SphereElement,

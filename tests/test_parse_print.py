@@ -1,10 +1,13 @@
 """Round-trip guarantees and error reporting for the expression grammar."""
 
+import random
+import re
+
 import pytest
 
 from gvh.flat import FlatElement, bracket_flat
-from gvh.parse import ParseError, parse_expression, print_expression
-from gvh.scalars import S_I, S_ONE, S_SPIN, Scalar
+from gvh.parse import ParseError, _coeff_str, parse_expression, print_expression
+from gvh.scalars import HBAR, S_I, S_ONE, S_SPIN, Scalar
 from gvh.sphere import bracket_sphere
 from gvh.torus import TorusElement, bracket_torus
 
@@ -205,3 +208,42 @@ def test_bad_trig_arguments():
 def test_unknown_algebra():
     with pytest.raises(ValueError):
         parse_expression("q1", "cylinder")
+
+
+# ---------------------------------------------------------------------------
+# coefficient prefixes
+
+# the pattern the printer once matched a coefficient against
+_PLAIN = re.compile(r"[0-9/]+(\*[A-Za-z][A-Za-z0-9]*(\^\d+)?)*")
+
+
+def _coeff_corpus():
+    half, two = Scalar.from_rational(1, 2), Scalar.from_int(2)
+    scalars = [S_ONE, -S_ONE, half, -half, S_I, two * S_I, S_ONE + S_I,
+               HBAR, two * HBAR ** 2 * S_SPIN, HBAR ** -1, two * HBAR ** -2,
+               S_ONE / (S_SPIN + S_ONE), HBAR * S_SPIN - S_ONE,
+               Scalar.from_rational(3, 7) * Scalar.param("a") ** 2 * HBAR,
+               Scalar.from_rational(-5, 3) * HBAR * S_I]
+    texts = [str(c) for c in scalars]
+    # spellings no Scalar prints, at the edges of the pattern
+    texts += ["", "/", "2*", "*hbar", "2**hbar", "2*hbar^", "2*hbar^-1",
+              "hbar^-2", "2*hbar^2^3", "2*h1", "2*1h", "2*h_1", "2*é",
+              "2*hbar^\u0663", "2*hbar^\u00b2", "\u0663*hbar", "2*hbar\n",
+              "1/2*a^2*hbar^10*s", "2*i"]
+    rng = random.Random(11)
+    alphabet = "0123/*^ahbs-+()i\u0663\u00e9"
+    texts += ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 9)))
+              for _ in range(3000)]
+    return texts
+
+
+def test_coefficient_prefix_matches_the_old_pattern():
+    # _coeff_str reads its coefficient through str(), so a text stands in
+    plain = set()
+    for text in _coeff_corpus():
+        plain.add(bool(_PLAIN.fullmatch(text)))
+        want = "" if text == "1" else \
+            text if _PLAIN.fullmatch(text) else "(%s)" % text
+        assert _coeff_str(text) == want, repr(text)
+    assert plain == {True, False}
+

@@ -73,18 +73,6 @@ def test_laplacian():
     assert sympy.expand(sym(f.laplacian()) - ref) == 0
 
 
-def test_homogeneous_parts_sum_back():
-    for _ in range(20):
-        f = _rand_poly(RNG)
-        total = MultiPoly.zero(VARS)
-        for d in range(f.degree() + 1):
-            part = f.homogeneous_part(d)
-            for exps, c in part.terms.items():
-                assert sum(exps) == d
-            total = total + part
-        assert total == f
-
-
 def test_monomial_counts():
     # deg <= b in n vars: binomial(n + b, n)
     for nvars in (1, 2, 3):

@@ -206,7 +206,9 @@ def test_cli_rejects_bad_n_and_tol(capsys, argv, message):
      "rule exceeds 740, the largest order admitted"),
     (["verify", "torus", "--quad-order", "741"], "error: the order-741 "
      "Gauss-Hermite rule exceeds 740, the largest order admitted"),
-], ids=["k-zero", "trunc-16", "trunc-186", "quad-order-741"])
+    (["verify", "torus", "--quad-order", "10"],
+     "error: quad_order 10 below oversampling floor 256"),
+], ids=["k-zero", "trunc-16", "trunc-186", "quad-order-741", "quad-order-10"])
 def test_cli_rejects_torus_sizes_before_arithmetic(capsys, monkeypatch, argv,
                                                    message):
     def refuse(*args, **kwargs):

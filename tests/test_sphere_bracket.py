@@ -4,8 +4,10 @@ Elements are polynomials in S1, S2, S3 modulo (S.S - s^2); the bracket is
 {f, g} = -sum eps_ijk S_i (df/dS_j)(dg/dS_k), so {S1, S2} = -S3.
 """
 
+import math
 import random
 
+import pytest
 import sympy
 
 from algebra_props import (_sympy_scalar, check_poisson_identities,
@@ -13,6 +15,7 @@ from algebra_props import (_sympy_scalar, check_poisson_identities,
                            random_sphere_raw)
 from gvh.poly import MultiPoly
 from gvh.scalars import S_ONE, S_SPIN, Scalar
+from gvh import sphere
 from gvh.sphere import (SVARS, SphereElement, bracket_raw, bracket_sphere,
                         harmonic_decompose, s_const, svar)
 
@@ -65,7 +68,8 @@ def test_harmonic_decompose_pieces_are_harmonic():
         f = random_sphere_raw(RNG, deg=3)
         # decomposition is defined on homogeneous input
         for d in range(f.degree() + 1):
-            part = f.homogeneous_part(d)
+            part = MultiPoly(SVARS, {e: c for e, c in f.terms.items()
+                                     if sum(e) == d})
             if part.is_zero():
                 continue
             pieces = harmonic_decompose(part)
@@ -122,3 +126,69 @@ def _sym(f, syms):
             mono *= s ** e
         expr += num * mono
     return sympy.expand(expr)
+
+
+# ---------------------------------------------------------------------------
+# the normal form modulo S.S - s^2 and the harmonic form
+
+
+_X = sympy.symbols("S1 S2 S3")
+_NAMES = dict(zip(SVARS, _X), s=sympy.Symbol("s"), hbar=sympy.Symbol("hbar"),
+              i=sympy.I)
+
+
+def _sym_any(f):
+    """A polynomial with Scalar coefficients in any parameters, as sympy."""
+    return sympy.expand(sum(
+        sympy.sympify(str(c).replace("^", "**"), locals=_NAMES)
+        * sympy.prod([x ** d for x, d in zip(_X, e)])
+        for e, c in f.terms.items()))
+
+
+def _check_forms(rng, trials):
+    """Normal and harmonic forms of random polynomials of degree <= 6 agree
+    with the polynomial modulo S.S - s^2, each in its own shape: S3-degree
+    <= 1, and a vanishing Laplacian.  Returns the trials done."""
+    s1, s2, s3 = _X
+    casimir = sympy.Poly(s1 ** 2 + s2 ** 2 + s3 ** 2 - _NAMES["s"] ** 2, s3)
+    for _ in range(trials):
+        raw = random_sphere_raw(rng, deg=6, terms=5)
+        elem = SphereElement.canonicalize(raw)
+        harmonic = elem.representative()
+        assert all(e[2] <= 1 for e in elem.terms)
+        assert harmonic.laplacian().is_zero()
+        # both forms have the least degree of the class
+        assert elem.degree() == harmonic.degree() <= raw.degree()
+        for form in (elem.poly(), harmonic):
+            diff = sympy.Poly(_sym_any(raw) - _sym_any(form), s3)
+            assert diff.rem(casimir).is_zero
+    return trials
+
+
+def test_normal_and_harmonic_forms_agree_modulo_the_casimir():
+    assert _check_forms(random.Random(6), 25) == 25
+
+
+def test_normal_form_keys_and_degrees():
+    # S3^2 leads: S3^3 = S3 (s^2 - S1^2 - S2^2), of degree 3 like its
+    # harmonic form; s^2 - S1^2 - S2^2 - S3^2 is the zero class
+    cube = SphereElement.canonicalize(S3 ** 3)
+    assert cube.terms == {(0, 0, 1): S_SPIN ** 2, (2, 0, 1): -S_ONE,
+                          (0, 2, 1): -S_ONE}
+    assert cube.degree() == cube.representative().degree() == 3
+    zero = _c(S1 * S1 + S2 * S2 + S3 * S3 - s_const(S_SPIN ** 2))
+    assert zero.is_zero() and zero.degree() == -1
+
+
+def test_a_wrong_rewrite_fails_the_form_check(monkeypatch):
+    # S3^2 -> s^2 - S1^2 drops a term of the Casimir
+    s2 = S_SPIN ** 2
+
+    def mutant(m):
+        return tuple(((2 * j, 0), s2 ** (m - j) * ((-1) ** j * math.comb(m, j)))
+                     for j in range(m + 1))
+    monkeypatch.setattr(sphere, "_s3_square_power", mutant)
+    with pytest.raises(AssertionError):
+        _check_forms(random.Random(6), 25)
+    with pytest.raises(AssertionError):
+        check_sphere_representatives(random.Random(4), 50)
