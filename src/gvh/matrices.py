@@ -56,12 +56,8 @@ def _half_integer(j):
         twoj = twoj.numerator
     elif isinstance(j, int):
         twoj = 2 * j
-    elif isinstance(j, float):
-        twoj = round(2 * j)
-        if abs(2 * j - twoj) > 1e-12:
-            raise ValueError("spin label must be a half-integer, got %r" % j)
     else:
-        raise TypeError("spin label must be numeric, got %r" % (j,))
+        raise TypeError("spin label must be an int or a Fraction, got %r" % (j,))
     if twoj < 0:
         raise ValueError("spin label must be nonnegative, got %s" % j)
     return twoj

@@ -10,6 +10,9 @@ transformed torus operators A±, B±, exact shift-differential operators on
 the line (DiffOps in x alone), read as truncated Hermite matrices at a
 numeric ħ.  A Weyl element reads as a differential operator through
 X ↦ q·, P ↦ −iħ∂/∂q.
+
+A map checks its domain each time it quantizes, so `check_q1` checks and
+quantizes each of f, g and {f,g} once.
 """
 
 from __future__ import annotations
@@ -35,29 +38,30 @@ class DomainError(ValueError):
     """An element lies outside a quantization map's declared domain."""
 
 
+def _degree_at_most(bound):
+    """The membership test of the polynomials of degree <= bound."""
+    return lambda f: None if f.degree() <= bound else \
+        "degree %d exceeds %d" % (f.degree(), bound)
+
+
 class QuantizationMap:
-    """Named linear rule into an operator algebra, with a domain predicate."""
+    """Named linear rule into an operator algebra, with a domain predicate
+    and the classical bracket of its domain."""
 
     def __init__(self, name, domain, rule, bracket, membership=None):
         self.name = name
         self.domain = domain
         self._rule = rule
-        self._bracket = bracket
+        self.bracket = bracket
         self._membership = membership
 
-    def ensure_domain(self, f, label="element"):
-        if self._membership is not None:
-            reason = self._membership(f)
-            if reason:
-                raise DomainError("%s %s outside domain %s of %s: %s"
-                                  % (label, f, self.domain, self.name, reason))
-
-    def __call__(self, f):
-        self.ensure_domain(f)
+    def __call__(self, f, label="element"):
+        """Q(f); a DomainError names f by `label` outside the domain."""
+        reason = self._membership(f) if self._membership else None
+        if reason:
+            raise DomainError("%s %s outside domain %s of %s: %s"
+                              % (label, f, self.domain, self.name, reason))
         return self._rule(f)
-
-    def bracket(self, f, g):
-        return self._bracket(f, g)
 
     def __repr__(self):
         return "QuantizationMap(%s on %s)" % (self.name, self.domain)
@@ -182,7 +186,9 @@ def _sphere_rep_poly(f):
 
 def sphere_map(j, a=A_SYM, const_c=C_SYM):
     """Quantization of sphere polynomials of degree ≤ 2 in dimension 2j+1:
-    1 ↦ I, S_i ↦ Q_i, S_i² ↦ aQ_i² + cI, S_iS_k ↦ (a/2)(Q_iQ_k + Q_kQ_i)."""
+    1 ↦ I, S_i ↦ Q_i, S_i² ↦ aQ_i² + cI, S_iS_k ↦ (a/2)(Q_iQ_k + Q_kQ_i)
+    on the harmonic representative, whose degree is the normal form's (the
+    top-degree harmonic projection is injective on normal forms)."""
     q = spin_matrices(j)
     dim = q[0].dim
     ident = ExactMatrix.identity(dim)
@@ -192,15 +198,6 @@ def sphere_map(j, a=A_SYM, const_c=C_SYM):
     def spin_product(i, k):
         # Q_i² or Q_iQ_k + Q_kQ_i, once per map; callers only read it
         return q[i] * q[i] if i == k else q[i] * q[k] + q[k] * q[i]
-
-    def membership(f):
-        try:
-            poly = _sphere_rep_poly(f)
-        except TypeError as exc:
-            return str(exc)
-        if poly.degree() > 2:
-            return "degree %d exceeds 2" % poly.degree()
-        return None
 
     def rule(f):
         poly = _sphere_rep_poly(f)
@@ -235,7 +232,7 @@ def sphere_map(j, a=A_SYM, const_c=C_SYM):
         domain="sphere polynomials of degree <= 2",
         rule=rule,
         bracket=bracket,
-        membership=membership,
+        membership=_degree_at_most(2),
     )
 
 
@@ -245,13 +242,11 @@ def sphere_map(j, a=A_SYM, const_c=C_SYM):
 
 SCHRODINGER = QuantizationMap(
     "schrodinger", "flat polynomials of degree <= 1", weyl_map,
-    bracket_flat,
-    membership=lambda f: None if f.degree() <= 1 else "degree %d exceeds 1" % f.degree())
+    bracket_flat, membership=_degree_at_most(1))
 
 METAPLECTIC = QuantizationMap(
     "metaplectic", "flat polynomials of degree <= 2", weyl_map,
-    bracket_flat,
-    membership=lambda f: None if f.degree() <= 2 else "degree %d exceeds 2" % f.degree())
+    bracket_flat, membership=_degree_at_most(2))
 
 POSITION = QuantizationMap(
     "position", "flat polynomials affine in momentum", weyl_map,
@@ -272,10 +267,7 @@ CONVENTION = "bracket {p,q} = +1; commutator [X,P] = i*hbar; rule Q({f,g}) = (i/
 
 
 def check_q1(qmap, f, g):
-    """Residual Q({f,g}) − (i/ħ)[Q(f), Q(g)] in the map's operator algebra."""
-    qmap.ensure_domain(f, "f")
-    qmap.ensure_domain(g, "g")
-    br = qmap.bracket(f, g)
-    qmap.ensure_domain(br, "{f,g}")
-    qf, qg = qmap(f), qmap(g)
-    return qmap(br) - qf.ih_commutator(qg)
+    """Residual Q({f,g}) − (i/ħ)[Q(f), Q(g)] in the map's operator algebra;
+    f, g and {f,g} are each checked against the domain and quantized once."""
+    qf, qg = qmap(f, "f"), qmap(g, "g")
+    return qmap(qmap.bracket(f, g), "{f,g}") - qf.ih_commutator(qg)

@@ -3,15 +3,18 @@ generation, normalizers, and sampled transitivity checks.
 
 An `Ambient` is a capped span of one algebra: its tag, its coordinate keys in
 a fixed order (they fix the echelon pivots, hence every printed basis), and
-the element constructor from a terms map.  A classical algebra adds its
+the element constructor from a terms map.  The unit elements of the keys
+are a basis, so an ambient is its keys: the sphere's are the normal-form
+monomials (`sphere`), not every monomial.  A classical algebra adds its
 bracket, a size measure (degree or frequency) with its cap (mandatory, never
 defaulted), the dimension of its phase space, and the point sampler and
 Hamiltonian field rows of the transitivity check.  The coordinates of an
 element are its terms.  Coordinates may extend beyond the cap:
 out-of-cap keys can never be matched by in-cap subspaces, which is exactly
 the right behaviour for membership tests.  The operator algebras (Weyl,
-matrices) are ambients too: the extension solver writes each unknown over
-their keys.
+matrices) are ambients with keys and a constructor only: the extension
+solver writes each unknown over their keys, and the Weyl commutant is a
+`kernel_span` in them.
 
 A `SubspaceBasis` is the `linalg.Echelon` of a span, its pivots in the
 ambient's key order, so its printed basis does not depend on the order in
@@ -33,7 +36,7 @@ from .poly import monomials_upto
 from .scalars import S_ONE
 from .sphere import SVARS, SphereElement, bracket_sphere
 from .torus import TorusElement, bracket_torus
-from .weyl import WeylElement, weyl_commutator
+from .weyl import WeylElement
 
 
 class OffManifoldError(ValueError):
@@ -56,14 +59,14 @@ def _check_key_count(tag, count):
 
 
 class Ambient:
-    """A capped span, bounded by `size(elem) <= cap`.  `sample(rng, params)`
-    draws a point of phase space; `field_rows(elems, point, params)` gives
-    each element's Hamiltonian field there as one row.  `basis(ambient)`
-    lists a basis where the unit keys over-span (the sphere).  FlatAmbient,
-    SphereAmbient, TorusAmbient, WeylAmbient and MatrixAmbient build one."""
+    """A capped span, bounded by `size(elem) <= cap`, whose unit keys are a
+    basis.  `sample(rng, params)` draws a point of phase space;
+    `field_rows(elems, point, params)` gives each element's Hamiltonian
+    field there as one row.  FlatAmbient, SphereAmbient, TorusAmbient,
+    WeylAmbient and MatrixAmbient build one."""
 
     def __init__(self, tag, keys, make, bracket=None, size=None, cap=None,
-                 dim_m=None, sample=None, field_rows=None, basis=None):
+                 dim_m=None, sample=None, field_rows=None):
         self.tag = tag
         self._keys = keys
         self.from_coords = make
@@ -73,14 +76,11 @@ class Ambient:
         self.dim_m = dim_m
         self.sample = sample
         self.field_rows = field_rows
-        self._basis = basis
 
     def keys(self):
         return self._keys
 
     def basis_elements(self):
-        if self._basis is not None:
-            return self._basis(self)
         return [self.from_coords({k: S_ONE}) for k in self._keys]
 
     def zero(self):
@@ -127,20 +127,14 @@ def _sphere_rows(elems, point, params):
              for si in coords] for e in elems]
 
 
-def _sphere_basis(ambient):
-    """The monomials of S3-degree ≤ 1, the (cap+1)² normal-form keys
-    (`sphere`), so a basis of the sphere polynomials of degree ≤ cap (the
-    ambient's keys, every monomial, over-span)."""
-    return [SphereElement({e: S_ONE}) for e in ambient.keys() if e[2] <= 1]
-
-
 def SphereAmbient(degree_cap):
-    """Sphere polynomials of degree ≤ cap in normal form, keyed by monomial."""
-    tag = _check_key_count("sphere(deg<=%d)" % degree_cap,
-                           math.comb(degree_cap + 3, 3))
-    return Ambient(tag, monomials_upto(3, degree_cap), SphereElement,
-                   bracket_sphere, SphereElement.degree, degree_cap, 2,
-                   _sphere_point, _sphere_rows, _sphere_basis)
+    """Sphere polynomials of degree ≤ cap in normal form, keyed by the (cap+1)²
+    monomials of S3-degree ≤ 1 in `poly.monomials_upto`'s order."""
+    tag = _check_key_count("sphere(deg<=%d)" % degree_cap, (degree_cap + 1) ** 2)
+    return Ambient(tag, [(a, d - a - e, e) for d in range(degree_cap + 1)
+                         for a in range(d + 1) for e in (1, 0) if e <= d - a],
+                   SphereElement, bracket_sphere, SphereElement.degree,
+                   degree_cap, 2, _sphere_point, _sphere_rows)
 
 
 def _torus_rows(elems, point, params):
@@ -164,8 +158,7 @@ def WeylAmbient(n, degree_cap):
     tag = _check_key_count("weyl(n=%d, deg<=%d)" % (n, degree_cap),
                            math.comb(2 * n + degree_cap, 2 * n))
     return Ambient(tag, monomials_upto(2 * n, degree_cap),
-                   functools.partial(WeylElement, n), weyl_commutator,
-                   WeylElement.degree, degree_cap)
+                   functools.partial(WeylElement, n))
 
 
 def MatrixAmbient(dim):

@@ -66,11 +66,6 @@ class WeylElement(TermMap):
         return cls(n, {exps: as_scalar(coeff)})
 
     # -- structure ---------------------------------------------------------
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def coeff(self, exps):
         return self.terms.get(tuple(exps), S_ZERO)
 

@@ -2,7 +2,7 @@
 
 `tests/data/cli_goldens.json` holds the exit code, stdout and stderr of
 bracket, generate, normalizer, transitivity and checkq1 invocations on all
-three targets, and of verify on r2n and the sphere;
+three targets, usage errors among them, and of verify on r2n and the sphere;
 `tools/record_cli_goldens.py` re-records it.  Every
 invocation runs through main(argv) in process and must match byte for byte.
 
@@ -34,8 +34,12 @@ def test_goldens_cover_every_verb_and_target():
 
 
 @pytest.mark.parametrize("case", GOLDENS, ids=[" ".join(c["argv"]) for c in GOLDENS])
-def test_cli_replays_golden_bytes(case, capsys):
-    code = main(list(case["argv"]))
+def test_cli_replays_golden_bytes(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    try:
+        code = main(list(case["argv"]))
+    except SystemExit as exc:  # a usage error, written by argparse
+        code = exc.code
     cap = capsys.readouterr()
     assert (code, cap.out, cap.err) == (case["exit"], case["stdout"], case["stderr"])
 

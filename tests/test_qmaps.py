@@ -212,6 +212,24 @@ def test_sphere_map_q1_linear_quadratic_pairs():
             assert check_q1(qmap, f, g).is_zero()
 
 
+def test_checkq1_quantizes_each_sphere_operand_once(monkeypatch, capsys):
+    # the spin map builds one harmonic representative for each of f, g and
+    # {f,g}; the report prints f and g, two more
+    from gvh.cli import main
+    calls = []
+    rep = SphereElement.representative
+
+    def counted(self):
+        calls.append(self)
+        return rep(self)
+
+    monkeypatch.setattr(SphereElement, "representative", counted)
+    assert main(["checkq1", "sphere", "3*S1 + 2*S3", "S1*S2 - 4*S3^2",
+                 "--j", "3"]) == 0
+    assert '"residual_zero": true' in capsys.readouterr().out
+    assert len(calls) == 5
+
+
 def test_torus_prequant_symbolic_q1():
     for k in (1, 2):
         elems = basic_set(k, S_ONE)

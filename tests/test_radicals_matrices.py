@@ -141,6 +141,18 @@ def test_spin_half_integer_validation():
         raise AssertionError("non half-integer spin must be rejected")
 
 
+@pytest.mark.parametrize("j, error, match", [
+    (-1, ValueError, "must be nonnegative, got -1"),
+    (Fraction(-1, 2), ValueError, "must be nonnegative, got -1/2"),
+    (0.5, TypeError, "must be an int or a Fraction, got 0.5"),
+    ("1", TypeError, "must be an int or a Fraction, got '1'"),
+])
+def test_spin_label_errors(j, error, match):
+    # the CLI passes a Fraction; a float label is a type error, not rounded
+    with pytest.raises(error, match=match):
+        spin_matrices(j)
+
+
 def test_spin_dimension_bound():
     assert spin_matrices(1000)[2].dim == MAX_SPIN_DIM == 2001
     with pytest.raises(ValueError, match="spin dimension 2j\\+1 = 2002 exceeds 2001"):

@@ -8,13 +8,13 @@ import pytest
 from gvh.flat import FlatElement
 from gvh.matrices import ExactMatrix
 from gvh.scalars import S_ONE, Scalar
-from gvh.poly import MultiPoly
+from gvh.poly import MultiPoly, monomials_upto
 from gvh.sphere import SVARS, SphereElement, svar
-from gvh.subspace import (FlatAmbient, MatrixAmbient, OffManifoldError,
-                          SphereAmbient, SubspaceBasis, TorusAmbient,
-                          WeylAmbient, generate_poisson_subalgebra,
-                          normalizer, transitivity_at_point,
-                          transitivity_check)
+from gvh.subspace import (MAX_KEYS, FlatAmbient, MatrixAmbient,
+                          OffManifoldError, SphereAmbient, SubspaceBasis,
+                          TorusAmbient, WeylAmbient,
+                          generate_poisson_subalgebra, normalizer,
+                          transitivity_at_point, transitivity_check)
 from gvh.torus import TorusElement
 from gvh.weyl import WeylElement
 
@@ -107,18 +107,29 @@ def test_normalizer_of_affine_is_quadratics():
 
 @pytest.mark.parametrize("cap", range(7))
 def test_sphere_basis_spans_every_canonical_monomial(cap):
-    # the S1-degree <= 1 monomials, canonicalized, span what all the
-    # canonicalized monomials of degree <= cap span, with no dependent one
+    # the (cap+1)² normal-form keys span what every monomial of degree
+    # <= cap spans once canonicalized, with no dependent one
     amb = SphereAmbient(cap)
     basis = amb.basis_elements()
     assert len(basis) == (cap + 1) ** 2
     every = [SphereElement.canonicalize(MultiPoly(SVARS, {e: S_ONE}))
-             for e in amb.keys()]
+             for e in monomials_upto(3, cap)]
     span = SubspaceBasis.from_elements(amb, basis)
     full = SubspaceBasis.from_elements(amb, every)
     assert span.dim() == len(basis)
     assert all(not span.reduce(e.terms) for e in full.elements())
     assert all(not full.reduce(e.terms) for e in span.elements())
+
+
+def test_sphere_keys_are_the_normal_form_monomials():
+    # S3-degree <= 1, in the order every monomial had before, so each pivot
+    # stays where it was; cap 180 is listed whole, within MAX_KEYS
+    for cap in range(9):
+        assert SphereAmbient(cap).keys() == [
+            e for e in monomials_upto(3, cap) if e[2] <= 1]
+    keys = SphereAmbient(180).keys()
+    assert len(keys) == len(set(keys)) == 181 ** 2 == 32_761 <= MAX_KEYS
+    assert keys[-1] == (180, 0, 0) and max(e[2] for e in keys) == 1
 
 
 def test_normalizer_of_sphere_u2_is_itself():
@@ -222,7 +233,7 @@ def test_off_manifold_sphere_point_rejected():
 
 def _ambient_cases():
     """(ambient, its leading keys, an element at the cap, one at cap + 1);
-    the matrix ambient has no cap."""
+    the operator ambients (Weyl, matrix) have no cap."""
     half = Scalar.from_rational(1, 2)
     sphere = SphereElement.canonicalize
     return {
@@ -235,7 +246,7 @@ def _ambient_cases():
                     _m(2, (1, 0), (0, 1)), _m(2, (1, 1), (0, 1))),
         "sphere": (SphereAmbient(2),
                    [(0, 0, 0), (0, 0, 1), (0, 1, 0),
-                    (1, 0, 0), (0, 0, 2), (0, 1, 1)],
+                    (1, 0, 0), (0, 1, 1), (0, 2, 0)],
                    sphere(svar("S1") * svar("S2")),
                    sphere(svar("S1") * svar("S2") * svar("S3"))),
         "torus-B-half": (TorusAmbient(1, half),
@@ -244,7 +255,7 @@ def _ambient_cases():
                          TorusElement.cos(2, 0, B=half)),
         "weyl": (WeylAmbient(1, 3),
                  [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)],
-                 WeylElement.word((1, 2)), WeylElement.word((2, 2))),
+                 None, None),
         "matrix": (MatrixAmbient(2), [(0, 0), (0, 1), (1, 0), (1, 1)],
                    None, None),
     }
@@ -259,17 +270,18 @@ def test_ambient_contract(name):
     keys = amb.keys()
     assert keys[:len(leading)] == leading
     basis = amb.basis_elements()
-    # the canonical sphere polynomials of degree ≤ cap are the harmonic ones
-    want = (amb.cap + 1) ** 2 if name == "sphere" else len(keys)
-    assert len(basis) == want
+    assert len(basis) == len(keys)
+    if name == "sphere":  # the normal-form monomials, S3-degree <= 1
+        assert len(keys) == (amb.cap + 1) ** 2
     e = amb.zero()
     assert e.is_zero() and e.terms == {}
     for c, b in enumerate(basis, start=1):
         e = e + b.scale(Scalar.from_int(c))
     assert amb.from_coords(e.terms) == e
     assert not SubspaceBasis.from_elements(amb, basis).reduce(e.terms)
-    if at_cap is None:
-        assert amb.cap is None and isinstance(e, ExactMatrix)
+    if at_cap is None:  # keys and a constructor only
+        assert amb.bracket is None and amb.size is None and amb.cap is None
+        assert isinstance(e, {"weyl": WeylElement, "matrix": ExactMatrix}[name])
         return
     assert amb.within_bound(at_cap) and amb.size(at_cap) == amb.cap
     assert not amb.within_bound(over_cap)

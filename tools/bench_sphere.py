@@ -1,7 +1,8 @@
 """Time the sphere: `obstruction.sphere_certificate(j)` at j = 3, 10 and
 100, and the span commands `generate sphere S1^2 S1 S2 S3` at degree caps
-4, 6 and 8 and `normalizer sphere --degree-cap 4 1 S1 S2 S3`, each call in
-a fresh interpreter.
+4, 6 and 8, `normalizer sphere --degree-cap 4 1 S1 S2 S3` and `generate
+sphere S1 --degree-cap 179` (an ambient of (179+1)² keys around a
+one-element span), each call in a fresh interpreter.
 
 Command line, children and rounds: see `tools/benchtool.py`.  The
 certificate is the exact replay of the S² obstruction that `gvh verify
@@ -27,7 +28,8 @@ import benchtool
 SPAN = ("generate sphere S1^2 S1 S2 S3 --degree-cap 4",
         "generate sphere S1^2 S1 S2 S3 --degree-cap 6",
         "generate sphere S1^2 S1 S2 S3 --degree-cap 8",
-        "normalizer sphere --degree-cap 4 1 S1 S2 S3")
+        "normalizer sphere --degree-cap 4 1 S1 S2 S3",
+        "generate sphere S1 --degree-cap 179")
 # a spin j, or the argv of a span command
 CALLS = (3, 10, 100) + tuple(case.split() for case in SPAN)
 CASES = tuple("sphere_certificate(%d)" % j for j in CALLS[:3]) + SPAN

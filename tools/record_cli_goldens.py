@@ -15,15 +15,17 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "tests" / "data" / "cli_goldens.json"
 
 # bracket, generate, normalizer, transitivity and checkq1 on every target,
-# with --n 2, --B, a markdown report, failing checks (exit 1) and bad input;
-# then verify on r2n and the sphere.  verify torus is left out: its floats
+# with --n 2, --B, a markdown report, failing checks (exit 1), bad input and
+# flag values argparse rejects (exit 2); then verify on r2n and the sphere.  verify torus is left out: its floats
 # come from LAPACK, so its bytes may differ between machines.
 CASES = [
     ["bracket", "r2n", "q1^2*p1", "p1^2"],
@@ -50,6 +52,7 @@ CASES = [
     ["normalizer", "r2n", "--n", "2", "--degree-cap", "4",
      "1", "q1", "p1", "q2", "p2"],
     ["normalizer", "sphere", "--degree-cap", "4", "1", "S1", "S2", "S3"],
+    ["generate", "sphere", "S1", "--degree-cap", "180"],
     ["generate", "r2n", "q1^2", "p1^2", "q1^3", "--degree-cap", "6"],
     ["transitivity", "r2n", "q1", "p1", "q1^2*p1"],
     ["transitivity", "r2n", "q1^2"],
@@ -71,6 +74,9 @@ CASES = [
     ["bracket", "sphere", "S1/S2", "S1"],
     ["bracket", "torus", "x", "cos(2*pi*1*x)"],
     ["bracket", "torus", "sin(2*pi*1*z)", "1"],
+    ["bracket", "r2n", "q1 $ 2", "p1"],
+    ["checkq1", "sphere", "S1", "S2", "--j", "abc"],
+    ["bracket", "torus", "--B", "1/0", "sin(2*pi*1*x)", "cos(2*pi*1*y)"],
     ["verify", "r2n"],
     ["verify", "sphere", "--j", "0"],
     ["verify", "sphere", "--j", "1/2"],
@@ -84,8 +90,13 @@ def record(argv):
     from gvh.cli import main
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    # argparse wraps usage to the terminal; the goldens test pins 80 columns
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error, written by argparse
+            code = exc.code
     return {"argv": argv, "exit": code, "stdout": out.getvalue(),
             "stderr": err.getvalue()}
 
