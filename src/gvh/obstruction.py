@@ -33,11 +33,12 @@ from .hermite import (check_memory, commutant_kernel_dim, derivative_band,
 from .linalg import solve_affine
 from .matrices import ExactMatrix, _half_integer, spin_matrices
 from .poly import MultiPoly
-from .qmaps import (DEFAULT_TORUS_HBAR, TORUS_PREQUANT, check_q1, sphere_map,
-                    torus_transformed_ops, transformed_harmonic_op, weyl_map)
+from .qmaps import (DEFAULT_TORUS_HBAR, TORUS_PREQUANT, check_q1, sphere_constant,
+                    sphere_map, torus_transformed_ops, transformed_harmonic_op,
+                    weyl_map)
 from .scalars import A_SYM, HBAR, S_ONE, S_ZERO, S_SPIN, Scalar, as_scalar
 from .sparse import accumulate
-from .sphere import SVARS, SphereElement, bracket_raw
+from .sphere import R2, SVARS, SphereElement, bracket_raw, bracket_sphere
 from .subspace import MatrixAmbient, WeylAmbient
 from .torus import basic_set
 from .weyl import WeylElement, symmetrized, weyl_commutant, weyl_product
@@ -346,28 +347,29 @@ def sphere_equivariance_problem(j):
 
 def vonneumann_rules_flat(degree):
     """Derived rules Q(q^e) = X^e, Q(p^e) = P^e, and the symmetrized mixed
-    rules, for 2 ≤ e ≤ degree, each via a unique linear extension solve."""
+    rules, for 2 ≤ e ≤ degree, each via a unique linear extension solve and
+    compared with the Weyl map, the closed form of all four."""
     if degree < 2:
         raise ValueError("rule derivation starts at degree 2")
     rules = _schrodinger_rules()
-    X, P = rules[(1, 0)], rules[(0, 1)]
     records = []
 
-    def record(e, closed):
+    def record(e, keys):
         records.append({
             "degree": e,
-            "classical": ", ".join(str(_flat_mono(*k)) for k in closed),
-            "operator": [str(rules[k]) for k in closed],
+            "classical": ", ".join(str(_flat_mono(*k)) for k in keys),
+            "operator": [str(rules[k]) for k in keys],
             "verdict": "unique",
-            "matches_closed_form": all(rules[k] == v for k, v in closed.items()),
+            "matches_closed_form": all(rules[k] == weyl_map(_flat_mono(*k))
+                                       for k in keys),
         })
 
     sol2 = extension_solve(quadratic_extension_problem())
     if sol2.verdict != "unique":
         raise RuntimeError("quadratic extension unexpectedly %s" % sol2.verdict)
-    rules.update(zip([(2, 0), (1, 1), (0, 2)], sol2.assignments))
-    W = WeylElement.word
-    record(2, {(2, 0): W((2, 0)), (1, 1): symmetrized(X, P), (0, 2): W((0, 2))})
+    quadratics = [(2, 0), (1, 1), (0, 2)]
+    rules.update(zip(quadratics, sol2.assignments))
+    record(2, quadratics)
     for e in range(3, degree + 1):
         # {k, t} lands in the knowns or in t itself, so the four targets'
         # constraints are independent blocks of one solve
@@ -378,9 +380,7 @@ def vonneumann_rules_flat(degree):
             raise RuntimeError("rules for degree %d came back %s"
                                % (e, sol.verdict))
         rules.update(zip(targets, sol.assignments))
-        record(e, {(e, 0): W((e, 0)), (0, e): W((0, e)),
-                   (e - 1, 1): symmetrized(W((e - 1, 0)), P),
-                   (1, e - 1): symmetrized(X, W((0, e - 1)))})
+        record(e, [(e, 0), (0, e), (e - 1, 1), (1, e - 1)])
     return {"rules": rules, "records": records}
 
 
@@ -524,10 +524,7 @@ def sphere_certificate(j):
     jj1 = Scalar.from_rational(twoj * (twoj + 2), 4)   # j(j+1)
     a = A_SYM
     s2 = S_SPIN * S_SPIN
-    # impose the Casimir consistency  a ħ² j(j+1) + 3c = s²
-    const_c = (s2 - a * HBAR * HBAR * jj1) * Scalar.from_rational(1, 3)
-    qmap = sphere_map(j, a, const_c)
-    s = [MultiPoly.var(SVARS, v) for v in SVARS]
+    const_c = sphere_constant(j)
     steps = [{
         "classical": "S.S = s^2 (Casimir), so Q(S.S) = s^2 I fixes c",
         "quantum_lhs": "a*hbar^2*j(j+1) + 3c",
@@ -536,22 +533,18 @@ def sphere_certificate(j):
     }]
     assumptions = ["a != 0 and c != 0 (nontriviality input)",
                    "s > 0 (sphere radius)"]
-
-    def Q(poly):
-        return qmap(poly)
+    S1, S2, S3 = (SphereElement.coordinate(v) for v in SVARS)
+    s11, s22, s12, s23, s31 = S1 * S1, S2 * S2, S1 * S2, S2 * S3, S3 * S1
+    qmap = sphere_map(j)
+    q11, q22, q12, q23, q31, q3 = (qmap(f) for f in (s11, s22, s12, s23, s31, S3))
 
     # identity 1:  {S1²−S2², S1S2} − {S2S3, S3S1} = −(S.S)·S3 ≡ −s² S3
-    lhs_cl = bracket_raw(s[0] * s[0] - s[1] * s[1], s[0] * s[1]) - \
-        bracket_raw(s[1] * s[2], s[2] * s[0])
-    expect_cl = -(s[0] * s[0] + s[1] * s[1] + s[2] * s[2]) * s[2]
-    cl_ok = (lhs_cl - expect_cl).is_zero()
-    canon_ok = SphereElement.canonicalize(lhs_cl) == \
-        SphereElement.canonicalize(s[2]).scale(-s2)
-    m1 = Q(s[0] * s[0]).ih_commutator(Q(s[0] * s[1])) - \
-        Q(s[1] * s[1]).ih_commutator(Q(s[0] * s[1])) - \
-        Q(s[1] * s[2]).ih_commutator(Q(s[2] * s[0]))
-    q3mat = Q(s[2])
-    lam1 = _entrywise_ratio(m1, q3mat)
+    lhs_cl = bracket_raw((s11 - s22).poly(), s12.poly()) - \
+        bracket_raw(s23.poly(), s31.poly())
+    cl_ok = lhs_cl == -(R2 * S3.poly())
+    canon_ok = SphereElement.canonicalize(lhs_cl) == S3.scale(-s2)
+    m1 = q11.ih_commutator(q12) - q22.ih_commutator(q12) - q23.ih_commutator(q31)
+    lam1 = _entrywise_ratio(m1, q3)
     if lam1 is None:
         raise RuntimeError("quantized identity 1 is not a multiple of Q(S3)")
     # (Q1) demands λ₁·Q(S3) = Q(−s² S3), i.e. s² = −λ₁
@@ -583,18 +576,12 @@ def sphere_certificate(j):
             steps, "s^2 = 0 vs s > 0", assumptions)
 
     # identity 2:  {S2², {S1S2, S1S3}} − (3/4){S1², {S1², S2S3}} = 2 s² S2S3
-    inner1 = bracket_raw(s[0] * s[1], s[0] * s[2])
-    inner2 = bracket_raw(s[0] * s[0], s[1] * s[2])
-    lhs2_cl = bracket_raw(s[1] * s[1], inner1) - \
-        bracket_raw(s[0] * s[0], inner2).scale(Scalar.from_rational(3, 4))
-    cl2_ok = SphereElement.canonicalize(lhs2_cl) == \
-        SphereElement.canonicalize(s[1] * s[2]).scale(Scalar.from_rational(2) * s2)
-    q_inner1 = Q(s[0] * s[1]).ih_commutator(Q(s[0] * s[2]))
-    q_inner2 = Q(s[0] * s[0]).ih_commutator(Q(s[1] * s[2]))
-    m2 = Q(s[1] * s[1]).ih_commutator(q_inner1) - \
-        Q(s[0] * s[0]).ih_commutator(q_inner2).scale(Scalar.from_rational(3, 4))
-    base2 = Q(s[1] * s[2])          # equals (a/2)(Q2Q3 + Q3Q2)
-    lam2 = _entrywise_ratio(m2, base2)
+    lhs2_cl = bracket_sphere(s22, bracket_sphere(s12, s31)) - \
+        bracket_sphere(s11, bracket_sphere(s11, s23)).scale(Scalar.from_rational(3, 4))
+    cl2_ok = lhs2_cl == s23.scale(Scalar.from_rational(2) * s2)
+    m2 = q22.ih_commutator(q12.ih_commutator(q31)) - \
+        q11.ih_commutator(q11.ih_commutator(q23)).scale(Scalar.from_rational(3, 4))
+    lam2 = _entrywise_ratio(m2, q23)   # Q(S2 S3) = (a/2)(Q2Q3 + Q3Q2)
     if lam2 is None:
         raise RuntimeError("quantized identity 2 is not a multiple of Q(S2 S3)")
     # (Q1) twice demands λ₂·Q(S2S3) = Q(2 s² S2S3), i.e. s² = λ₂/2
@@ -648,12 +635,7 @@ def position_nonextension_certificate():
     rhs_op = p2_main.ih_commutator(weyl_map(_flat_mono(1, 1)))
     resid_noT = lhs_op - rhs_op
     # τ enters as 2τ − (i/ħ)[τI, Q(qp)] = 2τ ⇒ τ = −(residual without T)/2
-    tau_coeff = Scalar.from_rational(2)
-    tau = None
-    if resid_noT.is_zero():
-        tau = S_ZERO
-    elif resid_noT.is_scalar():
-        tau = -(resid_noT.scalar_part()) / tau_coeff
+    tau = -resid_noT.scalar_part() / 2 if resid_noT.is_scalar() else None
     steps.append({
         "classical": "2 p^2 = {p^2, qp}",
         "quantum_lhs": "2(-hbar^2 d^2/dq^2 + T) vs (i/hbar)[-hbar^2 d^2/dq^2 + T, Q(qp)]",

@@ -7,7 +7,7 @@ per-algebra variable order.
 
 from __future__ import annotations
 
-from .scalars import S_ZERO, S_ONE, as_scalar
+from .scalars import S_ONE, as_scalar
 from .sparse import TermMap, accumulate, monoid_product
 
 
@@ -52,9 +52,6 @@ class MultiPoly(TermMap):
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def coeff(self, exps):
-        return self.terms.get(tuple(exps), S_ZERO)
 
     # -- arithmetic ----------------------------------------------------------
 

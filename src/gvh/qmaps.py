@@ -5,7 +5,10 @@ Target algebras: the Weyl algebra for every flat map — on n generators for the
 Weyl-ordered maps (schrodinger, metaplectic, position, which differ only in
 their domains), on 2n generators for prequantization on phase space
 (vanhove); differential operators on the torus line bundle
-(torus_prequant); spin matrices over Scalar (sphere); and, for the
+(torus_prequant); spin matrices over Scalar (sphere), quantized from the
+keys of a sphere observable's normal form, never from its harmonic
+representative, which only the printer makes, with the one constant c
+(`sphere_constant`) that `sphere_certificate` states; and, for the
 transformed torus operators A±, B±, exact shift-differential operators on
 the line (DiffOps in x alone), read as truncated Hermite matrices at a
 numeric ħ.  A Weyl element reads as a differential operator through
@@ -22,11 +25,10 @@ import math
 
 from .diffop import DiffOp
 from .flat import FlatElement, active_dofs, bracket_flat
-from .matrices import ExactMatrix, spin_matrices
-from .poly import MultiPoly
-from .scalars import A_SYM, C_SYM, HBAR, S_I, S_ONE, TWO_PI, Scalar
+from .matrices import ExactMatrix, _half_integer, spin_matrices
+from .scalars import A_SYM, HBAR, S_I, S_ONE, S_SPIN, TWO_PI, Scalar
 from .sparse import accumulate
-from .sphere import SVARS, SphereElement, bracket_sphere
+from .sphere import bracket_sphere
 from .torus import bracket_torus
 from .weyl import WeylElement, contractions
 
@@ -174,24 +176,28 @@ def torus_transformed_ops(k, trunc, hbar=DEFAULT_TORUS_HBAR, quad_order=None):
 # Sphere map into exact spin matrices
 # ---------------------------------------------------------------------------
 
-def _sphere_rep_poly(f):
-    """The polynomial the spin map quantizes: a class's harmonic
-    representative, or a plain polynomial as given."""
-    if isinstance(f, SphereElement):
-        return f.representative()
-    if isinstance(f, MultiPoly) and f.vars == SVARS:
-        return f
-    raise TypeError("expected a sphere polynomial, got %r" % (f,))
+def sphere_constant(j):
+    """c = (s² − aħ²j(j+1))/3, the constant of the spin map at spin j: the c
+    at which Q(S·S) = s²I, since ΣQ_i² = ħ²j(j+1)I."""
+    twoj = _half_integer(j)
+    jj1 = Scalar.from_rational(twoj * (twoj + 2), 4)
+    return (S_SPIN * S_SPIN - A_SYM * HBAR * HBAR * jj1) * Scalar.from_rational(1, 3)
 
 
-def sphere_map(j, a=A_SYM, const_c=C_SYM):
-    """Quantization of sphere polynomials of degree ≤ 2 in dimension 2j+1:
-    1 ↦ I, S_i ↦ Q_i, S_i² ↦ aQ_i² + cI, S_iS_k ↦ (a/2)(Q_iQ_k + Q_kQ_i)
-    on the harmonic representative, whose degree is the normal form's (the
-    top-degree harmonic projection is injective on normal forms)."""
+def sphere_map(j):
+    """Quantization in dimension 2j+1 of the sphere observables of degree
+    ≤ 2, on the keys of their normal form (which has no S3² key):
+    1 ↦ I, S_i ↦ Q_i, S1² ↦ aQ1² + cI, S2² ↦ aQ2² + cI and
+    S_iS_k ↦ (a/2)(Q_iQ_k + Q_kQ_i), with c = `sphere_constant(j)`.
+
+    The class of S3², s² − S1² − S2², then maps to aQ3² + cI.  This c is
+    the only one at which the rule agrees with quantizing the harmonic
+    representative by the same rule, whose traceless degree-2 part cancels
+    any c."""
     q = spin_matrices(j)
     dim = q[0].dim
     ident = ExactMatrix.identity(dim)
+    a, c = A_SYM, sphere_constant(j)
     half_a = a * Scalar.from_rational(1, 2)
 
     @functools.cache
@@ -200,38 +206,27 @@ def sphere_map(j, a=A_SYM, const_c=C_SYM):
         return q[i] * q[i] if i == k else q[i] * q[k] + q[k] * q[i]
 
     def rule(f):
-        poly = _sphere_rep_poly(f)
         out = ExactMatrix(dim)
-        for e, coeff in poly.terms.items():
+        for e, w in f.terms.items():
             deg = sum(e)
             if deg == 0:
-                out = out + ident.scale(coeff)
+                out = out + ident.scale(w)
             elif deg == 1:
-                i = e.index(1)
-                out = out + q[i].scale(coeff)
-            elif deg == 2:
-                if 2 in e:
-                    i = e.index(2)
-                    out = out + spin_product(i, i).scale(a * coeff) + \
-                        ident.scale(const_c * coeff)
-                else:
-                    i = e.index(1)
-                    k = i + 1 + e[i + 1:].index(1)
-                    out = out + spin_product(i, k).scale(half_a * coeff)
+                out = out + q[e.index(1)].scale(w)
+            elif 2 in e:
+                i = e.index(2)
+                out = out + spin_product(i, i).scale(a * w) + ident.scale(c * w)
             else:
-                raise DomainError("sphere map limited to degree <= 2, got %s" % poly)
+                i = e.index(1)
+                k = i + 1 + e[i + 1:].index(1)
+                out = out + spin_product(i, k).scale(half_a * w)
         return out
-
-    def bracket(f, g):
-        # in normal form; a plain polynomial operand is reduced to its class
-        return bracket_sphere(SphereElement.canonicalize(f),
-                              SphereElement.canonicalize(g))
 
     return QuantizationMap(
         name="sphere(j=%s)" % (j,),
         domain="sphere polynomials of degree <= 2",
         rule=rule,
-        bracket=bracket,
+        bracket=bracket_sphere,
         membership=_degree_at_most(2),
     )
 

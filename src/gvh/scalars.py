@@ -688,8 +688,6 @@ S_I = Scalar.from_gauss(GR_I)
 HBAR = Scalar.param("hbar")
 S_SPIN = Scalar.param("s")
 A_SYM = Scalar.param("a")
-C_SYM = Scalar.param("c")
-B_SYM = Scalar.param("b")
 PI = Scalar.param("pi")
 TWO_PI = Scalar.from_int(2) * PI
 I_OVER_HBAR = S_I / HBAR

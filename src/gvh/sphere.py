@@ -11,11 +11,11 @@ and every span work in it.
 
 The harmonic representative (every occurrence of S1^2+S2^2+S3^2 replaced by
 s^2, so that the part of each degree l is annihilated by the formal
-Laplacian) is made only where it means something: the printer shows it, and
-the spin map quantizes it monomial by monomial, as Q(S3^2) differs from
-Q(s^2 - S1^2 - S2^2).  `SphereElement.representative` sums it from a
-per-process cache of the harmonic form of each normal-form monomial, which
-`harmonic_decompose` fills; `harmonic_echelon` gives a span's printed basis.
+Laplacian) is made only for printing: `print_expression` and `__str__` show
+it, and `harmonic_echelon` gives a span's printed basis.  The spin map
+quantizes the normal-form keys themselves.  `SphereElement.representative`
+sums it from a per-process cache of the harmonic form of each normal-form
+monomial, which `harmonic_decompose` fills.
 
 Bracket: {f, g} = -sum eps_ijk S_i df/dS_j dg/dS_k, so {S1, S2} = -S3.
 """
@@ -143,9 +143,8 @@ class SphereElement(TermMap):
 
     @classmethod
     def canonicalize(cls, raw):
-        """The normal form of a polynomial in S1, S2, S3 (a MultiPoly, or a
-        SphereElement, which is its own): each S3^(2m+r) with r <= 1 becomes
-        S3^r (s^2 - S1^2 - S2^2)^m."""
+        """The normal form of a MultiPoly in S1, S2, S3: each S3^(2m+r) with
+        r <= 1 becomes S3^r (s^2 - S1^2 - S2^2)^m."""
         terms = {}
         for (a, b, e), c in raw.terms.items():
             if e < 2:

@@ -66,9 +66,6 @@ class WeylElement(TermMap):
         return cls(n, {exps: as_scalar(coeff)})
 
     # -- structure ---------------------------------------------------------
-    def coeff(self, exps):
-        return self.terms.get(tuple(exps), S_ZERO)
-
     def scalar_part(self):
         """Coefficient of the identity word."""
         return self.terms.get((0,) * (2 * self.n), S_ZERO)

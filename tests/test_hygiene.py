@@ -19,10 +19,14 @@ ast module (the repository carries no linter).
 - No `tools/bench_*.py` defines `_quartiles`, imports `argparse` or sets a
   `*_NUM_THREADS` variable: the command line, the statistics and the child
   environment are `tools/benchtool.py`'s.
-- Every function, class and method in `src/gvh` is read, as a bare name or
-  as an attribute, somewhere in `src/gvh` outside its own body, so `src/`
-  holds only what gvh runs; the code a ROADMAP item parks is listed in
-  `_PARKED` with that item.
+- Only sphere.py, parse.py and cli.py read `representative` or
+  `harmonic_echelon`: the harmonic form of a sphere observable is made only
+  for printing.
+- Every function, class and method in `src/gvh` is read somewhere in
+  `src/gvh` outside its own body (a function or class as a bare name or as
+  an attribute, a method as an attribute), so `src/` holds only what gvh
+  runs; the code a ROADMAP item parks is listed in `_PARKED` with that
+  item.
 """
 
 import ast
@@ -116,6 +120,12 @@ def test_only_the_echelon_eliminates():
     assert _src_readers("sub_scaled") == {"linalg.py:Echelon"}
 
 
+def test_only_the_printer_makes_harmonic_forms():
+    # the spin map and the certificates work on normal-form keys
+    readers = _src_readers("representative") | _src_readers("harmonic_echelon")
+    assert {r.split(":")[0] for r in readers} == {"sphere.py", "parse.py", "cli.py"}
+
+
 def test_no_module_calls_einsum():
     assert _src_readers("einsum") == set()
 
@@ -185,40 +195,46 @@ def _unread_definitions(trees):
     class and every method, dunders aside, whose name no node of `trees`
     (file name -> module tree) reads outside the definition's own body.
 
-    Reads are matched by name alone: a method that shares its name with one
-    that is read (`TorusElement.zero` beside `MultiPoly.zero`) is hidden
-    from the scan."""
+    A function or class is read as a bare name or as an attribute, a method
+    only as an attribute, so a local variable does not hide a method of the
+    same name.  Reads are matched by name alone: a method that shares its
+    name with one that is read (`TorusElement.zero` beside `MultiPoly.zero`)
+    is hidden from the scan."""
     defs = []
     for fname, tree in trees.items():
         for top in tree.body:
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                defs.append(("%s:%s" % (fname, top.name), top))
+                defs.append(("%s:%s" % (fname, top.name), top, False))
             if isinstance(top, ast.ClassDef):
-                defs += [("%s:%s.%s" % (fname, top.name, n.name), n) for n in top.body
-                         if isinstance(n, ast.FunctionDef)
+                defs += [("%s:%s.%s" % (fname, top.name, n.name), n, True)
+                         for n in top.body if isinstance(n, ast.FunctionDef)
                          and not (n.name.startswith("__") and n.name.endswith("__"))]
 
-    def reads(root):
+    def reads(root, method):
         return collections.Counter(
             n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(root)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-            or isinstance(n, ast.Attribute))
+            if isinstance(n, ast.Attribute) or not method
+            and isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
 
-    everywhere = sum((reads(tree) for tree in trees.values()), collections.Counter())
-    return sorted(label for label, node in defs
-                  if everywhere[node.name] == reads(node)[node.name])
+    everywhere = {method: sum((reads(tree, method) for tree in trees.values()),
+                              collections.Counter()) for method in (False, True)}
+    return sorted(label for label, node, method in defs
+                  if everywhere[method][node.name] == reads(node, method)[node.name])
 
 
 def test_unread_scan_flags_each_unread_definition():
-    trees = {"a.py": ast.parse("def used():\n    pass\n"
+    trees = {"a.py": ast.parse("def used():\n    coeff = 1\n    return coeff\n"
                                "def recursive(n):\n    return recursive(n - 1)\n"
                                "class C:\n    def __init__(self):\n        pass\n"
                                "    def method(self):\n        return self.other()\n"
                                "    def other(self):\n        return used()\n"
+                               "    def coeff(self):\n        pass\n"
                                "class Unused:\n    def method(self):\n        pass\n"),
              "b.py": ast.parse("from .a import C\nC().method()\n")}
-    # Unused.method shares its name with C.method, which b.py reads
-    assert _unread_definitions(trees) == ["a.py:Unused", "a.py:recursive"]
+    # Unused.method shares its name with C.method, which b.py reads; the
+    # local variable coeff in used() does not read C.coeff
+    assert _unread_definitions(trees) == ["a.py:C.coeff", "a.py:Unused",
+                                          "a.py:recursive"]
 
 
 def test_src_defines_only_what_it_reads():

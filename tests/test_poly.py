@@ -83,9 +83,9 @@ def test_monomial_counts():
 
 def test_coeff_and_constant_term():
     f = MultiPoly.monomial(VARS, (2, 1), Scalar.from_int(3)) + MultiPoly.const(VARS, Scalar.from_int(7))
-    assert f.coeff((2, 1)) == Scalar.from_int(3)
-    assert f.coeff((5, 5)).is_zero()
-    assert f.coeff((0, 0)) == Scalar.from_int(7)
+    assert f.terms.get((2, 1)) == Scalar.from_int(3)
+    assert f.terms.get((5, 5)) is None
+    assert f.terms.get((0, 0)) == Scalar.from_int(7)
     assert f.degree() == 3
 
 

@@ -178,18 +178,17 @@ def test_sphere_map_results_do_not_share_the_cached_spin_products():
     assert again.terms == want and again is not first
 
 
-def test_sphere_map_casimir_with_trace_condition():
-    # substituting c = (s^2 - a hbar^2 j(j+1))/3 makes Q(S.S) = s^2 I exactly
+def test_sphere_map_sends_the_class_of_s3_squared_to_its_rule():
+    # the normal form has no S3^2 key: the class s^2 - S1^2 - S2^2 maps to
+    # aQ3^2 + cI exactly when c = (s^2 - a hbar^2 j(j+1))/3
     from gvh.matrices import ExactMatrix
     a = Scalar.param("a")
-    jj = Scalar.from_int(2)  # j(j+1) at j = 1
-    const_c = (S_SPIN ** 2 - a * HBAR ** 2 * jj) / Scalar.from_int(3)
-    qmap = sphere_map(1, a=a, const_c=const_c)
-    total = None
-    for v in ("S1", "S2", "S3"):
-        m = qmap(SphereElement.canonicalize(svar(v) * svar(v)))
-        total = m if total is None else total + m
-    assert total == ExactMatrix.identity(3).scale(S_SPIN ** 2)
+    for j in (Fraction(1, 2), 1, Fraction(3, 2), 3):
+        q3 = spin_matrices(j)[2]
+        jj1 = Scalar.from_fraction(Fraction(j) * (Fraction(j) + 1))
+        c = (S_SPIN ** 2 - a * HBAR ** 2 * jj1) / Scalar.from_int(3)
+        got = sphere_map(j)(SphereElement.canonicalize(svar("S3") * svar("S3")))
+        assert got == (q3 * q3).scale(a) + ExactMatrix.identity(q3.dim).scale(c)
 
 
 def test_sphere_map_q1_linear_pairs():
@@ -213,8 +212,8 @@ def test_sphere_map_q1_linear_quadratic_pairs():
 
 
 def test_checkq1_quantizes_each_sphere_operand_once(monkeypatch, capsys):
-    # the spin map builds one harmonic representative for each of f, g and
-    # {f,g}; the report prints f and g, two more
+    # the spin map quantizes normal-form keys; only the report's printing of
+    # f and g builds a harmonic representative
     from gvh.cli import main
     calls = []
     rep = SphereElement.representative
@@ -227,7 +226,7 @@ def test_checkq1_quantizes_each_sphere_operand_once(monkeypatch, capsys):
     assert main(["checkq1", "sphere", "3*S1 + 2*S3", "S1*S2 - 4*S3^2",
                  "--j", "3"]) == 0
     assert '"residual_zero": true' in capsys.readouterr().out
-    assert len(calls) == 5
+    assert len(calls) == 2
 
 
 def test_torus_prequant_symbolic_q1():

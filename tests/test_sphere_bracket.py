@@ -87,7 +87,7 @@ def test_harmonic_decompose_pieces_are_harmonic():
 def test_degree_and_constant_part():
     elem = _c(S1 * S2 + MultiPoly.const(SVARS, S_ONE))
     assert elem.degree() == 2
-    assert elem.representative().coeff((0, 0, 0)) == S_ONE
+    assert elem.representative().terms.get((0, 0, 0)) == S_ONE
     assert s_const(S_SPIN).degree() == 0
 
 
