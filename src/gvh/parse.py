@@ -1,4 +1,4 @@
-"""Expression parsing and printing for the three classical algebras.
+"""The expression grammar of the three classical algebras.
 
 Grammar
     expr   := ['-'] term (('+' | '-') term)*
@@ -11,9 +11,13 @@ torus atoms are sin/cos of '2*pi*' int '*' ('x'|'y').  A number is an
 unsigned integer; a fraction such as 1/3 is a division.  Division is only by
 nonzero constants (it exists so printed rational coefficients like
 (1)/(s+1) round-trip), so q1^3/2 is (q1^3)/2.  Parsed sphere
-expressions are reduced to their normal form, and printed in their harmonic
-form (`sphere`); torus trig input is normalized immediately to
-the exponential Fourier basis.
+expressions are reduced to their normal form (`sphere`); torus trig input
+is normalized immediately to the exponential Fourier basis.
+
+Each algebra prints its own elements in this grammar: str() of a
+`MultiPoly`, `SphereElement` (its harmonic form) or `TorusElement` parses
+back to the same element when its coefficients use only the symbols above.
+`print_expression` is the reports' entry point to that text.
 """
 
 from __future__ import annotations
@@ -253,102 +257,9 @@ def parse_expression(text, algebra, n=1, B=None):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Printing (grammar-conformant, exact round-trip)
-# ---------------------------------------------------------------------------
-
-_RATIONAL_CHARS = frozenset("0123456789/")
-
-
-def _is_plain(s):
-    r"""Whether s is a rational times powers of names, the form
-    [0-9/]+(\*[A-Za-z][A-Za-z0-9]*(\^\d+)?)* (names ASCII, exponents any
-    decimal digits), which a product may follow without parentheses."""
-    head, *factors = s.split("*")
-    if not head or not _RATIONAL_CHARS.issuperset(head):
-        return False
-    for factor in factors:
-        name, caret, exp = factor.partition("^")
-        if not (name.isascii() and name.isalnum() and name[:1].isalpha()
-                and (exp.isdecimal() or not caret)):
-            return False
-    return True
-
-
-def _coeff_str(c):
-    """Scalar coefficient as a parseable multiplier prefix, '' if 1."""
-    s = str(c)
-    if s == "1":
-        return ""
-    return s if _is_plain(s) else "(%s)" % s
-
-
-def _print_poly(poly):
-    if poly.is_zero():
-        return "0"
-    parts = []
-    for exps in sorted(poly.terms, key=lambda e: (-sum(e), e)):
-        c = poly.terms[exps]
-        mono = "*".join(
-            v if e == 1 else "%s^%d" % (v, e)
-            for v, e in zip(poly.vars, exps) if e > 0)
-        cs = _coeff_str(c)
-        if not mono:
-            parts.append(cs if cs else "1")
-        elif not cs:
-            parts.append(mono)
-        else:
-            parts.append("%s*%s" % (cs, mono))
-    return " + ".join(parts)
-
-
-def _trig_name(kind, m, n):
-    if n == 0:
-        return "%s(2*pi*%d*x)" % (kind, m)
-    return "%s(2*pi*%d*y)" % (kind, n)
-
-
-def _print_torus(elem):
-    parts = []
-    done = set()
-    const = elem.terms.get((0, 0))
-    if const is not None:
-        cs = _coeff_str(const)
-        parts.append(cs if cs else "1")
-    for f in sorted(elem.terms):
-        if f == (0, 0) or f in done:
-            continue
-        m, n = f
-        if m < 0 or (m == 0 and n < 0):
-            continue
-        done.add(f)
-        done.add((-m, -n))
-        cplus = elem.terms.get((m, n), S_ZERO)
-        cminus = elem.terms.get((-m, -n), S_ZERO)
-        a = cplus + cminus
-        b = S_I * (cplus - cminus)
-        if m != 0 and n != 0:
-            base_cos = ("(cos(2*pi*%d*x)*cos(2*pi*%d*y) - "
-                        "sin(2*pi*%d*x)*sin(2*pi*%d*y))" % (m, n, m, n))
-            base_sin = ("(sin(2*pi*%d*x)*cos(2*pi*%d*y) + "
-                        "cos(2*pi*%d*x)*sin(2*pi*%d*y))" % (m, n, m, n))
-        else:
-            base_cos = _trig_name("cos", m, n)
-            base_sin = _trig_name("sin", m, n)
-        for coeff, base in ((a, base_cos), (b, base_sin)):
-            if coeff.is_zero():
-                continue
-            cs = _coeff_str(coeff)
-            parts.append("%s*%s" % (cs, base) if cs else base)
-    return " + ".join(parts) if parts else "0"
-
-
 def print_expression(elem):
-    """Grammar-conformant rendering; parse(print(x)) equals x exactly."""
-    if isinstance(elem, SphereElement):
-        return _print_poly(elem.representative())
-    if isinstance(elem, MultiPoly):
-        return _print_poly(elem)
-    if isinstance(elem, TorusElement):
-        return _print_torus(elem)
-    raise TypeError("cannot print %r" % (elem,))
+    """The report's text of a classical observable: its grammar-conformant
+    str(), so that parse(print(x)) equals x."""
+    if not isinstance(elem, (MultiPoly, SphereElement, TorusElement)):
+        raise TypeError("cannot print %r" % (elem,))
+    return str(elem)

@@ -3,6 +3,10 @@
 The storage of every classical observable (flat coordinates q^i, p_i and sphere
 coordinates S1, S2, S3).  Exponent vectors are dense tuples keyed by a fixed
 per-algebra variable order.
+
+Each algebra prints its own elements: str() of a MultiPoly is its text in
+the `parse` grammar, which `parse.print_expression`, the reports' entry
+point, returns.
 """
 
 from __future__ import annotations
@@ -111,34 +115,47 @@ class MultiPoly(TermMap):
     # -- printing --------------------------------------------------------------------
 
     def __str__(self):
+        """The polynomial's text in the `parse` grammar, highest degree first."""
         if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                self.vars[k] if d == 1 else "%s^%d" % (self.vars[k], d)
-                for k, d in enumerate(e) if d > 0
-            )
-            cs = str(c)
+        for e in sorted(self.terms, key=lambda e: (-sum(e), e)):
+            mono = "*".join(v if d == 1 else "%s^%d" % (v, d)
+                            for v, d in zip(self.vars, e) if d > 0)
+            cs = _coeff_str(self.terms[e])
             if not mono:
-                parts.append(cs if not _needs_parens(cs) else "(%s)" % cs)
-            elif cs == "1":
+                parts.append(cs if cs else "1")
+            elif not cs:
                 parts.append(mono)
-            elif cs == "-1":
-                parts.append("-" + mono)
             else:
-                if _needs_parens(cs):
-                    cs = "(%s)" % cs
                 parts.append("%s*%s" % (cs, mono))
-        out = parts[0]
-        for p in parts[1:]:
-            out += ("-" + p[1:]) if p.startswith("-") else ("+" + p)
-        return out
+        return " + ".join(parts)
 
 
-def _needs_parens(cs):
-    return any(ch in cs[1:] for ch in "+-") or "/" in cs
+_RATIONAL_CHARS = frozenset("0123456789/")
+
+
+def _is_plain(s):
+    r"""Whether s is a rational times powers of names, the form
+    [0-9/]+(\*[A-Za-z][A-Za-z0-9]*(\^\d+)?)* (names ASCII, exponents any
+    decimal digits), which a product may follow without parentheses."""
+    head, *factors = s.split("*")
+    if not head or not _RATIONAL_CHARS.issuperset(head):
+        return False
+    for factor in factors:
+        name, caret, exp = factor.partition("^")
+        if not (name.isascii() and name.isalnum() and name[:1].isalpha()
+                and (exp.isdecimal() or not caret)):
+            return False
+    return True
+
+
+def _coeff_str(c):
+    """Scalar coefficient as a parseable multiplier prefix, '' if 1."""
+    s = str(c)
+    if s == "1":
+        return ""
+    return s if _is_plain(s) else "(%s)" % s
 
 
 def monomials_upto(nvars, bound):

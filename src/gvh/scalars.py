@@ -1,8 +1,8 @@
 """Exact scalar arithmetic: Gaussian rationals and rational functions in the
-formal parameters (hbar, s, a, c, b, pi).
+formal parameters (hbar, s, a, pi).
 
 Every coefficient in the engine is a Scalar: a gcd-reduced ratio of
-polynomials in the six formal parameters over Q(i).  Each polynomial is a
+polynomials in the four formal parameters over Q(i).  Each polynomial is a
 ParamPoly, a `sparse.TermMap` with no context, so its sums, equality and
 hashing are the base class's.  Arithmetic is exact; a numeric evaluation
 hook (`Scalar.evalf`) exists for the torus numerics.
@@ -40,7 +40,7 @@ from operator import add, sub
 
 from .sparse import TermMap, monoid_product
 
-PARAMS = ("hbar", "s", "a", "c", "b", "pi")
+PARAMS = ("hbar", "s", "a", "pi")
 NPARAMS = len(PARAMS)
 _PINDEX = {name: k for k, name in enumerate(PARAMS)}
 _ZEXP = (0,) * NPARAMS
@@ -173,7 +173,7 @@ def _grevkey(exp):
 
 
 class ParamPoly(TermMap):
-    """Polynomial in the six formal parameters over GaussRational.
+    """Polynomial in the four formal parameters over GaussRational.
 
     terms maps dense exponent tuples (length NPARAMS) to nonzero coefficients.
     It has no context: every ParamPoly lives in one ring.
@@ -206,11 +206,6 @@ class ParamPoly(TermMap):
 
     def is_const(self):
         return not self.terms or (len(self.terms) == 1 and _ZEXP in self.terms)
-
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def degree_in(self, idx):
         if not self.terms:
@@ -457,7 +452,7 @@ def _prs_gcd(f, g):
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """Canonical element of the rational-function field Q(i)(hbar, s, a, c, b, pi).
+    """Canonical element of the rational-function field Q(i)(hbar, s, a, pi).
 
     Invariants: gcd(num, den) = 1, den monic in the graded-lex leading
     coefficient, zero stored as 0/1, a unit den the `PP_ONE` object.

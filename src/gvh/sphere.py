@@ -11,8 +11,9 @@ and every span work in it.
 
 The harmonic representative (every occurrence of S1^2+S2^2+S3^2 replaced by
 s^2, so that the part of each degree l is annihilated by the formal
-Laplacian) is made only for printing: `print_expression` and `__str__` show
-it, and `harmonic_echelon` gives a span's printed basis.  The spin map
+Laplacian) is made only for printing: `__str__` shows it (the reports
+print it through `parse.print_expression`), and `harmonic_echelon` gives a
+span's printed basis.  The spin map
 quantizes the normal-form keys themselves.  `SphereElement.representative`
 sums it from a per-process cache of the harmonic form of each normal-form
 monomial, which `harmonic_decompose` fills.
@@ -36,10 +37,6 @@ SVARS = ("S1", "S2", "S3")
 
 def svar(name):
     return MultiPoly.var(SVARS, name)
-
-
-def s_const(c):
-    return MultiPoly.const(SVARS, c)
 
 
 def _r2():
@@ -132,10 +129,6 @@ class SphereElement(TermMap):
 
     def __init__(self, terms):
         self.terms = nonzero_terms(terms)
-
-    @classmethod
-    def const(cls, c):
-        return cls(s_const(c).terms)
 
     @classmethod
     def coordinate(cls, name):

@@ -3,13 +3,17 @@
 Elements are finite Fourier series sum c_(m,n) e^(2 pi i (m x + n y)) with
 exact Scalar coefficients; pi stays a formal symbol so brackets remain exact.
 The symplectic form is B dx^dy, giving {f, g} = (1/B)(f_x g_y - f_y g_x).
+
+An element prints itself: str() is the sin/cos text of the `parse` grammar,
+which `parse.print_expression`, the reports' entry point, returns.
 """
 
 from __future__ import annotations
 
 import cmath
 
-from .scalars import S_ONE, S_I, HBAR, TWO_PI, as_scalar
+from .poly import _coeff_str
+from .scalars import S_ONE, S_I, S_ZERO, HBAR, TWO_PI, as_scalar
 from .sparse import TermMap, accumulate, monoid_product, nonzero_terms
 
 
@@ -68,12 +72,35 @@ class TorusElement(TermMap):
         return total
 
     def __str__(self):
-        if not self.terms:
-            return "0"
+        """Grammar-conformant text in sin and cos: the constant, then each
+        key (m, n) with m > 0, or m = 0 and n > 0, together with its mirror
+        (-m, -n), as a cos(2 pi (m x + n y)) + b sin(2 pi (m x + n y)), the
+        mixed harmonics expanded by the angle-sum formulas.  Parsing the text
+        gives back the element, except that a mirror key whose partner is
+        absent is not printed (ROADMAP item 7)."""
         parts = []
-        for (m, n) in sorted(self.terms):
-            parts.append("(%s)*e(%d,%d)" % (self.terms[(m, n)], m, n))
-        return " + ".join(parts)
+        const = self.terms.get((0, 0))
+        if const is not None:
+            parts.append(_coeff_str(const) or "1")
+        for m, n in sorted(self.terms):
+            if m < 0 or (m == 0 and n <= 0):
+                continue
+            cplus = self.terms[(m, n)]
+            cminus = self.terms.get((-m, -n), S_ZERO)
+            if m and n:
+                base_cos = ("(cos(2*pi*%d*x)*cos(2*pi*%d*y) - "
+                            "sin(2*pi*%d*x)*sin(2*pi*%d*y))" % (m, n, m, n))
+                base_sin = ("(sin(2*pi*%d*x)*cos(2*pi*%d*y) + "
+                            "cos(2*pi*%d*x)*sin(2*pi*%d*y))" % (m, n, m, n))
+            else:
+                arg = "2*pi*%d*x" % m if m else "2*pi*%d*y" % n
+                base_cos, base_sin = "cos(%s)" % arg, "sin(%s)" % arg
+            for coeff, base in ((cplus + cminus, base_cos),
+                                (S_I * (cplus - cminus), base_sin)):
+                if not coeff.is_zero():
+                    cs = _coeff_str(coeff)
+                    parts.append("%s*%s" % (cs, base) if cs else base)
+        return " + ".join(parts) if parts else "0"
 
 
 def bracket_torus(f, g):

@@ -186,17 +186,9 @@ def weyl_product(A, B):
     return _expand(A, B, word_product)
 
 
-def weyl_commutator(A, B):
-    return weyl_product(A, B) - weyl_product(B, A)
-
-
-def anticommutator(A, B):
-    return weyl_product(A, B) + weyl_product(B, A)
-
-
 def symmetrized(A, B):
     """½(AB + BA)."""
-    return Scalar.from_rational(1, 2) * anticommutator(A, B)
+    return Scalar.from_rational(1, 2) * (A * B + B * A)
 
 
 def weyl_commutant(gens, words, n=None):
@@ -210,4 +202,4 @@ def weyl_commutant(gens, words, n=None):
         WeylAmbient(n, max((sum(w) for w in words), default=0)),
         [WeylElement.word(w, 1, n) for w in words],
         lambda T: {(gi, e): c for gi, g in enumerate(gens)
-                   for e, c in weyl_commutator(T, g).terms.items()})
+                   for e, c in T.commutator(g).terms.items()})

@@ -28,13 +28,14 @@ from gvh.obstruction import (anticommutator_certificate,
                              quadratic_extension_problem, sphere_certificate,
                              torus_irreducibility, torus_transform_identities,
                              vonneumann_rules_flat)
+from gvh.poly import MultiPoly
 from gvh.qmaps import (POSITION, TORUS_PREQUANT, QuantizationMap, check_q1)
 from gvh.scalars import HBAR, S_I, S_ONE, S_ZERO, Scalar
-from gvh.sphere import SphereElement, bracket_sphere
+from gvh.sphere import SVARS, SphereElement, bracket_sphere
 from gvh.subspace import (FlatAmbient, SphereAmbient,
                           generate_poisson_subalgebra, normalizer)
 from gvh.torus import basic_set, bracket_torus
-from gvh.weyl import WeylElement, symmetrized, weyl_commutator
+from gvh.weyl import WeylElement, symmetrized
 
 X = WeylElement.x()
 P = WeylElement.p()
@@ -81,10 +82,9 @@ def test_criterion_2_groenewold_obstruction():
     # quantized along the two routes the difference is a nonzero exact
     # multiple of the identity
     i_over_h = S_I * HBAR.inverse()
-    via_cubes = weyl_commutator(
-        X * X * X, P * P * P).scale(i_over_h * _frac(1, 9))
-    via_mixed = weyl_commutator(
-        symmetrized(X * X, P), symmetrized(X, P * P)).scale(i_over_h * _frac(1, 3))
+    via_cubes = (X * X * X).commutator(P * P * P).scale(i_over_h * _frac(1, 9))
+    via_mixed = symmetrized(X * X, P).commutator(
+        symmetrized(X, P * P)).scale(i_over_h * _frac(1, 3))
     diff = via_cubes - via_mixed
     assert diff == WeylElement.const(_frac(1, 3) * H2)
     assert not diff.is_zero()
@@ -208,7 +208,7 @@ def test_criterion_7_normalizers_pin_maximal_subalgebras():
 
     # the distinguished sphere subalgebra is its own normalizer
     samb = SphereAmbient(3)
-    gens = [SphereElement.const(S_ONE)] + \
+    gens = [SphereElement.canonicalize(MultiPoly.const(SVARS, S_ONE))] + \
         [SphereElement.coordinate(v) for v in ("S1", "S2", "S3")]
     sub = generate_poisson_subalgebra(gens, samb)
     snorm = normalizer(sub, samb)

@@ -19,9 +19,9 @@ ast module (the repository carries no linter).
 - No `tools/bench_*.py` defines `_quartiles`, imports `argparse` or sets a
   `*_NUM_THREADS` variable: the command line, the statistics and the child
   environment are `tools/benchtool.py`'s.
-- Only sphere.py, parse.py and cli.py read `representative` or
-  `harmonic_echelon`: the harmonic form of a sphere observable is made only
-  for printing.
+- Only sphere.py and cli.py read `representative` or `harmonic_echelon`:
+  the harmonic form of a sphere observable is made only for printing, by
+  `SphereElement.__str__` and the report's span bases.
 - Every function, class and method in `src/gvh` is read somewhere in
   `src/gvh` outside its own body (a function or class as a bare name or as
   an attribute, a method as an attribute), so `src/` holds only what gvh
@@ -123,7 +123,7 @@ def test_only_the_echelon_eliminates():
 def test_only_the_printer_makes_harmonic_forms():
     # the spin map and the certificates work on normal-form keys
     readers = _src_readers("representative") | _src_readers("harmonic_echelon")
-    assert {r.split(":")[0] for r in readers} == {"sphere.py", "parse.py", "cli.py"}
+    assert {r.split(":")[0] for r in readers} == {"sphere.py", "cli.py"}
 
 
 def test_no_module_calls_einsum():

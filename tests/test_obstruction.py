@@ -27,7 +27,7 @@ from gvh.report import Report
 from gvh.scalars import HBAR, S_I, S_ONE, Scalar
 from gvh.sphere import SVARS
 from gvh.subspace import WeylAmbient
-from gvh.weyl import WeylElement, symmetrized, weyl_commutant, weyl_commutator
+from gvh.weyl import WeylElement, symmetrized, weyl_commutant
 
 X = WeylElement.x()
 P = WeylElement.p()
@@ -91,9 +91,9 @@ def test_groenewold_certificate():
 def test_groenewold_constants_rederived():
     # route both sides through the unique cubic rules and compare constants
     i_over_h = S_I * HBAR.inverse()
-    via_cubes = weyl_commutator(X * X * X, P * P * P).scale(i_over_h * _frac(1, 9))
-    via_mixed = weyl_commutator(symmetrized(X * X, P),
-                                symmetrized(X, P * P)).scale(i_over_h * _frac(1, 3))
+    via_cubes = (X * X * X).commutator(P * P * P).scale(i_over_h * _frac(1, 9))
+    via_mixed = symmetrized(X * X, P).commutator(
+        symmetrized(X, P * P)).scale(i_over_h * _frac(1, 3))
     assert (via_cubes.scalar_part() - _frac(2, 3) * H2).is_zero()
     assert (via_mixed.scalar_part() - _frac(1, 3) * H2).is_zero()
     assert via_cubes - via_mixed == WeylElement.const(_frac(1, 3) * H2)
@@ -370,9 +370,10 @@ def _counting(monkeypatch, owner, name):
 
 
 def test_sphere_certificate_work(monkeypatch):
-    # 14 (i/ħ)-commutators make 28 matrix products, and each of Q1², Q2² and
-    # the three Q_iQ_k + Q_kQ_i is made once: 2 + 6; a ratio of monomials
-    # such as i/ħ scales a polynomial without a gcd
+    # 7 (i/ħ)-commutators (14 products) plus 8 spin products, 22 in all: the
+    # spin products make each of Q1², Q2² and the three Q_iQ_k + Q_kQ_i
+    # once, 2 + 6; a ratio of monomials such as i/ħ scales a polynomial
+    # without a gcd
     from gvh import scalars
     from gvh.matrices import ExactMatrix
 

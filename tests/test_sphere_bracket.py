@@ -17,7 +17,7 @@ from gvh.poly import MultiPoly
 from gvh.scalars import S_ONE, S_SPIN, Scalar
 from gvh import sphere
 from gvh.sphere import (SVARS, SphereElement, bracket_raw, bracket_sphere,
-                        harmonic_decompose, s_const, svar)
+                        harmonic_decompose, svar)
 
 RNG = random.Random(4)
 
@@ -39,7 +39,7 @@ def _c(raw):
 def test_casimir_is_central_and_constant():
     casimir = S1 * S1 + S2 * S2 + S3 * S3
     elem = _c(casimir)
-    assert elem == SphereElement.const(S_SPIN ** 2)
+    assert elem == _c(MultiPoly.const(SVARS, S_SPIN ** 2))
     for gen in (S1, S2, S3):
         assert bracket_sphere(elem, _c(gen)).is_zero()
     # the raw bracket already vanishes before canonicalization
@@ -88,7 +88,7 @@ def test_degree_and_constant_part():
     elem = _c(S1 * S2 + MultiPoly.const(SVARS, S_ONE))
     assert elem.degree() == 2
     assert elem.representative().terms.get((0, 0, 0)) == S_ONE
-    assert s_const(S_SPIN).degree() == 0
+    assert MultiPoly.const(SVARS, S_SPIN).degree() == 0
 
 
 def test_representative_independence():
@@ -176,7 +176,7 @@ def test_normal_form_keys_and_degrees():
     assert cube.terms == {(0, 0, 1): S_SPIN ** 2, (2, 0, 1): -S_ONE,
                           (0, 2, 1): -S_ONE}
     assert cube.degree() == cube.representative().degree() == 3
-    zero = _c(S1 * S1 + S2 * S2 + S3 * S3 - s_const(S_SPIN ** 2))
+    zero = _c(S1 * S1 + S2 * S2 + S3 * S3 - MultiPoly.const(SVARS, S_SPIN ** 2))
     assert zero.is_zero() and zero.degree() == -1
 
 

@@ -136,7 +136,7 @@ def test_normalizer_of_sphere_u2_is_itself():
     """span{1, S1, S2, S3} is self-normalizing inside sphere degree <= 3."""
     amb = SphereAmbient(3)
     u2 = SubspaceBasis.from_elements(amb, [
-        SphereElement.const(S_ONE),
+        SphereElement.canonicalize(MultiPoly.const(SVARS, S_ONE)),
         SphereElement.canonicalize(svar("S1")),
         SphereElement.canonicalize(svar("S2")),
         SphereElement.canonicalize(svar("S3")),

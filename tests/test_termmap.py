@@ -38,7 +38,7 @@ def _cases():
         "ExactMatrix": (spin_matrices(1)[0], ExactMatrix.identity(3),
                         ExactMatrix.identity(2)),
         "TorusElement": (TorusElement.sin(1, 0), TorusElement.cos(0, 1),
-                         TorusElement.sin(1, 0, B=Scalar.param("b"))),
+                         TorusElement.sin(1, 0, B=Scalar.param("a"))),
         "SphereElement": (s1, s2 * s3, None),
         # ∂_x and x², keyed (shift, ∂_x order, ∂_y order, m, n, j)
         "DiffOp": (DiffOp({(0, 1, 0, 0, 0, 0): S_ONE}),

@@ -10,7 +10,7 @@ from gvh.torus import TorusElement, basic_set, bracket_torus
 
 RNG = random.Random(5)
 PI = math.pi
-PARAMS = {"pi": PI, "hbar": 0.1, "b": 1.0}
+PARAMS = {"pi": PI, "hbar": 0.1}
 
 
 def _val(f, x, y):
@@ -28,8 +28,9 @@ def test_harmonic_basics():
 
 
 def test_bracket_formula_on_harmonics():
-    # {e_a, e_b} = -(4 pi^2 / B) (a x b) e_{a+b} with a x b = m1 n2 - n1 m2
-    B = Scalar.param("b")
+    # {e_a, e_b} = -(4 pi^2 / B) (a x b) e_{a+b} with a x b = m1 n2 - n1 m2,
+    # at a formal B: the parameter a, which no torus coefficient holds
+    B = Scalar.param("a")
     for m1, n1, m2, n2 in [(1, 0, 0, 1), (2, -1, 1, 1), (0, 3, -2, 0)]:
         f = TorusElement({(m1, n1): S_ONE}, B)
         g = TorusElement({(m2, n2): S_ONE}, B)
@@ -103,6 +104,6 @@ def test_poisson_identities():
 
 def test_identities_with_magnetic_parameter():
     # the bracket scales by 1/B; Jacobi and Leibniz must hold with formal B too
-    B = Scalar.param("b")
+    B = Scalar.param("a")
     n = check_poisson_identities(RNG, 25, lambda r: random_torus(r, B=B), bracket_torus)
     assert n == 25
